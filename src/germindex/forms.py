@@ -18,7 +18,6 @@ from .errors import (
     NotDivisible,
 )
 from .germs import MapGerm
-from .polys import Poly2
 from .series import TruncatedSeries2
 
 INFINITY = math.inf
@@ -199,6 +198,3 @@ def predict_type(form: FormGerm, nu_C: int):
         raise ValueError("curve index must be a positive integer")
     return NO_PREDICTION if form.pole_order == nu_C else FORCED_TYPE_II
 
-
-def form_from_polynomial_unit(s: int, unit: Poly2, precision: int = 16) -> FormGerm:
-    return FormGerm(z1_valuation=s, unit_part=unit.to_series(precision))

@@ -23,7 +23,7 @@ case where a type II branch pins the curve factor of every iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -138,13 +138,21 @@ class GermDecomposition:
     g is always an exact polynomial (product of the origin-vanishing
     irreducible factors of the image-difference gcd); h1, h2 are exact
     polynomials on the primary path and truncated series on the guided
-    iterate path.
+    iterate path.  factors lists the origin-vanishing irreducible factors
+    of g with their multiplicities; decompose passes on the ones it has
+    already computed, otherwise g is factored once on construction.
     """
 
     g: Poly2
     h1: Poly2 | TruncatedSeries2
     h2: Poly2 | TruncatedSeries2
     precision: int = DEFAULT_PRECISION
+    factors: list[tuple[Poly2, int]] | None = field(default=None, repr=False,
+                                                    compare=False)
+
+    def __post_init__(self):
+        if self.factors is None:
+            self.factors = _origin_factors(self.g)
 
     @property
     def polynomial_cofactors(self) -> bool:
@@ -227,14 +235,19 @@ def decompose(germ: MapGerm) -> GermDecomposition:
     d1, d2 = germ.differences()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("the identity germ admits no (g, h1, h2) data")
-    full = gcd2(d1, d2)
+    factors = _origin_factors(gcd2(d1, d2))
     g = Poly2.constant(1)
-    for factor, mult in factor_list2(full)[1]:
-        if factor.vanishes_at_origin():
-            g = g * factor**mult
+    for factor, mult in factors:
+        g = g * factor**mult
     h1 = d1.exact_div(g)
     h2 = d2.exact_div(g)
-    return GermDecomposition(g=g, h1=h1, h2=h2, precision=germ.precision)
+    return GermDecomposition(g=g, h1=h1, h2=h2, precision=germ.precision,
+                             factors=factors)
+
+
+def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
+    """The irreducible factors of p through the origin, with multiplicity."""
+    return [(f, m) for f, m in factor_list2(p)[1] if f.vanishes_at_origin()]
 
 
 def decompose_iterate_guided(base: GermDecomposition, iterated: MapGerm) -> GermDecomposition:
@@ -252,7 +265,8 @@ def decompose_iterate_guided(base: GermDecomposition, iterated: MapGerm) -> Germ
     h1 = (iterated.image1 - z1).exact_divide(g_series)
     h2 = (iterated.image2 - z2).exact_divide(g_series)
     return GermDecomposition(g=base.g, h1=h1, h2=h2,
-                             precision=min(h1.precision, h2.precision))
+                             precision=min(h1.precision, h2.precision),
+                             factors=base.factors)
 
 
 def omega_sigma(dec: GermDecomposition) -> DifferentialPair:
@@ -469,9 +483,7 @@ def branches(dec: GermDecomposition,
     """
     n = precision if precision is not None else dec.precision
     out = []
-    for factor, mult in factor_list2(dec.g)[1]:
-        if not factor.vanishes_at_origin():
-            continue
+    for factor, mult in dec.factors:
         key = tuple(sorted(factor.normalized().coeff.items()))
         supplied = (user_parametrizations or {}).get(key)
         if supplied is not None:
@@ -604,13 +616,11 @@ def classify_branch(dec: GermDecomposition, branch: BranchRecord,
 # ---------------------------------------------------------------------------
 
 
-def _index_report(germ: MapGerm, precision: int,
+def _index_report(dec: GermDecomposition,
                   user_parametrizations: dict | None) -> IndexReport:
-    dec = decompose(germ if germ.precision == precision
-                    else germ.at_precision(precision))
     d = delta(dec)
     brs = [classify_branch(dec, b)
-           for b in branches(dec, user_parametrizations, precision)]
+           for b in branches(dec, user_parametrizations)]
     nu = d + sum(b.nu_p * b.mu_p for b in brs)
     return IndexReport(delta=d, branches=brs, nu_A=nu)
 
@@ -622,12 +632,16 @@ def local_index(germ: MapGerm, user_parametrizations: dict | None = None,
     The genuinely truncation-sensitive quantities (branch orders along
     non-polynomial parametrizations) are recomputed with the truncation
     degree raised by four; disagreement raises PrecisionExhausted rather
-    than returning an uncertified number.
+    than returning an uncertified number.  The decomposition of a
+    polynomial germ does not depend on the truncation degree, so both
+    passes share it.
     """
-    report = _index_report(germ, germ.precision, user_parametrizations)
-    if certify and germ.is_polynomial:
-        again = _index_report(germ, germ.precision + CERTIFY_MARGIN,
-                              user_parametrizations)
+    dec = decompose(germ)
+    report = _index_report(dec, user_parametrizations)
+    if certify:
+        again = _index_report(
+            replace(dec, precision=germ.precision + CERTIFY_MARGIN),
+            user_parametrizations)
         same = (
             again.delta == report.delta
             and len(again.branches) == len(report.branches)

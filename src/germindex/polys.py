@@ -1,23 +1,26 @@
 """Exact bivariate and univariate polynomials over Q.
 
 Poly2 is the workhorse for germ decomposition and the elimination oracle:
-a sparse dict of exponent pairs with Fraction coefficients.  Heavy
-computer-algebra steps (multivariate gcd, irreducible factorization over Q,
-resultants) are delegated to sympy; everything else (arithmetic, exact
-division, composition, shears) is done directly on the dicts, which is much
-faster in the tight loops.
+a sparse dict of exponent pairs with Fraction coefficients.  Arithmetic,
+exact division, composition and shears are done directly on the dicts,
+which is much faster in the tight loops.
+
+This module is the one boundary to the computer-algebra system.  The heavy
+steps (multivariate gcd, irreducible factorization over Q, resultants) are
+delegated to sympy at the ring level: a coefficient dict is converted
+straight into an element of a sparse polynomial ring over QQ and back,
+without building symbolic expression trees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 from .errors import NotDivisible
 from .series import TruncatedSeries1, TruncatedSeries2, rat
-
-Z1, Z2 = sp.symbols("z1 z2")
 
 
 class Poly2:
@@ -47,17 +50,6 @@ class Poly2:
     @classmethod
     def from_terms(cls, terms) -> "Poly2":
         return cls({tuple(e): rat(c) for e, c in terms.items()})
-
-    @classmethod
-    def from_sympy(cls, expr) -> "Poly2":
-        p = sp.Poly(expr, Z1, Z2, domain="QQ")
-        return cls({m: Fraction(c.p, c.q) for m, c in zip(p.monoms(), p.coeffs())})
-
-    def to_sympy(self):
-        return sp.Add(
-            *(sp.Rational(c.numerator, c.denominator) * Z1**i * Z2**j
-              for (i, j), c in self.coeff.items())
-        )
 
     def to_series(self, precision: int) -> TruncatedSeries2:
         return TruncatedSeries2(dict(self.coeff), precision)
@@ -99,6 +91,12 @@ class Poly2:
         if not self.coeff:
             return -1
         return max(e[0] if index == 1 else e[1] for e in self.coeff)
+
+    def leading_coefficient(self) -> Fraction:
+        """Coefficient of the graded-lex largest term; raises on zero."""
+        if not self.coeff:
+            raise ValueError("zero polynomial has no leading term")
+        return self.coeff[max(self.coeff, key=lambda e: (e[0] + e[1], e))]
 
     def linear_part(self) -> tuple[Fraction, Fraction]:
         """Coefficients of (z1, z2) in the degree-1 part."""
@@ -246,19 +244,23 @@ class Poly2:
         if self.is_zero():
             return Poly2.zero()
         # division by the minimal graded-lex term; sound because that term
-        # of a product is the product of minimal terms
+        # of a product is the product of minimal terms.  Every quotient term
+        # produced is then a term of the true quotient, whose total degree
+        # is deg(self) - deg(b); a term beyond that proves non-divisibility
+        # (without the bound the remainder can grow forever).
         pe = min(b.coeff, key=lambda e: (e[0] + e[1], e))
         pc = b.coeff[pe]
+        max_degree = self.total_degree() - b.total_degree()
         quot: dict = {}
         rem = dict(self.coeff)
         while rem:
             e = min(rem, key=lambda x: (x[0] + x[1], x))
             c = rem.pop(e)
             qe = (e[0] - pe[0], e[1] - pe[1])
-            if qe[0] < 0 or qe[1] < 0:
+            if qe[0] < 0 or qe[1] < 0 or qe[0] + qe[1] > max_degree:
                 raise NotDivisible("polynomial does not divide exactly")
-            quot[qe] = quot.get(qe, Fraction(0)) + c / pc
             qc = c / pc
+            quot[qe] = qc
             for be, bc in b.coeff.items():
                 if be == pe:
                     continue
@@ -285,8 +287,7 @@ class Poly2:
         den = lcm(*(c.denominator for c in self.coeff.values()))
         num = gcd(*(abs(c.numerator) for c in self.coeff.values()))
         scale = Fraction(den, num)
-        lead = max(self.coeff, key=lambda e: (e[0] + e[1], e))
-        if self.coeff[lead] < 0:
+        if self.leading_coefficient() < 0:
             scale = -scale
         return self * scale
 
@@ -303,35 +304,60 @@ class Poly2:
         return " + ".join(parts)
 
 
-# -- computer-algebra services (sympy-backed) -------------------------------
+# -- the computer-algebra boundary (sympy, ring level) ------------------------
+
+_RING2 = ring("z1,z2", QQ)[0]
+_RING1 = ring("t", QQ)[0]
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(c.numerator, c.denominator)
+
+
+def _to_ring2(p: Poly2):
+    return _RING2.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.coeff.items()})
+
+
+def _from_ring2(r) -> Poly2:
+    return Poly2({e: _fraction(c) for e, c in r.items()})
+
+
+def _from_ring1(r) -> "Poly1":
+    return Poly1.from_coeff_map({k: _fraction(c) for (k,), c in r.items()})
 
 
 def gcd2(a: Poly2, b: Poly2) -> Poly2:
-    """Polynomial gcd over Q (primitive, sign-normalized by sympy)."""
-    if a.is_zero():
-        return b.normalized() if not b.is_zero() else Poly2.zero()
-    if b.is_zero():
-        return a.normalized()
-    g = sp.gcd(a.to_sympy(), b.to_sympy())
-    return Poly2.from_sympy(g).normalized()
+    """Polynomial gcd over Q, normalized (zero when both inputs are zero)."""
+    return _from_ring2(_to_ring2(a).gcd(_to_ring2(b))).normalized()
 
 
 def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
-    """Irreducible factorization over Q: (constant, [(factor, multiplicity)])."""
-    const, factors = sp.factor_list(p.to_sympy(), Z1, Z2)
-    out = []
-    for f, mult in factors:
-        out.append((Poly2.from_sympy(f).normalized(), int(mult)))
-    return Fraction(sp.Rational(const).p, sp.Rational(const).q), out
+    """Irreducible factorization over Q: (constant, [(factor, multiplicity)])
+    with normalized factors and constant * prod(factor**multiplicity) == p."""
+    if p.is_constant():
+        return p.constant_term(), []
+    out = [(_from_ring2(f).normalized(), int(m))
+           for f, m in _to_ring2(p).factor_list()[1]]
+    # graded-lex is a monomial order, so leading coefficients multiply
+    lead = Fraction(1)
+    for f, m in out:
+        lead *= f.leading_coefficient() ** m
+    return p.leading_coefficient() / lead, out
 
 
 def resultant_z1(f: Poly2, g: Poly2) -> "Poly1":
     """Resultant eliminating z1; a univariate polynomial in z2."""
-    r = sp.resultant(sp.Poly(f.to_sympy(), Z1, Z2), sp.Poly(g.to_sympy(), Z1, Z2), Z1)
-    rp = sp.Poly(r, Z2) if r != 0 else None
-    if rp is None:
-        return Poly1([])
-    return Poly1([Fraction(c.p, c.q) for c in reversed(rp.all_coeffs())])
+    return _from_ring1(_to_ring2(f).resultant(_to_ring2(g)))
+
+
+def factor_list1(p: "Poly1") -> tuple[Fraction, list[tuple["Poly1", int]]]:
+    """Irreducible factorization over Q: (constant, [(factor, multiplicity)])
+    with primitive integer factors of positive leading coefficient and
+    constant * prod(factor**multiplicity) == p."""
+    r = _RING1.from_dict({(k,): QQ(c.numerator, c.denominator)
+                          for k, c in enumerate(p.coeff) if c != 0})
+    const, factors = r.factor_list()
+    return _fraction(const), [(_from_ring1(f), int(m)) for f, m in factors]
 
 
 class Poly1:

@@ -89,11 +89,3 @@ def _cell(value) -> str:
         return json.dumps(value, sort_keys=True)
     return str(value)
 
-
-def emit_report(payload, fmt: str, columns: list[str] | None = None) -> str:
-    """Spec-level entry point: deterministic serialization of any report."""
-    if fmt == "json":
-        return emit_json(payload)
-    if isinstance(payload, list) and columns:
-        return render_table(payload, columns)
-    return emit_json(payload)

@@ -232,14 +232,6 @@ class Surd:
 
     # -- display -----------------------------------------------------------
 
-    def as_float(self) -> complex | float:
-        import math
-
-        root = math.sqrt(self.d) if self.d is not None else 0.0
-        re = float(self.a) + float(self.b) * root
-        im = float(self.c) + float(self.e) * root
-        return re if im == 0 else complex(re, im)
-
     def __repr__(self):
         parts = []
         if self.a or not (self.b or self.c or self.e):
@@ -280,4 +272,3 @@ class Surd:
 
 ZERO = Surd(0)
 ONE = Surd(1)
-I_UNIT = Surd(c=1)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy as sp
-
 from .errors import (
     FieldMismatch,
     MissingIndexData,
@@ -22,7 +20,7 @@ from .errors import (
     TypeICurvePresent,
 )
 from .germs import TYPE_I, TYPE_II, MapGerm, iterate, local_index
-from .polys import Poly1, Poly2
+from .polys import Poly1, Poly2, factor_list1
 from .surd import Surd
 
 # ---------------------------------------------------------------------------
@@ -383,17 +381,12 @@ def spectral_radius(M) -> Surd | RationalInterval:
     Exact quadratic-surd output when the dominant root lies in a factor of
     degree at most two; otherwise a refinable isolating interval.
     """
-    p = _char_poly(M)
-    x = sp.symbols("x")
-    expr = sum(sp.Rational(c.numerator, c.denominator) * x**k
-               for k, c in enumerate(p.coeff))
     candidates: list = []
-    for f, _mult in sp.factor_list(expr, x)[1]:
-        fp = sp.Poly(f, x)
-        cs = [Fraction(c.p, c.q) for c in reversed(fp.all_coeffs())]
-        if fp.degree() == 1:
+    for f, _mult in factor_list1(_char_poly(M))[1]:
+        cs = f.coeff
+        if f.degree() == 1:
             candidates.append(Surd.rational(-cs[0] / cs[1]))
-        elif fp.degree() == 2:
+        elif f.degree() == 2:
             a2, a1, a0 = cs[2], cs[1], cs[0]
             disc = a1 * a1 - 4 * a2 * a0
             if disc >= 0:
@@ -406,7 +399,7 @@ def spectral_radius(M) -> Surd | RationalInterval:
                 # complex pair: modulus is sqrt(a0/a2)
                 candidates.append(_sqrt_exact(a0 / a2))
         else:
-            candidates.extend(_isolate_real_roots(Poly1(cs)))
+            candidates.extend(_isolate_real_roots(f))
     if not candidates:
         raise ValueError("characteristic polynomial has no factors")
     best = candidates[0]

@@ -285,6 +285,42 @@ def test_local_index_remark43():
     assert rep.nu_A == 2
 
 
+def test_local_index_decomposes_once_and_still_certifies(monkeypatch):
+    import germindex.germs as germs
+
+    seen = {"decompose": [], "factor_list2": [], "delta": [], "branches": [],
+            "classify_branch": []}
+
+    def counting(name, fn, precision_of):
+        def wrapper(*args, **kwargs):
+            seen[name].append(precision_of(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(germs, "decompose",
+                        counting("decompose", germs.decompose, lambda g: g.precision))
+    monkeypatch.setattr(germs, "factor_list2",
+                        counting("factor_list2", germs.factor_list2, lambda p: None))
+    monkeypatch.setattr(germs, "delta",
+                        counting("delta", germs.delta, lambda dec: dec.precision))
+    monkeypatch.setattr(germs, "branches",
+                        counting("branches", germs.branches,
+                                 lambda dec, *rest: dec.precision))
+    monkeypatch.setattr(germs, "classify_branch",
+                        counting("classify_branch", germs.classify_branch,
+                                 lambda dec, b: dec.precision))
+    rep = germs.local_index(cubic_corner_map(), certify=True)
+    assert rep.nu_A == 4 and len(rep.branches) == 2
+    assert seen["decompose"] == [16]
+    assert len(seen["factor_list2"]) == 1
+    # the certify pass recomputes delta, the branch parametrizations and
+    # every branch's type and order at precision + margin
+    certified = 16 + germs.CERTIFY_MARGIN
+    assert seen["delta"] == [16, certified]
+    assert seen["branches"] == [16, certified]
+    assert seen["classify_branch"] == [16, 16, certified, certified]
+
+
 # -- iterate / invert ---------------------------------------------------------
 
 
