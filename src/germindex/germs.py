@@ -28,26 +28,29 @@ from fractions import Fraction
 
 from .errors import (
     IdentityGerm,
+    NonIsolated,
     NonPolynomialGerm,
     NotCoprime,
     NotInvertible,
     PrecisionExhausted,
-    ShearExhausted,
     UnsupportedSingularBranch,
 )
-from .polys import Poly2, factor_list2, gcd1, gcd2, resultant_z1, root_multiplicity
+from .oracle import local_multiplicity
+from .polys import Poly2, factor_list2, gcd2
 from .series import (
     DEFAULT_PRECISION,
     AboveDegree,
     SeriesPair,
     TruncatedSeries1,
     TruncatedSeries2,
+    substitute,
 )
 
 TYPE_I = "I"
 TYPE_II = "II"
 
-# extra truncation orders used when re-certifying a verdict
+# extra truncation orders for classify_branch's retry and for the type
+# verdict on series cofactors
 CERTIFY_MARGIN = 4
 
 
@@ -96,13 +99,6 @@ class MapGerm:
     def is_polynomial(self) -> bool:
         return self.poly1 is not None
 
-    def at_precision(self, n: int) -> "MapGerm":
-        if self.is_polynomial:
-            return MapGerm.from_polynomials(self.poly1, self.poly2, n,
-                                            self.source_point_label)
-        return MapGerm(self.image1.truncate(n), self.image2.truncate(n),
-                       source_point_label=self.source_point_label)
-
     def differences(self):
         """(sigma(z1) - z1, sigma(z2) - z2) in the strongest available form."""
         if self.is_polynomial:
@@ -110,10 +106,6 @@ class MapGerm:
         z1 = TruncatedSeries2.variable(1, self.precision)
         z2 = TruncatedSeries2.variable(2, self.precision)
         return (self.image1 - z1, self.image2 - z2)
-
-    def is_identity_to_precision(self) -> bool:
-        d1, d2 = self.differences()
-        return d1.is_zero() and d2.is_zero()
 
     def linear_matrix(self):
         """The 2x2 Jacobian at the origin, as rows of Fractions."""
@@ -329,28 +321,28 @@ def _truncated_row(h, mono, D: int) -> dict:
     return out
 
 
-def _local_codimension(h1, h2, D: int) -> int:
-    """dim of (polynomials of degree < D) modulo the truncated ideal rows."""
-    space = _RowSpace()
-    for mono in _monomials_below(D):
-        for h in (h1, h2):
-            row = _truncated_row(h, mono, D)
-            if row:
-                space.add(row)
-    return len(_monomials_below(D)) - space.rank
-
-
-def membership_to_degree(element, generators, D: int) -> bool:
-    """Truncated ideal membership: does element lie in the span of
-    {monomial * gen} modulo terms of total degree >= D?"""
+def _ideal_rows(generators, D: int) -> _RowSpace:
+    """The span of {monomial * gen : monomial of degree < D}, truncated
+    below total degree D."""
     space = _RowSpace()
     for mono in _monomials_below(D):
         for h in generators:
             row = _truncated_row(h, mono, D)
             if row:
                 space.add(row)
+    return space
+
+
+def _local_codimension(h1, h2, D: int) -> int:
+    """dim of (polynomials of degree < D) modulo the truncated ideal rows."""
+    return len(_monomials_below(D)) - _ideal_rows((h1, h2), D).rank
+
+
+def membership_to_degree(element, generators, D: int) -> bool:
+    """Truncated ideal membership: does element lie in the span of
+    {monomial * gen} modulo terms of total degree >= D?"""
     target = {e: c for e, c in element.coeff.items() if e[0] + e[1] < D}
-    return not space.reduce(target)
+    return not _ideal_rows(generators, D).reduce(target)
 
 
 def delta(dec: GermDecomposition, degree_cap: int | None = None) -> int:
@@ -386,55 +378,15 @@ def delta(dec: GermDecomposition, degree_cap: int | None = None) -> int:
     raise exhausted
 
 
-_SHEAR_SEQUENCE = [0]
-for _k in range(1, 17):
-    _SHEAR_SEQUENCE += [_k, -_k]
-
-
 def delta_resultant(dec: GermDecomposition) -> int:
-    """Independent route to delta: local intersection multiplicity at the
-    origin via elimination.
-
-    A deterministic shear z2 -> z2 + c*z1 puts h1 in z1-regular position
-    and (checked through a univariate gcd) isolates the origin on its
-    z2-level; the z2-order of the z1-resultant is then exactly the local
-    multiplicity.
-    """
+    """Independent route to delta: the intersection multiplicity of h1 and
+    h2 at the origin by elimination (oracle.local_multiplicity)."""
     if not dec.polynomial_cofactors:
         raise NonPolynomialGerm("resultant route needs polynomial cofactors")
-    h1, h2 = dec.h1, dec.h2
-    if h1.constant_term() != 0 or h2.constant_term() != 0:
-        return 0
-    if h1.is_zero() and h2.is_zero():
-        raise NotCoprime("both cofactors vanish identically")
-    common = gcd2(h1, h2)
-    if not common.is_constant() and common.vanishes_at_origin():
-        raise NotCoprime(f"cofactors share the factor {common!r}")
-    if h1.is_zero() or h2.is_zero():
-        # one cofactor zero and the other a non-unit without origin factor:
-        # the ideal is principal, infinite codimension flagged above by gcd;
-        # reaching here means the nonzero one is a unit times origin-free,
-        # hence delta = 0 -- but constant-term check already returned.
-        raise NotCoprime("one cofactor vanishes identically")
-    d1 = h1.total_degree()
-    for c in _SHEAR_SEQUENCE:
-        h1c = h1.shear_z2(c)
-        h2c = h2.shear_z2(c)
-        if h1c[(d1, 0)] == 0:
-            continue  # not z1-regular under this shear
-        u1 = h1c.restrict_z2_zero()
-        u2 = h2c.restrict_z2_zero()
-        if u1.is_zero() or u2.is_zero():
-            continue
-        g = gcd1(u1, u2)
-        nonzero = [k for k, coef in enumerate(g.coeff) if coef != 0]
-        if len(nonzero) != 1:
-            continue  # another common zero shares the z2-level of the origin
-        res = resultant_z1(h1c, h2c)
-        if res.is_zero():
-            raise NotCoprime("resultant vanished identically")
-        return root_multiplicity(res, 0)
-    raise ShearExhausted("no shear in the deterministic sequence worked")
+    try:
+        return local_multiplicity(dec.h1, dec.h2)
+    except NonIsolated as exc:
+        raise NotCoprime("cofactors share a factor through the origin") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -502,34 +454,18 @@ def branches(dec: GermDecomposition,
     return out
 
 
-def _tau_restriction(dec: GermDecomposition, branch: BranchRecord,
-                     precision: int) -> TruncatedSeries1:
-    """tau_p of the decomposition form: h2(x,y)*x' - h1(x,y)*y'."""
-    x, y = branch.parametrization
+def _tau_restriction(dec: GermDecomposition, param, precision: int) -> TruncatedSeries1:
+    """tau_p of the decomposition form on the branch param = (x, y):
+    h2(x,y)*x' - h1(x,y)*y'."""
+    x, y = param
     if x.precision > precision:
         x, y = x.truncate(precision), y.truncate(precision)
     h1s, h2s = dec.h_series(precision)
-    h1_on = _eval2_on_param(h1s, x, y)
-    h2_on = _eval2_on_param(h2s, x, y)
-    return h2_on * x.derivative() - h1_on * y.derivative()
-
-
-def _eval2_on_param(s: TruncatedSeries2, x: TruncatedSeries1,
-                    y: TruncatedSeries1) -> TruncatedSeries1:
-    n = min(s.precision, x.precision, y.precision)
+    n = min(h1s.precision, h2s.precision, x.precision, y.precision)
     one = TruncatedSeries1.constant(1, n)
-    pow_x: dict[int, TruncatedSeries1] = {0: one}
-    pow_y: dict[int, TruncatedSeries1] = {0: one}
-
-    def pw(table, base, k):
-        while len(table) <= k:
-            table[len(table)] = table[len(table) - 1] * base
-        return table[k]
-
-    out = TruncatedSeries1.zero(n)
-    for (i, j), c in sorted(s.coeff.items()):
-        out = out + pw(pow_x, x, i) * pw(pow_y, y, j) * c
-    return out
+    h1_on = TruncatedSeries1(substitute(h1s.coeff, x, y, one), n)
+    h2_on = TruncatedSeries1(substitute(h2s.coeff, x, y, one), n)
+    return h2_on * x.derivative() - h1_on * y.derivative()
 
 
 def _branch_is_type_two(dec: GermDecomposition, branch: BranchRecord,
@@ -545,9 +481,9 @@ def _branch_is_type_two(dec: GermDecomposition, branch: BranchRecord,
         # of the normal direction, for reduced p)
         e = dec.h1 * p.derivative(1) + dec.h2 * p.derivative(2)
         return p.divides(e)
-    tau_lo = _tau_restriction(dec, branch, precision)
+    tau_lo = _tau_restriction(dec, branch.parametrization, precision)
     hi = min(precision + CERTIFY_MARGIN, dec.precision)
-    tau_hi = _tau_restriction(dec, branch, hi)
+    tau_hi = _tau_restriction(dec, branch.parametrization, hi)
     if tau_lo.is_zero() != tau_hi.is_zero():
         raise PrecisionExhausted(
             f"type verdict for {p!r} changed between truncation orders"
@@ -581,19 +517,18 @@ def classify_branch(dec: GermDecomposition, branch: BranchRecord,
     def a_at(prec: int) -> TruncatedSeries1:
         x, y = params_at(prec)
         if not is_two:
-            h1s, h2s = dec.h_series(prec)
-            return _eval2_on_param(h2s, x, y) * x.derivative() \
-                - _eval2_on_param(h1s, x, y) * y.derivative()
+            return _tau_restriction(dec, (x, y), prec)
         if branch.param_form == "over_z2":
-            h_for_a = dec.h_series(prec)[1]
-            return _eval2_on_param(h_for_a, x, y)
-        if branch.param_form == "over_z1":
-            h_for_a = dec.h_series(prec)[0]
-            return -_eval2_on_param(h_for_a, x, y)
-        raise UnsupportedSingularBranch(
-            "mu extraction for a user-parametrized type II branch needs the "
-            "normalization map; this is out of supported scope"
-        )
+            h, sign = dec.h_series(prec)[1], 1
+        elif branch.param_form == "over_z1":
+            h, sign = dec.h_series(prec)[0], -1
+        else:
+            raise UnsupportedSingularBranch(
+                "mu extraction for a user-parametrized type II branch needs the "
+                "normalization map; this is out of supported scope"
+            )
+        one = TruncatedSeries1.constant(1, min(h.precision, x.precision, y.precision))
+        return TruncatedSeries1(substitute(h.coeff, x, y, one), one.precision) * sign
 
     a = a_at(n)
     mu = a.order()
@@ -616,46 +551,25 @@ def classify_branch(dec: GermDecomposition, branch: BranchRecord,
 # ---------------------------------------------------------------------------
 
 
-def _index_report(dec: GermDecomposition,
-                  user_parametrizations: dict | None) -> IndexReport:
+def _index_report(dec: GermDecomposition) -> IndexReport:
     d = delta(dec)
-    brs = [classify_branch(dec, b)
-           for b in branches(dec, user_parametrizations)]
+    brs = [classify_branch(dec, b) for b in branches(dec)]
     nu = d + sum(b.nu_p * b.mu_p for b in brs)
     return IndexReport(delta=d, branches=brs, nu_A=nu)
 
 
-def local_index(germ: MapGerm, user_parametrizations: dict | None = None,
-                certify: bool = True) -> IndexReport:
+def local_index(germ: MapGerm) -> IndexReport:
     """Full local report: delta, classified branches and nu_A.
 
-    The genuinely truncation-sensitive quantities (branch orders along
-    non-polynomial parametrizations) are recomputed with the truncation
-    degree raised by four; disagreement raises PrecisionExhausted rather
-    than returning an uncertified number.  The decomposition of a
-    polynomial germ does not depend on the truncation degree, so both
-    passes share it.
+    One pass is exact for a polynomial germ, the only kind decompose
+    accepts: the cofactors are exact polynomials, delta is certified by its
+    stabilization (Nakayama), the type verdict is an exact divisibility
+    test, the branches and their nu_p are the factors of g, and mu_p is the
+    order of a series whose coefficients are exact up to the truncation
+    degree (classify_branch retries at the degree raised by CERTIFY_MARGIN
+    before it raises PrecisionExhausted).
     """
-    dec = decompose(germ)
-    report = _index_report(dec, user_parametrizations)
-    if certify:
-        again = _index_report(
-            replace(dec, precision=germ.precision + CERTIFY_MARGIN),
-            user_parametrizations)
-        same = (
-            again.delta == report.delta
-            and len(again.branches) == len(report.branches)
-            and all(
-                a.key() == b.key() and a.nu_p == b.nu_p
-                and a.branch_type == b.branch_type and a.mu_p == b.mu_p
-                for a, b in zip(again.branches, report.branches)
-            )
-        )
-        if not same:
-            raise PrecisionExhausted(
-                "index data changed when the truncation degree was raised"
-            )
-    return report
+    return _index_report(decompose(germ))
 
 
 # ---------------------------------------------------------------------------

@@ -45,16 +45,23 @@ for _k in range(1, 25):
     _SHEARS += [_k, -_k]
 
 
-def _local_multiplicity_origin(P: Poly2, Q: Poly2) -> int:
-    """Intersection multiplicity of two coprime polynomials at the origin.
+def local_multiplicity(P: Poly2, Q: Poly2) -> int:
+    """Intersection multiplicity of the curves P = 0 and Q = 0 at the origin.
 
-    Deterministic shears z2 -> z2 + c*z1 are tried until P is z1-regular
-    and the univariate gcd along z2 = 0 certifies that the origin is the
-    only common zero on its level; the z2-order of the resultant is then
-    the local multiplicity.
+    A common factor that does not vanish at the origin is a unit of the
+    local ring and is divided out first; one that does vanish there makes
+    the multiplicity infinite and raises NonIsolated.  Deterministic shears
+    z2 -> z2 + c*z1 are then tried until P is z1-regular and the univariate
+    gcd along z2 = 0 certifies that the origin is the only common zero on
+    its level; the z2-order of the resultant is the local multiplicity.
     """
     if P.constant_term() != 0 or Q.constant_term() != 0:
         return 0
+    common = gcd2(P, Q)
+    if common.vanishes_at_origin():
+        raise NonIsolated("a common component passes through the point")
+    if not common.is_constant():
+        P, Q = P.exact_div(common), Q.exact_div(common)
     dP = P.total_degree()
     for c in _SHEARS:
         Pc = P.shear_z2(c)
@@ -83,10 +90,7 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """
     a, b = (rat(point[0]), rat(point[1]))
     P, Q = pmap.fixed_system(n)
-    common = gcd2(P, Q)
-    if not common.is_constant() and common.evaluate(a, b) == 0:
-        raise NonIsolated(f"a curve of fixed points passes through {point}")
-    return _local_multiplicity_origin(P.translate(a, b), Q.translate(a, b))
+    return local_multiplicity(P.translate(a, b), Q.translate(a, b))
 
 
 def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:

@@ -20,7 +20,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
 from .errors import NotDivisible
-from .series import TruncatedSeries1, TruncatedSeries2, rat
+from .series import TruncatedSeries1, TruncatedSeries2, rat, substitute
 
 
 class Poly2:
@@ -86,11 +86,6 @@ class Poly2:
         if not self.coeff:
             raise ValueError("zero polynomial has no order")
         return min(i for i, _ in self.coeff)
-
-    def degree_in(self, index: int) -> int:
-        if not self.coeff:
-            return -1
-        return max(e[0] if index == 1 else e[1] for e in self.coeff)
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex largest term; raises on zero."""
@@ -164,33 +159,11 @@ class Poly2:
 
     def evaluate(self, a, b) -> Fraction:
         a, b = rat(a), rat(b)
-        pow_a: dict[int, Fraction] = {0: Fraction(1)}
-        pow_b: dict[int, Fraction] = {0: Fraction(1)}
-
-        def pw(table, base, k):
-            while len(table) <= k:
-                table[len(table)] = table[len(table) - 1] * base
-            return table[k]
-
-        total = Fraction(0)
-        for (i, j), c in self.coeff.items():
-            total += c * pw(pow_a, a, i) * pw(pow_b, b, j)
-        return total
+        return sum((c * a**i * b**j for (i, j), c in self.coeff.items()), Fraction(0))
 
     def compose(self, im1: "Poly2", im2: "Poly2") -> "Poly2":
         """Exact substitution z1 -> im1, z2 -> im2."""
-        pow1: dict[int, Poly2] = {0: Poly2.constant(1)}
-        pow2: dict[int, Poly2] = {0: Poly2.constant(1)}
-
-        def pw(table, base, k):
-            while len(table) <= k:
-                table[len(table)] = table[len(table) - 1] * base
-            return table[k]
-
-        out = Poly2.zero()
-        for (i, j), c in sorted(self.coeff.items()):
-            out = out + pw(pow1, im1, i) * pw(pow2, im2, j) * c
-        return out
+        return Poly2(substitute(self.coeff, im1, im2, Poly2.constant(1)))
 
     def derivative(self, index: int) -> "Poly2":
         out = {}
@@ -222,18 +195,7 @@ class Poly2:
         """Substitute a univariate parametrization (x(t), y(t))."""
         n = min(x.precision, y.precision)
         one = TruncatedSeries1.constant(1, n)
-        pow_x: dict[int, TruncatedSeries1] = {0: one}
-        pow_y: dict[int, TruncatedSeries1] = {0: one}
-
-        def pw(table, base, k):
-            while len(table) <= k:
-                table[len(table)] = table[len(table) - 1] * base
-            return table[k]
-
-        out = TruncatedSeries1.zero(n)
-        for (i, j), c in sorted(self.coeff.items()):
-            out = out + pw(pow_x, x, i) * pw(pow_y, y, j) * c
-        return out
+        return TruncatedSeries1(substitute(self.coeff, x, y, one), n)
 
     # -- division and normalization ----------------------------------------
 

@@ -73,6 +73,13 @@ def _rat(value) -> Fraction:
     raise ScenarioError(f"expected a rational literal, got {value!r}")
 
 
+def _surd(data) -> Surd:
+    try:
+        return Surd.from_json(data)
+    except ValueError as exc:
+        raise ScenarioError(f"bad field element {data!r}: {exc}") from exc
+
+
 def localized_germ(pmap: PolynomialMap, point, precision: int,
                    label: str | None = None) -> MapGerm:
     """Chart germ of a global map at a fixed rational point: conjugate by
@@ -99,12 +106,12 @@ def _build_action(data, default_as: bool) -> CohomologyAction:
         return CohomologyAction(mode=H1Trivial(data["matrix"]), **kwargs)
     if mode_name == "k3":
         return CohomologyAction(
-            mode=K3Mode(data["matrix"], Surd.from_json(data["hodge_scalar"])),
+            mode=K3Mode(data["matrix"], _surd(data["hodge_scalar"])),
             **kwargs)
     if mode_name == "torus":
         return CohomologyAction(
-            mode=TorusMode(Surd.from_json(data["delta"]),
-                           Surd.from_json(data["epsilon"])),
+            mode=TorusMode(_surd(data["delta"]),
+                           _surd(data["epsilon"])),
             **kwargs)
     if mode_name == "explicit_traces":
         traces = {}
@@ -128,7 +135,7 @@ def _build_action(data, default_as: bool) -> CohomologyAction:
             raise ScenarioError("explicit_traces needs 'traces' or a recurrence")
         declared = None
         if "dynamical_degree" in data:
-            declared = Surd.from_json(data["dynamical_degree"])
+            declared = _surd(data["dynamical_degree"])
         return CohomologyAction(
             mode=ExplicitTraces(traces, declared_degree=declared), **kwargs)
     raise ScenarioError(f"unknown action mode {mode_name!r}")

@@ -32,6 +32,27 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def substitute(coeff: dict, x, y, one) -> dict:
+    """Coefficients of the sum of c * x**i * y**j over the terms (i, j): c
+    of coeff.
+
+    x, y and the unit one are ring elements carrying a ``coeff`` dict
+    (polynomials or truncated series); products truncate as their ring
+    does.  Each power of x and y is built once, and the terms are summed
+    into one dict, which the caller wraps in its own type.
+    """
+    pow_x, pow_y = [one], [one]
+    out: dict = {}
+    for (i, j), c in sorted(coeff.items()):
+        while len(pow_x) <= i:
+            pow_x.append(pow_x[-1] * x)
+        while len(pow_y) <= j:
+            pow_y.append(pow_y[-1] * y)
+        for e, v in (pow_x[i] * pow_y[j]).coeff.items():
+            out[e] = out.get(e, 0) + c * v
+    return out
+
+
 class AboveDegree:
     """Returned by order() when every stored coefficient vanishes: the
     order exceeds the truncation degree n (or is infinite)."""
@@ -204,23 +225,7 @@ class TruncatedSeries2:
             )
         n = min(self.precision, g1.precision, g2.precision)
         one = TruncatedSeries2.constant(1, n)
-        # group by z1-exponent, Horner in z1 after expanding powers of g2
-        pow1: dict[int, TruncatedSeries2] = {0: one}
-        pow2: dict[int, TruncatedSeries2] = {0: one}
-
-        def power(table, base, k):
-            if k not in table:
-                table[k] = power(table, base, k - 1) * base
-            return table[k]
-
-        out = TruncatedSeries2.zero(n)
-        for (i, j), c in sorted(self.coeff.items()):
-            if i + j > n:
-                continue
-            term = power(pow1, g1.truncate(n) if g1.precision > n else g1, i) * \
-                power(pow2, g2.truncate(n) if g2.precision > n else g2, j)
-            out = out + term * c
-        return out
+        return TruncatedSeries2(substitute(self.truncate(n).coeff, g1, g2, one), n)
 
     def partial_derivative(self, variable: int) -> "TruncatedSeries2":
         """Term-wise d/dz1 or d/dz2; precision drops by one."""

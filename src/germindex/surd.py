@@ -20,11 +20,22 @@ from .errors import FieldMismatch
 from .series import rat
 
 
+def square_part(m: int) -> tuple[int, int]:
+    """(s, f) with m = s*s*f and f squarefree, for an integer m >= 1."""
+    s, k = 1, 2
+    while k * k <= m:
+        while m % (k * k) == 0:
+            m //= k * k
+            s *= k
+        k += 1
+    return s, m
+
+
 def _normalize_d(d):
     if d is None:
         return None
     d = int(d)
-    if d <= 1:
+    if d <= 1 or square_part(d)[0] != 1:
         raise ValueError("discriminant must be a squarefree integer > 1")
     return d
 

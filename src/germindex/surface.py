@@ -21,7 +21,7 @@ from .errors import (
 )
 from .germs import TYPE_I, TYPE_II, MapGerm, iterate, local_index
 from .polys import Poly1, Poly2, factor_list1
-from .surd import Surd
+from .surd import Surd, square_part
 
 # ---------------------------------------------------------------------------
 # records
@@ -278,15 +278,7 @@ def _sqrt_exact(q: Fraction) -> Surd:
         raise ValueError("negative radicand")
     if q == 0:
         return Surd.rational(0)
-    m = q.numerator * q.denominator
-    square, free = 1, 1
-    k = 2
-    while k * k <= m:
-        while m % (k * k) == 0:
-            m //= k * k
-            square *= k
-        k += 1
-    free = m
+    square, free = square_part(q.numerator * q.denominator)
     coef = Fraction(square, q.denominator)
     if free == 1:
         return Surd.rational(coef)
@@ -561,16 +553,17 @@ def _curve_index_at(model: SurfaceModel, curve: FixedCurveRecord, m: int) -> int
         )
     if curve.curve_type == TYPE_II or m == curve.prime_period:
         return curve.nu_C
-    # type I curves have no stability guarantee: recompute from a witness
-    from .germs import branches, classify_branch, decompose
+    # type I curves have no stability guarantee: recompute from a witness;
+    # nu_p is the multiplicity of the curve's factor in g, so no branch of
+    # the iterate needs a parametrization
+    from .germs import decompose
 
     for w in curve.germ_witnesses:
-        it = iterate(w.germ, m // curve.prime_period)
-        dec = decompose(it)
+        dec = decompose(iterate(w.germ, m // curve.prime_period))
         target = w.curve_local_equation.normalized()
-        for b in branches(dec):
-            if b.defining_polynomial.normalized() == target:
-                return b.nu_p
+        for factor, mult in dec.factors:
+            if factor.normalized() == target:
+                return mult
     raise MissingIndexData(
         f"type I curve {curve.label} needs a germ witness to evaluate at n = {m}"
     )

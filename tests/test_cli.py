@@ -114,6 +114,22 @@ def test_bad_scenario_path(capsys):
     assert code == 2
 
 
+def test_non_squarefree_dynamical_degree_is_a_scenario_error(tmp_path, capsys):
+    doc = {
+        "meta": {"precision": 12},
+        "action": {"mode": "explicit_traces", "picard_number": 1,
+                   "algebraically_stable": True,
+                   "traces": {"1": {"0,0": 1, "1,1": 3, "2,2": 1}},
+                   "dynamical_degree": {"a": 9, "b": 2, "d": 20}},
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "lefschetz", str(path), "--n-range", "1..1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ScenarioError"
+
+
 def test_empty_count_range(capsys):
     code, out, _ = run_cli(capsys, "count", "--fixture", "cubic-d4",
                            "--n-range", "3..2", "--format", "json")

@@ -145,6 +145,17 @@ def test_delta_not_coprime():
         delta_resultant(dec)
 
 
+def test_delta_resultant_divides_out_a_common_unit():
+    # h1 and h2 share z2 + 1, a unit of the local ring: every shear line
+    # through the origin meets the common curve, so elimination must divide
+    # it out first
+    from germindex.germs import GermDecomposition
+
+    dec = GermDecomposition(g=ONE, h1=Y * (Y + 1), h2=X * (Y + 1), precision=16)
+    assert delta(dec) == 1
+    assert delta_resultant(dec) == 1
+
+
 def test_delta_unit_ideal_is_zero():
     from germindex.germs import GermDecomposition
 
@@ -285,7 +296,7 @@ def test_local_index_remark43():
     assert rep.nu_A == 2
 
 
-def test_local_index_decomposes_once_and_still_certifies(monkeypatch):
+def test_local_index_decomposes_once_and_runs_once(monkeypatch):
     import germindex.germs as germs
 
     seen = {"decompose": [], "factor_list2": [], "delta": [], "branches": [],
@@ -309,16 +320,14 @@ def test_local_index_decomposes_once_and_still_certifies(monkeypatch):
     monkeypatch.setattr(germs, "classify_branch",
                         counting("classify_branch", germs.classify_branch,
                                  lambda dec, b: dec.precision))
-    rep = germs.local_index(cubic_corner_map(), certify=True)
+    rep = germs.local_index(cubic_corner_map())
     assert rep.nu_A == 4 and len(rep.branches) == 2
     assert seen["decompose"] == [16]
     assert len(seen["factor_list2"]) == 1
-    # the certify pass recomputes delta, the branch parametrizations and
-    # every branch's type and order at precision + margin
-    certified = 16 + germs.CERTIFY_MARGIN
-    assert seen["delta"] == [16, certified]
-    assert seen["branches"] == [16, certified]
-    assert seen["classify_branch"] == [16, 16, certified, certified]
+    # every quantity is exact after one pass, so none is recomputed
+    assert seen["delta"] == [16]
+    assert seen["branches"] == [16]
+    assert seen["classify_branch"] == [16, 16]
 
 
 # -- iterate / invert ---------------------------------------------------------

@@ -44,6 +44,17 @@ def test_fixed_multiplicity_refuses_points_on_fixed_curves():
         fixed_multiplicity(remark43(), (0, 0), 1)
 
 
+def test_fixed_multiplicity_divides_out_a_common_unit():
+    # at n = 2 the fixed-point system shares 3 + z1 + z2, a curve of
+    # period-2 points that misses the origin and meets every shear line
+    # through it
+    from germindex.germs import MapGerm, iterate, local_index
+
+    p1, p2 = X * 3 + Y + X * Y + X**2, X
+    assert local_index(iterate(MapGerm.from_polynomials(p1, p2), 2)).nu_A == 1
+    assert fixed_multiplicity(PolynomialMap(p1, p2), (0, 0), 2) == 1
+
+
 def test_affine_fixed_count_remark42():
     assert affine_fixed_count(remark42(), 1) == 2
 

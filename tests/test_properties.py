@@ -123,3 +123,47 @@ def test_three_way_index_agreement_at_isolated_points():
         oracle = fixed_multiplicity(PolynomialMap(X + h1, Y + h2), (0, 0), 1)
         assert oracle == d, (h1, h2)
         checked += 1
+
+
+def _mobius(n: int) -> int:
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _dold_residues(seq) -> list[int]:
+    """sum over d | n of mobius(n/d) * a_d, mod n, for a_1, a_2, ... in seq
+    (A. Dold, Fixed point indices of iterated maps, Invent. Math. 74, 1983)."""
+    return [sum(_mobius(n // d) * seq[d - 1] for d in range(1, n + 1) if n % d == 0) % n
+            for n in range(1, len(seq) + 1)]
+
+
+def test_dold_congruences_local_index_remark42():
+    from germindex.scenario import load_fixture
+
+    germ = load_fixture("remark42").germs["origin"]
+    nus = [local_index(iterate(germ, n)).nu_A for n in range(1, 6)]
+    assert _dold_residues(nus) == [0] * 5, nus
+
+
+def test_dold_congruences_cubic_lefschetz_and_counts():
+    from germindex.scenario import load_fixture
+    from germindex.surface import count_isolated_periodic, lefschetz_number
+
+    model = load_fixture("cubic-d4").require_model()
+    lefschetz, counts = [], []
+    for n in range(1, 9):
+        value = lefschetz_number(model.action, n)
+        assert value.is_rational() and value.a.denominator == 1
+        lefschetz.append(value.a.numerator)
+        counts.append(count_isolated_periodic(model, n).count_as_int())
+    assert _dold_residues(lefschetz) == [0] * 8, lefschetz
+    assert _dold_residues(counts) == [0] * 8, counts
+    # a sequence that breaks the congruences at n = 2 is caught
+    assert _dold_residues([1, 2])[1] != 0

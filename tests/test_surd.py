@@ -75,3 +75,12 @@ def test_json_roundtrip():
             Surd.rational(7), Surd(a=0, b=1, c=2, e=Fraction(1, 2), d=3)]
     for v in vals:
         assert Surd.from_json(v.to_json()) == v
+
+
+def test_non_squarefree_discriminant_rejected():
+    # sqrt(4) would be the rational 2 stored as an irrational part, so that
+    # sqrt_term(4) == rational(2) came out False
+    for d in (4, 8, 12, 18, 50):
+        with pytest.raises(ValueError):
+            Surd.sqrt_term(d)
+    assert Surd.sqrt_term(6) * Surd.sqrt_term(6) == Surd.rational(6)

@@ -213,6 +213,21 @@ def test_type_one_curve_reevaluated_through_witness():
     assert _curve_index_at(model, curve, 1) == 1
 
 
+def test_type_one_curve_index_ignores_singular_factors_of_g():
+    # g of the witness also carries the cusp z1^2 - z2^3, which has no
+    # smooth parametrization; nu_p of the line z1 = 0 needs none
+    from germindex import MapGerm
+    from germindex.surface import CurveWitness, _curve_index_at
+
+    X, Y = Poly2.variable(1), Poly2.variable(2)
+    germ = MapGerm.from_polynomials(X + X * (X**2 - Y**3), Y)
+    curve = FixedCurveRecord("C", 1, "I", 1, 0, 2,
+                             germ_witnesses=[CurveWitness("o", germ, X)])
+    model = SurfaceModel(points=[], curves=[curve], action=action_h1([[1]]))
+    assert _curve_index_at(model, curve, 2) == 1
+    assert _curve_index_at(model, curve, 3) == 1
+
+
 def test_count_refuses_type_one_curves():
     act = action_h1([[1]])
     model = SurfaceModel(
