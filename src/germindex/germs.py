@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedSingularBranch,
 )
 from .oracle import local_multiplicity
-from .polys import Poly2, factor_list2, gcd2
+from .polys import Poly2, factor_list2, gcd2, iterate_pair
 from .series import (
     DEFAULT_PRECISION,
     AboveDegree,
@@ -401,6 +401,10 @@ def _implicit_series_over_z1(p: Poly2, precision: int) -> TruncatedSeries1:
     phi = TruncatedSeries1.zero(precision)
     for k in range(1, precision + 1):
         defect = p.eval_on_parametrization(t, phi)
+        if defect.is_zero():
+            # exact to the working order: every later coefficient of the
+            # defect is 0 as well, so phi cannot change
+            break
         ck = defect[k]
         if ck != 0:
             phi = phi + TruncatedSeries1({k: -ck / c01}, precision)
@@ -584,9 +588,7 @@ def iterate(germ: MapGerm, n: int) -> MapGerm:
     if n == 1:
         return germ
     if germ.is_polynomial:
-        p1, p2 = germ.poly1, germ.poly2
-        for _ in range(n - 1):
-            p1, p2 = germ.poly1.compose(p1, p2), germ.poly2.compose(p1, p2)
+        p1, p2 = iterate_pair(germ.poly1, germ.poly2, n)
         return MapGerm.from_polynomials(p1, p2, germ.precision,
                                         germ.source_point_label)
     s1, s2 = germ.image1, germ.image2

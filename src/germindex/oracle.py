@@ -10,7 +10,8 @@ determinant form of the torus Lefschetz number.
 from __future__ import annotations
 
 from .errors import NonIsolated, ShearExhausted, UnsupportedSingularBranch
-from .polys import Poly2, factor_list2, gcd1, gcd2, resultant_z1, root_multiplicity
+from .polys import (Poly2, factor_list2, gcd1, gcd2, iterate_pair, resultant_z1,
+                    root_multiplicity)
 from .series import rat
 from .surd import Surd
 
@@ -25,12 +26,7 @@ class PolynomialMap:
         self.p2 = p2
 
     def iterate(self, n: int) -> "PolynomialMap":
-        if n < 1:
-            raise ValueError("iterate needs n >= 1")
-        q1, q2 = self.p1, self.p2
-        for _ in range(n - 1):
-            q1, q2 = self.p1.compose(q1, q2), self.p2.compose(q1, q2)
-        return PolynomialMap(q1, q2)
+        return PolynomialMap(*iterate_pair(self.p1, self.p2, n))
 
     def fixed_system(self, n: int = 1) -> tuple[Poly2, Poly2]:
         fn = self.iterate(n)

@@ -1,12 +1,13 @@
 """Exact bivariate and univariate polynomials over Q.
 
 Poly2 is the workhorse for germ decomposition and the elimination oracle:
-a sparse dict of exponent pairs with Fraction coefficients.  Arithmetic,
-exact division, composition and shears are done directly on the dicts,
-which is much faster in the tight loops.
+a sparse dict of exponent pairs with Fraction coefficients.  Arithmetic
+and exact division are done directly on the dicts, which is much faster in
+the tight loops.
 
 This module is the one boundary to the computer-algebra system.  The heavy
-steps (multivariate gcd, irreducible factorization over Q, resultants) are
+steps (composition, and with it iterates, shears and translations;
+multivariate gcd, irreducible factorization over Q, resultants) are
 delegated to sympy at the ring level: a coefficient dict is converted
 straight into an element of a sparse polynomial ring over QQ and back,
 without building symbolic expression trees.
@@ -161,9 +162,19 @@ class Poly2:
         a, b = rat(a), rat(b)
         return sum((c * a**i * b**j for (i, j), c in self.coeff.items()), Fraction(0))
 
-    def compose(self, im1: "Poly2", im2: "Poly2") -> "Poly2":
-        """Exact substitution z1 -> im1, z2 -> im2."""
-        return Poly2(substitute(self.coeff, im1, im2, Poly2.constant(1)))
+    def compose(self, im1: "Poly2", im2: "Poly2",
+                partner: "Poly2 | None" = None) -> "Poly2 | tuple[Poly2, Poly2]":
+        """Exact substitution z1 -> im1, z2 -> im2, done in sympy's sparse
+        ring over QQ.
+
+        With a partner polynomial the pair (self(im1, im2), partner(im1,
+        im2)) is returned: the two share one table of the powers of im1 and
+        im2 and their products, which is how a map is composed with another.
+        """
+        outers = [self] if partner is None else [self, partner]
+        out = [_from_ring2(r) for r in _compose_ring(
+            [_to_ring2(p) for p in outers], _to_ring2(im1), _to_ring2(im2))]
+        return out[0] if partner is None else tuple(out)
 
     def derivative(self, index: int) -> "Poly2":
         out = {}
@@ -277,7 +288,7 @@ def _fraction(c) -> Fraction:
 
 
 def _to_ring2(p: Poly2):
-    return _RING2.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.coeff.items()})
+    return _RING2.dtype({e: QQ(c.numerator, c.denominator) for e, c in p.coeff.items()})
 
 
 def _from_ring2(r) -> Poly2:
@@ -286,6 +297,56 @@ def _from_ring2(r) -> Poly2:
 
 def _from_ring1(r) -> "Poly1":
     return Poly1.from_coeff_map({k: _fraction(c) for (k,), c in r.items()})
+
+
+def _power(powers: list, k: int):
+    """powers[k], extending the table [1, base, base**2, ...] as needed."""
+    while len(powers) <= k:
+        n = len(powers)
+        powers.append(powers[n // 2].square() if n % 2 == 0 else powers[n - 1] * powers[1])
+    return powers[k]
+
+
+def _compose_ring(outers: list, x, y) -> list:
+    """Each outer ring element with z1 -> x, z2 -> y, all in the ring.
+
+    The powers of x and y are built once, and so is each product
+    x**i * y**j, which is then added, scaled by its coefficient, straight
+    into every outer that has the monomial; PolyElement.compose would
+    recompute g**k for every monomial.  A product is dropped once used, so
+    the peak memory stays that of the powers and the results.
+    """
+    pow_x, pow_y = [_RING2.one, x], [_RING2.one, y]
+    zero = QQ.zero
+    out = [_RING2.zero for _ in outers]
+    for i, j in sorted(set().union(*outers)):
+        if j == 0:
+            term = _power(pow_x, i)
+        elif i == 0:
+            term = _power(pow_y, j)
+        else:
+            term = _power(pow_x, i) * _power(pow_y, j)
+        for outer, acc in zip(outers, out):
+            c = outer.get((i, j))
+            if c is None:
+                continue
+            get = acc.get
+            for m, v in term.items():
+                acc[m] = get(m, zero) + c * v
+    for acc in out:
+        acc.strip_zero()
+    return out
+
+
+def iterate_pair(p1: Poly2, p2: Poly2, n: int) -> tuple[Poly2, Poly2]:
+    """Components of the n-fold iterate of the map (p1, p2), n >= 1: each
+    step substitutes the previous iterate into both components at once."""
+    if n < 1:
+        raise ValueError("iterate needs n >= 1")
+    q1, q2 = p1, p2
+    for _ in range(n - 1):
+        q1, q2 = p1.compose(q1, q2, partner=p2)
+    return q1, q2
 
 
 def gcd2(a: Poly2, b: Poly2) -> Poly2:

@@ -36,10 +36,11 @@ def substitute(coeff: dict, x, y, one) -> dict:
     """Coefficients of the sum of c * x**i * y**j over the terms (i, j): c
     of coeff.
 
-    x, y and the unit one are ring elements carrying a ``coeff`` dict
-    (polynomials or truncated series); products truncate as their ring
-    does.  Each power of x and y is built once, and the terms are summed
-    into one dict, which the caller wraps in its own type.
+    x, y and the unit one are truncated series carrying a ``coeff`` dict;
+    products truncate as their ring does (exact polynomials are composed
+    in sympy's ring by ``Poly2.compose``).  Each power of x and y is built
+    once, and the terms are summed into one dict, which the caller wraps in
+    its own type.
     """
     pow_x, pow_y = [one], [one]
     out: dict = {}

@@ -15,6 +15,7 @@ decided exactly by sign analysis of a + b*sqrt(d).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FieldMismatch
 from .series import rat
@@ -31,11 +32,18 @@ def square_part(m: int) -> tuple[int, int]:
     return s, m
 
 
+@lru_cache(maxsize=128)
+def _is_squarefree(d: int) -> bool:
+    # memoized: arithmetic results carry their operands' d, and the trial
+    # division of square_part costs O(sqrt(d))
+    return square_part(d)[0] == 1
+
+
 def _normalize_d(d):
     if d is None:
         return None
     d = int(d)
-    if d <= 1 or square_part(d)[0] != 1:
+    if d <= 1 or not _is_squarefree(d):
         raise ValueError("discriminant must be a squarefree integer > 1")
     return d
 

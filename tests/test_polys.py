@@ -1,20 +1,25 @@
 """Exact polynomials and the computer-algebra boundary.
 
-The ring-level gcd, factorization and resultant are checked against sympy's
-expression-level routines, which serve here only as an independent
-reference.
+The ring-level composition, gcd, factorization and resultant are checked
+against sympy's expression-level routines, which serve here only as an
+independent reference.
 """
 
+import ast
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germindex import NotDivisible, Poly1, Poly2, factor_list2, gcd2, resultant_z1
+import germindex
+from germindex import (MapGerm, NotDivisible, Poly1, Poly2, factor_list2, gcd2, iterate,
+                       resultant_z1)
+from germindex.oracle import PolynomialMap
 from germindex.polys import factor_list1
 
 X = Poly2.variable(1)
@@ -68,6 +73,100 @@ def small_polys(draw, max_degree=2, max_terms=4):
 
 def nonconstant(p: Poly2) -> Poly2:
     return p if not p.is_constant() else p + X
+
+
+def compose_reference(p: Poly2, im1: Poly2, im2: Poly2) -> Poly2:
+    expr = to_expr(p).subs({Z1: to_expr(im1), Z2: to_expr(im2)}, simultaneous=True)
+    return from_expr(sp.expand(expr))
+
+
+def all_fractions(p: Poly2) -> bool:
+    return all(type(c) is Fraction for c in p.coeff.values())
+
+
+# the zero polynomial and constants as well as general polynomials
+any_polys = st.one_of(
+    small_polys(max_degree=3, max_terms=5),
+    coefficients.map(Poly2.constant),
+    st.just(Poly2.zero()),
+)
+
+
+# -- composition against the expression-level reference -----------------------
+
+
+@given(any_polys, any_polys, any_polys, any_polys)
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_expression_substitution(p, q, im1, im2):
+    out = p.compose(im1, im2)
+    assert out == compose_reference(p, im1, im2)
+    assert all_fractions(out)
+    # the partner form shares one power table and gives the same results
+    pair = p.compose(im1, im2, partner=q)
+    assert pair == (out, compose_reference(q, im1, im2))
+    assert all(all_fractions(r) for r in pair)
+
+
+@given(any_polys, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+@settings(max_examples=40, deadline=None)
+def test_shear_matches_expression_substitution(p, c):
+    out = p.shear_z2(c)
+    assert out == from_expr(sp.expand(to_expr(p).subs(
+        Z2, Z2 + sp.Rational(c.numerator, c.denominator) * Z1)))
+    assert all_fractions(out)
+
+
+@given(any_polys, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+@settings(max_examples=40, deadline=None)
+def test_translate_matches_expression_substitution(p, a, b):
+    out = p.translate(a, b)
+    assert out == compose_reference(p, X + a, Y + b)
+    assert all_fractions(out)
+
+
+def test_compose_keeps_fraction_coefficients_of_integral_results():
+    # the ring's rationals must come back as Fraction, also where they are
+    # integers or where every coefficient cancels
+    p = X * Fraction(1, 2) + Y**2
+    out = p.compose(X * 2, Y - X)
+    assert out == X + Y**2 - X * Y * 2 + X**2
+    assert all_fractions(out)
+    assert (X - Y).compose(Y, Y) == Poly2.zero()
+    assert Poly2.constant(Fraction(-7, 3)).compose(X, Y) == Poly2.constant(Fraction(-7, 3))
+
+
+@pytest.mark.parametrize("p1, p2", [
+    (X * -2 - X**2 - Y, X),                                  # remark42
+    (X * Fraction(3, 2) - Y * 2 + X**2 - X * Y * 3, X),      # Henon-like
+])
+def test_engine_and_oracle_iterates_agree(p1, p2):
+    f = (to_expr(p1), to_expr(p2))
+    ref = f
+    for n in range(1, 5):
+        if n > 1:
+            ref = tuple(sp.expand(e.subs({Z1: ref[0], Z2: ref[1]}, simultaneous=True))
+                        for e in f)
+        germ_n = iterate(MapGerm.from_polynomials(p1, p2), n)
+        map_n = PolynomialMap(p1, p2).iterate(n)
+        assert (germ_n.poly1, germ_n.poly2) == (map_n.p1, map_n.p2)
+        assert (map_n.p1, map_n.p2) == tuple(from_expr(e) for e in ref)
+
+
+def test_only_polys_imports_sympy():
+    # polys is the one boundary to the computer-algebra system
+    importers = set()
+    for path in sorted(Path(germindex.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"polys.py"}
 
 
 # -- ring-level boundary against the expression-level reference ---------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from germindex import FieldMismatch
+from germindex import FieldMismatch, surd
 from germindex.surd import Surd
 
 
@@ -84,3 +84,22 @@ def test_non_squarefree_discriminant_rejected():
         with pytest.raises(ValueError):
             Surd.sqrt_term(d)
     assert Surd.sqrt_term(6) * Surd.sqrt_term(6) == Surd.rational(6)
+
+
+def test_discriminant_checked_once_per_d(monkeypatch):
+    # arithmetic results reuse their operands' d; the O(sqrt(d)) squarefree
+    # check must not run again for each of them
+    calls = []
+    real = surd.square_part
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(surd, "square_part", counting)
+    surd._is_squarefree.cache_clear()
+    d = 10**12 + 39  # prime
+    x = Surd.sqrt_term(d)
+    y = x * x + x
+    assert y == Surd.sqrt_term(d, a=d)
+    assert calls == [d]
