@@ -345,13 +345,15 @@ def membership_to_degree(element, generators, D: int) -> bool:
     return not _ideal_rows(generators, D).reduce(target)
 
 
-def delta(dec: GermDecomposition, degree_cap: int | None = None) -> int:
+def delta(dec: GermDecomposition) -> int:
     """dim_Q of Q[[z1,z2]] / (h1, h2) by truncated linear algebra.
 
     The codimension in degrees < D equals the true dimension once it
     agrees for two consecutive D (a Nakayama argument shows stabilization
-    certifies m^D inside the ideal).  Failure to stabilize below the cap
-    means h1, h2 share a factor through the origin: NotCoprime.
+    certifies m^D inside the ideal).  With polynomial cofactors, failure
+    to stabilize below D = 4 * precision means h1, h2 share a factor
+    through the origin: NotCoprime.  Series cofactors stop at the working
+    precision with PrecisionExhausted.
     """
     h1, h2 = dec.h1, dec.h2
     if h1.constant_term() != 0 or h2.constant_term() != 0:
@@ -362,10 +364,10 @@ def delta(dec: GermDecomposition, degree_cap: int | None = None) -> int:
         common = gcd2(h1, h2)
         if not common.is_constant() and common.vanishes_at_origin():
             raise NotCoprime(f"cofactors share the factor {common!r}")
-        cap = degree_cap if degree_cap is not None else 4 * dec.precision
+        cap = 4 * dec.precision
         exhausted = NotCoprime("codimension did not stabilize below the degree cap")
     else:
-        cap = degree_cap if degree_cap is not None else dec.precision
+        cap = dec.precision
         exhausted = PrecisionExhausted(
             "codimension did not stabilize below the working precision"
         )
@@ -428,8 +430,7 @@ def branch_parametrization(p: Poly2, precision: int):
 
 
 def branches(dec: GermDecomposition,
-             user_parametrizations: dict | None = None,
-             precision: int | None = None) -> list[BranchRecord]:
+             user_parametrizations: dict | None = None) -> list[BranchRecord]:
     """Enumerate the height-1 primes through the origin dividing (g).
 
     Each irreducible factor of g vanishing at the origin contributes one
@@ -437,7 +438,6 @@ def branches(dec: GermDecomposition,
     parametrized by series recursion; singular factors need an entry in
     user_parametrizations keyed by the normalized factor.
     """
-    n = precision if precision is not None else dec.precision
     out = []
     for factor, mult in dec.factors:
         key = tuple(sorted(factor.normalized().coeff.items()))
@@ -451,7 +451,7 @@ def branches(dec: GermDecomposition,
                 )
             record = BranchRecord(factor, (x, y), mult, param_form="user")
         else:
-            param, form = branch_parametrization(factor, n)
+            param, form = branch_parametrization(factor, dec.precision)
             record = BranchRecord(factor, param, mult, param_form=form)
         out.append(record)
     out.sort(key=lambda b: b.key())
@@ -495,8 +495,7 @@ def _branch_is_type_two(dec: GermDecomposition, branch: BranchRecord,
     return tau_lo.is_zero()
 
 
-def classify_branch(dec: GermDecomposition, branch: BranchRecord,
-                    precision: int | None = None) -> BranchRecord:
+def classify_branch(dec: GermDecomposition, branch: BranchRecord) -> BranchRecord:
     """Fill in branch_type, the restricted series a, and mu_p = ord(a).
 
     Type I: a is tau_p itself.  Type II: in coordinates adapted to the
@@ -505,7 +504,7 @@ def classify_branch(dec: GermDecomposition, branch: BranchRecord,
     -h1 on (t, phi)-branches and +h2 on (psi, t)-branches.  Orders are
     unit-invariant so the adapted-coordinate unit factor is irrelevant.
     """
-    n = precision if precision is not None else dec.precision
+    n = dec.precision
     is_two = _branch_is_type_two(dec, branch, n)
 
     def params_at(prec: int):

@@ -10,8 +10,7 @@ determinant form of the torus Lefschetz number.
 from __future__ import annotations
 
 from .errors import NonIsolated, ShearExhausted, UnsupportedSingularBranch
-from .polys import (Poly2, factor_list2, gcd1, gcd2, iterate_pair, resultant_z1,
-                    root_multiplicity)
+from .polys import Poly2, factor_list2, gcd1, gcd2, iterate_pair, resultant_z1
 from .series import rat
 from .surd import Surd
 
@@ -74,7 +73,7 @@ def local_multiplicity(P: Poly2, Q: Poly2) -> int:
         res = resultant_z1(Pc, Qc)
         if res.is_zero():
             raise NonIsolated("system has a common component")
-        return root_multiplicity(res, 0)
+        return res.order()
     raise ShearExhausted("no shear isolated the point for elimination")
 
 

@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive):
     atom    := RATIONAL | VAR | '(' expr ')'
     RATIONAL:= INT ('/' INT)?
 
-Variables are z1, z2 (bivariate) or t (univariate parametrizations).
+Variables are z1 and z2.
 Rational literals only; '/' is legal solely between integer literals.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .polys import Poly1, Poly2
+from .polys import Poly2
 
 MAX_EXPONENT = 128
 
@@ -154,12 +154,6 @@ class _Parser:
 def parse_expression(text: str) -> Poly2:
     """Parse a bivariate polynomial in z1, z2."""
     variables = {"z1": Poly2.variable(1), "z2": Poly2.variable(2)}
-    return _Parser(text, variables).parse()
-
-
-def parse_parameter_expression(text: str) -> Poly1:
-    """Parse a univariate polynomial in the branch parameter t."""
-    variables = {"t": Poly1([0, 1])}
     return _Parser(text, variables).parse()
 
 

@@ -3,14 +3,16 @@
 Poly2 is the workhorse for germ decomposition and the elimination oracle:
 a sparse dict of exponent pairs with Fraction coefficients.  Arithmetic
 and exact division are done directly on the dicts, which is much faster in
-the tight loops.
+the tight loops.  Poly1 is a dense univariate value type for resultants
+and characteristic polynomials.
 
 This module is the one boundary to the computer-algebra system.  The heavy
 steps (composition, and with it iterates, shears and translations;
-multivariate gcd, irreducible factorization over Q, resultants) are
-delegated to sympy at the ring level: a coefficient dict is converted
-straight into an element of a sparse polynomial ring over QQ and back,
-without building symbolic expression trees.
+multivariate and univariate gcd, irreducible factorization over Q,
+resultants, real-root isolation and characteristic polynomials) are
+delegated to sympy at the ring level: a coefficient dict or matrix is
+converted straight into sympy's sparse ring or domain matrix over QQ and
+back, without building symbolic expression trees.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from .errors import NotDivisible
@@ -287,8 +290,12 @@ def _fraction(c) -> Fraction:
     return Fraction(c.numerator, c.denominator)
 
 
+def _qq(c):
+    return QQ(c.numerator, c.denominator)
+
+
 def _to_ring2(p: Poly2):
-    return _RING2.dtype({e: QQ(c.numerator, c.denominator) for e, c in p.coeff.items()})
+    return _RING2.dtype({e: _qq(c) for e, c in p.coeff.items()})
 
 
 def _from_ring2(r) -> Poly2:
@@ -373,18 +380,46 @@ def resultant_z1(f: Poly2, g: Poly2) -> "Poly1":
     return _from_ring1(_to_ring2(f).resultant(_to_ring2(g)))
 
 
+def _to_ring1(p: "Poly1"):
+    return _RING1.from_dict({(k,): _qq(c) for k, c in enumerate(p.coeff) if c != 0})
+
+
+def gcd1(a: "Poly1", b: "Poly1") -> "Poly1":
+    """Monic gcd over Q (zero when both inputs are zero)."""
+    return _from_ring1(_to_ring1(a).gcd(_to_ring1(b)).monic())
+
+
 def factor_list1(p: "Poly1") -> tuple[Fraction, list[tuple["Poly1", int]]]:
     """Irreducible factorization over Q: (constant, [(factor, multiplicity)])
     with primitive integer factors of positive leading coefficient and
     constant * prod(factor**multiplicity) == p."""
-    r = _RING1.from_dict({(k,): QQ(c.numerator, c.denominator)
-                          for k, c in enumerate(p.coeff) if c != 0})
-    const, factors = r.factor_list()
+    const, factors = _to_ring1(p).factor_list()
     return _fraction(const), [(_from_ring1(f), int(m)) for f, m in factors]
 
 
+def real_root_intervals1(p: "Poly1") -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi) of the real roots of a squarefree p, in
+    increasing order: (r, r) for a rational root r found exactly, otherwise
+    exactly one root with lo < root < hi (an end may be another, rational,
+    root).  Negative and positive roots are isolated apart, so no interval
+    has lo < 0 < hi."""
+    return [(_fraction(lo), _fraction(hi))
+            for lo, hi in _RING1.dup_isolate_real_roots_sqf(_to_ring1(p))]
+
+
+def charpoly(M) -> "Poly1":
+    """det(t I - M) of a square matrix with rational entries, exactly."""
+    n = len(M)
+    entries = [[_qq(rat(x)) for x in row] for row in M]
+    coeffs = DomainMatrix(entries, (n, n), QQ).charpoly()
+    return Poly1([_fraction(c) for c in reversed(coeffs)])
+
+
 class Poly1:
-    """Dense univariate polynomial over Q; coeff[k] multiplies t^k."""
+    """Dense univariate polynomial over Q; coeff[k] multiplies t^k.
+
+    A value type: the arithmetic on univariate polynomials goes through
+    the ring-level functions above."""
 
     __slots__ = ("coeff",)
 
@@ -410,6 +445,7 @@ class Poly1:
         return not self.coeff
 
     def order(self) -> int:
+        """Multiplicity of the root 0; raises on the zero polynomial."""
         if not self.coeff:
             raise ValueError("zero polynomial has no order")
         return next(i for i, c in enumerate(self.coeff) if c != 0)
@@ -421,117 +457,7 @@ class Poly1:
             total = total * x + c
         return total
 
-    def derivative(self) -> "Poly1":
-        return Poly1([c * k for k, c in enumerate(self.coeff)][1:])
-
     def __eq__(self, other):
         if not isinstance(other, Poly1):
             return NotImplemented
         return self.coeff == other.coeff
-
-    def __add__(self, other) -> "Poly1":
-        n = max(len(self.coeff), len(other.coeff))
-        return Poly1(
-            [
-                (self.coeff[i] if i < len(self.coeff) else 0)
-                + (other.coeff[i] if i < len(other.coeff) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __neg__(self) -> "Poly1":
-        return Poly1([-c for c in self.coeff])
-
-    def __sub__(self, other) -> "Poly1":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Poly1":
-        if isinstance(other, (int, Fraction)):
-            return Poly1([c * rat(other) for c in self.coeff])
-        out = [Fraction(0)] * (len(self.coeff) + len(other.coeff) - 1) if self.coeff and other.coeff else []
-        for i, a in enumerate(self.coeff):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeff):
-                out[i + j] += a * b
-        return Poly1(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly1":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly1([Fraction(1)])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def divmod(self, other: "Poly1") -> tuple["Poly1", "Poly1"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeff) - len(other.coeff) + 1, 0)
-        r = list(self.coeff)
-        d = other.degree()
-        lc = other.coeff[-1]
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            k = len(r) - 1 - d
-            f = r[-1] / lc
-            if f != 0:
-                q[k] = f
-                for i, c in enumerate(other.coeff):
-                    r[k + i] -= f * c
-            r.pop()
-        return Poly1(q), Poly1(r)
-
-    def monic(self) -> "Poly1":
-        if self.is_zero():
-            return self
-        lc = self.coeff[-1]
-        return Poly1([c / lc for c in self.coeff])
-
-
-def gcd1(a: Poly1, b: Poly1) -> Poly1:
-    """Monic gcd over Q via the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
-
-
-def squarefree_decomposition(p: Poly1) -> list[tuple[Poly1, int]]:
-    """Yun's algorithm: p = const * prod a_i^i with the a_i squarefree
-    and pairwise coprime.  Returns the nontrivial (a_i, i)."""
-    if p.is_zero() or p.degree() <= 0:
-        return []
-    dp = p.derivative()
-    a = gcd1(p, dp)
-    b = p.divmod(a)[0]
-    c = dp.divmod(a)[0]
-    d = c - b.derivative()
-    out = []
-    i = 1
-    while b.degree() > 0:
-        a = gcd1(b, d)
-        if a.degree() > 0:
-            out.append((a, i))
-        b = b.divmod(a)[0]
-        c = d.divmod(a)[0]
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
-def root_multiplicity(p: Poly1, r) -> int:
-    """Multiplicity of the rational root r in p, via the squarefree
-    decomposition (0 when r is not a root)."""
-    r = rat(r)
-    if p.is_zero():
-        raise ValueError("every value is a root of the zero polynomial")
-    total = 0
-    for part, mult in squarefree_decomposition(p):
-        if part.evaluate(r) == 0:
-            total += mult
-    return total

@@ -20,7 +20,7 @@ from .errors import (
     TypeICurvePresent,
 )
 from .germs import TYPE_I, TYPE_II, MapGerm, iterate, local_index
-from .polys import Poly1, Poly2, factor_list1
+from .polys import Poly1, Poly2, charpoly, factor_list1, real_root_intervals1
 from .surd import Surd, square_part
 
 # ---------------------------------------------------------------------------
@@ -249,28 +249,6 @@ class RationalInterval:
         return self.hi - self.lo
 
 
-def _char_poly(M) -> Poly1:
-    """det(x I - M) by Faddeev-LeVerrier, exact over Q."""
-    n = len(M)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    A = [[Fraction(M[i][j]) for j in range(n)] for i in range(n)]
-    Mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        # Mk = M * (previous Mk + c_{n-k+1} I)
-        if k > 1:
-            for i in range(n):
-                Mk[i][i] += c
-            Mk = [[sum(A[i][t] * Mk[t][j] for t in range(n)) for j in range(n)]
-                  for i in range(n)]
-        else:
-            Mk = [row[:] for row in A]
-        c = -Fraction(sum(Mk[i][i] for i in range(n)), k)
-        coeffs[n - k] = c
-    return Poly1(coeffs)
-
-
 def _sqrt_exact(q: Fraction) -> Surd:
     """sqrt of a nonnegative rational as an exact Surd (rational multiple
     of sqrt(squarefree d))."""
@@ -283,54 +261,6 @@ def _sqrt_exact(q: Fraction) -> Surd:
     if free == 1:
         return Surd.rational(coef)
     return Surd.sqrt_term(free, a=0, b=coef)
-
-
-def _sturm_chain(p: Poly1) -> list[Poly1]:
-    chain = [p, p.derivative()]
-    while chain[-1].degree() > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return chain
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p.evaluate(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _isolate_real_roots(p: Poly1) -> list[RationalInterval]:
-    """Isolating intervals for the real roots of a squarefree polynomial."""
-    if p.degree() <= 0:
-        return []
-    chain = _sturm_chain(p)
-    bound = Fraction(1) + max(abs(c) for c in p.coeff[:-1]) / abs(p.coeff[-1]) \
-        if p.degree() > 0 else Fraction(1)
-    out = []
-    stack = [(-bound - 1, bound + 1)]
-    while stack:
-        a, b = stack.pop()
-        count = _sign_variations(chain, a) - _sign_variations(chain, b)
-        if count == 0:
-            continue
-        if count == 1 and p.evaluate(a) != 0 and p.evaluate(b) != 0:
-            out.append(RationalInterval(a, b, p))
-            continue
-        mid = Fraction(a + b, 2)
-        if p.evaluate(mid) == 0:
-            out.append(RationalInterval(mid, mid, p))
-            eps = Fraction(1, 10 ** 6)
-            stack.append((a, mid - eps))
-            stack.append((mid + eps, b))
-        else:
-            stack.append((a, mid))
-            stack.append((mid, b))
-    return out
 
 
 def _abs_bounds(value, err: Fraction) -> tuple[Fraction, Fraction]:
@@ -374,7 +304,7 @@ def spectral_radius(M) -> Surd | RationalInterval:
     degree at most two; otherwise a refinable isolating interval.
     """
     candidates: list = []
-    for f, _mult in factor_list1(_char_poly(M))[1]:
+    for f, _mult in factor_list1(charpoly(M))[1]:
         cs = f.coeff
         if f.degree() == 1:
             candidates.append(Surd.rational(-cs[0] / cs[1]))
@@ -391,7 +321,10 @@ def spectral_radius(M) -> Surd | RationalInterval:
                 # complex pair: modulus is sqrt(a0/a2)
                 candidates.append(_sqrt_exact(a0 / a2))
         else:
-            candidates.extend(_isolate_real_roots(f))
+            # f is irreducible of degree >= 3: no end of an interval is a
+            # root, as RationalInterval.refine needs
+            candidates.extend(RationalInterval(lo, hi, f)
+                              for lo, hi in real_root_intervals1(f))
     if not candidates:
         raise ValueError("characteristic polynomial has no factors")
     best = candidates[0]
@@ -417,6 +350,10 @@ def spectral_radius(M) -> Surd | RationalInterval:
             raise PrecisionExhausted("could not separate eigenvalue moduli")
     if isinstance(best, Surd):
         return abs(best)
+    if best.hi <= 0:
+        # a negative dominant root: the radius is the root of p(-t)
+        mirrored = Poly1([-c if k % 2 else c for k, c in enumerate(best.poly.coeff)])
+        return RationalInterval(-best.hi, -best.lo, mirrored)
     return best
 
 
@@ -620,8 +557,7 @@ class CountReport:
         return q.numerator
 
 
-def count_isolated_periodic(model: SurfaceModel, n: int,
-                            with_growth: bool = True) -> CountReport:
+def count_isolated_periodic(model: SurfaceModel, n: int) -> CountReport:
     """#Per_n^i = L(f^n) - sum of xi_k over prime periods k dividing n.
 
     Refuses models with a type I periodic curve (the identity behind the
@@ -639,13 +575,12 @@ def count_isolated_periodic(model: SurfaceModel, n: int,
                  if n % k == 0}
     count = L - sum(breakdown.values())
     growth = None
-    if with_growth:
-        try:
-            lam = dynamical_degree(model.action)
-        except MissingIndexData:
-            lam = None
-        if isinstance(lam, Surd) and lam > 1:
-            growth = growth_bounds(model.action, n, count)
+    try:
+        lam = dynamical_degree(model.action)
+    except MissingIndexData:
+        lam = None
+    if isinstance(lam, Surd) and lam > 1:
+        growth = growth_bounds(model.action, n, count)
     return CountReport(n=n, lefschetz=L, xi_breakdown=breakdown,
                        count_isolated=count,
                        algebraically_stable=model.action.algebraically_stable,
@@ -787,13 +722,11 @@ def validate_periodic_inventory(model: SurfaceModel,
     return out
 
 
-def growth_bounds(action: CohomologyAction, n: int, count,
-                  constant: int | None = None) -> GrowthVerdict:
+def growth_bounds(action: CohomologyAction, n: int, count) -> GrowthVerdict:
     """Check |count - lambda^n| against the mode's growth envelope.
 
-    Torus/Abelian branch: strict bound 4*lambda^(n/2) + B with B = 11 by
-    default.  Other modes: a declared constant bound B (from the argument
-    or the action)."""
+    Torus/Abelian branch: strict bound 4*lambda^(n/2) + B with B = 11.
+    Other modes: the constant bound B declared on the action."""
     lam = dynamical_degree(action)
     if not isinstance(lam, Surd):
         raise PrecisionExhausted(
@@ -804,7 +737,7 @@ def growth_bounds(action: CohomologyAction, n: int, count,
     count = count if isinstance(count, Surd) else Surd.rational(count)
     gap = abs(count - lam**n)
     if isinstance(action.mode, TorusMode):
-        B = Surd.rational(11 if constant is None else constant)
+        B = Surd.rational(11)
         if gap <= B:
             ok = True
         else:
@@ -812,7 +745,7 @@ def growth_bounds(action: CohomologyAction, n: int, count,
             ok = (gap - B) ** 2 < Surd.rational(16) * lam**n
         return GrowthVerdict(n, ok, "torus",
                              f"|count - lambda^{n}| < 4*lambda^({n}/2) + {B!r}")
-    B = constant if constant is not None else action.growth_constant
+    B = action.growth_constant
     if B is None:
         raise ValueError("non-torus growth check needs a declared constant")
     ok = gap <= Surd.rational(B)

@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 
 from germindex import ParseError, Poly2
-from germindex.parsing import (
-    parse_expression,
-    parse_parameter_expression,
-    poly_to_text,
-)
+from germindex.parsing import parse_expression, poly_to_text
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -53,11 +49,6 @@ def test_division_restricted_to_literals():
 def test_exponent_bound():
     with pytest.raises(ParseError):
         parse_expression("z1^1000")
-
-
-def test_univariate_parameter():
-    p = parse_parameter_expression("t^2 - 2*t")
-    assert p.coeff == [Fraction(0), Fraction(-2), Fraction(1)]
 
 
 def test_roundtrip_is_fixed_point():

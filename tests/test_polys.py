@@ -20,7 +20,7 @@ import germindex
 from germindex import (MapGerm, NotDivisible, Poly1, Poly2, factor_list2, gcd2, iterate,
                        resultant_z1)
 from germindex.oracle import PolynomialMap
-from germindex.polys import factor_list1
+from germindex.polys import charpoly, factor_list1, gcd1, real_root_intervals1
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -36,6 +36,16 @@ def from_expr(expr) -> Poly2:
     poly = sp.Poly(expr, Z1, Z2, domain="QQ")
     return Poly2({m: Fraction(int(c.p), int(c.q))
                   for m, c in zip(poly.monoms(), poly.coeffs())})
+
+
+def to_expr1(p: Poly1):
+    return sp.Add(*(sp.Rational(c.numerator, c.denominator) * T**k
+                    for k, c in enumerate(p.coeff)))
+
+
+def from_expr1(expr) -> Poly1:
+    return Poly1([Fraction(int(c.p), int(c.q))
+                  for c in reversed(sp.Poly(expr, T, domain="QQ").all_coeffs())])
 
 
 def rebuild(const, factors, one):
@@ -230,22 +240,67 @@ def test_factor_list2_rebuilds_the_polynomial(parts, content):
     assert all(f == f.normalized() for f, _ in factors)
 
 
-@given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4),
-                min_size=2, max_size=6))
+univariate_coeffs = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                             min_size=2, max_size=6)
+
+
+@given(univariate_coeffs)
 @settings(max_examples=40, deadline=None)
 def test_factor_list1_matches_expression_factor_list(coeffs):
     p = Poly1(coeffs)
     if p.degree() < 1:
         return
     const, factors = factor_list1(p)
-    assert rebuild(const, factors, Poly1([1])) == p
-    expr = sum(sp.Rational(c.numerator, c.denominator) * T**k
-               for k, c in enumerate(p.coeff))
-    ref_const, ref = sp.factor_list(expr, T)
+    rebuilt = sp.Rational(const.numerator, const.denominator) * sp.Mul(
+        *(to_expr1(f)**m for f, m in factors))
+    assert from_expr1(sp.expand(rebuilt)) == p
+    ref_const, ref = sp.factor_list(to_expr1(p), T)
     assert const == Fraction(int(ref_const.p), int(ref_const.q))
-    assert [(f.coeff, m) for f, m in factors] == [
-        ([Fraction(int(c.p), int(c.q)) for c in reversed(sp.Poly(f, T).all_coeffs())], m)
-        for f, m in ref]
+    assert factors == [(from_expr1(f), m) for f, m in ref]
+
+
+@given(univariate_coeffs, univariate_coeffs, univariate_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_gcd1_matches_expression_gcd(a, b, c):
+    a, b, c = (to_expr1(Poly1(x)) for x in (a, b, c))
+    a, b = sp.expand(a * c), sp.expand(b * c)
+    ref = sp.Poly(a, T, domain="QQ").gcd(sp.Poly(b, T, domain="QQ"))
+    got = gcd1(from_expr1(a), from_expr1(b))
+    assert got == (from_expr1(ref.monic().as_expr()) if not ref.is_zero else Poly1([]))
+
+
+def test_gcd1_is_monic_on_zero_input():
+    assert gcd1(Poly1([]), Poly1([0, 3])) == Poly1([0, 1])
+    assert gcd1(Poly1([]), Poly1([])) == Poly1([])
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=40, deadline=None)
+def test_charpoly_matches_matrix_charpoly(M):
+    assert charpoly(M) == from_expr1(sp.Matrix(M).charpoly(T).as_expr())
+
+
+@given(univariate_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_real_root_intervals1_isolate_the_real_roots(coeffs):
+    p = Poly1(coeffs)
+    if p.degree() < 1:
+        return
+    sqf = sp.sqf_part(to_expr1(p))
+    intervals = real_root_intervals1(from_expr1(sqf))
+    roots = sp.real_roots(sp.Poly(sqf, T))
+    for (lo, hi), (next_lo, _) in zip(intervals, intervals[1:]):
+        assert lo <= hi <= next_lo
+    bounds = [(sp.Rational(lo.numerator, lo.denominator),
+               sp.Rational(hi.numerator, hi.denominator)) for lo, hi in intervals]
+
+    def holds(lo, hi, r):
+        # (r, r) is a rational root found exactly; otherwise the interval is open
+        return r == lo if lo == hi else bool(lo < r < hi)
+
+    assert [sum(holds(lo, hi, r) for r in roots) for lo, hi in bounds] == [1] * len(bounds)
+    assert [sum(holds(lo, hi, r) for lo, hi in bounds) for r in roots] == [1] * len(roots)
 
 
 # -- exact division ---------------------------------------------------------

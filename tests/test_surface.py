@@ -146,6 +146,14 @@ def test_spectral_radius_cubic_factor_interval():
     assert Fraction(13, 10) < lam.lo <= lam.hi < Fraction(133, 100)
 
 
+def test_spectral_radius_of_a_negative_dominant_root():
+    # companion matrix of x^3 + 3x^2 - 1: roots about -2.879, -0.653, 0.532
+    lam = spectral_radius([[0, 0, 1], [1, 0, 0], [0, 1, -3]])
+    assert isinstance(lam, RationalInterval)
+    lam = lam.refine(30)
+    assert Fraction(28793, 10000) < lam.lo <= lam.hi < Fraction(28794, 10000)
+
+
 def test_spectral_radius_equal_and_complex_moduli():
     assert spectral_radius([[0, 2], [1, 0]]) == Surd.sqrt_term(2)   # roots +-sqrt2
     assert spectral_radius([[0, -2], [1, 0]]) == Surd.sqrt_term(2)  # complex pair
