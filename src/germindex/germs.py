@@ -227,14 +227,19 @@ def decompose(germ: MapGerm) -> GermDecomposition:
     d1, d2 = germ.differences()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("the identity germ admits no (g, h1, h2) data")
-    factors = _origin_factors(gcd2(d1, d2))
+    (a, b), (c, d) = d1.linear_part(), d2.linear_part()
+    # at a simple fixed point, det(Df(0) - I) != 0, no curve through the
+    # origin divides both differences: it would make both rows of their
+    # Jacobian multiples of its gradient at 0
+    factors = _origin_factors(gcd2(d1, d2)) if a * d == b * c else []
+    if not factors:
+        return GermDecomposition(g=Poly2.constant(1), h1=d1, h2=d2,
+                                 precision=germ.precision, factors=[])
     g = Poly2.constant(1)
     for factor, mult in factors:
         g = g * factor**mult
-    h1 = d1.exact_div(g)
-    h2 = d2.exact_div(g)
-    return GermDecomposition(g=g, h1=h1, h2=h2, precision=germ.precision,
-                             factors=factors)
+    return GermDecomposition(g=g, h1=d1.exact_div(g), h2=d2.exact_div(g),
+                             precision=germ.precision, factors=factors)
 
 
 def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
@@ -350,10 +355,12 @@ def delta(dec: GermDecomposition) -> int:
 
     The codimension in degrees < D equals the true dimension once it
     agrees for two consecutive D (a Nakayama argument shows stabilization
-    certifies m^D inside the ideal).  With polynomial cofactors, failure
-    to stabilize below D = 4 * precision means h1, h2 share a factor
-    through the origin: NotCoprime.  Series cofactors stop at the working
-    precision with PrecisionExhausted.
+    certifies m^D inside the ideal, so h1, h2 then share no factor through
+    the origin).  With polynomial cofactors that have not stabilized by
+    D = precision, a gcd rules out a common factor through the origin
+    (NotCoprime) before the search goes on; failure to stabilize below
+    D = 4 * precision also raises NotCoprime.  Series cofactors stop at the
+    working precision with PrecisionExhausted.
     """
     h1, h2 = dec.h1, dec.h2
     if h1.constant_term() != 0 or h2.constant_term() != 0:
@@ -361,9 +368,6 @@ def delta(dec: GermDecomposition) -> int:
     if h1.is_zero() and h2.is_zero():
         raise NotCoprime("both cofactors vanish identically")
     if dec.polynomial_cofactors:
-        common = gcd2(h1, h2)
-        if not common.is_constant() and common.vanishes_at_origin():
-            raise NotCoprime(f"cofactors share the factor {common!r}")
         cap = 4 * dec.precision
         exhausted = NotCoprime("codimension did not stabilize below the degree cap")
     else:
@@ -377,6 +381,10 @@ def delta(dec: GermDecomposition) -> int:
         if cur == prev:
             return cur
         prev = cur
+        if D == dec.precision and dec.polynomial_cofactors:
+            common = gcd2(h1, h2)
+            if not common.is_constant() and common.vanishes_at_origin():
+                raise NotCoprime(f"cofactors share the factor {common!r}")
     raise exhausted
 
 

@@ -1,25 +1,29 @@
-"""Exact bivariate and univariate polynomials over Q.
+"""Exact bivariate and univariate polynomials with rational coefficients.
 
 Poly2 is the workhorse for germ decomposition and the elimination oracle:
-a sparse dict of exponent pairs with Fraction coefficients.  Arithmetic
-and exact division are done directly on the dicts, which is much faster in
-the tight loops.  Poly1 is a dense univariate value type for resultants
-and characteristic polynomials.
+a sparse dict of exponent pairs with Fraction coefficients.  The light
+arithmetic (sums, products, derivatives, evaluation and exact division)
+is done directly on the dicts.  Poly1 is a dense univariate value type for
+resultants and characteristic polynomials.
 
 This module is the one boundary to the computer-algebra system.  The heavy
 steps (composition, and with it iterates, shears and translations;
 multivariate and univariate gcd, irreducible factorization over Q,
 resultants, real-root isolation and characteristic polynomials) are
 delegated to sympy at the ring level: a coefficient dict or matrix is
-converted straight into sympy's sparse ring or domain matrix over QQ and
-back, without building symbolic expression trees.
+converted straight into sympy's sparse ring or domain matrix and back,
+without building symbolic expression trees.  Every bivariate call runs
+over ZZ: the denominators are cleared once on the way in, so the ring does
+native integer arithmetic, and each output coefficient is divided by the
+known common denominator once on the way out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
@@ -168,15 +172,22 @@ class Poly2:
     def compose(self, im1: "Poly2", im2: "Poly2",
                 partner: "Poly2 | None" = None) -> "Poly2 | tuple[Poly2, Poly2]":
         """Exact substitution z1 -> im1, z2 -> im2, done in sympy's sparse
-        ring over QQ.
+        ring over ZZ.
+
+        With im1 = X/dx and im2 = Y/dy for integer X, Y, the outer p is
+        turned into P = D * p(z1/dx, z2/dy), whose coefficients are integers,
+        so that p(im1, im2) = P(X, Y) / D.
 
         With a partner polynomial the pair (self(im1, im2), partner(im1,
         im2)) is returned: the two share one table of the powers of im1 and
         im2 and their products, which is how a map is composed with another.
         """
-        outers = [self] if partner is None else [self, partner]
-        out = [_from_ring2(r) for r in _compose_ring(
-            [_to_ring2(p) for p in outers], _to_ring2(im1), _to_ring2(im2))]
+        x, dx = _to_zz2(im1)
+        y, dy = _to_zz2(im2)
+        polys = [self] if partner is None else [self, partner]
+        outers = [_to_zz2(p, dx, dy) for p in polys]
+        out = [_from_zz2(r, D) for r, (_, D) in
+               zip(_compose_ring([P for P, _ in outers], x, y), outers)]
         return out[0] if partner is None else tuple(out)
 
     def derivative(self, index: int) -> "Poly2":
@@ -282,7 +293,7 @@ class Poly2:
 
 # -- the computer-algebra boundary (sympy, ring level) ------------------------
 
-_RING2 = ring("z1,z2", QQ)[0]
+_RING2 = ring("z1,z2", ZZ)[0]
 _RING1 = ring("t", QQ)[0]
 
 
@@ -294,12 +305,25 @@ def _qq(c):
     return QQ(c.numerator, c.denominator)
 
 
-def _to_ring2(p: Poly2):
-    return _RING2.dtype({e: _qq(c) for e, c in p.coeff.items()})
+def _to_zz2(p: Poly2, dx: int = 1, dy: int = 1):
+    """(P, D): the ring element P = D * p(z1/dx, z2/dy) over ZZ and D > 0.
+
+    D = L * dx**I * dy**J, with L the lcm of the denominators of p and I,
+    J its degrees in z1 and z2, so the coefficient c of z1^i z2^j becomes
+    the integer c * L * dx**(I-i) * dy**(J-j).  With dx = dy = 1 this is
+    (L * p, L).
+    """
+    L = lcm(*(c.denominator for c in p.coeff.values()))
+    I = max((i for i, _ in p.coeff), default=0)
+    J = max((j for _, j in p.coeff), default=0)
+    P = _RING2.dtype({(i, j): c.numerator * (L // c.denominator)
+                      * dx**(I - i) * dy**(J - j) for (i, j), c in p.coeff.items()})
+    return P, L * dx**I * dy**J
 
 
-def _from_ring2(r) -> Poly2:
-    return Poly2({e: _fraction(c) for e, c in r.items()})
+def _from_zz2(r, den: int = 1) -> Poly2:
+    """The Poly2 r / den, one rational per term."""
+    return Poly2({e: Fraction(c, den) for e, c in r.items()})
 
 
 def _from_ring1(r) -> "Poly1":
@@ -324,7 +348,7 @@ def _compose_ring(outers: list, x, y) -> list:
     the peak memory stays that of the powers and the results.
     """
     pow_x, pow_y = [_RING2.one, x], [_RING2.one, y]
-    zero = QQ.zero
+    zero = ZZ.zero
     out = [_RING2.zero for _ in outers]
     for i, j in sorted(set().union(*outers)):
         if j == 0:
@@ -357,8 +381,11 @@ def iterate_pair(p1: Poly2, p2: Poly2, n: int) -> tuple[Poly2, Poly2]:
 
 
 def gcd2(a: Poly2, b: Poly2) -> Poly2:
-    """Polynomial gcd over Q, normalized (zero when both inputs are zero)."""
-    return _from_ring2(_to_ring2(a).gcd(_to_ring2(b))).normalized()
+    """Polynomial gcd over Q, normalized (zero when both inputs are zero).
+
+    The gcd of the integer forms L_a * a and L_b * b is a scalar multiple
+    of the gcd over Q, and normalized() picks the same multiple of both."""
+    return _from_zz2(_to_zz2(a)[0].gcd(_to_zz2(b)[0])).normalized()
 
 
 def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
@@ -366,8 +393,10 @@ def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
     with normalized factors and constant * prod(factor**multiplicity) == p."""
     if p.is_constant():
         return p.constant_term(), []
-    out = [(_from_ring2(f).normalized(), int(m))
-           for f, m in _to_ring2(p).factor_list()[1]]
+    # over ZZ the factors are primitive (Gauss), so normalized() only fixes
+    # their sign; the constant is rebuilt from p below, not from the content
+    out = [(_from_zz2(f).normalized(), int(m))
+           for f, m in _to_zz2(p)[0].factor_list()[1]]
     # graded-lex is a monomial order, so leading coefficients multiply
     lead = Fraction(1)
     for f, m in out:
@@ -375,9 +404,20 @@ def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
     return p.leading_coefficient() / lead, out
 
 
+def _z1_degree(p: Poly2) -> int:
+    return max((i for i, _ in p.coeff), default=0)
+
+
 def resultant_z1(f: Poly2, g: Poly2) -> "Poly1":
-    """Resultant eliminating z1; a univariate polynomial in z2."""
-    return _from_ring1(_to_ring2(f).resultant(_to_ring2(g)))
+    """Resultant eliminating z1; a univariate polynomial in z2.
+
+    With f = F/a and g = G/b for integer F, G, the resultant is homogeneous
+    of degree deg_z1 g in f and deg_z1 f in g, so Res(f, g) =
+    Res(F, G) / (a**deg_z1 g * b**deg_z1 f)."""
+    F, a = _to_zz2(f)
+    G, b = _to_zz2(g)
+    den = a**_z1_degree(g) * b**_z1_degree(f)
+    return Poly1.from_coeff_map({k: Fraction(c, den) for (k,), c in F.resultant(G).items()})
 
 
 def _to_ring1(p: "Poly1"):

@@ -146,6 +146,46 @@ def test_compose_keeps_fraction_coefficients_of_integral_results():
     assert Poly2.constant(Fraction(-7, 3)).compose(X, Y) == Poly2.constant(Fraction(-7, 3))
 
 
+def test_compose_pinned_with_different_denominators():
+    # the images are (z1 + 2 z2)/2 and (3 z1 - z2)/3; the two outers differ
+    # in their denominators and in their degrees in z1 and z2
+    p = X**2 + X * Y + Y**2 + X * Fraction(1, 7)
+    q = Y**3 * Fraction(1, 5) - X
+    im1, im2 = X * Fraction(1, 2) + Y, X - Y * Fraction(1, 3)
+    p_out = Poly2.from_terms({(2, 0): Fraction(7, 4), (1, 1): Fraction(7, 6),
+                              (0, 2): Fraction(7, 9), (1, 0): Fraction(1, 14),
+                              (0, 1): Fraction(1, 7)})
+    q_out = Poly2.from_terms({(3, 0): Fraction(1, 5), (2, 1): Fraction(-1, 5),
+                              (1, 2): Fraction(1, 15), (0, 3): Fraction(-1, 135),
+                              (1, 0): Fraction(-1, 2), (0, 1): -1})
+    assert p.compose(im1, im2) == p_out
+    assert p.compose(im1, im2, partner=q) == (p_out, q_out)
+    assert q.compose(im1, im2, partner=p) == (q_out, p_out)
+    # denominators in the outer only
+    assert (X * Y * Fraction(1, 6) + Y**2).compose(X * 2 - Y, X + 3) == Poly2.from_terms(
+        {(2, 0): Fraction(4, 3), (1, 1): Fraction(-1, 6), (1, 0): 7,
+         (0, 1): Fraction(-1, 2), (0, 0): 9})
+
+
+@pytest.mark.parametrize("f, g, res", [
+    # a denominator in f only
+    (X * Fraction(1, 2) + Y, X**2 + Y, [0, Fraction(1, 4), 1]),
+    # f of z1-degree 0 against g of z1-degree 2: the resultant is f^2
+    (Y * Fraction(1, 3) + 1, X**2 * Fraction(1, 2) + X * Y + 1,
+     [1, Fraction(2, 3), Fraction(1, 9)]),
+    # different denominators in f and g, z1-degree 2 each
+    (X**2 * Fraction(1, 2) + Y, X**2 * Fraction(1, 3) - X + Y * Fraction(1, 5),
+     [0, Fraction(1, 2), Fraction(49, 900)]),
+    # z1-degrees 3 and 2, the denominator on the side of lower degree
+    (X**3 + X * Y - 2, X**2 * Fraction(3, 4) - Y**2,
+     [Fraction(27, 16), 0, 0, 0, Fraction(-9, 16), Fraction(-3, 2), -1]),
+])
+def test_resultant_z1_pinned(f, g, res):
+    assert resultant_z1(f, g) == Poly1(res)
+    # deg_z1 f * deg_z1 g is even in every case, so the order does not matter
+    assert resultant_z1(g, f) == Poly1(res)
+
+
 @pytest.mark.parametrize("p1, p2", [
     (X * -2 - X**2 - Y, X),                                  # remark42
     (X * Fraction(3, 2) - Y * 2 + X**2 - X * Y * 3, X),      # Henon-like

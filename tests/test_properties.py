@@ -2,6 +2,7 @@
 congruences, curved-branch stability, guided extraction, negative controls."""
 
 import random
+from fractions import Fraction
 
 from germindex import (
     MapGerm,
@@ -123,6 +124,45 @@ def test_three_way_index_agreement_at_isolated_points():
         oracle = fixed_multiplicity(PolynomialMap(X + h1, Y + h2), (0, 0), 1)
         assert oracle == d, (h1, h2)
         checked += 1
+
+
+def test_henon_engine_index_matches_the_oracle():
+    """Henon-like maps (a z1 + b z2 + q, z1) with q quadratic: the engine's
+    nu_A of f^n is the oracle's multiplicity of f^n(z) = z at the origin,
+    n <= 3.  With a + b = 1, Df(0) has the eigenvalue 1; with b = 1 + a it
+    has -1, so f^2 is degenerate.  Those iterates take decompose's gcd
+    route, the generic ones mostly skip it."""
+    from germindex import NonIsolated, UnsupportedSingularBranch
+    from germindex.oracle import PolynomialMap, fixed_multiplicity
+
+    rng = random.Random(6)
+    values = [Fraction(k, d) for k in range(-3, 4) if k for d in (1, 2, 3)]
+    quadratic = [(2, 0), (1, 1), (0, 2)]
+    degenerate = 0
+    for kind in ("generic", "a + b = 1", "lambda = -1"):
+        for _ in range(12):
+            a = rng.choice(values)
+            b = {"generic": rng.choice(values), "a + b = 1": 1 - a, "lambda = -1": 1 + a}[kind]
+            q = Poly2.from_terms({e: rng.choice(values)
+                                  for e in rng.sample(quadratic, rng.randint(1, 3))})
+            p1, p2 = X * a + Y * b + q, X
+            for n in (1, 2, 3):
+                # None: a curve of fixed points through the origin
+                try:
+                    oracle = fixed_multiplicity(PolynomialMap(p1, p2), (0, 0), n)
+                except NonIsolated:
+                    oracle = None
+                try:
+                    report = local_index(iterate(MapGerm.from_polynomials(p1, p2), n))
+                    engine = None if report.branches else report.nu_A
+                except UnsupportedSingularBranch:
+                    engine = None
+                assert engine == oracle, (p1, n)
+                if oracle is not None and (kind == "a + b = 1"
+                                           or (kind == "lambda = -1" and n == 2)):
+                    assert oracle >= 2
+                    degenerate += 1
+    assert degenerate >= 30
 
 
 def _mobius(n: int) -> int:
