@@ -33,7 +33,6 @@ from .germs import (
     branches,
     classify_branch,
     decompose,
-    decompose_iterate_guided,
     delta,
     delta_resultant,
     invert,

@@ -16,9 +16,11 @@ local picture:
 Decomposition requires exact polynomial images: two polynomials whose gcd
 is trivial have a finite common zero set, so the local gcd is the
 polynomial gcd with the factors not vanishing at the origin stripped off.
-Iterates of polynomial germs stay polynomial and are decomposed the same
-way; a guided extraction for truncated-series iterates is provided for the
-case where a type II branch pins the curve factor of every iterate.
+Iterates of polynomial germs stay polynomial.  An iterate remembers the
+germ it iterates, and is first decomposed by that base's curve factor g
+(type II stability says g is the curve factor of every iterate): when g
+divides both differences and a cofactor is a unit, no further factor
+through the origin can divide both, so g is certified with no gcd.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     NonIsolated,
     NonPolynomialGerm,
     NotCoprime,
+    NotDivisible,
     NotInvertible,
     PrecisionExhausted,
     UnsupportedSingularBranch,
@@ -59,10 +62,14 @@ class MapGerm:
 
     image1/image2 are the truncated-series images of z1 and z2.  When the
     germ is polynomial the exact polynomials are retained so that gcd
-    extraction, iteration and the elimination oracle stay exact.
+    extraction, iteration and the elimination oracle stay exact.  An
+    iterate keeps the germ it iterates as `base`; `decompose` stores the
+    germ's curve data (g and its origin factors) so that each germ object
+    computes it at most once.
     """
 
-    __slots__ = ("image1", "image2", "poly1", "poly2", "source_point_label")
+    __slots__ = ("image1", "image2", "poly1", "poly2", "source_point_label",
+                 "base", "_curve")
 
     def __init__(self, image1: TruncatedSeries2, image2: TruncatedSeries2,
                  poly1: Poly2 | None = None, poly2: Poly2 | None = None,
@@ -76,6 +83,8 @@ class MapGerm:
         self.poly1 = poly1
         self.poly2 = poly2
         self.source_point_label = source_point_label
+        self.base: MapGerm | None = None
+        self._curve: tuple[Poly2, list[tuple[Poly2, int]]] | None = None
 
     @classmethod
     def from_polynomials(cls, p1: Poly2, p2: Poly2,
@@ -129,10 +138,11 @@ class GermDecomposition:
 
     g is always an exact polynomial (product of the origin-vanishing
     irreducible factors of the image-difference gcd); h1, h2 are exact
-    polynomials on the primary path and truncated series on the guided
-    iterate path.  factors lists the origin-vanishing irreducible factors
-    of g with their multiplicities; decompose passes on the ones it has
-    already computed, otherwise g is factored once on construction.
+    polynomials from `decompose`, and may be truncated series in a
+    decomposition built by hand.  factors lists the origin-vanishing
+    irreducible factors of g with their multiplicities; decompose passes on
+    the ones it has already computed, otherwise g is factored once on
+    construction.
     """
 
     g: Poly2
@@ -217,53 +227,70 @@ def decompose(germ: MapGerm) -> GermDecomposition:
 
     The germ must carry exact polynomial images; the factors of the
     polynomial gcd that do not vanish at the origin are local units and are
-    left inside the h_i.
+    left inside the h_i.  At a degenerate point an iterate is first divided
+    by its base germ's curve factor, with the gcd route as the fallback.
+    The germ keeps (g, factors), so a second decomposition of it needs no
+    CAS call.
     """
     if not germ.is_polynomial:
-        raise NonPolynomialGerm(
-            "decomposition needs exact polynomial images; "
-            "use the guided iterate path for series germs"
-        )
+        raise NonPolynomialGerm("decomposition needs exact polynomial images")
     d1, d2 = germ.differences()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("the identity germ admits no (g, h1, h2) data")
+    if germ._curve is None:
+        g, factors, h1, h2 = _split(germ, d1, d2)
+        germ._curve = (g, factors)
+    else:
+        g, factors = germ._curve
+        h1, h2 = (d1.exact_div(g), d2.exact_div(g)) if factors else (d1, d2)
+    return GermDecomposition(g=g, h1=h1, h2=h2, precision=germ.precision,
+                             factors=factors)
+
+
+def _curve(germ: MapGerm) -> tuple[Poly2, list[tuple[Poly2, int]]]:
+    """(g, factors) of a polynomial germ, computed at most once per object.
+
+    The decomposition of an iterate reaches its base through here rather
+    than through decompose, so the base's data is not a decomposition of
+    its own."""
+    if germ._curve is None:
+        germ._curve = _split(germ, *germ.differences())[:2]
+    return germ._curve
+
+
+def _split(germ: MapGerm, d1: Poly2, d2: Poly2):
+    """(g, factors, h1, h2) for the differences d1, d2 of germ."""
     (a, b), (c, d) = d1.linear_part(), d2.linear_part()
     # at a simple fixed point, det(Df(0) - I) != 0, no curve through the
     # origin divides both differences: it would make both rows of their
     # Jacobian multiples of its gradient at 0
-    factors = _origin_factors(gcd2(d1, d2)) if a * d == b * c else []
+    if a * d != b * c:
+        return Poly2.constant(1), [], d1, d2
+    if germ.base is not None:
+        g, factors = _curve(germ.base)
+        if factors:
+            try:
+                h1, h2 = d1.exact_div(g), d2.exact_div(g)
+            except NotDivisible:
+                pass
+            else:
+                # an origin prime dividing both differences more often than
+                # it divides g would divide both h_i and so vanish at 0:
+                # with a unit h_i, g is the curve factor and delta is 0
+                if h1.constant_term() != 0 or h2.constant_term() != 0:
+                    return g, factors, h1, h2
+    factors = _origin_factors(gcd2(d1, d2))
     if not factors:
-        return GermDecomposition(g=Poly2.constant(1), h1=d1, h2=d2,
-                                 precision=germ.precision, factors=[])
+        return Poly2.constant(1), [], d1, d2
     g = Poly2.constant(1)
     for factor, mult in factors:
         g = g * factor**mult
-    return GermDecomposition(g=g, h1=d1.exact_div(g), h2=d2.exact_div(g),
-                             precision=germ.precision, factors=factors)
+    return g, factors, d1.exact_div(g), d2.exact_div(g)
 
 
 def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
     """The irreducible factors of p through the origin, with multiplicity."""
     return [(f, m) for f, m in factor_list2(p)[1] if f.vanishes_at_origin()]
-
-
-def decompose_iterate_guided(base: GermDecomposition, iterated: MapGerm) -> GermDecomposition:
-    """Decomposition of an iterate of a germ with a type II branch.
-
-    When some branch of the base germ is of type II, the curve ideal (g) of
-    every iterate equals that of the base germ, so the iterate cofactors can
-    be recovered from truncated series by exact division.  This is the only
-    decomposition path available for non-polynomial iterates.
-    """
-    n = iterated.precision
-    z1 = TruncatedSeries2.variable(1, n)
-    z2 = TruncatedSeries2.variable(2, n)
-    g_series = base.g.to_series(n)
-    h1 = (iterated.image1 - z1).exact_divide(g_series)
-    h2 = (iterated.image2 - z2).exact_divide(g_series)
-    return GermDecomposition(g=base.g, h1=h1, h2=h2,
-                             precision=min(h1.precision, h2.precision),
-                             factors=base.factors)
 
 
 def omega_sigma(dec: GermDecomposition) -> DifferentialPair:
@@ -589,20 +616,24 @@ def local_index(germ: MapGerm) -> IndexReport:
 
 
 def iterate(germ: MapGerm, n: int) -> MapGerm:
-    """n-fold self-composition.  Polynomial germs compose exactly."""
+    """n-fold self-composition.  Polynomial germs compose exactly.  For
+    n >= 2 the result keeps germ as its base, for decompose."""
     if n < 1:
         raise ValueError("iterate needs n >= 1")
     if n == 1:
         return germ
     if germ.is_polynomial:
         p1, p2 = iterate_pair(germ.poly1, germ.poly2, n)
-        return MapGerm.from_polynomials(p1, p2, germ.precision,
-                                        germ.source_point_label)
-    s1, s2 = germ.image1, germ.image2
-    for _ in range(n - 1):
-        pair = SeriesPair(s1, s2)
-        s1, s2 = germ.image1.compose(pair), germ.image2.compose(pair)
-    return MapGerm.from_series(s1, s2, germ.source_point_label)
+        out = MapGerm.from_polynomials(p1, p2, germ.precision,
+                                       germ.source_point_label)
+    else:
+        s1, s2 = germ.image1, germ.image2
+        for _ in range(n - 1):
+            pair = SeriesPair(s1, s2)
+            s1, s2 = germ.image1.compose(pair), germ.image2.compose(pair)
+        out = MapGerm.from_series(s1, s2, germ.source_point_label)
+    out.base = germ
+    return out
 
 
 def invert(germ: MapGerm) -> MapGerm:

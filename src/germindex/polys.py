@@ -9,7 +9,8 @@ resultants and characteristic polynomials.
 This module is the one boundary to the computer-algebra system.  The heavy
 steps (composition, and with it iterates, shears and translations;
 multivariate and univariate gcd, irreducible factorization over Q,
-resultants, real-root isolation and characteristic polynomials) are
+resultants, real-root isolation, characteristic polynomials and the
+factorization of integers) are
 delegated to sympy at the ring level: a coefficient dict or matrix is
 converted straight into sympy's sparse ring or domain matrix and back,
 without building symbolic expression trees.  Every bivariate call runs
@@ -23,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from sympy import factorint
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
@@ -438,13 +440,13 @@ def factor_list1(p: "Poly1") -> tuple[Fraction, list[tuple["Poly1", int]]]:
 
 
 def real_root_intervals1(p: "Poly1") -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals (lo, hi) of the real roots of a squarefree p, in
+    """Isolating intervals (lo, hi) of the distinct real roots of p, in
     increasing order: (r, r) for a rational root r found exactly, otherwise
     exactly one root with lo < root < hi (an end may be another, rational,
     root).  Negative and positive roots are isolated apart, so no interval
     has lo < 0 < hi."""
     return [(_fraction(lo), _fraction(hi))
-            for lo, hi in _RING1.dup_isolate_real_roots_sqf(_to_ring1(p))]
+            for (lo, hi), _ in _RING1.dup_isolate_real_roots(_to_ring1(p))]
 
 
 def charpoly(M) -> "Poly1":
@@ -453,6 +455,11 @@ def charpoly(M) -> "Poly1":
     entries = [[_qq(rat(x)) for x in row] for row in M]
     coeffs = DomainMatrix(entries, (n, n), QQ).charpoly()
     return Poly1([_fraction(c) for c in reversed(coeffs)])
+
+
+def factor_integer(m: int) -> dict[int, int]:
+    """The prime factorization {prime: exponent} of an integer m >= 1."""
+    return {int(q): int(k) for q, k in factorint(m).items()}
 
 
 class Poly1:

@@ -13,14 +13,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
-    FieldMismatch,
     MissingIndexData,
     NotAlgebraicallyStable,
     PrecisionExhausted,
     TypeICurvePresent,
 )
 from .germs import TYPE_I, TYPE_II, MapGerm, iterate, local_index
-from .polys import Poly1, Poly2, charpoly, factor_list1, real_root_intervals1
+from .polys import (
+    Poly1,
+    Poly2,
+    charpoly,
+    factor_list1,
+    real_root_intervals1,
+    resultant_z1,
+)
 from .surd import Surd, square_part
 
 # ---------------------------------------------------------------------------
@@ -245,9 +251,6 @@ class RationalInterval:
                 lo, flo = mid, fmid
         return RationalInterval(lo, hi, self.poly)
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 def _sqrt_exact(q: Fraction) -> Surd:
     """sqrt of a nonnegative rational as an exact Surd (rational multiple
@@ -263,98 +266,40 @@ def _sqrt_exact(q: Fraction) -> Surd:
     return Surd.sqrt_term(free, a=0, b=coef)
 
 
-def _abs_bounds(value, err: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of |value| for a Surd or RationalInterval."""
-    if isinstance(value, RationalInterval):
-        iv = value
-        while iv.width() > err:
-            iv = iv.refine()
-        lo, hi = iv.lo, iv.hi
-        if lo >= 0:
-            return lo, hi
-        if hi <= 0:
-            return -hi, -lo
-        return Fraction(0), max(-lo, hi)
-    # real Surd a + b sqrt(d)
-    v = abs(value)
-    if v.b == 0:
-        return v.a, v.a
-    lo_r, hi_r = _rational_sqrt_bounds(Fraction(v.d), err / (2 * abs(v.b)))
-    if v.b > 0:
-        return v.a + v.b * lo_r, v.a + v.b * hi_r
-    return v.a + v.b * hi_r, v.a + v.b * lo_r
-
-
-def _rational_sqrt_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
-    hi = x if x >= 1 else Fraction(1)
-    lo = x / hi
-    while hi - lo > err:
-        hi = (hi + lo) / 2
-        lo = x / hi
-        if lo > hi:
-            lo, hi = hi, lo
-    return lo, hi
-
-
 def spectral_radius(M) -> Surd | RationalInterval:
-    """Spectral radius of an integer matrix, assuming the dominant
-    eigenvalue is real (the algebraically-stable situation).
+    """Spectral radius rho of a square rational matrix, exactly.
 
-    Exact quadratic-surd output when the dominant root lies in a factor of
-    degree at most two; otherwise a refinable isolating interval.
+    With p the characteristic polynomial, of degree d, the roots of
+    q(s) = Res_x(p(x), x^d p(s/x)) are the products lambda_i*lambda_j of
+    its roots.  Every real one is at most rho^2, and rho^2 is one of them
+    (lambda^2 for a real dominant root, lambda*conj(lambda) for a complex
+    one), so rho is the largest real root of q(t^2), found by one real-root
+    isolation.  The output is a Surd when the irreducible factor of q(t^2)
+    that holds rho has degree at most two, and otherwise an isolating
+    interval on that factor.
     """
-    candidates: list = []
-    for f, _mult in factor_list1(charpoly(M))[1]:
-        cs = f.coeff
-        if f.degree() == 1:
-            candidates.append(Surd.rational(-cs[0] / cs[1]))
-        elif f.degree() == 2:
-            a2, a1, a0 = cs[2], cs[1], cs[0]
-            disc = a1 * a1 - 4 * a2 * a0
-            if disc >= 0:
-                root_of_disc = _sqrt_exact(disc)
-                half = Fraction(1, 2) / a2
-                base = Surd.rational(-a1)
-                candidates.append((base + root_of_disc) * half)
-                candidates.append((base - root_of_disc) * half)
-            else:
-                # complex pair: modulus is sqrt(a0/a2)
-                candidates.append(_sqrt_exact(a0 / a2))
-        else:
-            # f is irreducible of degree >= 3: no end of an interval is a
-            # root, as RationalInterval.refine needs
-            candidates.extend(RationalInterval(lo, hi, f)
-                              for lo, hi in real_root_intervals1(f))
-    if not candidates:
-        raise ValueError("characteristic polynomial has no factors")
-    best = candidates[0]
-    err = Fraction(1, 2 ** 20)
-    for cand in candidates[1:]:
-        if isinstance(best, Surd) and isinstance(cand, Surd):
-            try:
-                if abs(cand) > abs(best):
-                    best = cand
-                continue
-            except FieldMismatch:
-                pass  # different quadratic fields: compare by enclosures
-        for _ in range(60):
-            b_lo, b_hi = _abs_bounds(best, err)
-            c_lo, c_hi = _abs_bounds(cand, err)
-            if c_lo > b_hi:
-                best = cand
-                break
-            if c_hi < b_lo:
-                break
-            err /= 2 ** 6
-        else:
-            raise PrecisionExhausted("could not separate eigenvalue moduli")
-    if isinstance(best, Surd):
-        return abs(best)
-    if best.hi <= 0:
-        # a negative dominant root: the radius is the root of p(-t)
-        mirrored = Poly1([-c if k % 2 else c for k, c in enumerate(best.poly.coeff)])
-        return RationalInterval(-best.hi, -best.lo, mirrored)
-    return best
+    p = charpoly(M)
+    d = p.degree()
+    if d < 1:
+        raise ValueError("an empty matrix has no spectral radius")
+    q = resultant_z1(Poly2({(k, 0): c for k, c in enumerate(p.coeff)}),
+                     Poly2({(d - k, k): c for k, c in enumerate(p.coeff)}))
+    q_t2 = Poly1.from_coeff_map({2 * k: c for k, c in enumerate(q.coeff)})
+    lo, hi = real_root_intervals1(q_t2)[-1]
+    if lo == hi:
+        return Surd.rational(lo)
+    # rho is the only root of q(t^2) in (lo, hi), and a simple root of its
+    # irreducible factor, which is the one factor that changes sign there
+    f = next(f for f, _ in factor_list1(q_t2)[1]
+             if f.evaluate(lo) * f.evaluate(hi) < 0)
+    cs = f.coeff
+    if f.degree() == 1:
+        return Surd.rational(-cs[0] / cs[1])
+    if f.degree() == 2:
+        # the larger root; the leading coefficient of f is positive
+        disc = cs[1] * cs[1] - 4 * cs[2] * cs[0]
+        return (Surd.rational(-cs[1]) + _sqrt_exact(disc)) * (Fraction(1, 2) / cs[2])
+    return RationalInterval(lo, hi, f)
 
 
 def dynamical_degree(action: CohomologyAction) -> Surd | RationalInterval:

@@ -21,9 +21,9 @@ from germindex import (
     branches,
     classify_branch,
     decompose,
-    decompose_iterate_guided,
     delta,
     delta_resultant,
+    gcd2,
     invert,
     iterate,
     local_index,
@@ -403,15 +403,54 @@ def test_invert_singular_raises():
         invert(germ(X + Y, X + Y + X**2))
 
 
-# -- guided iterate decomposition ----------------------------------------------
+# -- iterates decomposed by their base's curve factor ---------------------------
 
 
-def test_guided_decomposition_matches_polynomial_path():
-    f = cubic_corner_map(u1=ONE + Y)
-    base = decompose(f)
+def gcd_route(it: MapGerm):
+    """decompose of the same map rebuilt without a base: the gcd route."""
+    return decompose(MapGerm.from_polynomials(it.poly1, it.poly2, it.precision))
+
+
+def test_iterate_decomposition_matches_gcd_route():
+    # a type II line z1 = 0 with the unit cofactor h2 = 1 + z2 takes the
+    # base's g; the cubic corner has delta 1, so both cofactors of its
+    # iterate vanish at 0 and it falls back to the gcd
+    for f in (germ(X + X * X, Y + X * (ONE + Y)), cubic_corner_map(u1=ONE + Y)):
+        base = decompose(f)
+        f2 = iterate(f, 2)
+        assert f2.base is f
+        dec, exact = decompose(f2), gcd_route(f2)
+        assert dec.g == exact.g == base.g
+        assert (dec.h1, dec.h2) == (exact.h1, exact.h2)
+        assert delta(dec) == delta(exact)
+
+
+def test_iterate_with_both_cofactors_vanishing_falls_back():
+    # f = (-z1, z2 + z1^2) has g = z1, but f^2 - id = (0, 2 z1^2): dividing
+    # by the base's z1 leaves (0, 2 z1), which vanish together at 0
+    f = germ(-X, Y + X**2)
+    assert decompose(f).g == X
     f2 = iterate(f, 2)
-    guided = decompose_iterate_guided(base, f2)
-    exact = decompose(f2)
-    assert exact.g == base.g
-    assert guided.h1 == exact.h1.to_series(guided.h1.precision)
-    assert guided.h2 == exact.h2.to_series(guided.h2.precision)
+    dec = decompose(f2)
+    assert dec.g == X**2 == gcd_route(f2).g
+    assert (dec.h1, dec.h2) == (Poly2.zero(), ONE * 2)
+    assert local_index(f2).summary() == local_index(
+        MapGerm.from_polynomials(f2.poly1, f2.poly2)).summary()
+
+
+def test_iterate_with_a_wrong_base_falls_back():
+    f2 = iterate(cubic_corner_map(), 2)
+    f2.base = germ(X + (Y - X**2) * 3, Y + (Y - X**2) * X * 6)
+    dec, exact = decompose(f2), gcd_route(f2)
+    assert (dec.g, dec.h1, dec.h2) == (exact.g, exact.h1, exact.h2)
+
+
+def test_decompose_computes_the_curve_data_once_per_germ(monkeypatch):
+    import germindex.germs as germs
+
+    calls = []
+    monkeypatch.setattr(germs, "gcd2", lambda a, b: calls.append(1) or gcd2(a, b))
+    f = cubic_corner_map()
+    first, second = decompose(f), decompose(f)
+    assert calls == [1]
+    assert (first.g, first.h1, first.h2) == (second.g, second.h1, second.h2)

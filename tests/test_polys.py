@@ -328,19 +328,23 @@ def test_real_root_intervals1_isolate_the_real_roots(coeffs):
     if p.degree() < 1:
         return
     sqf = sp.sqf_part(to_expr1(p))
-    intervals = real_root_intervals1(from_expr1(sqf))
     roots = sp.real_roots(sp.Poly(sqf, T))
-    for (lo, hi), (next_lo, _) in zip(intervals, intervals[1:]):
-        assert lo <= hi <= next_lo
-    bounds = [(sp.Rational(lo.numerator, lo.denominator),
-               sp.Rational(hi.numerator, hi.denominator)) for lo, hi in intervals]
 
     def holds(lo, hi, r):
         # (r, r) is a rational root found exactly; otherwise the interval is open
         return r == lo if lo == hi else bool(lo < r < hi)
 
-    assert [sum(holds(lo, hi, r) for r in roots) for lo, hi in bounds] == [1] * len(bounds)
-    assert [sum(holds(lo, hi, r) for lo, hi in bounds) for r in roots] == [1] * len(roots)
+    # a repeated root is isolated once, as in the squarefree part
+    for q in (sqf, sqf * to_expr1(p)):
+        intervals = real_root_intervals1(from_expr1(q))
+        for (lo, hi), (next_lo, _) in zip(intervals, intervals[1:]):
+            assert lo <= hi <= next_lo
+        bounds = [(sp.Rational(lo.numerator, lo.denominator),
+                   sp.Rational(hi.numerator, hi.denominator)) for lo, hi in intervals]
+        assert [sum(holds(lo, hi, r) for r in roots)
+                for lo, hi in bounds] == [1] * len(bounds)
+        assert [sum(holds(lo, hi, r) for lo, hi in bounds)
+                for r in roots] == [1] * len(roots)
 
 
 # -- exact division ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cross-cutting invariants beyond the acceptance gate: iterate cofactor
-congruences, curved-branch stability, guided extraction, negative controls."""
+congruences, curved-branch stability, iterates decomposed by their base's
+curve factor, negative controls."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ from germindex import (
     MapGerm,
     Poly2,
     decompose,
-    decompose_iterate_guided,
     delta,
     invert,
     iterate,
@@ -69,18 +69,60 @@ def test_curved_type_two_branch_stable_under_iteration():
             assert index_data(iterate(germ, n)) == base, n
 
 
-def test_guided_extraction_agrees_with_polynomial_path():
+def test_iterate_route_agrees_with_gcd_route():
     rng = random.Random(42)
     for _ in range(10):
         germ = type_two_germ(rng)
         base = decompose(germ)
         it = iterate(germ, 3)
-        guided = decompose_iterate_guided(base, it)
-        exact = decompose(it)
-        assert exact.g == base.g
-        assert guided.h1 == exact.h1.to_series(guided.h1.precision)
-        assert guided.h2 == exact.h2.to_series(guided.h2.precision)
-        assert delta(guided) == delta(exact)
+        dec = decompose(it)
+        exact = decompose(MapGerm.from_polynomials(it.poly1, it.poly2))
+        assert dec.g == exact.g == base.g
+        assert (dec.h1, dec.h2) == (exact.h1, exact.h2)
+        assert delta(dec) == delta(exact)
+
+
+def _stability_family():
+    rng = random.Random(47)  # the fifth germ has delta 1: its iterates fall back
+    yield from (type_two_germ(rng) for _ in range(12))
+    yield from (parabola_type_two_germ(rng) for _ in range(3))
+
+
+def test_iterate_reports_match_the_rebuilt_map():
+    """The rebuilt map has no base, so it takes the gcd route: this checks
+    the carried-over curve factor without leaning on stability."""
+    for germ in _stability_family():
+        for n in (2, 3, 4):
+            it = iterate(germ, n)
+            rebuilt = MapGerm.from_polynomials(it.poly1, it.poly2)
+            assert local_index(it).summary() == local_index(rebuilt).summary(), \
+                (germ, n)
+
+
+def test_iterates_with_a_unit_cofactor_make_no_cas_call(monkeypatch):
+    import germindex.germs as germs
+
+    calls = {"gcd2": 0, "factor_list2": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(germs, "gcd2", counting("gcd2", germs.gcd2))
+    monkeypatch.setattr(germs, "factor_list2",
+                        counting("factor_list2", germs.factor_list2))
+    checked = 0
+    for germ in _stability_family():
+        if local_index(germ).delta != 0:
+            continue  # both cofactors vanish at 0: the iterates fall back
+        before = dict(calls)
+        for n in (2, 3, 4):
+            local_index(iterate(germ, n))
+        assert calls == before, germ
+        checked += 1
+    assert checked >= 5
 
 
 def test_inverse_composes_to_identity():

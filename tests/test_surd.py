@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(sqrt(d), i)."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,3 +104,20 @@ def test_discriminant_checked_once_per_d(monkeypatch):
     y = x * x + x
     assert y == Surd.sqrt_term(d, a=d)
     assert calls == [d]
+
+
+def test_large_prime_discriminant_is_accepted_quickly():
+    # one factorization decides squarefreeness; trial division to sqrt(d)
+    # would take about 10^10 steps here
+    start = time.perf_counter()
+    d = 100000000000000000039  # prime
+    x = Surd(0, 1, 1, 0, d=d)
+    assert x * x == Surd(d - 1, 0, 0, 2, d=d)
+    assert time.perf_counter() - start < 5
+
+
+def test_square_of_a_large_prime_is_rejected():
+    p = 10**10 + 19  # prime
+    assert surd.square_part(3 * p * p) == (p, 3)
+    with pytest.raises(ValueError):
+        Surd.sqrt_term(3 * p * p)

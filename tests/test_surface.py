@@ -1,8 +1,11 @@
 """Surface-level operations: Lefschetz numbers, xi_k, counting, validators."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from germindex import (
     MissingIndexData,
@@ -159,6 +162,50 @@ def test_spectral_radius_equal_and_complex_moduli():
     assert spectral_radius([[0, -2], [1, 0]]) == Surd.sqrt_term(2)  # complex pair
     two_blocks = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]
     assert spectral_radius(two_blocks) == Surd.sqrt_term(3)         # cross-field max
+    # x^4 + 1: four complex roots of modulus 1, no real eigenvalue at all
+    assert spectral_radius([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0],
+                            [0, 0, 1, 0]]) == Surd.rational(1)
+    with pytest.raises(ValueError):
+        spectral_radius([])
+
+
+def _radius_enclosure(lam) -> tuple[float, float]:
+    if isinstance(lam, RationalInterval):
+        lam = lam.refine(40)
+        return float(lam.lo), float(lam.hi)
+    assert lam.is_real() and lam >= 0
+    value = float(lam.a) + (float(lam.b) * math.sqrt(lam.d) if lam.d else 0.0)
+    return value, value
+
+
+def _numeric_radius(M) -> float:
+    t = sp.Symbol("t")
+    return float(max(abs(r) for r in sp.Poly(sp.Matrix(M).charpoly(t).as_expr(),
+                                              t).nroots(n=30)))
+
+
+def test_spectral_radius_of_a_dominant_complex_pair():
+    # t^3 + 4t - 1: one real root near 0.2463 and a complex pair of
+    # modulus about 2.0151
+    lo, hi = _radius_enclosure(spectral_radius([[0, 0, 1], [1, 0, -4], [0, 1, 0]]))
+    assert 2.0151047 < lo <= hi < 2.0151048
+
+
+def test_spectral_radius_of_tied_real_roots():
+    # t^4 - 10t^2 + 1 has the roots +-sqrt2 +- sqrt3: two of modulus sqrt2 + sqrt3
+    lam = spectral_radius([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 10], [0, 0, 1, 0]])
+    lo, hi = _radius_enclosure(lam)
+    assert lo <= math.sqrt(2) + math.sqrt(3) <= hi and hi - lo < 1e-9
+
+
+def test_spectral_radius_matches_numeric_roots():
+    rng = random.Random(7)
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        lo, hi = _radius_enclosure(spectral_radius(M))
+        rho = _numeric_radius(M)
+        assert lo - 1e-9 <= rho <= hi + 1e-9, M
 
 
 # -- xi_k and counting -----------------------------------------------------------
