@@ -18,7 +18,7 @@ from .errors import (
     NotDivisible,
 )
 from .germs import MapGerm
-from .series import TruncatedSeries2
+from .series import SeriesPair, TruncatedSeries2
 
 INFINITY = math.inf
 
@@ -84,6 +84,12 @@ class PreservationVerdict:
         return self.preserved
 
 
+def _divide_by_z1_power(s: TruncatedSeries2, k: int) -> TruncatedSeries2:
+    """s / z1**k, for a series whose terms all have z1-exponent >= k."""
+    return TruncatedSeries2({(i - k, j): c for (i, j), c in s.coeff.items()},
+                            s.precision - k)
+
+
 def _differences_series(germ: MapGerm):
     n = germ.precision
     z1 = TruncatedSeries2.variable(1, n)
@@ -108,9 +114,7 @@ def adapted_expansion(germ: MapGerm) -> AdaptedExpansion:
         k = d.z1_order()
         if isinstance(k, int) and k == 0:
             raise NotACurveFixingGerm("difference is not divisible by z1")
-        f = TruncatedSeries2({(i - k, j): c for (i, j), c in d.coeff.items()},
-                             d.precision - k)
-        return k, f
+        return k, _divide_by_z1_power(d, k)
 
     k, f1 = split(d1)
     l, f2 = split(d2)
@@ -142,8 +146,6 @@ def pullback_form(germ: MapGerm, form: FormGerm) -> FormGerm:
     """
     s = form.z1_valuation
     n = min(germ.precision, form.unit_part.precision)
-    from .series import SeriesPair
-
     images = SeriesPair(germ.image1.truncate(n) if germ.image1.precision > n else germ.image1,
                         germ.image2.truncate(n) if germ.image2.precision > n else germ.image2)
     u_pulled = form.unit_part.truncate(n).compose(images) \
@@ -158,7 +160,7 @@ def pullback_form(germ: MapGerm, form: FormGerm) -> FormGerm:
                 "fixing z1 = 0"
             )
         # image1 = z1 * c with c the exact cofactor
-        c = germ.image1.exact_divide(TruncatedSeries2.variable(1, germ.precision))
+        c = _divide_by_z1_power(germ.image1, 1)
         try:
             c_pow = c ** s  # handles negative s via unit inversion
         except NotAUnit as exc:
@@ -171,9 +173,7 @@ def pullback_form(germ: MapGerm, form: FormGerm) -> FormGerm:
             "pulled-back coefficient vanishes to working precision"
         )
     m = bracket.z1_order()
-    unit = TruncatedSeries2({(i - m, j): co for (i, j), co in bracket.coeff.items()},
-                            bracket.precision - m)
-    return FormGerm(z1_valuation=s + m, unit_part=unit)
+    return FormGerm(z1_valuation=s + m, unit_part=_divide_by_z1_power(bracket, m))
 
 
 def is_preserved(germ: MapGerm, form: FormGerm) -> PreservationVerdict:

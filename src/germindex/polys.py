@@ -1,45 +1,67 @@
 """Exact bivariate and univariate polynomials with rational coefficients.
 
 Poly2 is the workhorse for germ decomposition and the elimination oracle:
-a sparse dict of exponent pairs with Fraction coefficients.  The light
-arithmetic (sums, products, derivatives, evaluation and exact division)
-is done directly on the dicts.  Poly1 is a dense univariate value type for
-resultants and characteristic polynomials.
+an element of sympy's sparse ring Z[z1, z2] over one positive integer
+denominator, in lowest terms.  Its arithmetic (sums, products, powers,
+derivatives and exact division) is the ring's.  Poly1 is a dense
+univariate value type for resultants and characteristic polynomials.
 
-This module is the one boundary to the computer-algebra system.  The heavy
-steps (composition, and with it iterates, shears and translations;
-multivariate and univariate gcd, irreducible factorization over Q,
-resultants, real-root isolation, characteristic polynomials and the
-factorization of integers) are
-delegated to sympy at the ring level: a coefficient dict or matrix is
-converted straight into sympy's sparse ring or domain matrix and back,
-without building symbolic expression trees.  Every bivariate call runs
-over ZZ: the denominators are cleared once on the way in, so the ring does
-native integer arithmetic, and each output coefficient is divided by the
-known common denominator once on the way out.
+This module is the one boundary to the computer-algebra system.  Besides
+that arithmetic, the heavy steps (composition, and with it iterates, shears
+and translations; multivariate and univariate gcd, irreducible
+factorization over Q, resultants, real-root isolation, characteristic
+polynomials and the square part of an integer) are delegated to sympy at
+the ring level: a ring element, coefficient dict or matrix goes straight
+into sympy's sparse ring or domain matrix and back, without building
+symbolic expression trees.  Every bivariate call runs over ZZ on the
+integer numerator; the one denominator is divided out only where a
+coefficient is read as a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
-from sympy import factorint
+from sympy import factorint, integer_nthroot, isprime
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from .errors import NotDivisible
+from .errors import NotDivisible, PrecisionExhausted
 from .series import TruncatedSeries1, TruncatedSeries2, rat, substitute
+
+_RING2 = ring("z1,z2", ZZ)[0]
+_RING1 = ring("t", QQ)[0]
 
 
 class Poly2:
-    """Exact polynomial in z1, z2 with rational coefficients."""
+    """Exact polynomial in z1, z2 with rational coefficients: _num / _den,
+    with _num in Z[z1, z2] (never mutated once wrapped) and _den > 0 coprime
+    to the content of _num, so each polynomial has one representation."""
 
-    __slots__ = ("coeff",)
+    __slots__ = ("_num", "_den", "_coeff")
 
     def __init__(self, coeff):
-        self.coeff = {e: c for e, c in coeff.items() if c != 0}
+        # reduced fractions over their lcm are already in lowest terms
+        den = lcm(*(c.denominator for c in coeff.values()))
+        self._num = _RING2.dtype({e: c.numerator * (den // c.denominator)
+                                  for e, c in coeff.items() if c != 0})
+        self._den = den
+        self._coeff = None
+
+    @classmethod
+    def _new(cls, num, den: int = 1) -> "Poly2":
+        """num / den for a ring element num and an integer den > 0."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num, den = num.quo_ground(g), den // g
+        p = object.__new__(cls)
+        p._num, p._den, p._coeff = num, den, None
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -66,75 +88,82 @@ class Poly2:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def coeff(self):
+        """Read-only map {(i, j): Fraction} of the nonzero coefficients,
+        built on first use."""
+        if self._coeff is None:
+            den = self._den
+            self._coeff = MappingProxyType(
+                {e: Fraction(c, den) for e, c in self._num.items()})
+        return self._coeff
+
     def __getitem__(self, exps) -> Fraction:
-        return self.coeff.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self.coeff
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self.coeff)
+        return self._num.is_ground
 
     def constant_term(self) -> Fraction:
-        return self.coeff.get((0, 0), Fraction(0))
+        return self[(0, 0)]
 
     def vanishes_at_origin(self) -> bool:
-        return self.constant_term() == 0
+        return (0, 0) not in self._num
 
     def total_degree(self) -> int:
-        if not self.coeff:
-            return -1
-        return max(i + j for i, j in self.coeff)
+        return max((i + j for i, j in self._num), default=-1)
 
     def order(self) -> int:
         """Least total degree of a term; raises on the zero polynomial."""
-        if not self.coeff:
+        if not self._num:
             raise ValueError("zero polynomial has no order")
-        return min(i + j for i, j in self.coeff)
+        return min(i + j for i, j in self._num)
 
     def z1_order(self) -> int:
-        if not self.coeff:
+        if not self._num:
             raise ValueError("zero polynomial has no order")
-        return min(i for i, _ in self.coeff)
+        return min(i for i, _ in self._num)
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex largest term; raises on zero."""
-        if not self.coeff:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        return self.coeff[max(self.coeff, key=lambda e: (e[0] + e[1], e))]
+        return self[max(self._num, key=lambda e: (e[0] + e[1], e))]
 
     def linear_part(self) -> tuple[Fraction, Fraction]:
         """Coefficients of (z1, z2) in the degree-1 part."""
-        return (self.coeff.get((1, 0), Fraction(0)), self.coeff.get((0, 1), Fraction(0)))
+        return (self[(1, 0)], self[(0, 1)])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self.coeff == other.coeff
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self.coeff.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "Poly2":
         if isinstance(other, (int, Fraction)):
             other = Poly2.constant(other)
-        out = dict(self.coeff)
-        for e, c in other.coeff.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly2(out)
+        a, b = self._den, other._den
+        if a == b:
+            return Poly2._new(self._num + other._num, a)
+        m = lcm(a, b)
+        return Poly2._new(self._num.mul_ground(m // a) + other._num.mul_ground(m // b), m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2({e: -c for e, c in self.coeff.items()})
+        return Poly2._new(-self._num, self._den)
 
     def __sub__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.constant(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly2":
@@ -143,27 +172,18 @@ class Poly2:
     def __mul__(self, other) -> "Poly2":
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            return Poly2({e: c * v for e, v in self.coeff.items()})
-        out: dict = {}
-        for (i1, j1), c1 in self.coeff.items():
-            for (i2, j2), c2 in other.coeff.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly2(out)
+            return Poly2._new(self._num.mul_ground(c.numerator), self._den * c.denominator)
+        return Poly2._new(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly2":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly2.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return Poly2.constant(1)
+        # content(p**k) = content(p)**k, so lowest terms carry over
+        return Poly2._new(self._num**k, self._den**k)
 
     # -- substitution -----------------------------------------------------
 
@@ -184,22 +204,15 @@ class Poly2:
         im2)) is returned: the two share one table of the powers of im1 and
         im2 and their products, which is how a map is composed with another.
         """
-        x, dx = _to_zz2(im1)
-        y, dy = _to_zz2(im2)
+        dx, dy = im1._den, im2._den
         polys = [self] if partner is None else [self, partner]
         outers = [_to_zz2(p, dx, dy) for p in polys]
-        out = [_from_zz2(r, D) for r, (_, D) in
-               zip(_compose_ring([P for P, _ in outers], x, y), outers)]
+        out = [Poly2._new(r, D) for r, (_, D) in
+               zip(_compose_ring([P for P, _ in outers], im1._num, im2._num), outers)]
         return out[0] if partner is None else tuple(out)
 
     def derivative(self, index: int) -> "Poly2":
-        out = {}
-        for (i, j), c in self.coeff.items():
-            if index == 1 and i > 0:
-                out[(i - 1, j)] = c * i
-            elif index == 2 and j > 0:
-                out[(i, j - 1)] = c * j
-        return Poly2(out)
+        return Poly2._new(self._num.diff(_RING2.gens[index - 1]), self._den)
 
     def shear_z2(self, c) -> "Poly2":
         """Substitute z2 -> z2 + c*z1 (moves points between z2-levels)."""
@@ -227,37 +240,17 @@ class Poly2:
     # -- division and normalization ----------------------------------------
 
     def exact_div(self, b: "Poly2") -> "Poly2":
-        """Exact quotient self / b; raises NotDivisible if it does not divide."""
+        """Exact quotient self / b; raises NotDivisible if it does not divide.
+        With b = content * B / den for a primitive B, B divides the numerator
+        of self over ZZ exactly when b divides self over Q (Gauss)."""
         if b.is_zero():
             raise NotDivisible("division by the zero polynomial")
-        if self.is_zero():
-            return Poly2.zero()
-        # division by the minimal graded-lex term; sound because that term
-        # of a product is the product of minimal terms.  Every quotient term
-        # produced is then a term of the true quotient, whose total degree
-        # is deg(self) - deg(b); a term beyond that proves non-divisibility
-        # (without the bound the remainder can grow forever).
-        pe = min(b.coeff, key=lambda e: (e[0] + e[1], e))
-        pc = b.coeff[pe]
-        max_degree = self.total_degree() - b.total_degree()
-        quot: dict = {}
-        rem = dict(self.coeff)
-        while rem:
-            e = min(rem, key=lambda x: (x[0] + x[1], x))
-            c = rem.pop(e)
-            qe = (e[0] - pe[0], e[1] - pe[1])
-            if qe[0] < 0 or qe[1] < 0 or qe[0] + qe[1] > max_degree:
-                raise NotDivisible("polynomial does not divide exactly")
-            qc = c / pc
-            quot[qe] = qc
-            for be, bc in b.coeff.items():
-                if be == pe:
-                    continue
-                te = (qe[0] + be[0], qe[1] + be[1])
-                rem[te] = rem.get(te, Fraction(0)) - qc * bc
-                if rem[te] == 0:
-                    del rem[te]
-        return Poly2(quot)
+        content, B = b._num.primitive()
+        try:
+            q = self._num.exquo(B)
+        except ExactQuotientFailed:
+            raise NotDivisible("polynomial does not divide exactly") from None
+        return Poly2._new(q.mul_ground(b._den), self._den * content)
 
     def divides(self, other: "Poly2") -> bool:
         try:
@@ -271,17 +264,11 @@ class Poly2:
         leading coefficient positive.  Used to compare branch factors."""
         if self.is_zero():
             return self
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in self.coeff.values()))
-        num = gcd(*(abs(c.numerator) for c in self.coeff.values()))
-        scale = Fraction(den, num)
-        if self.leading_coefficient() < 0:
-            scale = -scale
-        return self * scale
+        p = Poly2._new(self._num.primitive()[1])
+        return -p if p.leading_coefficient() < 0 else p
 
     def __repr__(self):
-        if not self.coeff:
+        if not self._num:
             return "0"
         parts = []
         for (i, j), c in sorted(self.coeff.items(), key=lambda t: (t[0][0] + t[0][1], t[0])):
@@ -295,9 +282,6 @@ class Poly2:
 
 # -- the computer-algebra boundary (sympy, ring level) ------------------------
 
-_RING2 = ring("z1,z2", ZZ)[0]
-_RING1 = ring("t", QQ)[0]
-
 
 def _fraction(c) -> Fraction:
     return Fraction(c.numerator, c.denominator)
@@ -307,25 +291,17 @@ def _qq(c):
     return QQ(c.numerator, c.denominator)
 
 
-def _to_zz2(p: Poly2, dx: int = 1, dy: int = 1):
+def _to_zz2(p: Poly2, dx: int, dy: int):
     """(P, D): the ring element P = D * p(z1/dx, z2/dy) over ZZ and D > 0.
-
-    D = L * dx**I * dy**J, with L the lcm of the denominators of p and I,
-    J its degrees in z1 and z2, so the coefficient c of z1^i z2^j becomes
-    the integer c * L * dx**(I-i) * dy**(J-j).  With dx = dy = 1 this is
-    (L * p, L).
-    """
-    L = lcm(*(c.denominator for c in p.coeff.values()))
-    I = max((i for i, _ in p.coeff), default=0)
-    J = max((j for _, j in p.coeff), default=0)
-    P = _RING2.dtype({(i, j): c.numerator * (L // c.denominator)
-                      * dx**(I - i) * dy**(J - j) for (i, j), c in p.coeff.items()})
-    return P, L * dx**I * dy**J
-
-
-def _from_zz2(r, den: int = 1) -> Poly2:
-    """The Poly2 r / den, one rational per term."""
-    return Poly2({e: Fraction(c, den) for e, c in r.items()})
+    D = den * dx**I * dy**J, with I, J the degrees of p in z1 and z2, so the
+    numerator coefficient c of z1^i z2^j becomes c * dx**(I-i) * dy**(J-j)."""
+    if dx == dy == 1:
+        return p._num, p._den
+    I = max((i for i, _ in p._num), default=0)
+    J = max((j for _, j in p._num), default=0)
+    P = _RING2.dtype({(i, j): c * dx**(I - i) * dy**(J - j)
+                      for (i, j), c in p._num.items()})
+    return P, p._den * dx**I * dy**J
 
 
 def _from_ring1(r) -> "Poly1":
@@ -385,9 +361,9 @@ def iterate_pair(p1: Poly2, p2: Poly2, n: int) -> tuple[Poly2, Poly2]:
 def gcd2(a: Poly2, b: Poly2) -> Poly2:
     """Polynomial gcd over Q, normalized (zero when both inputs are zero).
 
-    The gcd of the integer forms L_a * a and L_b * b is a scalar multiple
-    of the gcd over Q, and normalized() picks the same multiple of both."""
-    return _from_zz2(_to_zz2(a)[0].gcd(_to_zz2(b)[0])).normalized()
+    The gcd of the integer numerators of a and b is a scalar multiple of
+    the gcd over Q, and normalized() picks the same multiple of both."""
+    return Poly2._new(a._num.gcd(b._num)).normalized()
 
 
 def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
@@ -397,8 +373,7 @@ def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
         return p.constant_term(), []
     # over ZZ the factors are primitive (Gauss), so normalized() only fixes
     # their sign; the constant is rebuilt from p below, not from the content
-    out = [(_from_zz2(f).normalized(), int(m))
-           for f, m in _to_zz2(p)[0].factor_list()[1]]
+    out = [(Poly2._new(f).normalized(), int(m)) for f, m in p._num.factor_list()[1]]
     # graded-lex is a monomial order, so leading coefficients multiply
     lead = Fraction(1)
     for f, m in out:
@@ -407,7 +382,7 @@ def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
 
 
 def _z1_degree(p: Poly2) -> int:
-    return max((i for i, _ in p.coeff), default=0)
+    return max((i for i, _ in p._num), default=0)
 
 
 def resultant_z1(f: Poly2, g: Poly2) -> "Poly1":
@@ -416,10 +391,9 @@ def resultant_z1(f: Poly2, g: Poly2) -> "Poly1":
     With f = F/a and g = G/b for integer F, G, the resultant is homogeneous
     of degree deg_z1 g in f and deg_z1 f in g, so Res(f, g) =
     Res(F, G) / (a**deg_z1 g * b**deg_z1 f)."""
-    F, a = _to_zz2(f)
-    G, b = _to_zz2(g)
-    den = a**_z1_degree(g) * b**_z1_degree(f)
-    return Poly1.from_coeff_map({k: Fraction(c, den) for (k,), c in F.resultant(G).items()})
+    den = f._den**_z1_degree(g) * g._den**_z1_degree(f)
+    return Poly1.from_coeff_map({k: Fraction(c, den)
+                                 for (k,), c in f._num.resultant(g._num).items()})
 
 
 def _to_ring1(p: "Poly1"):
@@ -457,9 +431,32 @@ def charpoly(M) -> "Poly1":
     return Poly1([_fraction(c) for c in reversed(coeffs)])
 
 
-def factor_integer(m: int) -> dict[int, int]:
-    """The prime factorization {prime: exponent} of an integer m >= 1."""
-    return {int(q): int(k) for q, k in factorint(m).items()}
+_TRIAL_BOUND = 2**16
+
+
+def square_part(m: int) -> tuple[int, int]:
+    """(s, f) with m = s*s*f and f squarefree, for an integer m >= 1.
+
+    sympy divides out the primes up to B = 2**16 (and spots perfect powers);
+    a factor r > B it leaves is never split.  r < B**3 has at most two prime
+    factors, so it is squarefree unless a perfect square; a larger r must be
+    a prime or the square of one, else PrecisionExhausted is raised."""
+    s = f = 1
+    for q, k in factorint(m, limit=_TRIAL_BOUND, use_rho=False, use_pm1=False,
+                          use_ecm=False).items():
+        q, k = int(q), int(k)
+        if q > _TRIAL_BOUND and not isprime(q):
+            root, square = integer_nthroot(q, 2)
+            if square and (q < _TRIAL_BOUND**3 or isprime(root)):
+                q, k = int(root), 2 * k
+            elif q >= _TRIAL_BOUND**3:
+                raise PrecisionExhausted(
+                    f"cannot decide whether {m} is squarefree: its factor {q} "
+                    f"has no prime factor up to {_TRIAL_BOUND} and is too large "
+                    "to certify without factoring")
+        s *= q ** (k // 2)
+        f *= q ** (k % 2)
+    return s, f
 
 
 class Poly1:

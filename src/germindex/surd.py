@@ -18,24 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FieldMismatch
-from .polys import factor_integer
+from .polys import square_part
 from .series import rat
-
-
-def square_part(m: int) -> tuple[int, int]:
-    """(s, f) with m = s*s*f and f squarefree, for an integer m >= 1, from
-    one prime factorization."""
-    s = f = 1
-    for prime, k in factor_integer(m).items():
-        s *= prime ** (k // 2)
-        f *= prime ** (k % 2)
-    return s, f
 
 
 @lru_cache(maxsize=128)
 def _is_squarefree(d: int) -> bool:
     # memoized: arithmetic results carry their operands' d, and each check
-    # factors d
+    # trial-divides d
     return square_part(d)[0] == 1
 
 

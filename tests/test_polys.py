@@ -144,6 +144,23 @@ def test_compose_keeps_fraction_coefficients_of_integral_results():
     assert all_fractions(out)
     assert (X - Y).compose(Y, Y) == Poly2.zero()
     assert Poly2.constant(Fraction(-7, 3)).compose(X, Y) == Poly2.constant(Fraction(-7, 3))
+    # one canonical form, however the polynomial was built: from a dict of
+    # unreduced fractions, a scalar multiple, a sum whose terms cancel and a
+    # composition with denominators in the images
+    ways = [
+        Poly2({(2, 0): Fraction(3, 6), (0, 1): Fraction(-4, 12), (1, 1): 0,
+               (0, 0): Fraction(10, 12)}),
+        (X**2 * 3 - Y * 2 + 5) * Fraction(1, 6),
+        (X**2 * Fraction(1, 2) + X * Y * Fraction(7, 5))
+        + (Fraction(5, 6) - Y * Fraction(1, 3) - X * Y * Fraction(7, 5)),
+        (X * 2 - Y + Fraction(5, 6)).compose(X**2 * Fraction(1, 4), Y * Fraction(1, 3)),
+    ]
+    expected = {(2, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (0, 0): Fraction(5, 6)}
+    for q in ways:
+        assert q == ways[0]
+        assert hash(q) == hash(ways[0])
+        assert dict(q.coeff) == expected
+        assert all_fractions(q)
 
 
 def test_compose_pinned_with_different_denominators():
@@ -204,10 +221,13 @@ def test_engine_and_oracle_iterates_agree(p1, p2):
 
 
 def test_only_polys_imports_sympy():
-    # polys is the one boundary to the computer-algebra system
-    importers = set()
+    # polys is the one boundary to the computer-algebra system, and the only
+    # module that knows Poly2 is a ring element over one denominator
+    importers, readers = set(), set()
     for path in sorted(Path(germindex.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den"):
+                readers.add(path.name)
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -217,6 +237,7 @@ def test_only_polys_imports_sympy():
             if any(n == "sympy" or n.startswith("sympy.") for n in names):
                 importers.add(path.name)
     assert importers == {"polys.py"}
+    assert readers == {"polys.py"}
 
 
 # -- ring-level boundary against the expression-level reference ---------------
@@ -359,11 +380,46 @@ def test_exact_div_terminates_when_not_divisible():
             (X * Y).exact_div(X * Y + X**3 + Y**3)
 
 
-@given(small_polys(), small_polys(), small_polys())
+@given(small_polys(), small_polys(), small_polys(), coefficients)
 @settings(max_examples=60, deadline=None)
-def test_divides_matches_remainder_of_expression_division(a, b, c):
-    with time_limit(5):
-        assert b.divides(a * b)
-        assert (a * b).exact_div(b) == a
-        _q, r = sp.div(to_expr(c), to_expr(b), Z1, Z2)
-        assert b.divides(c) == (r == 0)
+def test_divides_matches_remainder_of_expression_division(a, b, c, scale):
+    _q, r = sp.div(to_expr(c), to_expr(b), Z1, Z2)
+    # b has rational coefficients; 12 * b is an integer polynomial that is
+    # not primitive, since every denominator of b divides 6
+    for s in (1, scale, 12):
+        with time_limit(5):
+            assert (b * s).divides(a * b)
+            assert (a * b).exact_div(b * s) == a * (1 / Fraction(s))
+            assert (b * s).divides(c) == (r == 0)
+
+
+# -- arithmetic against the expression-level reference -----------------------
+
+
+def normalized_reference(expr):
+    # the primitive integer multiple with a positive graded-lex leading term
+    prim = sp.Poly(expr, Z1, Z2).clear_denoms(convert=True)[1].primitive()[1]
+    return from_expr((prim if prim.LC(order="grlex") > 0 else -prim).as_expr())
+
+
+@given(any_polys, any_polys, st.integers(0, 3), coefficients, coefficients)
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_matches_expression_arithmetic(p, q, k, a, b):
+    P, Q = to_expr(p), to_expr(q)
+    point = {Z1: sp.Rational(a.numerator, a.denominator),
+             Z2: sp.Rational(b.numerator, b.denominator)}
+    results = [
+        (p + q, P + Q),
+        (p - q, P - Q),
+        (p * q, sp.expand(P * Q)),
+        (p**k, sp.expand(P**k)),
+        (p.derivative(1), sp.diff(P, Z1)),
+        (p.derivative(2), sp.diff(P, Z2)),
+    ]
+    for out, ref in results:
+        assert out == from_expr(ref)
+        assert all_fractions(out)
+    value = sp.Rational(P.subs(point))
+    assert p.evaluate(a, b) == Fraction(int(value.p), int(value.q))
+    if not p.is_zero():
+        assert p.normalized() == normalized_reference(P)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from germindex import FieldMismatch, surd
+from germindex import FieldMismatch, GermIndexError, surd
 from germindex.surd import Surd
 
 
@@ -121,3 +121,20 @@ def test_square_of_a_large_prime_is_rejected():
     assert surd.square_part(3 * p * p) == (p, 3)
     with pytest.raises(ValueError):
         Surd.sqrt_term(3 * p * p)
+
+
+@pytest.mark.parametrize("p, q", [
+    (1000000000000037, 3000000000000037),                # two 16-digit primes
+    (100000000000000000039, 300000000000000000053),      # two 21-digit primes
+])
+def test_product_of_two_large_primes_is_decided_quickly(p, q):
+    # a full factorization of p*q took seconds and grows without bound; the
+    # square part is decided with bounded effort or refused as a domain error
+    start = time.perf_counter()
+    try:
+        x = Surd.sqrt_term(p * q)
+    except GermIndexError:
+        pass
+    else:
+        assert x * x == Surd.rational(p * q)
+    assert time.perf_counter() - start < 1
