@@ -1,16 +1,26 @@
 """Brute-force verification paths that avoid the truncated-series code.
 
 Everything here works on exact global polynomial data: fixed-point
-multiplicities via resultant elimination with a deterministic shear
-fallback, total affine fixed-point counts from resultant degrees, a
-positivity test for indices at points lying on fixed curves, and the
-determinant form of the torus Lefschetz number.
+multiplicities as the z2-order of one resultant, after deterministic
+shears that keep the leading coefficient of the first equation a unit at
+the point and leave the point alone on its z2-level (a gcd only when a
+common zero elsewhere on that level blocks a shear), total affine
+fixed-point counts from resultant degrees, a positivity test for indices
+at points lying on fixed curves, and the determinant form of the torus
+Lefschetz number.  Nothing is taken from the germ engine.
 """
 
 from __future__ import annotations
 
 from .errors import NonIsolated, ShearExhausted, UnsupportedSingularBranch
-from .polys import Poly2, factor_list2, gcd1, gcd2, iterate_pair, resultant_z1
+from .polys import (
+    Poly2,
+    factor_list2,
+    gcd2,
+    iterate_pair,
+    origin_alone_on_z2_zero,
+    resultant_z1,
+)
 from .series import rat
 from .surd import Surd
 
@@ -43,32 +53,41 @@ for _k in range(1, 25):
 def local_multiplicity(P: Poly2, Q: Poly2) -> int:
     """Intersection multiplicity of the curves P = 0 and Q = 0 at the origin.
 
-    A common factor that does not vanish at the origin is a unit of the
-    local ring and is divided out first; one that does vanish there makes
-    the multiplicity infinite and raises NonIsolated.  Deterministic shears
-    z2 -> z2 + c*z1 are then tried until P is z1-regular and the univariate
-    gcd along z2 = 0 certifies that the origin is the only common zero on
-    its level; the z2-order of the resultant is the local multiplicity.
+    Deterministic shears z2 -> z2 + c*z1 are tried until the z1-leading
+    coefficient of P does not vanish at z2 = 0 and the origin is the only
+    common zero of P and Q on that line; the z2-order of the resultant is
+    then the local multiplicity.  With the leading coefficient a unit at
+    the origin every root z1 = alpha(z2) of P stays finite, a root with
+    alpha(0) != 0 adds nothing (Q does not vanish there), and the roots
+    through the origin add up to the local multiplicity.  A common factor
+    of positive z1-degree would put a common zero on the line, so with the
+    line test passed the resultant is zero exactly when a common component
+    passes through the origin (NonIsolated); a common factor in z2 alone
+    divides the leading coefficient and leaves the order unchanged.
+
+    gcd2 is computed only when a line test first fails on a common zero
+    elsewhere on the line.  A common factor through the origin raises
+    NonIsolated; one that misses it is a unit of the local ring and is
+    divided out, and the tests are repeated on the divided pair.
     """
     if P.constant_term() != 0 or Q.constant_term() != 0:
         return 0
-    common = gcd2(P, Q)
-    if common.vanishes_at_origin():
+    if P.is_zero() or Q.is_zero():
         raise NonIsolated("a common component passes through the point")
-    if not common.is_constant():
-        P, Q = P.exact_div(common), Q.exact_div(common)
-    dP = P.total_degree()
+    divided = False
     for c in _SHEARS:
-        Pc = P.shear_z2(c)
-        Qc = Q.shear_z2(c)
-        if Pc[(dP, 0)] == 0:
-            continue
-        u1 = Pc.restrict_z2_zero()
-        u2 = Qc.restrict_z2_zero()
-        if u1.is_zero() or u2.is_zero():
-            continue
-        g = gcd1(u1, u2)
-        if sum(1 for co in g.coeff if co != 0) != 1:
+        Pc, Qc = P.shear_z2(c), Q.shear_z2(c)
+        alone = origin_alone_on_z2_zero(Pc, Qc)
+        if alone is False and not divided:
+            divided = True
+            common = gcd2(P, Q)
+            if common.vanishes_at_origin():
+                raise NonIsolated("a common component passes through the point")
+            if not common.is_constant():
+                P, Q = P.exact_div(common), Q.exact_div(common)
+                Pc, Qc = P.shear_z2(c), Q.shear_z2(c)
+                alone = origin_alone_on_z2_zero(Pc, Qc)
+        if not alone:
             continue
         res = resultant_z1(Pc, Qc)
         if res.is_zero():
@@ -91,9 +110,13 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
 def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:
     """Total number of affine solutions of f^n(z) = z with multiplicity.
 
-    With the sheared first equation z1-regular, every z2-level of the
-    resultant carries exactly the sum of the local multiplicities on it,
-    so the resultant degree is the global count.
+    With the sheared first equation z1-regular in total degree (its
+    z1^d coefficient, d its total degree, is nonzero), no solution escapes
+    to infinity on any z2-level, every level of the resultant carries
+    exactly the sum of the local multiplicities on it, and the resultant
+    degree is the global count.  Every factor of that equation then has a
+    constant z1-leading coefficient, so a common curve has positive
+    z1-degree and makes the resultant zero (NonIsolated).
     """
     P, Q = pmap.fixed_system(n)
     if P.is_zero() and Q.is_zero():
@@ -105,9 +128,6 @@ def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:
         raise NonIsolated("solution set contains a curve")
     if P.is_constant() or Q.is_constant():
         return 0
-    common = gcd2(P, Q)
-    if not common.is_constant():
-        raise NonIsolated("a curve of fixed points exists")
     dP = P.total_degree()
     for c in _SHEARS:
         Pc = P.shear_z2(c)
@@ -133,7 +153,7 @@ def fixed_index_positive(pmap: PolynomialMap, point, n: int = 1) -> bool:
     P, Q = pmap.fixed_system(n)
     G = gcd2(P, Q)
     if G.is_constant():
-        return fixed_multiplicity(pmap, point, n) > 0
+        return local_multiplicity(P.translate(a, b), Q.translate(a, b)) > 0
     h1 = P.exact_div(G)
     h2 = Q.exact_div(G)
     if h1.evaluate(a, b) == 0 and h2.evaluate(a, b) == 0:

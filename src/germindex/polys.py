@@ -8,14 +8,14 @@ univariate value type for resultants and characteristic polynomials.
 
 This module is the one boundary to the computer-algebra system.  Besides
 that arithmetic, the heavy steps (composition, and with it iterates, shears
-and translations; multivariate and univariate gcd, irreducible
-factorization over Q, resultants, real-root isolation, characteristic
-polynomials and the square part of an integer) are delegated to sympy at
-the ring level: a ring element, coefficient dict or matrix goes straight
-into sympy's sparse ring or domain matrix and back, without building
-symbolic expression trees.  Every bivariate call runs over ZZ on the
-integer numerator; the one denominator is divided out only where a
-coefficient is read as a Fraction.
+and translations; bivariate gcd, irreducible factorization over Q,
+resultants, the z2 = 0 level test of the elimination oracle (a univariate
+gcd), real-root isolation, characteristic polynomials and the square part
+of an integer) are delegated to sympy at the ring level: a ring element,
+coefficient dict or matrix goes straight into sympy's sparse ring or domain
+matrix and back, without building symbolic expression trees.  Every call
+on bivariate data runs over ZZ on the integer numerator; the one
+denominator is divided out only where a coefficient is read as a Fraction.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .series import TruncatedSeries1, TruncatedSeries2, rat, substitute
 
 _RING2 = ring("z1,z2", ZZ)[0]
 _RING1 = ring("t", QQ)[0]
+_RING1Z = ring("t", ZZ)[0]
 
 
 class Poly2:
@@ -84,7 +85,9 @@ class Poly2:
         return cls({tuple(e): rat(c) for e, c in terms.items()})
 
     def to_series(self, precision: int) -> TruncatedSeries2:
-        return TruncatedSeries2(dict(self.coeff), precision)
+        den = self._den
+        return TruncatedSeries2({e: Fraction(c, den) for e, c in self._num.items()
+                                 if e[0] + e[1] <= precision}, precision)
 
     # -- queries ----------------------------------------------------------
 
@@ -227,9 +230,6 @@ class Poly2:
         if a == 0 and b == 0:
             return self
         return self.compose(Poly2.variable(1) + a, Poly2.variable(2) + b)
-
-    def restrict_z2_zero(self) -> "Poly1":
-        return Poly1.from_coeff_map({i: c for (i, j), c in self.coeff.items() if j == 0})
 
     def eval_on_parametrization(self, x: TruncatedSeries1, y: TruncatedSeries1) -> TruncatedSeries1:
         """Substitute a univariate parametrization (x(t), y(t))."""
@@ -396,13 +396,23 @@ def resultant_z1(f: Poly2, g: Poly2) -> "Poly1":
                                  for (k,), c in f._num.resultant(g._num).items()})
 
 
+def origin_alone_on_z2_zero(p: Poly2, q: Poly2) -> bool | None:
+    """Is the origin the only common zero of p and q on the line z2 = 0?
+
+    Read over ZZ from the numerators of p(z1, 0) and q(z1, 0).  None when
+    the line is unusable for elimination: either restriction is zero, or
+    the z1-leading coefficient of p vanishes at z2 = 0 (p(z1, 0) has lower
+    degree than p in z1).  Otherwise True when the gcd of the restrictions
+    is a monomial, and False when they share a nonzero root."""
+    u1 = _RING1Z({(i,): c for (i, j), c in p._num.items() if j == 0})
+    u2 = _RING1Z({(i,): c for (i, j), c in q._num.items() if j == 0})
+    if not u1 or not u2 or u1.degree() < _z1_degree(p):
+        return None
+    return len(u1.gcd(u2)) == 1
+
+
 def _to_ring1(p: "Poly1"):
     return _RING1.from_dict({(k,): _qq(c) for k, c in enumerate(p.coeff) if c != 0})
-
-
-def gcd1(a: "Poly1", b: "Poly1") -> "Poly1":
-    """Monic gcd over Q (zero when both inputs are zero)."""
-    return _from_ring1(_to_ring1(a).gcd(_to_ring1(b)).monic())
 
 
 def factor_list1(p: "Poly1") -> tuple[Fraction, list[tuple["Poly1", int]]]:

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import germindex.oracle
 from germindex import NonIsolated, Poly2
 from germindex.oracle import (
     PolynomialMap,
     affine_fixed_count,
     fixed_index_positive,
     fixed_multiplicity,
+    local_multiplicity,
     torus_lefschetz_oracle,
 )
 from germindex.surd import Surd
@@ -44,7 +46,28 @@ def test_fixed_multiplicity_refuses_points_on_fixed_curves():
         fixed_multiplicity(remark43(), (0, 0), 1)
 
 
-def test_fixed_multiplicity_divides_out_a_common_unit():
+def count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of owner.name (a module's
+    function, or a class's method with self first)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_fixed_multiplicity_remark42_is_one_elimination(monkeypatch):
+    gcds = count_calls(monkeypatch, germindex.oracle, "gcd2")
+    resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
+    assert fixed_multiplicity(remark42(), (0, 0), 2) == 3
+    assert len(gcds) == 0 and len(resultants) == 1
+
+
+def test_fixed_multiplicity_divides_out_a_common_unit(monkeypatch):
     # at n = 2 the fixed-point system shares 3 + z1 + z2, a curve of
     # period-2 points that misses the origin and meets every shear line
     # through it
@@ -52,11 +75,55 @@ def test_fixed_multiplicity_divides_out_a_common_unit():
 
     p1, p2 = X * 3 + Y + X * Y + X**2, X
     assert local_index(iterate(MapGerm.from_polynomials(p1, p2), 2)).nu_A == 1
+    gcds = count_calls(monkeypatch, germindex.oracle, "gcd2")
     assert fixed_multiplicity(PolynomialMap(p1, p2), (0, 0), 2) == 1
+    assert len(gcds) == 1
 
 
-def test_affine_fixed_count_remark42():
+def test_local_multiplicity_retests_the_line_after_dividing_out_a_unit(monkeypatch):
+    # both share 1 + z1, which misses the origin; once it is divided out,
+    # (1, 0) is still a common zero on the line z2 = 0, so c = 0 must be
+    # refused again or the resultant's order would count it
+    P1, Q1 = Y + X * (X - 1), X * (X - 1) + Y * 2
+    unit = ONE + X
+    gcds = count_calls(monkeypatch, germindex.oracle, "gcd2")
+    assert local_multiplicity(P1 * unit, Q1 * unit) == 1
+    assert len(gcds) == 1
+
+
+# P's z1^d coefficient (d its total degree) is 0, but its z1-leading
+# coefficient 1 + z2 is a unit at the origin, so no shear is needed
+UNSHEARED_SYSTEMS = [
+    # (z1^2 (1 + z2), z2^2) is (z1^2, z2^2) locally
+    (X**2 * (ONE + Y) - Y**2, X**2 * (ONE + Y) + Y**2, 4),
+    # z2 = z1^3 turns P into z1^2 (1 - z1 + z1^3)
+    (X**2 * (ONE + Y) - Y, Y - X**3, 2),
+    # as above with the factor z1 - 1, whose root (1, 0) Q misses
+    (X**2 * (X - 1) * (ONE + Y) + Y, Y - X**3, 2),
+    # z2 = -z1^2 turns P into -z1^4
+    (X**2 + X**2 * Y + Y, Y + X**2, 4),
+]
+
+
+@pytest.mark.parametrize("P, Q, want", UNSHEARED_SYSTEMS)
+def test_local_multiplicity_takes_no_shear_at_a_unit_leading_coefficient(
+        monkeypatch, P, Q, want):
+    shears = count_calls(monkeypatch, Poly2, "shear_z2")
+    assert P[(P.total_degree(), 0)] == 0
+    assert local_multiplicity(P, Q) == want
+    assert [c for _, c in shears] == [0, 0]
+
+
+def test_local_multiplicity_of_a_zero_equation_is_not_isolated():
+    for P, Q in ((X * Y, Poly2.zero()), (Poly2.zero(), Y + X**2)):
+        with pytest.raises(NonIsolated):
+            local_multiplicity(P, Q)
+
+
+def test_affine_fixed_count_remark42(monkeypatch):
+    gcds = count_calls(monkeypatch, germindex.oracle, "gcd2")
     assert affine_fixed_count(remark42(), 1) == 2
+    assert len(gcds) == 0
 
 
 def test_affine_fixed_count_product_structure():
@@ -86,6 +153,12 @@ def test_positivity_matches_multiplicity_at_isolated_points():
     m = remark42()
     assert fixed_index_positive(m, (0, 0), 1)
     assert not fixed_index_positive(m, (1, 1), 1)
+
+
+def test_positivity_at_an_isolated_point_iterates_once(monkeypatch):
+    iterates = count_calls(monkeypatch, germindex.oracle, "iterate_pair")
+    assert fixed_index_positive(remark42(), (0, 0), 2)
+    assert len(iterates) == 1
 
 
 def test_torus_oracle_fixture_values():

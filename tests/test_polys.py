@@ -20,7 +20,8 @@ import germindex
 from germindex import (MapGerm, NotDivisible, Poly1, Poly2, factor_list2, gcd2, iterate,
                        resultant_z1)
 from germindex.oracle import PolynomialMap
-from germindex.polys import charpoly, factor_list1, gcd1, real_root_intervals1
+from germindex.polys import (charpoly, factor_list1, origin_alone_on_z2_zero,
+                             real_root_intervals1)
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -320,19 +321,39 @@ def test_factor_list1_matches_expression_factor_list(coeffs):
     assert factors == [(from_expr1(f), m) for f, m in ref]
 
 
-@given(univariate_coeffs, univariate_coeffs, univariate_coeffs)
-@settings(max_examples=40, deadline=None)
-def test_gcd1_matches_expression_gcd(a, b, c):
-    a, b, c = (to_expr1(Poly1(x)) for x in (a, b, c))
-    a, b = sp.expand(a * c), sp.expand(b * c)
-    ref = sp.Poly(a, T, domain="QQ").gcd(sp.Poly(b, T, domain="QQ"))
-    got = gcd1(from_expr1(a), from_expr1(b))
-    assert got == (from_expr1(ref.monic().as_expr()) if not ref.is_zero else Poly1([]))
+@given(small_polys(), small_polys(), small_polys(max_degree=1, max_terms=2))
+@settings(max_examples=60, deadline=None)
+def test_origin_alone_on_z2_zero_matches_expression_gcd(p, q, c):
+    # a common factor c often puts a common root on the line z2 = 0
+    p, q = p * c, q * c
+    u1, u2 = (sp.Poly(to_expr(f).subs(Z2, 0), Z1, domain="QQ") for f in (p, q))
+    deg_z1 = max(i for i, _ in p.coeff)
+    if u1.is_zero or u2.is_zero or u1.degree() < deg_z1:
+        assert origin_alone_on_z2_zero(p, q) is None
+    else:
+        assert origin_alone_on_z2_zero(p, q) == (len(u1.gcd(u2).terms()) == 1)
 
 
-def test_gcd1_is_monic_on_zero_input():
-    assert gcd1(Poly1([]), Poly1([0, 3])) == Poly1([0, 1])
-    assert gcd1(Poly1([]), Poly1([])) == Poly1([])
+def test_origin_alone_on_z2_zero_pinned():
+    # gcd z1 on the line: the origin is alone
+    assert origin_alone_on_z2_zero(Y + X**2, X * (X - 1) + Y) is True
+    # both restrictions are z1 (z1 - 1): (1, 0) is a second common zero
+    assert origin_alone_on_z2_zero(X * (X - 1), X * (X - 1) + Y) is False
+    # z1-leading coefficient z2 vanishes on the line
+    assert origin_alone_on_z2_zero(X**2 * Y + X, X) is None
+    # a restriction is zero
+    assert origin_alone_on_z2_zero(X, Y) is None
+    assert origin_alone_on_z2_zero(Y, X) is None
+
+
+@given(any_polys, st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_to_series_truncates_the_coefficients(p, precision):
+    want = {e: c for e, c in p.coeff.items() if e[0] + e[1] <= precision}
+    fresh = p * 1
+    got = fresh.to_series(precision)
+    assert got.coeff == want and got.precision == precision
+    assert fresh._coeff is None  # the Fraction view is left unbuilt
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(

@@ -5,8 +5,14 @@ curve factor, negative controls."""
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from germindex import (
     MapGerm,
+    NonIsolated,
+    NotCoprime,
     Poly2,
     decompose,
     delta,
@@ -14,7 +20,14 @@ from germindex import (
     iterate,
     local_index,
 )
-from germindex.germs import TYPE_II, branches, classify_branch, membership_to_degree
+from germindex.germs import (
+    TYPE_II,
+    GermDecomposition,
+    branches,
+    classify_branch,
+    membership_to_degree,
+)
+from germindex.oracle import local_multiplicity
 
 from germ_samples import (
     automorphism_pair,
@@ -141,6 +154,42 @@ def test_decomposition_reproduces_differences_on_samples():
         d1, d2 = germ.differences()
         assert dec.g * dec.h1 == d1
         assert dec.g * dec.h2 == d2
+
+
+# polynomials through the origin of degree <= 3
+origin_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: 0 < sum(e) <= 3),
+    st.integers(-2, 2).filter(bool), min_size=1, max_size=3).map(Poly2.from_terms)
+
+
+@st.composite
+def elimination_systems(draw):
+    """A pair (P, Q), as drawn or times a common factor that is a unit at
+    the origin or passes through it."""
+    P, Q = draw(origin_polys), draw(origin_polys)
+    common = draw(st.sampled_from((None, "unit", "origin")))
+    if common is not None:
+        F = draw(origin_polys)
+        if common == "unit":
+            F = F + draw(st.sampled_from((1, -1, 2)))
+        P, Q = P * F, Q * F
+    return P, Q
+
+
+@given(elimination_systems())
+@settings(max_examples=80, deadline=None)
+def test_local_multiplicity_matches_delta(system):
+    """The elimination oracle and truncated linear algebra agree on every
+    pair, and find a common component through the origin together."""
+    P, Q = system
+    dec = GermDecomposition(g=Poly2.constant(1), h1=P, h2=Q, precision=8)
+    try:
+        want = delta(dec)
+    except NotCoprime:
+        with pytest.raises(NonIsolated):
+            local_multiplicity(P, Q)
+    else:
+        assert local_multiplicity(P, Q) == want
 
 
 def test_three_way_index_agreement_at_isolated_points():
