@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     IdentityGerm,
@@ -65,11 +66,12 @@ class MapGerm:
     extraction, iteration and the elimination oracle stay exact.  An
     iterate keeps the germ it iterates as `base`; `decompose` stores the
     germ's curve data (g and its origin factors) so that each germ object
-    computes it at most once.
+    computes it at most once.  A polynomial germ holds the chain of its
+    exact iterates [f, f^2, ...] that `iterate` has composed so far.
     """
 
     __slots__ = ("image1", "image2", "poly1", "poly2", "source_point_label",
-                 "base", "_curve")
+                 "base", "_curve", "_iterates")
 
     def __init__(self, image1: TruncatedSeries2, image2: TruncatedSeries2,
                  poly1: Poly2 | None = None, poly2: Poly2 | None = None,
@@ -85,6 +87,7 @@ class MapGerm:
         self.source_point_label = source_point_label
         self.base: MapGerm | None = None
         self._curve: tuple[Poly2, list[tuple[Poly2, int]]] | None = None
+        self._iterates = [(poly1, poly2)] if poly1 is not None else None
 
     @classmethod
     def from_polynomials(cls, p1: Poly2, p2: Poly2,
@@ -161,11 +164,15 @@ class GermDecomposition:
         return isinstance(self.h1, Poly2)
 
     def h_series(self, precision=None):
+        return self.cofactor_series(1, precision), self.cofactor_series(2, precision)
+
+    def cofactor_series(self, index: int, precision=None) -> TruncatedSeries2:
+        """h1 (index 1) or h2 (index 2) as a series truncated at precision."""
         n = precision if precision is not None else self.precision
-        if self.polynomial_cofactors:
-            return self.h1.to_series(n), self.h2.to_series(n)
-        return self.h1.truncate(min(n, self.h1.precision)), \
-            self.h2.truncate(min(n, self.h2.precision))
+        h = self.h1 if index == 1 else self.h2
+        if isinstance(h, Poly2):
+            return h.to_series(n)
+        return h.truncate(min(n, h.precision))
 
 
 @dataclass
@@ -448,8 +455,13 @@ def _implicit_series_over_z1(p: Poly2, precision: int) -> TruncatedSeries1:
     return phi
 
 
+@lru_cache(maxsize=256)
 def branch_parametrization(p: Poly2, precision: int):
-    """Smooth parametrization of an origin branch: (t, phi) or (psi, t)."""
+    """Smooth parametrization of an origin branch: (t, phi) or (psi, t).
+
+    The iterates of a germ share its factors (type II stability), so the
+    latest results are kept and each iterate reuses its base's series; a
+    series is never modified in place, so sharing it is safe."""
     c10, c01 = p.linear_part()
     t = TruncatedSeries1.variable(precision)
     if c01 != 0:
@@ -557,9 +569,9 @@ def classify_branch(dec: GermDecomposition, branch: BranchRecord) -> BranchRecor
         if not is_two:
             return _tau_restriction(dec, (x, y), prec)
         if branch.param_form == "over_z2":
-            h, sign = dec.h_series(prec)[1], 1
+            h, sign = dec.cofactor_series(2, prec), 1
         elif branch.param_form == "over_z1":
-            h, sign = dec.h_series(prec)[0], -1
+            h, sign = dec.cofactor_series(1, prec), -1
         else:
             raise UnsupportedSingularBranch(
                 "mu extraction for a user-parametrized type II branch needs the "
@@ -616,14 +628,15 @@ def local_index(germ: MapGerm) -> IndexReport:
 
 
 def iterate(germ: MapGerm, n: int) -> MapGerm:
-    """n-fold self-composition.  Polynomial germs compose exactly.  For
-    n >= 2 the result keeps germ as its base, for decompose."""
+    """n-fold self-composition.  Polynomial germs compose exactly, each new
+    n by one composition onto the germ's chain of iterates.  For n >= 2 the
+    result keeps germ as its base, for decompose."""
     if n < 1:
         raise ValueError("iterate needs n >= 1")
     if n == 1:
         return germ
     if germ.is_polynomial:
-        p1, p2 = iterate_pair(germ.poly1, germ.poly2, n)
+        p1, p2 = iterate_pair(germ.poly1, germ.poly2, n, germ._iterates)
         out = MapGerm.from_polynomials(p1, p2, germ.precision,
                                        germ.source_point_label)
     else:

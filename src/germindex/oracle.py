@@ -26,16 +26,19 @@ from .surd import Surd
 
 
 class PolynomialMap:
-    """A global polynomial self-map of the affine plane."""
+    """A global polynomial self-map of the affine plane.  It holds the chain
+    of its exact iterates [f, f^2, ...] composed so far, so each new n
+    costs one composition."""
 
-    __slots__ = ("p1", "p2")
+    __slots__ = ("p1", "p2", "_iterates")
 
     def __init__(self, p1: Poly2, p2: Poly2):
         self.p1 = p1
         self.p2 = p2
+        self._iterates = [(p1, p2)]
 
     def iterate(self, n: int) -> "PolynomialMap":
-        return PolynomialMap(*iterate_pair(self.p1, self.p2, n))
+        return PolynomialMap(*iterate_pair(self.p1, self.p2, n, self._iterates))
 
     def fixed_system(self, n: int = 1) -> tuple[Poly2, Poly2]:
         fn = self.iterate(n)
@@ -48,6 +51,11 @@ class PolynomialMap:
 _SHEARS = [0]
 for _k in range(1, 25):
     _SHEARS += [_k, -_k]
+
+
+def _shear(p: Poly2, c: int) -> Poly2:
+    """p with z2 -> z2 + c*z1; the unsheared p itself at c = 0."""
+    return p.shear_z2(c) if c else p
 
 
 def local_multiplicity(P: Poly2, Q: Poly2) -> int:
@@ -76,7 +84,7 @@ def local_multiplicity(P: Poly2, Q: Poly2) -> int:
         raise NonIsolated("a common component passes through the point")
     divided = False
     for c in _SHEARS:
-        Pc, Qc = P.shear_z2(c), Q.shear_z2(c)
+        Pc, Qc = _shear(P, c), _shear(Q, c)
         alone = origin_alone_on_z2_zero(Pc, Qc)
         if alone is False and not divided:
             divided = True
@@ -85,7 +93,7 @@ def local_multiplicity(P: Poly2, Q: Poly2) -> int:
                 raise NonIsolated("a common component passes through the point")
             if not common.is_constant():
                 P, Q = P.exact_div(common), Q.exact_div(common)
-                Pc, Qc = P.shear_z2(c), Q.shear_z2(c)
+                Pc, Qc = _shear(P, c), _shear(Q, c)
                 alone = origin_alone_on_z2_zero(Pc, Qc)
         if not alone:
             continue
@@ -130,10 +138,10 @@ def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:
         return 0
     dP = P.total_degree()
     for c in _SHEARS:
-        Pc = P.shear_z2(c)
+        Pc = _shear(P, c)
         if Pc[(dP, 0)] == 0:
             continue
-        res = resultant_z1(Pc, Q.shear_z2(c))
+        res = resultant_z1(Pc, _shear(Q, c))
         if res.is_zero():
             raise NonIsolated("system has a common component")
         return res.degree()

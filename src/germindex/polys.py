@@ -2,8 +2,9 @@
 
 Poly2 is the workhorse for germ decomposition and the elimination oracle:
 an element of sympy's sparse ring Z[z1, z2] over one positive integer
-denominator, in lowest terms.  Its arithmetic (sums, products, powers,
-derivatives and exact division) is the ring's.  Poly1 is a dense
+denominator, in lowest terms.  Its arithmetic (sums, products, powers and
+derivatives) is the ring's; exact division is one lex-ordered pass of its
+own over the ring's integer coefficients (`_exquo_zz`).  Poly1 is a dense
 univariate value type for resultants and characteristic polynomials.
 
 This module is the one boundary to the computer-algebra system.  Besides
@@ -21,13 +22,13 @@ denominator is divided out only where a coefficient is read as a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
 
 from sympy import factorint, integer_nthroot, isprime
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 from .errors import NotDivisible, PrecisionExhausted
@@ -246,10 +247,7 @@ class Poly2:
         if b.is_zero():
             raise NotDivisible("division by the zero polynomial")
         content, B = b._num.primitive()
-        try:
-            q = self._num.exquo(B)
-        except ExactQuotientFailed:
-            raise NotDivisible("polynomial does not divide exactly") from None
+        q = _RING2.dtype(_exquo_zz(self._num, B))
         return Poly2._new(q.mul_ground(b._den), self._den * content)
 
     def divides(self, other: "Poly2") -> bool:
@@ -347,15 +345,67 @@ def _compose_ring(outers: list, x, y) -> list:
     return out
 
 
-def iterate_pair(p1: Poly2, p2: Poly2, n: int) -> tuple[Poly2, Poly2]:
-    """Components of the n-fold iterate of the map (p1, p2), n >= 1: each
-    step substitutes the previous iterate into both components at once."""
+def _exquo_zz(r, b) -> dict:
+    """{monomial: coefficient} of r / b for ring elements over ZZ, with b
+    primitive and nonzero, in one pass in lex order (z1 before z2).
+
+    A max-heap holds the monomials of the remainder r - q*b, and each step
+    cancels its largest term with the leading term of b.  If r = q*b, that
+    term's monomial is a multiple of b's leading monomial, its coefficient a
+    multiple of b's leading coefficient (the quotient of a primitive b is
+    integral, by Gauss's lemma), and the quotient term has z2-degree at most
+    deg_z2 r - deg_z2 b; the first step that breaks one of these raises
+    NotDivisible.  A monomial (i, j) is packed as i*S + j with S > deg_z2 r,
+    which keeps lex order and turns a product of monomials into a sum."""
+    if not r:
+        return {}
+    S = max(j for _, j in r) + 1
+    (li, lj), lc = max(b.items())
+    top = lj + S - 1 - max(j for _, j in b)  # largest j of a leading monomial
+    lead = li * S + lj
+    tail = [(i * S + j, c) for (i, j), c in b.items() if (i, j) != (li, lj)]
+    rem = {i * S + j: c for (i, j), c in r.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
+    q = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        i, j = divmod(k, S)
+        d, m = divmod(c, lc)
+        if m or i < li or not lj <= j <= top:
+            raise NotDivisible("polynomial does not divide exactly")
+        k -= lead
+        q[divmod(k, S)] = d
+        for e, bc in tail:
+            e += k
+            old = rem.get(e)
+            if old is None:
+                rem[e] = -d * bc
+                heappush(heap, -e)
+            else:
+                rem[e] = old - d * bc
+    return q
+
+
+def iterate_pair(p1: Poly2, p2: Poly2, n: int,
+                 chain: list | None = None) -> tuple[Poly2, Poly2]:
+    """Components of the n-fold iterate of the map f = (p1, p2), n >= 1:
+    each step substitutes the previous iterate into both components at
+    once, f^k = f o f^(k-1).
+
+    chain, when given, is the caller's list [f^1, ..., f^k] of the iterates
+    of f computed so far (k >= 1, f^1 = (p1, p2)).  It is extended in place
+    up to f^n, so each n beyond k costs one composition and n <= k none."""
     if n < 1:
         raise ValueError("iterate needs n >= 1")
-    q1, q2 = p1, p2
-    for _ in range(n - 1):
-        q1, q2 = p1.compose(q1, q2, partner=p2)
-    return q1, q2
+    if chain is None:
+        chain = [(p1, p2)]
+    while len(chain) < n:
+        chain.append(p1.compose(*chain[-1], partner=p2))
+    return chain[n - 1]
 
 
 def gcd2(a: Poly2, b: Poly2) -> Poly2:

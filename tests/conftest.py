@@ -1,6 +1,8 @@
-"""Shared model builders for the surface-level tests."""
+"""The hypothesis profile of the suite and shared model builders for the
+surface-level tests."""
 
 import pytest
+from hypothesis import settings
 
 from germindex import MapGerm, Poly2
 from germindex.surd import Surd
@@ -12,6 +14,11 @@ from germindex.surface import (
     FixedPointRecord,
     SurfaceModel,
 )
+
+# no property test has a per-example deadline: examples are timed on shared
+# machines whose speed drifts; each test sets its own max_examples
+settings.register_profile("germindex", deadline=None)
+settings.load_profile("germindex")
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)

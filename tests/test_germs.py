@@ -454,3 +454,65 @@ def test_decompose_computes_the_curve_data_once_per_germ(monkeypatch):
     first, second = decompose(f), decompose(f)
     assert calls == [1]
     assert (first.g, first.h1, first.h2) == (second.g, second.h1, second.h2)
+
+
+# -- one chain of iterates per germ, reused parametrizations -----------------
+
+
+def count_method_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_iterates_in_any_order_match_iterating_from_scratch():
+    from germindex.polys import iterate_pair
+
+    type_two = germ(X + X * X, Y + X * (ONE + Y))
+    for f in (remark42_map(), type_two):
+        for n in (4, 2, 5, 1, 3):
+            it = iterate(f, n)
+            assert (it.poly1, it.poly2) == iterate_pair(f.poly1, f.poly2, n)
+
+
+def test_each_new_iterate_costs_one_composition(monkeypatch):
+    f = remark42_map()
+    iterate(f, 3)
+    composes = count_method_calls(monkeypatch, Poly2, "compose")
+    assert iterate(f, 3).poly1 == iterate(f, 3).poly1
+    assert composes == []
+    iterate(f, 4)
+    assert len(composes) == 1
+
+
+def test_iterates_reuse_the_branch_parametrizations(monkeypatch):
+    import germindex.germs as germs
+
+    germs.branch_parametrization.cache_clear()
+    series = count_method_calls(monkeypatch, germs, "_implicit_series_over_z1")
+    # g = z1 z2 on every iterate: a type II branch z1 = 0, parametrized
+    # over z2, and a type I branch z2 = 0, parametrized over z1
+    f = germ(X, Y + X * Y * 2)
+    for n in (1, 2, 3, 4):
+        rep = local_index(iterate(f, n))
+        assert sorted(b.branch_type for b in rep.branches) == [TYPE_I, TYPE_II]
+    assert len(series) == 2
+
+
+@pytest.mark.parametrize("f, form", [
+    (germ(X + X * X, Y + X * (ONE + Y)), "over_z2"),  # a = h2 on z1 = 0
+    (germ(X + Y * (ONE + X), Y + Y * Y), "over_z1"),  # a = -h1 on z2 = 0
+])
+def test_type_two_mu_converts_one_cofactor(monkeypatch, f, form):
+    dec = decompose(f)
+    (branch,) = branches(dec)
+    conversions = count_method_calls(monkeypatch, Poly2, "to_series")
+    record = classify_branch(dec, branch)
+    assert (record.param_form, record.branch_type, record.mu_p) == (form, TYPE_II, 0)
+    assert len(conversions) == 1

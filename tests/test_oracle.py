@@ -52,9 +52,9 @@ def count_calls(monkeypatch, owner, name) -> list:
     calls = []
     original = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -111,7 +111,8 @@ def test_local_multiplicity_takes_no_shear_at_a_unit_leading_coefficient(
     shears = count_calls(monkeypatch, Poly2, "shear_z2")
     assert P[(P.total_degree(), 0)] == 0
     assert local_multiplicity(P, Q) == want
-    assert [c for _, c in shears] == [0, 0]
+    # the pair is eliminated as given: shear_z2 is called only for c != 0
+    assert shears == []
 
 
 def test_local_multiplicity_of_a_zero_equation_is_not_isolated():
@@ -159,6 +160,17 @@ def test_positivity_at_an_isolated_point_iterates_once(monkeypatch):
     iterates = count_calls(monkeypatch, germindex.oracle, "iterate_pair")
     assert fixed_index_positive(remark42(), (0, 0), 2)
     assert len(iterates) == 1
+
+
+def test_polynomial_map_iterates_extend_one_chain(monkeypatch):
+    m = remark42()  # (p1, z1), so the z2-image of f^n is the z1-image of f^(n-1)
+    f3 = m.iterate(3)
+    composes = count_calls(monkeypatch, Poly2, "compose")
+    assert m.iterate(3).p2 == m.iterate(2).p1
+    assert (m.iterate(3).p1, m.iterate(3).p2) == (f3.p1, f3.p2)
+    assert composes == []
+    assert m.iterate(4).p2 == f3.p1
+    assert len(composes) == 1
 
 
 def test_torus_oracle_fixture_values():

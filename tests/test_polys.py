@@ -107,7 +107,7 @@ any_polys = st.one_of(
 
 
 @given(any_polys, any_polys, any_polys, any_polys)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_compose_matches_expression_substitution(p, q, im1, im2):
     out = p.compose(im1, im2)
     assert out == compose_reference(p, im1, im2)
@@ -119,7 +119,7 @@ def test_compose_matches_expression_substitution(p, q, im1, im2):
 
 
 @given(any_polys, st.fractions(min_value=-3, max_value=3, max_denominator=4))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_shear_matches_expression_substitution(p, c):
     out = p.shear_z2(c)
     assert out == from_expr(sp.expand(to_expr(p).subs(
@@ -129,7 +129,7 @@ def test_shear_matches_expression_substitution(p, c):
 
 @given(any_polys, st.fractions(min_value=-3, max_value=3, max_denominator=4),
        st.fractions(min_value=-3, max_value=3, max_denominator=4))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_translate_matches_expression_substitution(p, a, b):
     out = p.translate(a, b)
     assert out == compose_reference(p, X + a, Y + b)
@@ -245,14 +245,14 @@ def test_only_polys_imports_sympy():
 
 
 @given(small_polys(), small_polys(), small_polys())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_gcd2_matches_expression_gcd(a, b, c):
     a, b = a * c, b * c
     assert gcd2(a, b) == from_expr(sp.gcd(to_expr(a), to_expr(b))).normalized()
 
 
 @given(small_polys(), small_polys())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_factor_list2_matches_expression_factor_list(a, b):
     p = nonconstant(a) * nonconstant(b) ** 2
     _const, factors = factor_list2(p)
@@ -261,7 +261,7 @@ def test_factor_list2_matches_expression_factor_list(a, b):
 
 
 @given(small_polys(), small_polys())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_resultant_z1_matches_expression_resultant(f, g):
     f, g = nonconstant(f), nonconstant(g)
     ref = sp.resultant(sp.Poly(to_expr(f), Z1, Z2), sp.Poly(to_expr(g), Z1, Z2), Z1)
@@ -292,7 +292,7 @@ def test_cas_calls_on_zero_and_constants():
 
 @given(st.lists(st.tuples(small_polys(), st.integers(1, 3)), min_size=1, max_size=3),
        coefficients)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_factor_list2_rebuilds_the_polynomial(parts, content):
     p = Poly2.constant(content)
     for q, m in parts:
@@ -307,7 +307,7 @@ univariate_coeffs = st.lists(st.fractions(min_value=-4, max_value=4, max_denomin
 
 
 @given(univariate_coeffs)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_factor_list1_matches_expression_factor_list(coeffs):
     p = Poly1(coeffs)
     if p.degree() < 1:
@@ -322,7 +322,7 @@ def test_factor_list1_matches_expression_factor_list(coeffs):
 
 
 @given(small_polys(), small_polys(), small_polys(max_degree=1, max_terms=2))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_origin_alone_on_z2_zero_matches_expression_gcd(p, q, c):
     # a common factor c often puts a common root on the line z2 = 0
     p, q = p * c, q * c
@@ -347,7 +347,7 @@ def test_origin_alone_on_z2_zero_pinned():
 
 
 @given(any_polys, st.integers(0, 4))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_to_series_truncates_the_coefficients(p, precision):
     want = {e: c for e, c in p.coeff.items() if e[0] + e[1] <= precision}
     fresh = p * 1
@@ -358,13 +358,13 @@ def test_to_series_truncates_the_coefficients(p, precision):
 
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_charpoly_matches_matrix_charpoly(M):
     assert charpoly(M) == from_expr1(sp.Matrix(M).charpoly(T).as_expr())
 
 
 @given(univariate_coeffs)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_real_root_intervals1_isolate_the_real_roots(coeffs):
     p = Poly1(coeffs)
     if p.degree() < 1:
@@ -401,8 +401,63 @@ def test_exact_div_terminates_when_not_divisible():
             (X * Y).exact_div(X * Y + X**3 + Y**3)
 
 
+@st.composite
+def divisors(draw):
+    """Monomials, binomials and trinomials; the coefficients take either
+    sign, and so does the lex-leading one."""
+    size = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients,
+        min_size=size, max_size=size))
+    return Poly2(terms)
+
+
+@given(small_polys(max_degree=3, max_terms=5), divisors(), small_polys())
+@settings(max_examples=80)
+def test_exact_div_inverts_multiplication(a, b, c):
+    assert (a * b).exact_div(b) == a
+    for d in (c, a * b + c):
+        _q, r = sp.div(to_expr(d), to_expr(b), Z1, Z2)
+        assert b.divides(d) == (r == 0)
+
+
+@pytest.mark.parametrize("a, b", [
+    (X * Y - 1, Y**2 * 2 - Y + 1),  # lex-leading term of b free of z1
+    (X**3 - Y, -Y**3),  # a negative monomial divisor
+    (X * Fraction(1, 2) + Y, Y * 6 - X * 4),  # b with content 2
+])
+def test_exact_div_pinned(a, b):
+    assert (a * b).exact_div(b) == a
+    assert Poly2.zero().exact_div(b) == Poly2.zero()
+
+
+@pytest.mark.parametrize("a, b", [
+    (X + Y, X * Y + 1),  # the quotient term X / (X*Y) needs z2^-1
+    (Y**2, X + Y),  # the quotient term Y^2 / X needs z1^-1
+    (X, X - Y),  # a quotient term of z2-degree 0 > deg_z2 a - deg_z2 b
+    (X * 2 + 1, X * 3 + 1),  # 3 does not divide 2: a coefficient remainder
+    (X * Y * 2 + X + Y, X * 2 + 1),  # after Y * b, 2 does not divide the X left
+])
+def test_exact_div_refuses_pinned(a, b):
+    with time_limit(5):
+        assert not b.divides(a)
+        with pytest.raises(NotDivisible):
+            a.exact_div(b)
+
+
+def test_exact_div_does_not_use_the_ring_division(monkeypatch):
+    from sympy.polys.rings import PolyElement
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_div reached PolyElement.div")
+
+    monkeypatch.setattr(PolyElement, "div", refuse)
+    assert ((X + Y) * (X - Y * 2)).exact_div(X - Y * 2) == X + Y
+    assert not (X * Y + 1).divides(X + Y)
+
+
 @given(small_polys(), small_polys(), small_polys(), coefficients)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_divides_matches_remainder_of_expression_division(a, b, c, scale):
     _q, r = sp.div(to_expr(c), to_expr(b), Z1, Z2)
     # b has rational coefficients; 12 * b is an integer polynomial that is
@@ -424,7 +479,7 @@ def normalized_reference(expr):
 
 
 @given(any_polys, any_polys, st.integers(0, 3), coefficients, coefficients)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_arithmetic_matches_expression_arithmetic(p, q, k, a, b):
     P, Q = to_expr(p), to_expr(q)
     point = {Z1: sp.Rational(a.numerator, a.denominator),

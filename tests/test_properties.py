@@ -177,7 +177,7 @@ def elimination_systems(draw):
 
 
 @given(elimination_systems())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_local_multiplicity_matches_delta(system):
     """The elimination oracle and truncated linear algebra agree on every
     pair, and find a common component through the origin together."""

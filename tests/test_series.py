@@ -153,7 +153,7 @@ def small_series(draw, max_deg=3, precision=8, zero_constant=False):
 
 
 @given(small_series(), small_series(), small_series())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
@@ -164,7 +164,7 @@ def test_ring_axioms(a, b, c):
 @given(small_series(zero_constant=True), small_series(zero_constant=True),
        small_series(zero_constant=True), small_series(zero_constant=True),
        small_series())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_compose_associates_with_substitution(f1, f2, g1, g2, s):
     fg1 = f1.compose(SeriesPair(g1, g2))
     fg2 = f2.compose(SeriesPair(g1, g2))
@@ -174,7 +174,7 @@ def test_compose_associates_with_substitution(f1, f2, g1, g2, s):
 
 
 @given(small_series())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_unit_inverse_property(u):
     u = u + S.constant(1, u.precision)  # force unit-ish constant term
     if u.constant_term() == 0:
@@ -183,7 +183,7 @@ def test_unit_inverse_property(u):
 
 
 @given(small_series(), small_series(zero_constant=True))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_exact_divide_roundtrip(a, b):
     b = b + S.from_terms({(1, 0): 1}, b.precision)
     if b.is_zero():
