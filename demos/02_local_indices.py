@@ -7,6 +7,7 @@ decomposition produces branch data instead.
 """
 
 from germindex import decompose, iterate, local_index, omega_sigma
+from germindex.germs import branch_parametrization
 from germindex.scenario import load_fixture
 
 print("== quadratic map (-2 z1 - z1^2 - z2, z1) at the origin ==")
@@ -31,8 +32,12 @@ w = omega_sigma(dec)
 print(f"  form: ({w.coeff_dz1}) dz1 + ({w.coeff_dz2}) dz2")
 rep = local_index(origin)
 for b in rep.branches:
+    # the form restricted to the branch: a = h2(x, y) x' - h1(x, y) y'
+    (x, y), _ = branch_parametrization(b.defining_polynomial, dec.precision)
+    a = (dec.h2.eval_on_parametrization(x, y) * x.derivative()
+         - dec.h1.eval_on_parametrization(x, y) * y.derivative())
     print(f"  branch {b.defining_polynomial}: nu_p = {b.nu_p}, "
-          f"type {b.branch_type}, mu_p = {b.mu_p}, a = {b.a_series}")
+          f"type {b.branch_type}, mu_p = {b.mu_p}, a = {a}")
 print(f"  delta = {rep.delta}, local index nu = {rep.nu_A}")
 
 print()

@@ -13,6 +13,11 @@ local picture:
   order mu_p;
 * the local index is delta + sum nu_p * mu_p.
 
+delta and the mu_p of a smooth branch p are both local intersection
+numbers I(a, b) = dim Q[[z1,z2]] / (a, b), computed by one stabilized
+truncated-codimension routine: mu_p = I(p, q) is the order of q along the
+branch, for the cofactor or combination q that classify_branch picks.
+
 Decomposition requires exact polynomial images: two polynomials whose gcd
 is trivial have a finite common zero set, so the local gcd is the
 polynomial gcd with the factors not vanishing at the origin stripped off.
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     IdentityGerm,
@@ -47,45 +51,39 @@ from .series import (
     SeriesPair,
     TruncatedSeries1,
     TruncatedSeries2,
-    substitute,
 )
 
 TYPE_I = "I"
 TYPE_II = "II"
 
-# extra truncation orders for classify_branch's retry and for the type
-# verdict on series cofactors
-CERTIFY_MARGIN = 4
-
 
 class MapGerm:
     """A map germ fixing the origin, with optional exact polynomial images.
 
-    image1/image2 are the truncated-series images of z1 and z2.  When the
-    germ is polynomial the exact polynomials are retained so that gcd
-    extraction, iteration and the elimination oracle stay exact.  An
-    iterate keeps the germ it iterates as `base`; `decompose` stores the
-    germ's curve data (g and its origin factors) so that each germ object
-    computes it at most once.  A polynomial germ holds the chain of its
-    exact iterates [f, f^2, ...] that `iterate` has composed so far.
+    image1/image2 are the truncated-series images of z1 and z2 at the
+    germ's precision.  When the germ is polynomial the exact polynomials
+    are retained so that gcd extraction, iteration and the elimination
+    oracle stay exact, and the series images are built from them on first
+    use.  An iterate keeps the germ it iterates as `base`; `decompose`
+    stores the germ's curve data (g and its origin factors) so that each
+    germ object computes it at most once.  A polynomial germ holds the
+    chain of its exact iterates [f, f^2, ...] that `iterate` has composed
+    so far.
     """
 
-    __slots__ = ("image1", "image2", "poly1", "poly2", "source_point_label",
-                 "base", "_curve", "_iterates")
+    __slots__ = ("precision", "poly1", "poly2", "source_point_label",
+                 "base", "_images", "_curve", "_iterates")
 
-    def __init__(self, image1: TruncatedSeries2, image2: TruncatedSeries2,
-                 poly1: Poly2 | None = None, poly2: Poly2 | None = None,
+    def __init__(self, precision: int, poly1: Poly2 | None = None,
+                 poly2: Poly2 | None = None,
+                 images: tuple[TruncatedSeries2, TruncatedSeries2] | None = None,
                  source_point_label: str | None = None):
-        if image1.precision != image2.precision:
-            raise ValueError("germ images must share a precision")
-        if image1.constant_term() != 0 or image2.constant_term() != 0:
-            raise ValueError("germ must fix the origin")
-        self.image1 = image1
-        self.image2 = image2
+        self.precision = precision
         self.poly1 = poly1
         self.poly2 = poly2
         self.source_point_label = source_point_label
         self.base: MapGerm | None = None
+        self._images = images
         self._curve: tuple[Poly2, list[tuple[Poly2, int]]] | None = None
         self._iterates = [(poly1, poly2)] if poly1 is not None else None
 
@@ -95,17 +93,30 @@ class MapGerm:
                          label: str | None = None) -> "MapGerm":
         if p1.constant_term() != 0 or p2.constant_term() != 0:
             raise ValueError("germ must fix the origin")
-        return cls(p1.to_series(precision), p2.to_series(precision),
-                   poly1=p1, poly2=p2, source_point_label=label)
+        return cls(precision, p1, p2, source_point_label=label)
 
     @classmethod
     def from_series(cls, s1: TruncatedSeries2, s2: TruncatedSeries2,
                     label: str | None = None) -> "MapGerm":
-        return cls(s1, s2, source_point_label=label)
+        if s1.precision != s2.precision:
+            raise ValueError("germ images must share a precision")
+        if s1.constant_term() != 0 or s2.constant_term() != 0:
+            raise ValueError("germ must fix the origin")
+        return cls(s1.precision, images=(s1, s2), source_point_label=label)
 
     @property
-    def precision(self) -> int:
-        return self.image1.precision
+    def image1(self) -> TruncatedSeries2:
+        return self._series_images()[0]
+
+    @property
+    def image2(self) -> TruncatedSeries2:
+        return self._series_images()[1]
+
+    def _series_images(self) -> tuple[TruncatedSeries2, TruncatedSeries2]:
+        if self._images is None:
+            n = self.precision
+            self._images = (self.poly1.to_series(n), self.poly2.to_series(n))
+        return self._images
 
     @property
     def is_polynomial(self) -> bool:
@@ -139,18 +150,17 @@ class MapGerm:
 class GermDecomposition:
     """The data sigma(z_i) = z_i + g*h_i with h1, h2 relatively prime.
 
-    g is always an exact polynomial (product of the origin-vanishing
-    irreducible factors of the image-difference gcd); h1, h2 are exact
-    polynomials from `decompose`, and may be truncated series in a
-    decomposition built by hand.  factors lists the origin-vanishing
-    irreducible factors of g with their multiplicities; decompose passes on
-    the ones it has already computed, otherwise g is factored once on
-    construction.
+    g, h1 and h2 are exact polynomials; g is the product of the
+    origin-vanishing irreducible factors of the image-difference gcd.
+    factors lists those factors of g with their multiplicities; decompose
+    passes on the ones it has already computed, otherwise g is factored
+    once on construction.  precision caps the truncation degrees of the
+    codimension searches at 4 * precision.
     """
 
     g: Poly2
-    h1: Poly2 | TruncatedSeries2
-    h2: Poly2 | TruncatedSeries2
+    h1: Poly2
+    h2: Poly2
     precision: int = DEFAULT_PRECISION
     factors: list[tuple[Poly2, int]] | None = field(default=None, repr=False,
                                                     compare=False)
@@ -158,21 +168,6 @@ class GermDecomposition:
     def __post_init__(self):
         if self.factors is None:
             self.factors = _origin_factors(self.g)
-
-    @property
-    def polynomial_cofactors(self) -> bool:
-        return isinstance(self.h1, Poly2)
-
-    def h_series(self, precision=None):
-        return self.cofactor_series(1, precision), self.cofactor_series(2, precision)
-
-    def cofactor_series(self, index: int, precision=None) -> TruncatedSeries2:
-        """h1 (index 1) or h2 (index 2) as a series truncated at precision."""
-        n = precision if precision is not None else self.precision
-        h = self.h1 if index == 1 else self.h2
-        if isinstance(h, Poly2):
-            return h.to_series(n)
-        return h.truncate(min(n, h.precision))
 
 
 @dataclass
@@ -188,12 +183,13 @@ class BranchRecord:
     """One fixed-curve branch through the origin: a height-1 prime dividing (g)."""
 
     defining_polynomial: Poly2
-    parametrization: tuple[TruncatedSeries1, TruncatedSeries1]
+    # a user-supplied parametrization; None on a smooth branch, whose data
+    # need none (branch_parametrization gives its series on request)
+    parametrization: tuple[TruncatedSeries1, TruncatedSeries1] | None
     nu_p: int
     param_form: str = "over_z1"  # "over_z1": (t, phi(t)); "over_z2": (psi(t), t); "user"
     branch_type: str | None = None
     mu_p: int | None = None
-    a_series: TruncatedSeries1 | None = None
 
     def key(self):
         """Canonical identity of the branch (normalized defining factor)."""
@@ -302,8 +298,9 @@ def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
 
 def omega_sigma(dec: GermDecomposition) -> DifferentialPair:
     """The 1-form h2*dz1 - h1*dz2 attached to a decomposition."""
-    h1, h2 = dec.h_series()
-    return DifferentialPair(coeff_dz1=h2, coeff_dz2=-h1)
+    n = dec.precision
+    return DifferentialPair(coeff_dz1=dec.h2.to_series(n),
+                            coeff_dz2=-dec.h1.to_series(n))
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +369,6 @@ def _ideal_rows(generators, D: int) -> _RowSpace:
     return space
 
 
-def _local_codimension(h1, h2, D: int) -> int:
-    """dim of (polynomials of degree < D) modulo the truncated ideal rows."""
-    return len(_monomials_below(D)) - _ideal_rows((h1, h2), D).rank
-
-
 def membership_to_degree(element, generators, D: int) -> bool:
     """Truncated ideal membership: does element lie in the span of
     {monomial * gen} modulo terms of total degree >= D?"""
@@ -384,49 +376,55 @@ def membership_to_degree(element, generators, D: int) -> bool:
     return not _ideal_rows(generators, D).reduce(target)
 
 
-def delta(dec: GermDecomposition) -> int:
-    """dim_Q of Q[[z1,z2]] / (h1, h2) by truncated linear algebra.
+def _intersection_number(a: Poly2, b: Poly2, precision: int,
+                         check=None) -> int | None:
+    """I(a, b) = dim_Q Q[[z1,z2]] / (a, b) by truncated linear algebra.
 
     The codimension in degrees < D equals the true dimension once it
     agrees for two consecutive D (a Nakayama argument shows stabilization
-    certifies m^D inside the ideal, so h1, h2 then share no factor through
-    the origin).  With polynomial cofactors that have not stabilized by
-    D = precision, a gcd rules out a common factor through the origin
-    (NotCoprime) before the search goes on; failure to stabilize below
-    D = 4 * precision also raises NotCoprime.  Series cofactors stop at the
-    working precision with PrecisionExhausted.
+    certifies m^D inside the ideal, so a, b then share no factor through
+    the origin).  check, if given, runs once when D = precision has not
+    stabilized; None means no D below 4 * precision did.
     """
-    h1, h2 = dec.h1, dec.h2
-    if h1.constant_term() != 0 or h2.constant_term() != 0:
+    if a.constant_term() != 0 or b.constant_term() != 0:
         return 0
-    if h1.is_zero() and h2.is_zero():
-        raise NotCoprime("both cofactors vanish identically")
-    if dec.polynomial_cofactors:
-        cap = 4 * dec.precision
-        exhausted = NotCoprime("codimension did not stabilize below the degree cap")
-    else:
-        cap = dec.precision
-        exhausted = PrecisionExhausted(
-            "codimension did not stabilize below the working precision"
-        )
     prev = None
-    for D in range(1, cap + 1):
-        cur = _local_codimension(h1, h2, D)
+    for D in range(1, 4 * precision + 1):
+        cur = len(_monomials_below(D)) - _ideal_rows((a, b), D).rank
         if cur == prev:
             return cur
         prev = cur
-        if D == dec.precision and dec.polynomial_cofactors:
-            common = gcd2(h1, h2)
-            if not common.is_constant() and common.vanishes_at_origin():
-                raise NotCoprime(f"cofactors share the factor {common!r}")
-    raise exhausted
+        if D == precision and check is not None:
+            check()
+    return None
+
+
+def delta(dec: GermDecomposition) -> int:
+    """dim_Q of Q[[z1,z2]] / (h1, h2), the intersection number I(h1, h2).
+
+    When the codimension has not stabilized by D = precision, a gcd rules
+    out a common factor through the origin (NotCoprime) before the search
+    goes on; failure to stabilize below D = 4 * precision also raises
+    NotCoprime.
+    """
+    h1, h2 = dec.h1, dec.h2
+    if h1.is_zero() and h2.is_zero():
+        raise NotCoprime("both cofactors vanish identically")
+
+    def no_common_factor():
+        common = gcd2(h1, h2)
+        if not common.is_constant() and common.vanishes_at_origin():
+            raise NotCoprime(f"cofactors share the factor {common!r}")
+
+    d = _intersection_number(h1, h2, dec.precision, no_common_factor)
+    if d is None:
+        raise NotCoprime("codimension did not stabilize below the degree cap")
+    return d
 
 
 def delta_resultant(dec: GermDecomposition) -> int:
     """Independent route to delta: the intersection multiplicity of h1 and
     h2 at the origin by elimination (oracle.local_multiplicity)."""
-    if not dec.polynomial_cofactors:
-        raise NonPolynomialGerm("resultant route needs polynomial cofactors")
     try:
         return local_multiplicity(dec.h1, dec.h2)
     except NonIsolated as exc:
@@ -455,25 +453,27 @@ def _implicit_series_over_z1(p: Poly2, precision: int) -> TruncatedSeries1:
     return phi
 
 
-@lru_cache(maxsize=256)
-def branch_parametrization(p: Poly2, precision: int):
-    """Smooth parametrization of an origin branch: (t, phi) or (psi, t).
-
-    The iterates of a germ share its factors (type II stability), so the
-    latest results are kept and each iterate reuses its base's series; a
-    series is never modified in place, so sharing it is safe."""
+def _smooth_form(p: Poly2) -> str:
+    """The coordinate the branch of p is a graph over: "over_z1" when
+    dp/dz2 (0,0) != 0, else "over_z2"; a singular factor is refused."""
     c10, c01 = p.linear_part()
-    t = TruncatedSeries1.variable(precision)
     if c01 != 0:
-        phi = _implicit_series_over_z1(p, precision)
-        return (t, phi), "over_z1"
+        return "over_z1"
     if c10 != 0:
-        swapped = Poly2({(j, i): c for (i, j), c in p.coeff.items()})
-        psi = _implicit_series_over_z1(swapped, precision)
-        return (psi, t), "over_z2"
+        return "over_z2"
     raise UnsupportedSingularBranch(
         f"factor {p!r} is singular at the origin; supply a parametrization"
     )
+
+
+def branch_parametrization(p: Poly2, precision: int):
+    """Smooth parametrization of an origin branch: (t, phi) or (psi, t)."""
+    form = _smooth_form(p)
+    t = TruncatedSeries1.variable(precision)
+    if form == "over_z1":
+        return (t, _implicit_series_over_z1(p, precision)), form
+    swapped = Poly2({(j, i): c for (i, j), c in p.coeff.items()})
+    return (_implicit_series_over_z1(swapped, precision), t), form
 
 
 def branches(dec: GermDecomposition,
@@ -481,9 +481,10 @@ def branches(dec: GermDecomposition,
     """Enumerate the height-1 primes through the origin dividing (g).
 
     Each irreducible factor of g vanishing at the origin contributes one
-    branch with nu_p its exact multiplicity in g.  Smooth factors are
-    parametrized by series recursion; singular factors need an entry in
-    user_parametrizations keyed by the normalized factor.
+    branch with nu_p its exact multiplicity in g.  A smooth factor needs no
+    parametrization: its record notes only the coordinate its branch is a
+    graph over.  Singular factors need an entry in user_parametrizations
+    keyed by the normalized factor.
     """
     out = []
     for factor, mult in dec.factors:
@@ -498,102 +499,57 @@ def branches(dec: GermDecomposition,
                 )
             record = BranchRecord(factor, (x, y), mult, param_form="user")
         else:
-            param, form = branch_parametrization(factor, dec.precision)
-            record = BranchRecord(factor, param, mult, param_form=form)
+            record = BranchRecord(factor, None, mult,
+                                  param_form=_smooth_form(factor))
         out.append(record)
     out.sort(key=lambda b: b.key())
     return out
 
 
-def _tau_restriction(dec: GermDecomposition, param, precision: int) -> TruncatedSeries1:
-    """tau_p of the decomposition form on the branch param = (x, y):
-    h2(x,y)*x' - h1(x,y)*y'."""
-    x, y = param
-    if x.precision > precision:
-        x, y = x.truncate(precision), y.truncate(precision)
-    h1s, h2s = dec.h_series(precision)
-    n = min(h1s.precision, h2s.precision, x.precision, y.precision)
-    one = TruncatedSeries1.constant(1, n)
-    h1_on = TruncatedSeries1(substitute(h1s.coeff, x, y, one), n)
-    h2_on = TruncatedSeries1(substitute(h2s.coeff, x, y, one), n)
-    return h2_on * x.derivative() - h1_on * y.derivative()
-
-
-def _branch_is_type_two(dec: GermDecomposition, branch: BranchRecord,
-                        precision: int) -> bool:
-    """Type verdict.  With polynomial cofactors this is an exact
-    divisibility test: tau_p vanishes identically on the branch iff the
-    defining factor divides h1 * dp/dz1 + h2 * dp/dz2.  On the series path
-    the verdict is certified by agreement at two truncation orders."""
-    p = branch.defining_polynomial
-    if dec.polynomial_cofactors:
-        # exact: tau_p vanishes on the branch iff p divides this combination
-        # (the gradient of p restricted to the branch is a nonzero multiple
-        # of the normal direction, for reduced p)
-        e = dec.h1 * p.derivative(1) + dec.h2 * p.derivative(2)
-        return p.divides(e)
-    tau_lo = _tau_restriction(dec, branch.parametrization, precision)
-    hi = min(precision + CERTIFY_MARGIN, dec.precision)
-    tau_hi = _tau_restriction(dec, branch.parametrization, hi)
-    if tau_lo.is_zero() != tau_hi.is_zero():
-        raise PrecisionExhausted(
-            f"type verdict for {p!r} changed between truncation orders"
-        )
-    return tau_lo.is_zero()
-
-
 def classify_branch(dec: GermDecomposition, branch: BranchRecord) -> BranchRecord:
-    """Fill in branch_type, the restricted series a, and mu_p = ord(a).
+    """Fill in branch_type and mu_p, the order of the restricted form.
 
-    Type I: a is tau_p itself.  Type II: in coordinates adapted to the
-    branch (w = defining direction, parameter along the curve) a is the
-    dw-coefficient of the form restricted to the branch; concretely
-    -h1 on (t, phi)-branches and +h2 on (psi, t)-branches.  Orders are
-    unit-invariant so the adapted-coordinate unit factor is irrelevant.
+    The type verdict is exact: tau_p = h2*x' - h1*y' vanishes identically
+    on the branch iff the defining factor p divides e = h1*dp/dz1 +
+    h2*dp/dz2 (the gradient of p restricted to the branch is a nonzero
+    multiple of the normal direction, for reduced p).  On a smooth branch
+    the order of a q along it is the intersection number I(p, q).  Type I:
+    e is a unit multiple of tau_p there, so mu_p = I(p, e).  Type II: in
+    coordinates adapted to the branch (w = defining direction, parameter
+    along the curve) the order is that of the dw-coefficient of the form,
+    -h1 on (t, phi)-branches and +h2 on (psi, t)-branches, so mu_p =
+    I(p, h1) or I(p, h2).  On a user-parametrized branch mu_p is the order
+    of tau_p itself; its type II order is refused.
     """
-    n = dec.precision
-    is_two = _branch_is_type_two(dec, branch, n)
-
-    def params_at(prec: int):
-        x0, y0 = branch.parametrization
-        if x0.precision >= prec:
-            return x0.truncate(prec), y0.truncate(prec)
-        if branch.param_form == "user":
-            raise PrecisionExhausted(
-                "supplied parametrization is too short for the requested order"
-            )
-        return branch_parametrization(branch.defining_polynomial, prec)[0]
-
-    def a_at(prec: int) -> TruncatedSeries1:
-        x, y = params_at(prec)
-        if not is_two:
-            return _tau_restriction(dec, (x, y), prec)
-        if branch.param_form == "over_z2":
-            h, sign = dec.cofactor_series(2, prec), 1
-        elif branch.param_form == "over_z1":
-            h, sign = dec.cofactor_series(1, prec), -1
-        else:
+    p = branch.defining_polynomial
+    e = dec.h1 * p.derivative(1) + dec.h2 * p.derivative(2)
+    is_two = p.divides(e)
+    if branch.param_form == "user":
+        if is_two:
             raise UnsupportedSingularBranch(
                 "mu extraction for a user-parametrized type II branch needs the "
                 "normalization map; this is out of supported scope"
             )
-        one = TruncatedSeries1.constant(1, min(h.precision, x.precision, y.precision))
-        return TruncatedSeries1(substitute(h.coeff, x, y, one), one.precision) * sign
-
-    a = a_at(n)
-    mu = a.order()
-    if isinstance(mu, AboveDegree):
-        limit = n + CERTIFY_MARGIN
-        if dec.polynomial_cofactors:
-            a = a_at(limit)
-            mu = a.order()
+        x, y = branch.parametrization
+        tau = (dec.h2.eval_on_parametrization(x, y) * x.derivative()
+               - dec.h1.eval_on_parametrization(x, y) * y.derivative())
+        mu = tau.order()
         if isinstance(mu, AboveDegree):
             raise PrecisionExhausted(
-                f"order of the restricted form along {branch.defining_polynomial!r} "
-                f"exceeds truncation degree {limit}"
+                "supplied parametrization is too short for the order of the "
+                "restricted form"
             )
-    return replace(branch, branch_type=TYPE_II if is_two else TYPE_I,
-                   mu_p=mu, a_series=a)
+    else:
+        q = e if not is_two else dec.h1 if branch.param_form == "over_z1" else dec.h2
+        # p and q share no factor (the type verdict), so only the cap stops
+        # the search
+        mu = _intersection_number(p, q, dec.precision)
+        if mu is None:
+            raise PrecisionExhausted(
+                f"order of the restricted form along {p!r} exceeds truncation "
+                f"degree {4 * dec.precision}"
+            )
+    return replace(branch, branch_type=TYPE_II if is_two else TYPE_I, mu_p=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +568,11 @@ def local_index(germ: MapGerm) -> IndexReport:
     """Full local report: delta, classified branches and nu_A.
 
     One pass is exact for a polynomial germ, the only kind decompose
-    accepts: the cofactors are exact polynomials, delta is certified by its
-    stabilization (Nakayama), the type verdict is an exact divisibility
-    test, the branches and their nu_p are the factors of g, and mu_p is the
-    order of a series whose coefficients are exact up to the truncation
-    degree (classify_branch retries at the degree raised by CERTIFY_MARGIN
-    before it raises PrecisionExhausted).
+    accepts: the cofactors are exact polynomials, the type verdict is an
+    exact divisibility test, the branches and their nu_p are the factors of
+    g, and delta and each mu_p are intersection numbers certified by the
+    stabilization (Nakayama) of one truncated codimension, searched up to
+    degree 4 * precision.
     """
     return _index_report(decompose(germ))
 

@@ -67,10 +67,6 @@ class Surd:
     def imaginary(cls, c=1) -> "Surd":
         return cls(c=c)
 
-    @classmethod
-    def from_parts(cls, real_pair, imag_pair, d) -> "Surd":
-        return cls(a=real_pair[0], b=real_pair[1], c=imag_pair[0], e=imag_pair[1], d=d)
-
     # -- structure ------------------------------------------------------
 
     def _join(self, other) -> int | None:

@@ -1,5 +1,5 @@
-"""The hypothesis profile of the suite and shared model builders for the
-surface-level tests."""
+"""The hypothesis profile of the suite, a call counter, and shared model
+builders for the surface-level tests."""
 
 import pytest
 from hypothesis import settings
@@ -22,6 +22,20 @@ settings.load_profile("germindex")
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of owner.name (a module's
+    function, or a class's method with self first)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def corner_germ(label=None) -> MapGerm:

@@ -74,15 +74,17 @@ def test_oracle_agrees_on_tangential_point():
 
 
 def test_classify_raises_when_order_exceeds_truncation():
-    # branch z1 of type II whose restricted form has order 30
-    p1 = X + X**2
-    p2 = Y + X * Y**30
-    germ = MapGerm.from_polynomials(p1, p2, 16)
-    dec = decompose(germ)
-    target = [b for b in branches(dec) if b.defining_polynomial == X]
-    assert target
-    with pytest.raises(PrecisionExhausted):
-        classify_branch(dec, target[0])
+    # branch z1 of type II whose restricted form has order k: mu_p is exact
+    # up to the degree cap 4 * precision = 64 and refused above it
+    for k, mu in ((30, 30), (70, None)):
+        germ = MapGerm.from_polynomials(X + X**2, Y + X * Y**k, 16)
+        dec = decompose(germ)
+        (target,) = [b for b in branches(dec) if b.defining_polynomial == X]
+        if mu is None:
+            with pytest.raises(PrecisionExhausted):
+                classify_branch(dec, target)
+        else:
+            assert classify_branch(dec, target).mu_p == mu
 
 
 def test_high_order_recovered_at_larger_precision():
@@ -95,8 +97,8 @@ def test_high_order_recovered_at_larger_precision():
     assert z1_branch.mu_p == 30
 
 
-def test_moderate_order_rescued_by_certify_margin():
-    # order 18 exceeds the default precision 16 but not 16 + 4
+def test_moderate_order_found_below_the_degree_cap():
+    # order 18 exceeds the default precision 16 but not the degree cap
     p1 = X + X**2
     p2 = Y + X * Y**18
     germ = MapGerm.from_polynomials(p1, p2, 16)

@@ -4,6 +4,7 @@ Expected values on the named fixture maps were computed ahead of time with
 an independent sympy elimination script and are asserted exactly.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,11 @@ from germindex import (
     local_index,
     omega_sigma,
 )
+from germindex.germs import branch_parametrization
+from germindex.oracle import local_multiplicity
+
+from conftest import count_calls
+from germ_samples import type_two_germ
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -198,9 +204,12 @@ def test_branches_cubic_corner():
     bz1 = by_key["1*z1"]
     bz2 = by_key["1*z2"]
     assert bz1.nu_p == 2 and bz2.nu_p == 1
+    assert (bz1.param_form, bz2.param_form) == ("over_z2", "over_z1")
     t = TruncatedSeries1.variable(16)
-    assert bz1.parametrization[0].is_zero() and bz1.parametrization[1] == t
-    assert bz2.parametrization[0] == t and bz2.parametrization[1].is_zero()
+    (x1, y1), _ = branch_parametrization(bz1.defining_polynomial, 16)
+    (x2, y2), _ = branch_parametrization(bz2.defining_polynomial, 16)
+    assert x1.is_zero() and y1 == t
+    assert x2 == t and y2.is_zero()
 
 
 def test_branches_unit_g_empty():
@@ -213,9 +222,9 @@ def test_branches_parabola():
 
     dec = GermDecomposition(g=Y - X**2, h1=ONE, h2=X, precision=16)
     (b,) = branches(dec)
-    assert b.nu_p == 1
+    assert b.nu_p == 1 and b.param_form == "over_z1"
     t = TruncatedSeries1.variable(16)
-    assert b.parametrization == (t, t * t)
+    assert branch_parametrization(b.defining_polynomial, 16) == ((t, t * t), "over_z1")
 
 
 def test_branches_singular_factor_raises():
@@ -247,9 +256,8 @@ def test_classify_remark43_branch_is_type_one():
     (b,) = branches(dec)
     done = classify_branch(dec, b)
     assert done.branch_type == TYPE_I
-    assert done.mu_p == 1
     # tau = -t on the parametrization (0, t)
-    assert done.a_series == -TruncatedSeries1.variable(15)
+    assert done.mu_p == 1
 
 
 def test_classify_cubic_corner_both_type_two():
@@ -267,7 +275,34 @@ def test_classify_shear_branch_type_two_mu_zero():
     done = classify_branch(dec, b)
     assert done.branch_type == TYPE_II
     assert done.mu_p == 0
-    assert done.a_series == TruncatedSeries1.constant(-1, 15)
+
+
+def test_mu_p_matches_the_resultant_oracle():
+    """mu_p = I(p, q) by elimination: q = h1*dp/dz1 + h2*dp/dz2 on a type I
+    branch; on a type II branch the cofactor h1 (a graph over z1) or h2 (a
+    graph over z2), whose order along the branch is the smaller of the two."""
+    rng = random.Random(20260808)  # the germs of acceptance criterion 05
+    maps = [type_two_germ(rng) for _ in range(100)]
+    maps += [remark43_map(), cubic_corner_map(),
+             cubic_corner_map(u1=ONE + Y, u2=ONE - X)]
+    types = set()
+    for f in maps:
+        dec = decompose(f)
+        for b in branches(dec):
+            done = classify_branch(dec, b)
+            p = b.defining_polynomial
+            if done.branch_type == TYPE_I:
+                e = dec.h1 * p.derivative(1) + dec.h2 * p.derivative(2)
+                assert done.mu_p == local_multiplicity(p, e), (f, p)
+                types.add((TYPE_I, b.param_form))
+                continue
+            q, other = (dec.h1, dec.h2) if b.param_form == "over_z1" else (dec.h2, dec.h1)
+            assert done.mu_p == local_multiplicity(p, q), (f, p)
+            if not p.divides(other):  # else other vanishes on the branch
+                assert local_multiplicity(p, other) >= done.mu_p
+            types.add((TYPE_II, b.param_form))
+    assert types == {(TYPE_I, "over_z1"), (TYPE_I, "over_z2"),
+                     (TYPE_II, "over_z1"), (TYPE_II, "over_z2")}
 
 
 # -- local index --------------------------------------------------------------
@@ -373,6 +408,19 @@ def test_iterate_shear():
     assert f3.poly2 == Y
 
 
+def test_polynomial_germ_builds_its_images_on_first_use(monkeypatch):
+    p1, p2 = X + Y**20, Y + X * Y
+    series = MapGerm.from_series(p1.to_series(16), p2.to_series(16), "pt")
+    expected = (X.to_series(16), p2.to_series(16))  # Y^20 is above degree 16
+    conversions = count_calls(monkeypatch, Poly2, "to_series")
+    f = MapGerm.from_polynomials(p1, p2, 16, "pt")
+    assert f.precision == 16 and conversions == []
+    assert f == series and repr(f) == repr(series)
+    assert (f.image1, f.image2) == expected
+    assert len(conversions) == 2  # both images, built once
+    assert iterate(f, 2).image1 == iterate(series, 2).image1
+
+
 def test_invert_shear():
     g = invert(germ(X + Y**2, Y))
     z1s = g.image1
@@ -459,18 +507,6 @@ def test_decompose_computes_the_curve_data_once_per_germ(monkeypatch):
 # -- one chain of iterates per germ, reused parametrizations -----------------
 
 
-def count_method_calls(monkeypatch, owner, name) -> list:
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def test_iterates_in_any_order_match_iterating_from_scratch():
     from germindex.polys import iterate_pair
 
@@ -484,35 +520,33 @@ def test_iterates_in_any_order_match_iterating_from_scratch():
 def test_each_new_iterate_costs_one_composition(monkeypatch):
     f = remark42_map()
     iterate(f, 3)
-    composes = count_method_calls(monkeypatch, Poly2, "compose")
+    composes = count_calls(monkeypatch, Poly2, "compose")
     assert iterate(f, 3).poly1 == iterate(f, 3).poly1
     assert composes == []
     iterate(f, 4)
     assert len(composes) == 1
 
 
-def test_iterates_reuse_the_branch_parametrizations(monkeypatch):
+def test_iterates_of_a_polynomial_germ_build_no_series(monkeypatch):
     import germindex.germs as germs
+    import germindex.polys as polys
+    import germindex.series as series
 
-    germs.branch_parametrization.cache_clear()
-    series = count_method_calls(monkeypatch, germs, "_implicit_series_over_z1")
-    # g = z1 z2 on every iterate: a type II branch z1 = 0, parametrized
-    # over z2, and a type I branch z2 = 0, parametrized over z1
-    f = germ(X, Y + X * Y * 2)
-    for n in (1, 2, 3, 4):
-        rep = local_index(iterate(f, n))
-        assert sorted(b.branch_type for b in rep.branches) == [TYPE_I, TYPE_II]
-    assert len(series) == 2
-
-
-@pytest.mark.parametrize("f, form", [
-    (germ(X + X * X, Y + X * (ONE + Y)), "over_z2"),  # a = h2 on z1 = 0
-    (germ(X + Y * (ONE + X), Y + Y * Y), "over_z1"),  # a = -h1 on z2 = 0
-])
-def test_type_two_mu_converts_one_cofactor(monkeypatch, f, form):
-    dec = decompose(f)
-    (branch,) = branches(dec)
-    conversions = count_method_calls(monkeypatch, Poly2, "to_series")
-    record = classify_branch(dec, branch)
-    assert (record.param_form, record.branch_type, record.mu_p) == (form, TYPE_II, 0)
-    assert len(conversions) == 1
+    conversions = count_calls(monkeypatch, Poly2, "to_series")
+    substitutions = count_calls(monkeypatch, series, "substitute")
+    restrictions = count_calls(monkeypatch, polys, "substitute")
+    parametrizations = count_calls(monkeypatch, germs, "_implicit_series_over_z1")
+    # smooth branches with mu_p = 1: the cubic corner's z1 = 0 (a graph over
+    # z2) and z2 = 0 (over z1) are type II, remark43's z1 = 0 is type I
+    cases = [
+        (cubic_corner_map(), [("1*z2", 1, TYPE_II, 1), ("1*z1", 2, TYPE_II, 1)]),
+        (remark43_map(), [("1*z1", 1, TYPE_I, 1)]),
+    ]
+    for f, expected in cases:
+        for n in (1, 2, 3):
+            rep = local_index(iterate(f, n))
+            assert rep.delta == 1
+            assert [(repr(b.defining_polynomial), b.nu_p, b.branch_type, b.mu_p)
+                    for b in rep.branches] == expected
+    assert conversions == [] and parametrizations == []
+    assert substitutions == [] and restrictions == []

@@ -16,6 +16,8 @@ from germindex.oracle import (
 )
 from germindex.surd import Surd
 
+from conftest import count_calls
+
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
 ONE = Poly2.constant(1)
@@ -44,20 +46,6 @@ def test_fixed_multiplicity_nonfixed_point_is_zero():
 def test_fixed_multiplicity_refuses_points_on_fixed_curves():
     with pytest.raises(NonIsolated):
         fixed_multiplicity(remark43(), (0, 0), 1)
-
-
-def count_calls(monkeypatch, owner, name) -> list:
-    """Record the arguments of every call of owner.name (a module's
-    function, or a class's method with self first)."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def test_fixed_multiplicity_remark42_is_one_elimination(monkeypatch):
