@@ -29,11 +29,12 @@ print(f"  g  = {dec.g}")
 print(f"  h1 = {dec.h1}")
 print(f"  h2 = {dec.h2}")
 w = omega_sigma(dec)
-print(f"  form: ({w.coeff_dz1}) dz1 + ({w.coeff_dz2}) dz2")
+n = origin.precision
+print(f"  form: ({w.coeff_dz1.to_series(n)}) dz1 + ({w.coeff_dz2.to_series(n)}) dz2")
 rep = local_index(origin)
 for b in rep.branches:
     # the form restricted to the branch: a = h2(x, y) x' - h1(x, y) y'
-    (x, y), _ = branch_parametrization(b.defining_polynomial, dec.precision)
+    (x, y), _ = branch_parametrization(b.defining_polynomial, n)
     a = (dec.h2.eval_on_parametrization(x, y) * x.derivative()
          - dec.h1.eval_on_parametrization(x, y) * y.derivative())
     print(f"  branch {b.defining_polynomial}: nu_p = {b.nu_p}, "

@@ -2,7 +2,7 @@
 
 Subcommands: index, classify, lefschetz, count, validate, verify.  Every
 subcommand accepts a positional scenario path or --fixture NAME, plus
---precision and --format json|table.  Exit codes: 0 success, 1 domain
+--format json|table.  Exit codes: 0 success, 1 domain
 error, 2 parse/usage/IO error.  Domain errors print a machine-readable
 error object on stderr.
 """
@@ -29,8 +29,6 @@ def _common(sub: argparse.ArgumentParser):
     sub.add_argument("scenario", nargs="?", help="path to a scenario JSON document")
     sub.add_argument("--fixture", choices=FIXTURE_NAMES,
                      help="use a bundled fixture instead of a scenario path")
-    sub.add_argument("--precision", type=int, default=None,
-                     help="truncation degree override")
     sub.add_argument("--format", choices=("json", "table"), default="table")
 
 
@@ -73,9 +71,9 @@ def _load(args) -> Scenario:
     if args.fixture and args.scenario:
         raise ScenarioError("give either a scenario path or --fixture, not both")
     if args.fixture:
-        return load_fixture(args.fixture, precision=args.precision)
+        return load_fixture(args.fixture)
     if args.scenario:
-        return load_scenario_file(args.scenario, precision=args.precision)
+        return load_scenario_file(args.scenario)
     raise ScenarioError("no input: give a scenario path or --fixture")
 
 

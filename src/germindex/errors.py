@@ -47,8 +47,8 @@ class ShearExhausted(GermIndexError):
 
 
 class UnsupportedSingularBranch(GermIndexError):
-    """A curve factor is singular at the origin and no parametrization
-    was supplied (or mu-extraction for it is unsupported)."""
+    """A curve factor is singular at the origin; its mu_p is not
+    computed."""
 
 
 class NotInvertible(GermIndexError):

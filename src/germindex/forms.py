@@ -146,10 +146,8 @@ def pullback_form(germ: MapGerm, form: FormGerm) -> FormGerm:
     """
     s = form.z1_valuation
     n = min(germ.precision, form.unit_part.precision)
-    images = SeriesPair(germ.image1.truncate(n) if germ.image1.precision > n else germ.image1,
-                        germ.image2.truncate(n) if germ.image2.precision > n else germ.image2)
-    u_pulled = form.unit_part.truncate(n).compose(images) \
-        if form.unit_part.precision > n else form.unit_part.compose(images)
+    images = SeriesPair(germ.image1.truncate(n), germ.image2.truncate(n))
+    u_pulled = form.unit_part.truncate(n).compose(images)
     jac = _jacobian_determinant(germ)
     bracket = u_pulled * jac
     if s != 0:

@@ -14,9 +14,11 @@ local picture:
 * the local index is delta + sum nu_p * mu_p.
 
 delta and the mu_p of a smooth branch p are both local intersection
-numbers I(a, b) = dim Q[[z1,z2]] / (a, b), computed by one stabilized
-truncated-codimension routine: mu_p = I(p, q) is the order of q along the
-branch, for the cofactor or combination q that classify_branch picks.
+numbers I(a, b) = dim Q[[z1,z2]] / (a, b), computed by one incremental
+truncated-codimension search that stops when the codimension stabilizes
+(Nakayama) or passes the Bezout bound deg a * deg b: mu_p = I(p, q) is the
+order of q along the branch, for the cofactor or combination q that
+classify_branch picks.  No truncation parameter enters either number.
 
 Decomposition requires exact polynomial images: two polynomials whose gcd
 is trivial have a finite common zero set, so the local gcd is the
@@ -24,14 +26,16 @@ polynomial gcd with the factors not vanishing at the origin stripped off.
 Iterates of polynomial germs stay polynomial.  An iterate remembers the
 germ it iterates, and is first decomposed by that base's curve factor g
 (type II stability says g is the curve factor of every iterate): when g
-divides both differences and a cofactor is a unit, no further factor
-through the origin can divide both, so g is certified with no gcd.
+divides both differences and the quotients have a finite intersection
+number, no further factor through the origin divides both, so g is
+certified with no factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     IdentityGerm,
@@ -40,14 +44,12 @@ from .errors import (
     NotCoprime,
     NotDivisible,
     NotInvertible,
-    PrecisionExhausted,
     UnsupportedSingularBranch,
 )
 from .oracle import local_multiplicity
 from .polys import Poly2, factor_list2, gcd2, iterate_pair
 from .series import (
     DEFAULT_PRECISION,
-    AboveDegree,
     SeriesPair,
     TruncatedSeries1,
     TruncatedSeries2,
@@ -122,13 +124,9 @@ class MapGerm:
     def is_polynomial(self) -> bool:
         return self.poly1 is not None
 
-    def differences(self):
-        """(sigma(z1) - z1, sigma(z2) - z2) in the strongest available form."""
-        if self.is_polynomial:
-            return (self.poly1 - Poly2.variable(1), self.poly2 - Poly2.variable(2))
-        z1 = TruncatedSeries2.variable(1, self.precision)
-        z2 = TruncatedSeries2.variable(2, self.precision)
-        return (self.image1 - z1, self.image2 - z2)
+    def differences(self) -> tuple[Poly2, Poly2]:
+        """(sigma(z1) - z1, sigma(z2) - z2) of a polynomial germ."""
+        return (self.poly1 - Poly2.variable(1), self.poly2 - Poly2.variable(2))
 
     def linear_matrix(self):
         """The 2x2 Jacobian at the origin, as rows of Fractions."""
@@ -154,14 +152,12 @@ class GermDecomposition:
     origin-vanishing irreducible factors of the image-difference gcd.
     factors lists those factors of g with their multiplicities; decompose
     passes on the ones it has already computed, otherwise g is factored
-    once on construction.  precision caps the truncation degrees of the
-    codimension searches at 4 * precision.
+    once on construction.
     """
 
     g: Poly2
     h1: Poly2
     h2: Poly2
-    precision: int = DEFAULT_PRECISION
     factors: list[tuple[Poly2, int]] | None = field(default=None, repr=False,
                                                     compare=False)
 
@@ -174,8 +170,8 @@ class GermDecomposition:
 class DifferentialPair:
     """Coefficients of a 1-form a*dz1 + b*dz2."""
 
-    coeff_dz1: TruncatedSeries2
-    coeff_dz2: TruncatedSeries2
+    coeff_dz1: Poly2
+    coeff_dz2: Poly2
 
 
 @dataclass
@@ -183,11 +179,8 @@ class BranchRecord:
     """One fixed-curve branch through the origin: a height-1 prime dividing (g)."""
 
     defining_polynomial: Poly2
-    # a user-supplied parametrization; None on a smooth branch, whose data
-    # need none (branch_parametrization gives its series on request)
-    parametrization: tuple[TruncatedSeries1, TruncatedSeries1] | None
     nu_p: int
-    param_form: str = "over_z1"  # "over_z1": (t, phi(t)); "over_z2": (psi(t), t); "user"
+    param_form: str = "over_z1"  # "over_z1": (t, phi(t)); "over_z2": (psi(t), t)
     branch_type: str | None = None
     mu_p: int | None = None
 
@@ -246,8 +239,7 @@ def decompose(germ: MapGerm) -> GermDecomposition:
     else:
         g, factors = germ._curve
         h1, h2 = (d1.exact_div(g), d2.exact_div(g)) if factors else (d1, d2)
-    return GermDecomposition(g=g, h1=h1, h2=h2, precision=germ.precision,
-                             factors=factors)
+    return GermDecomposition(g=g, h1=h1, h2=h2, factors=factors)
 
 
 def _curve(germ: MapGerm) -> tuple[Poly2, list[tuple[Poly2, int]]]:
@@ -272,16 +264,15 @@ def _split(germ: MapGerm, d1: Poly2, d2: Poly2):
     if germ.base is not None:
         g, factors = _curve(germ.base)
         if factors:
+            # an origin prime dividing both differences more often than it
+            # divides g would divide both h_i: a finite I(h1, h2) rules it
+            # out, so g is the curve factor (a unit h_i is the case I = 0)
             try:
                 h1, h2 = d1.exact_div(g), d2.exact_div(g)
-            except NotDivisible:
-                pass
-            else:
-                # an origin prime dividing both differences more often than
-                # it divides g would divide both h_i and so vanish at 0:
-                # with a unit h_i, g is the curve factor and delta is 0
-                if h1.constant_term() != 0 or h2.constant_term() != 0:
+                if _intersection_number(h1, h2, _no_common_factor(h1, h2)) is not None:
                     return g, factors, h1, h2
+            except (NotDivisible, NotCoprime):
+                pass
     factors = _origin_factors(gcd2(d1, d2))
     if not factors:
         return Poly2.constant(1), [], d1, d2
@@ -298,9 +289,7 @@ def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
 
 def omega_sigma(dec: GermDecomposition) -> DifferentialPair:
     """The 1-form h2*dz1 - h1*dz2 attached to a decomposition."""
-    n = dec.precision
-    return DifferentialPair(coeff_dz1=dec.h2.to_series(n),
-                            coeff_dz2=-dec.h1.to_series(n))
+    return DifferentialPair(coeff_dz1=dec.h2, coeff_dz2=-dec.h1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,117 +297,101 @@ def omega_sigma(dec: GermDecomposition) -> DifferentialPair:
 # ---------------------------------------------------------------------------
 
 
-class _RowSpace:
-    """Incremental row echelon form over Q with sparse dict rows."""
-
-    def __init__(self):
-        self.pivots: dict = {}  # pivot monomial -> reduced row
-
-    def reduce(self, row: dict) -> dict:
-        row = dict(row)
-        while row:
-            lead = min(row, key=lambda e: (e[0] + e[1], e))
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return {e: c for e, c in row.items() if c != 0}
-            f = row[lead] / piv[lead]
-            for e, c in piv.items():
-                row[e] = row.get(e, Fraction(0)) - f * c
-                if row[e] == 0:
-                    del row[e]
-        return row
-
-    def add(self, row: dict) -> bool:
-        """Insert a row; returns True if it enlarged the span."""
-        red = self.reduce(row)
-        if not red:
-            return False
-        lead = min(red, key=lambda e: (e[0] + e[1], e))
-        self.pivots[lead] = red
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+# the truncation degree at which delta and _split, still unstabilized, rule
+# out a common factor with one gcd before the search goes on to the Bezout
+# bound
+GUARD_DEGREE = 16
 
 
-def _monomials_below(D: int):
-    return [(i, j) for d in range(D) for i in range(d + 1) for j in [d - i]]
-
-
-def _truncated_row(h, mono, D: int) -> dict:
-    """Coefficients of monomial * h, keeping total degree < D."""
-    mi, mj = mono
-    out = {}
-    items = h.coeff.items()
-    for (i, j), c in items:
-        if mi + i + mj + j < D:
-            out[(mi + i, mj + j)] = c
-    return out
-
-
-def _ideal_rows(generators, D: int) -> _RowSpace:
-    """The span of {monomial * gen : monomial of degree < D}, truncated
-    below total degree D."""
-    space = _RowSpace()
-    for mono in _monomials_below(D):
-        for h in generators:
-            row = _truncated_row(h, mono, D)
-            if row:
-                space.add(row)
-    return space
-
-
-def membership_to_degree(element, generators, D: int) -> bool:
-    """Truncated ideal membership: does element lie in the span of
-    {monomial * gen} modulo terms of total degree >= D?"""
-    target = {e: c for e, c in element.coeff.items() if e[0] + e[1] < D}
-    return not _ideal_rows(generators, D).reduce(target)
-
-
-def _intersection_number(a: Poly2, b: Poly2, precision: int,
-                         check=None) -> int | None:
+def _intersection_number(a: Poly2, b: Poly2, guard=None) -> int | None:
     """I(a, b) = dim_Q Q[[z1,z2]] / (a, b) by truncated linear algebra.
 
-    The codimension in degrees < D equals the true dimension once it
-    agrees for two consecutive D (a Nakayama argument shows stabilization
-    certifies m^D inside the ideal, so a, b then share no factor through
-    the origin).  check, if given, runs once when D = precision has not
-    stabilized; None means no D below 4 * precision did.
+    c(D), the codimension of (a, b) + m^D, grows strictly until it equals
+    I(a, b) and stays there (Nakayama), so two consecutive equal values
+    certify it.  A locally coprime pair has I(a, b) <= deg a * deg b
+    (Bezout), so no stabilization by D = deg a * deg b + 1 proves a common
+    factor through the origin: None.  guard, if given, runs once when D =
+    GUARD_DEGREE has not stabilized, to bound the cost of that proof.
+
+    The rows m*a and m*b enter in order of their lowest degree, each reduced
+    once into an echelon form keyed by its lowest term; terms at or above a
+    degree cap are dropped, and the cap doubles, rebuilding the form, when
+    D passes it.  A row never drops below its lowest degree, so after the
+    rows of lowest degree D - 1 the pivots below D are final and c(D) is
+    D(D+1)/2 minus their number.
     """
     if a.constant_term() != 0 or b.constant_term() != 0:
         return 0
+    gens = [(h.order(), [(i, i + j, c) for (i, j), c in h.coeff.items()])
+            for h in (a, b) if not h.is_zero()]
+    pivots: dict = {}  # lowest term (graded index) -> row with coefficient 1 there
+    cap = 4
+    rank = [0] * cap  # rank[d]: the pivots of degree d
+
+    def add_rows(d):
+        """Reduce in the rows m*gen of lowest degree d, cut at the cap."""
+        for order, terms in gens:
+            e = d - order  # the multiplier's degree
+            for p in range(e + 1):  # m = z1^p z2^(e-p)
+                row = {}
+                for i, n, c in terms:
+                    n += e
+                    if n < cap:
+                        row[n * (n + 1) // 2 + i + p] = c
+                while row:
+                    lead = min(row)
+                    piv = pivots.get(lead)
+                    if piv is None:
+                        c = row[lead]
+                        pivots[lead] = {k: v / c for k, v in row.items()}
+                        rank[(isqrt(8 * lead + 1) - 1) // 2] += 1
+                        break
+                    c = row[lead]
+                    for k, v in piv.items():
+                        w = row.get(k, 0) - c * v
+                        if w:
+                            row[k] = w
+                        else:
+                            del row[k]
+
     prev = None
-    for D in range(1, 4 * precision + 1):
-        cur = len(_monomials_below(D)) - _ideal_rows((a, b), D).rank
+    for D in range(1, a.total_degree() * b.total_degree() + 2):
+        if D > cap:
+            cap *= 2
+            pivots.clear()
+            rank[:] = [0] * cap
+            for d in range(D - 1):
+                add_rows(d)
+        add_rows(D - 1)
+        cur = D * (D + 1) // 2 - sum(rank[:D])
         if cur == prev:
             return cur
         prev = cur
-        if D == precision and check is not None:
-            check()
+        if D == GUARD_DEGREE and guard is not None:
+            guard()
     return None
+
+
+def _no_common_factor(h1: Poly2, h2: Poly2):
+    """A guard for _intersection_number(h1, h2): one gcd, raising NotCoprime
+    when h1 and h2 share a factor through the origin."""
+    def guard():
+        common = gcd2(h1, h2)
+        if not common.is_constant() and common.vanishes_at_origin():
+            raise NotCoprime(f"cofactors share the factor {common!r}")
+    return guard
 
 
 def delta(dec: GermDecomposition) -> int:
     """dim_Q of Q[[z1,z2]] / (h1, h2), the intersection number I(h1, h2).
 
-    When the codimension has not stabilized by D = precision, a gcd rules
-    out a common factor through the origin (NotCoprime) before the search
-    goes on; failure to stabilize below D = 4 * precision also raises
-    NotCoprime.
+    A pair with a common factor through the origin raises NotCoprime: by
+    one gcd when the codimension has not stabilized by D = GUARD_DEGREE,
+    else when it has not by the Bezout bound.
     """
-    h1, h2 = dec.h1, dec.h2
-    if h1.is_zero() and h2.is_zero():
-        raise NotCoprime("both cofactors vanish identically")
-
-    def no_common_factor():
-        common = gcd2(h1, h2)
-        if not common.is_constant() and common.vanishes_at_origin():
-            raise NotCoprime(f"cofactors share the factor {common!r}")
-
-    d = _intersection_number(h1, h2, dec.precision, no_common_factor)
+    d = _intersection_number(dec.h1, dec.h2, _no_common_factor(dec.h1, dec.h2))
     if d is None:
-        raise NotCoprime("codimension did not stabilize below the degree cap")
+        raise NotCoprime("cofactors share a factor through the origin")
     return d
 
 
@@ -461,9 +434,7 @@ def _smooth_form(p: Poly2) -> str:
         return "over_z1"
     if c10 != 0:
         return "over_z2"
-    raise UnsupportedSingularBranch(
-        f"factor {p!r} is singular at the origin; supply a parametrization"
-    )
+    raise UnsupportedSingularBranch(f"factor {p!r} is singular at the origin")
 
 
 def branch_parametrization(p: Poly2, precision: int):
@@ -476,32 +447,16 @@ def branch_parametrization(p: Poly2, precision: int):
     return (_implicit_series_over_z1(swapped, precision), t), form
 
 
-def branches(dec: GermDecomposition,
-             user_parametrizations: dict | None = None) -> list[BranchRecord]:
+def branches(dec: GermDecomposition) -> list[BranchRecord]:
     """Enumerate the height-1 primes through the origin dividing (g).
 
     Each irreducible factor of g vanishing at the origin contributes one
     branch with nu_p its exact multiplicity in g.  A smooth factor needs no
     parametrization: its record notes only the coordinate its branch is a
-    graph over.  Singular factors need an entry in user_parametrizations
-    keyed by the normalized factor.
+    graph over.  A singular factor raises UnsupportedSingularBranch.
     """
-    out = []
-    for factor, mult in dec.factors:
-        key = tuple(sorted(factor.normalized().coeff.items()))
-        supplied = (user_parametrizations or {}).get(key)
-        if supplied is not None:
-            x, y = supplied
-            check = factor.eval_on_parametrization(x, y)
-            if not check.is_zero():
-                raise UnsupportedSingularBranch(
-                    f"supplied parametrization does not satisfy {factor!r}"
-                )
-            record = BranchRecord(factor, (x, y), mult, param_form="user")
-        else:
-            record = BranchRecord(factor, None, mult,
-                                  param_form=_smooth_form(factor))
-        out.append(record)
+    out = [BranchRecord(factor, mult, param_form=_smooth_form(factor))
+           for factor, mult in dec.factors]
     out.sort(key=lambda b: b.key())
     return out
 
@@ -518,37 +473,17 @@ def classify_branch(dec: GermDecomposition, branch: BranchRecord) -> BranchRecor
     coordinates adapted to the branch (w = defining direction, parameter
     along the curve) the order is that of the dw-coefficient of the form,
     -h1 on (t, phi)-branches and +h2 on (psi, t)-branches, so mu_p =
-    I(p, h1) or I(p, h2).  On a user-parametrized branch mu_p is the order
-    of tau_p itself; its type II order is refused.
+    I(p, h1) or I(p, h2).  The type verdict (with h1, h2 coprime) says p
+    does not divide q, so the search ends with the exact mu_p; a
+    decomposition whose cofactors share p raises NotCoprime.
     """
     p = branch.defining_polynomial
     e = dec.h1 * p.derivative(1) + dec.h2 * p.derivative(2)
     is_two = p.divides(e)
-    if branch.param_form == "user":
-        if is_two:
-            raise UnsupportedSingularBranch(
-                "mu extraction for a user-parametrized type II branch needs the "
-                "normalization map; this is out of supported scope"
-            )
-        x, y = branch.parametrization
-        tau = (dec.h2.eval_on_parametrization(x, y) * x.derivative()
-               - dec.h1.eval_on_parametrization(x, y) * y.derivative())
-        mu = tau.order()
-        if isinstance(mu, AboveDegree):
-            raise PrecisionExhausted(
-                "supplied parametrization is too short for the order of the "
-                "restricted form"
-            )
-    else:
-        q = e if not is_two else dec.h1 if branch.param_form == "over_z1" else dec.h2
-        # p and q share no factor (the type verdict), so only the cap stops
-        # the search
-        mu = _intersection_number(p, q, dec.precision)
-        if mu is None:
-            raise PrecisionExhausted(
-                f"order of the restricted form along {p!r} exceeds truncation "
-                f"degree {4 * dec.precision}"
-            )
+    q = e if not is_two else dec.h1 if branch.param_form == "over_z1" else dec.h2
+    mu = _intersection_number(p, q)
+    if mu is None:
+        raise NotCoprime(f"the cofactors share the branch factor {p!r}")
     return replace(branch, branch_type=TYPE_II if is_two else TYPE_I, mu_p=mu)
 
 
@@ -571,8 +506,8 @@ def local_index(germ: MapGerm) -> IndexReport:
     accepts: the cofactors are exact polynomials, the type verdict is an
     exact divisibility test, the branches and their nu_p are the factors of
     g, and delta and each mu_p are intersection numbers certified by the
-    stabilization (Nakayama) of one truncated codimension, searched up to
-    degree 4 * precision.
+    stabilization (Nakayama) of one truncated codimension, which the
+    Bezout bound of the pair ends.
     """
     return _index_report(decompose(germ))
 

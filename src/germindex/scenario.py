@@ -46,7 +46,6 @@ class GermOrigin:
 @dataclass
 class Scenario:
     description: str
-    precision: int
     maps: dict[str, PolynomialMap]
     germs: dict[str, MapGerm]
     germ_origins: dict[str, GermOrigin]
@@ -239,7 +238,6 @@ def load_scenario(doc: dict) -> Scenario:
     intersections = [tuple(pair) for pair in doc.get("intersections", [])]
     return Scenario(
         description=meta.get("description", ""),
-        precision=precision,
         maps=maps,
         germs=germs,
         germ_origins=origins,
@@ -249,7 +247,7 @@ def load_scenario(doc: dict) -> Scenario:
     )
 
 
-def load_scenario_file(path, precision: int | None = None) -> Scenario:
+def load_scenario_file(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -257,8 +255,6 @@ def load_scenario_file(path, precision: int | None = None) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    if precision is not None:
-        doc.setdefault("meta", {})["precision"] = precision
     return load_scenario(doc)
 
 
@@ -271,8 +267,5 @@ def fixture_document(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def load_fixture(name: str, precision: int | None = None) -> Scenario:
-    doc = fixture_document(name)
-    if precision is not None:
-        doc.setdefault("meta", {})["precision"] = precision
-    return load_scenario(doc)
+def load_fixture(name: str) -> Scenario:
+    return load_scenario(fixture_document(name))

@@ -238,7 +238,7 @@ def test_criterion_09_delta_cross_validation():
     rng = random.Random(20260812)
     for _ in range(100):
         h1, h2 = coprime_cofactor_pair(rng)
-        dec = GermDecomposition(g=ONE, h1=h1, h2=h2, precision=16)
+        dec = GermDecomposition(g=ONE, h1=h1, h2=h2)
         assert delta(dec) == delta_resultant(dec), (h1, h2)
     _report("9: delta agrees with the elimination route on 100 pairs "
             "... PASS")

@@ -193,12 +193,12 @@ def test_declared_isolation_parses(tmp_path, capsys):
     assert part.conditionally == [("p", 2)]
 
 
-def test_precision_override(capsys):
+def test_precision_is_not_an_option(capsys):
+    # no reported number depends on a truncation degree
     code, out, _ = run_cli(capsys, "index", "--fixture", "remark42",
                            "--germ", "origin", "--precision", "10",
                            "--format", "json")
-    assert code == 0
-    assert json.loads(out)["nu_A"] == 1
+    assert code == 2 and out == ""
 
 
 def test_fixture_loader_values():

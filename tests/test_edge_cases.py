@@ -1,5 +1,5 @@
-"""Adversarial corners: shear fallbacks, tangency, precision exhaustion,
-scenario error paths."""
+"""Adversarial corners: shear fallbacks, tangency, high orders along a
+branch, scenario error paths."""
 
 from fractions import Fraction
 
@@ -8,9 +8,7 @@ import pytest
 from germindex import (
     MapGerm,
     Poly2,
-    PrecisionExhausted,
     ScenarioError,
-    TruncatedSeries1,
     branches,
     classify_branch,
     decompose,
@@ -33,7 +31,7 @@ ONE = Poly2.constant(1)
 
 def test_delta_resultant_other_zero_on_initial_line():
     # common zeros (0,0) and (1,0) share the z2 = 0 line until sheared away
-    dec = GermDecomposition(g=ONE, h1=Y, h2=X * (X - 1), precision=16)
+    dec = GermDecomposition(g=ONE, h1=Y, h2=X * (X - 1))
     assert delta(dec) == 1
     assert delta_resultant(dec) == 1
 
@@ -44,7 +42,7 @@ def test_delta_resultant_shears_collide_with_conjugate_zeros():
     # rejected by the line-isolation certificate
     h1 = X * (Y + 1)
     h2 = Y + X**2
-    dec = GermDecomposition(g=ONE, h1=h1, h2=h2, precision=16)
+    dec = GermDecomposition(g=ONE, h1=h1, h2=h2)
     assert delta(dec) == 1
     assert delta_resultant(dec) == 1
 
@@ -58,7 +56,7 @@ def test_delta_tangential_intersections():
         (X**2, Y**2, 4),
     ]
     for h1, h2, want in cases:
-        dec = GermDecomposition(g=ONE, h1=h1, h2=h2, precision=16)
+        dec = GermDecomposition(g=ONE, h1=h1, h2=h2)
         assert delta(dec) == want, (h1, h2)
         assert delta_resultant(dec) == want, (h1, h2)
 
@@ -70,24 +68,20 @@ def test_oracle_agrees_on_tangential_point():
     assert fixed_multiplicity(pmap, (0, 0), 1) == 2
 
 
-# -- precision exhaustion -------------------------------------------------------
+# -- high orders along a branch ---------------------------------------------------
 
 
-def test_classify_raises_when_order_exceeds_truncation():
-    # branch z1 of type II whose restricted form has order k: mu_p is exact
-    # up to the degree cap 4 * precision = 64 and refused above it
-    for k, mu in ((30, 30), (70, None)):
+def test_classify_gives_exact_high_orders():
+    # branch z1 of type II whose restricted form has order k: the search
+    # has no cap, so mu_p = k however large
+    for k in (30, 70, 200):
         germ = MapGerm.from_polynomials(X + X**2, Y + X * Y**k, 16)
         dec = decompose(germ)
         (target,) = [b for b in branches(dec) if b.defining_polynomial == X]
-        if mu is None:
-            with pytest.raises(PrecisionExhausted):
-                classify_branch(dec, target)
-        else:
-            assert classify_branch(dec, target).mu_p == mu
+        assert classify_branch(dec, target).mu_p == k
 
 
-def test_high_order_recovered_at_larger_precision():
+def test_high_order_type_two_branch_in_the_local_index():
     p1 = X + X**2
     p2 = Y + X * Y**30
     germ = MapGerm.from_polynomials(p1, p2, 40)
@@ -97,11 +91,11 @@ def test_high_order_recovered_at_larger_precision():
     assert z1_branch.mu_p == 30
 
 
-def test_moderate_order_found_below_the_degree_cap():
-    # order 18 exceeds the default precision 16 but not the degree cap
+def test_order_does_not_depend_on_the_germ_precision():
+    # order 18 is far above the germ's series precision 4
     p1 = X + X**2
     p2 = Y + X * Y**18
-    germ = MapGerm.from_polynomials(p1, p2, 16)
+    germ = MapGerm.from_polynomials(p1, p2, 4)
     dec = decompose(germ)
     target = [b for b in branches(dec) if b.defining_polynomial == X][0]
     done = classify_branch(dec, target)
@@ -127,9 +121,8 @@ def test_invert_geometric_series_shape():
 def test_branch_key_ignores_scaling():
     from germindex.germs import BranchRecord
 
-    t = TruncatedSeries1.variable(8)
-    a = BranchRecord(Y - X**2, (t, t * t), 1)
-    b = BranchRecord((Y - X**2) * Fraction(-3, 7), (t, t * t), 1)
+    a = BranchRecord(Y - X**2, 1)
+    b = BranchRecord((Y - X**2) * Fraction(-3, 7), 1)
     assert a.key() == b.key()
 
 

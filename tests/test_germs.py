@@ -114,7 +114,7 @@ def test_delta_maximal_ideal():
     # direct construction instead:
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=X, h2=Y, precision=16)
+    dec = GermDecomposition(g=ONE, h1=X, h2=Y)
     assert delta(dec) == 1
     assert delta_resultant(dec) == 1
 
@@ -128,7 +128,7 @@ def test_delta_remark42():
 def test_delta_z1sq_z2():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=X**2, h2=Y, precision=16)
+    dec = GermDecomposition(g=ONE, h1=X**2, h2=Y)
     assert delta(dec) == 2
     assert delta_resultant(dec) == 2
 
@@ -136,7 +136,7 @@ def test_delta_z1sq_z2():
 def test_delta_substitution_case():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=X**2 + Y, h2=X, precision=16)
+    dec = GermDecomposition(g=ONE, h1=X**2 + Y, h2=X)
     assert delta(dec) == 1
     assert delta_resultant(dec) == 1
 
@@ -144,11 +144,19 @@ def test_delta_substitution_case():
 def test_delta_not_coprime():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=X * Y, h2=X * (ONE + Y), precision=16)
+    dec = GermDecomposition(g=ONE, h1=X * Y, h2=X * (ONE + Y))
     with pytest.raises(NotCoprime):
         delta(dec)
     with pytest.raises(NotCoprime):
         delta_resultant(dec)
+
+
+def test_intersection_number_refuses_a_common_factor_at_the_bezout_bound():
+    # no guard: the codimension grows by one per degree, past 2 * 2 + 1
+    from germindex.germs import _intersection_number
+
+    assert _intersection_number(X * Y, X * (ONE + Y)) is None
+    assert _intersection_number(X * Y, X + Y**3) == 4
 
 
 def test_delta_resultant_divides_out_a_common_unit():
@@ -157,7 +165,7 @@ def test_delta_resultant_divides_out_a_common_unit():
     # it out first
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=Y * (Y + 1), h2=X * (Y + 1), precision=16)
+    dec = GermDecomposition(g=ONE, h1=Y * (Y + 1), h2=X * (Y + 1))
     assert delta(dec) == 1
     assert delta_resultant(dec) == 1
 
@@ -165,7 +173,7 @@ def test_delta_resultant_divides_out_a_common_unit():
 def test_delta_unit_ideal_is_zero():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=X, h1=Poly2.zero(), h2=ONE + Y, precision=16)
+    dec = GermDecomposition(g=X, h1=Poly2.zero(), h2=ONE + Y)
     assert delta(dec) == 0
     assert delta_resultant(dec) == 0
 
@@ -176,21 +184,18 @@ def test_delta_unit_ideal_is_zero():
 def test_omega_sigma_values():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=X, h1=X**2 + Y, h2=X, precision=16)
+    dec = GermDecomposition(g=X, h1=X**2 + Y, h2=X)
     w = omega_sigma(dec)
-    assert w.coeff_dz1 == X.to_series(16)
-    assert w.coeff_dz2 == (-(X**2 + Y)).to_series(16)
+    assert (w.coeff_dz1, w.coeff_dz2) == (X, -(X**2 + Y))
 
-    dec2 = GermDecomposition(g=ONE, h1=X, h2=Y, precision=16)
+    dec2 = GermDecomposition(g=ONE, h1=X, h2=Y)
     w2 = omega_sigma(dec2)
-    assert w2.coeff_dz1 == Y.to_series(16)
-    assert w2.coeff_dz2 == (-X).to_series(16)
+    assert (w2.coeff_dz1, w2.coeff_dz2) == (Y, -X)
 
     # crossing-point germ with unit factors: form is (z2 u2, -z1 u1)
     dec3 = decompose(cubic_corner_map(u1=ONE + Y, u2=ONE - X))
     w3 = omega_sigma(dec3)
-    assert w3.coeff_dz1 == (Y * (ONE - X)).to_series(16)
-    assert w3.coeff_dz2 == (-(X * (ONE + Y))).to_series(16)
+    assert (w3.coeff_dz1, w3.coeff_dz2) == (Y * (ONE - X), -(X * (ONE + Y)))
 
 
 # -- branches -----------------------------------------------------------------
@@ -220,7 +225,7 @@ def test_branches_unit_g_empty():
 def test_branches_parabola():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=Y - X**2, h1=ONE, h2=X, precision=16)
+    dec = GermDecomposition(g=Y - X**2, h1=ONE, h2=X)
     (b,) = branches(dec)
     assert b.nu_p == 1 and b.param_form == "over_z1"
     t = TruncatedSeries1.variable(16)
@@ -230,22 +235,9 @@ def test_branches_parabola():
 def test_branches_singular_factor_raises():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=Y**2 - X**3, h1=ONE, h2=X, precision=16)
+    dec = GermDecomposition(g=Y**2 - X**3, h1=ONE, h2=X)
     with pytest.raises(UnsupportedSingularBranch):
         branches(dec)
-
-
-def test_branches_singular_factor_with_user_parametrization():
-    from germindex.germs import GermDecomposition
-
-    dec = GermDecomposition(g=Y**2 - X**3, h1=Y, h2=X, precision=16)
-    t = TruncatedSeries1.variable(16)
-    key = tuple(sorted((Y**2 - X**3).normalized().coeff.items()))
-    brs = branches(dec, user_parametrizations={key: (t**2, t**3)})
-    assert len(brs) == 1 and brs[0].param_form == "user"
-    done = classify_branch(dec, brs[0])
-    # tau = h2 x' - h1 y' = t^2*2t - t^3*3t^2 = 2t^3 - 3t^5, nonzero: type I
-    assert done.branch_type == TYPE_I and done.mu_p == 3
 
 
 # -- classification -----------------------------------------------------------
@@ -265,6 +257,16 @@ def test_classify_cubic_corner_both_type_two():
     brs = [classify_branch(dec, b) for b in branches(dec)]
     assert all(b.branch_type == TYPE_II for b in brs)
     assert all(b.mu_p == 1 for b in brs)
+
+
+def test_classify_refuses_cofactors_sharing_the_branch():
+    # h1 and h2 share the branch z1 = 0: no finite order along it
+    from germindex.germs import GermDecomposition
+
+    dec = GermDecomposition(g=X, h1=X, h2=X * Y)
+    (b,) = branches(dec)
+    with pytest.raises(NotCoprime):
+        classify_branch(dec, b)
 
 
 def test_classify_shear_branch_type_two_mu_zero():
@@ -334,35 +336,15 @@ def test_local_index_remark43():
 def test_local_index_decomposes_once_and_runs_once(monkeypatch):
     import germindex.germs as germs
 
-    seen = {"decompose": [], "factor_list2": [], "delta": [], "branches": [],
-            "classify_branch": []}
-
-    def counting(name, fn, precision_of):
-        def wrapper(*args, **kwargs):
-            seen[name].append(precision_of(*args))
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(germs, "decompose",
-                        counting("decompose", germs.decompose, lambda g: g.precision))
-    monkeypatch.setattr(germs, "factor_list2",
-                        counting("factor_list2", germs.factor_list2, lambda p: None))
-    monkeypatch.setattr(germs, "delta",
-                        counting("delta", germs.delta, lambda dec: dec.precision))
-    monkeypatch.setattr(germs, "branches",
-                        counting("branches", germs.branches,
-                                 lambda dec, *rest: dec.precision))
-    monkeypatch.setattr(germs, "classify_branch",
-                        counting("classify_branch", germs.classify_branch,
-                                 lambda dec, b: dec.precision))
+    seen = {name: count_calls(monkeypatch, germs, name)
+            for name in ("decompose", "factor_list2", "delta", "branches",
+                         "classify_branch")}
     rep = germs.local_index(cubic_corner_map())
     assert rep.nu_A == 4 and len(rep.branches) == 2
-    assert seen["decompose"] == [16]
-    assert len(seen["factor_list2"]) == 1
     # every quantity is exact after one pass, so none is recomputed
-    assert seen["delta"] == [16]
-    assert seen["branches"] == [16]
-    assert seen["classify_branch"] == [16, 16]
+    assert {name: len(calls) for name, calls in seen.items()} == {
+        "decompose": 1, "factor_list2": 1, "delta": 1, "branches": 1,
+        "classify_branch": 2}
 
 
 def test_simple_fixed_points_skip_the_cas(monkeypatch):
@@ -460,9 +442,9 @@ def gcd_route(it: MapGerm):
 
 
 def test_iterate_decomposition_matches_gcd_route():
-    # a type II line z1 = 0 with the unit cofactor h2 = 1 + z2 takes the
-    # base's g; the cubic corner has delta 1, so both cofactors of its
-    # iterate vanish at 0 and it falls back to the gcd
+    # a type II line z1 = 0 with the unit cofactor h2 = 1 + z2, and the
+    # cubic corner, whose iterate's cofactors both vanish at 0 with delta 1,
+    # take the base's g
     for f in (germ(X + X * X, Y + X * (ONE + Y)), cubic_corner_map(u1=ONE + Y)):
         base = decompose(f)
         f2 = iterate(f, 2)
@@ -471,6 +453,21 @@ def test_iterate_decomposition_matches_gcd_route():
         assert dec.g == exact.g == base.g
         assert (dec.h1, dec.h2) == (exact.h1, exact.h2)
         assert delta(dec) == delta(exact)
+
+
+def test_iterates_with_a_finite_delta_keep_the_base_curve(monkeypatch):
+    # both cofactors of the cubic corner's iterates vanish at 0, but I(h1,
+    # h2) = 1 is finite, which certifies the base's g with no CAS call
+    import germindex.germs as germs
+
+    f = cubic_corner_map()
+    assert local_index(f).nu_A == 4
+    calls = (count_calls(monkeypatch, germs, "gcd2"),
+             count_calls(monkeypatch, germs, "factor_list2"))
+    for n in (2, 3):
+        rep = local_index(iterate(f, n))
+        assert (rep.delta, rep.nu_A) == (1, 4)
+    assert calls == ([], [])
 
 
 def test_iterate_with_both_cofactors_vanishing_falls_back():

@@ -25,7 +25,6 @@ from germindex.germs import (
     GermDecomposition,
     branches,
     classify_branch,
-    membership_to_degree,
 )
 from germindex.oracle import local_multiplicity
 
@@ -38,6 +37,35 @@ from germ_samples import (
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
+
+
+def membership_to_degree(element, generators, D: int) -> bool:
+    """Truncated ideal membership: does element lie in the span of
+    {monomial * gen : monomial of degree < D} modulo terms of total degree
+    >= D?  Row reduction over Q, each row keyed by its least monomial."""
+    pivots = {}
+
+    def reduce(row):
+        while row:
+            lead = min(row, key=lambda e: (e[0] + e[1], e))
+            if lead not in pivots:
+                return row
+            f = row[lead] / pivots[lead][lead]
+            for e, c in pivots[lead].items():
+                row[e] = row.get(e, 0) - f * c
+                if row[e] == 0:
+                    del row[e]
+        return row
+
+    for d in range(D):
+        for i in range(d + 1):
+            for gen in generators:
+                row = reduce({(i + a, d - i + b): c
+                              for (a, b), c in gen.coeff.items()
+                              if d + a + b < D})
+                if row:
+                    pivots[min(row, key=lambda e: (e[0] + e[1], e))] = row
+    return not reduce({e: c for e, c in element.coeff.items() if e[0] + e[1] < D})
 
 
 def test_iterate_cofactors_congruent_to_n_times_base():
@@ -182,7 +210,7 @@ def test_local_multiplicity_matches_delta(system):
     """The elimination oracle and truncated linear algebra agree on every
     pair, and find a common component through the origin together."""
     P, Q = system
-    dec = GermDecomposition(g=Poly2.constant(1), h1=P, h2=Q, precision=8)
+    dec = GermDecomposition(g=Poly2.constant(1), h1=P, h2=Q)
     try:
         want = delta(dec)
     except NotCoprime:
