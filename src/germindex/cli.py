@@ -101,14 +101,21 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)  # hi < lo yields an empty range
 
 
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise ScenarioError(f"{flag} {value} must be 1 or more")
+    return value
+
+
 def cmd_index(args) -> tuple[int, str]:
+    n = _at_least_one(args.n, "--n")
     scn = _load(args)
     label, germ = _pick_germ(scn, args.germ)
-    report = local_index(iterate(germ, args.n))
-    payload = {"germ": label, "n": args.n, **jsonable(report)}
+    report = local_index(iterate(germ, n))
+    payload = {"germ": label, "n": n, **jsonable(report)}
     if args.format == "json":
         return 0, emit_json(payload)
-    rows = [dict(germ=label, n=args.n, delta=report.delta, nu_A=report.nu_A)]
+    rows = [dict(germ=label, n=n, delta=report.delta, nu_A=report.nu_A)]
     text = render_table(rows, ["germ", "n", "delta", "nu_A"])
     if report.branches:
         text += "\n\n" + render_table(
@@ -207,6 +214,7 @@ def cmd_validate(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    n_max = _at_least_one(args.n_max, "--n-max")
     scn = _load(args)
     checks = []
     for label in sorted(scn.germs):
@@ -216,7 +224,7 @@ def cmd_verify(args) -> tuple[int, str]:
         pmap = scn.maps[origin.map_label]
         point = origin.base_point
         germ = scn.germs[label]
-        for n in range(1, args.n_max + 1):
+        for n in range(1, n_max + 1):
             report = local_index(iterate(germ, n))
             if report.branches:
                 oracle = fixed_index_positive(pmap, point, n)

@@ -109,6 +109,23 @@ def test_missing_input_is_usage_error(capsys):
     assert json.loads(err)["error"]["kind"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("index", "--fixture", "remark42", "--germ", "origin", "--n", "0"),
+    ("index", "--fixture", "remark42", "--germ", "origin", "--n", "-3"),
+    ("verify", "--fixture", "remark42", "--n-max", "0", "--format", "json"),
+    ("verify", "--fixture", "remark42", "--n-max", "-1"),
+])
+def test_iterate_below_one_is_a_usage_error(capsys, argv):
+    # refused like a bad --n-range: no traceback, and no verdict over zero
+    # checks on stdout
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ScenarioError"
+    assert "must be 1 or more" in error["message"]
+
+
 def test_bad_scenario_path(capsys):
     code, _, err = run_cli(capsys, "classify", "/nonexistent/file.json")
     assert code == 2

@@ -55,6 +55,37 @@ def test_fixed_multiplicity_remark42_is_one_elimination(monkeypatch):
     assert len(gcds) == 0 and len(resultants) == 1
 
 
+def resultant_routes(monkeypatch):
+    """Calls of the packed univariate resultant and of sympy's bivariate
+    ring resultant, the route above the packing switch."""
+    from sympy.polys.rings import PolyElement
+
+    return (count_calls(monkeypatch, germindex.polys, "dup_resultant"),
+            count_calls(monkeypatch, PolyElement, "resultant"))
+
+
+@pytest.mark.parametrize("pmap, n, want", [
+    (remark42(), 4, 3),
+    # Henon map with linear part of order 4, so f^4 is tangent to the identity
+    (PolynomialMap(X**2 - Y, X), 4, 13),
+])
+def test_oracle_eliminations_pack_below_the_switch(monkeypatch, pmap, n, want):
+    packed, ring = resultant_routes(monkeypatch)
+    assert fixed_multiplicity(pmap, (0, 0), n) == want
+    assert len(packed) == 1 and ring == []
+
+
+def test_remark42_multiplicities_on_both_sides_of_the_switch(monkeypatch):
+    m = remark42()
+    assert [fixed_multiplicity(m, (0, 0), n) for n in range(1, 7)] == [1, 3] * 3
+    assert [affine_fixed_count(m, n) for n in range(1, 6)] == [2**n for n in range(1, 6)]
+    # the second fixed point at n = 6 needs a slot width of 6844 bits, above
+    # the switch, where the bivariate route is the faster one
+    packed, ring = resultant_routes(monkeypatch)
+    assert fixed_multiplicity(m, (-4, -4), 6) == 1
+    assert packed == [] and len(ring) == 1
+
+
 def test_fixed_multiplicity_divides_out_a_common_unit(monkeypatch):
     # at n = 2 the fixed-point system shares 3 + z1 + z2, a curve of
     # period-2 points that misses the origin and meets every shear line

@@ -9,16 +9,22 @@ import ast
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_resultant
+from sympy.polys.polyerrors import PolynomialDivisionFailed
 
 import germindex
 from germindex import (MapGerm, NotDivisible, Poly1, Poly2, factor_list2, gcd2, iterate,
                        resultant_z1)
+from germindex import polys
 from germindex.oracle import PolynomialMap
 from germindex.polys import (charpoly, factor_list1, origin_alone_on_z2_zero,
                              real_root_intervals1)
@@ -202,6 +208,94 @@ def test_resultant_z1_pinned(f, g, res):
     assert resultant_z1(f, g) == Poly1(res)
     # deg_z1 f * deg_z1 g is even in every case, so the order does not matter
     assert resultant_z1(g, f) == Poly1(res)
+
+
+def ring_resultant_z1(f: Poly2, g: Poly2) -> Poly1:
+    """The reference: sympy's bivariate subresultant resultant of the
+    numerators, over the denominators f._den**deg_z1 g * g._den**deg_z1 f."""
+    m = max((i for i, _ in f._num), default=0)
+    n = max((i for i, _ in g._num), default=0)
+    den = f._den**n * g._den**m
+    return Poly1.from_coeff_map({k: Fraction(c, den)
+                                 for (k,), c in f._num.resultant(g._num).items()})
+
+
+def slot_bits(f: Poly2, g: Poly2) -> tuple[int, int]:
+    """The two terms of the slot width b of the packed resultant: the
+    Goldstein-Graham term bitlen(isqrt(S_F**n * S_G**m) + 1) + 2 and the
+    leading-coefficient term bitlen(max |coefficient|) + 2."""
+    def rows(p):
+        out = {}
+        for (i, _), c in p._num.items():
+            out[i] = out.get(i, 0) + abs(c)
+        return sum(s * s for s in out.values()), max(out, default=0)
+
+    (S_F, m), (S_G, n) = rows(f), rows(g)
+    top = max((abs(c) for p in (f, g) for c in p._num.values()), default=0)
+    return (isqrt(S_F**n * S_G**m) + 1).bit_length() + 2, top.bit_length() + 2
+
+
+big_coefficients = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 12))
+
+
+@st.composite
+def big_polys(draw):
+    """z1-degree 0..6, z2-degree 0..8, numerators up to 10**12 with
+    denominators, scaled by 2**s so that the slot width of a pair falls on
+    either side of the packing switch."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 8)),
+                                 big_coefficients, min_size=1, max_size=10))
+    return Poly2(terms) * 2**draw(st.sampled_from([0, 0, 40, 120]))
+
+
+@given(big_polys(), big_polys())
+@settings(max_examples=40)
+def test_packed_resultant_matches_the_ring_resultant(f, g):
+    event("packed" if max(slot_bits(f, g)) <= polys._PACKED_BITS else "ring route")
+    ref = ring_resultant_z1(f, g)
+    assert resultant_z1(f, g) == ref
+    # packing is exact at every slot width; the switch only picks the faster
+    with patch.object(polys, "_PACKED_BITS", float("inf")):
+        assert resultant_z1(f, g) == ref
+
+
+def test_packing_keeps_the_z1_degree():
+    # against G = 3 the Goldstein-Graham term alone is b = 5 (a spare bit
+    # over the tight 4, at which lead 16 would vanish); so at lead 32 = 2**5
+    # the packed z1-leading coefficient z2 - 32 would be 0 without the
+    # leading-coefficient term of b, and the univariate resultant fails
+    with pytest.raises(PolynomialDivisionFailed):
+        dup_resultant([2**5 - 32, 1], [3], ZZ)
+    for lead in (16, 32):
+        f, g = (Y - lead) * X + 1, Poly2.constant(3)
+        assert slot_bits(f, g)[0] == 5
+        assert resultant_z1(f, g) == Poly1([3])
+        assert resultant_z1(g, f) == Poly1([3])
+
+
+def test_packed_digits_borrow_across_zero_digits():
+    # Res(z1 - z2, g) = g(z2, z2) = -3 z2^2 - 5 z2^4 - z2^6: z2-order 2, and
+    # every negative digit borrows from a zero digit above it
+    g = Y**2 * -3 - X**4 * 5 - X**3 * Y**3
+    want = Poly1([0, 0, -3, 0, -5, 0, -1])
+    assert resultant_z1(X - Y, g) == want
+    assert resultant_z1(g, X - Y) == want
+    assert resultant_z1(X - Y, g).order() == 2
+
+
+@pytest.mark.parametrize("f, g", [
+    # z1-degree 0 against z1-degree 3, with denominators: Res = f^3
+    ((Y * 2 - 3) * Fraction(1, 5), X**3 + X * Y * Fraction(1, 2) + 1),
+    # z1-degree 0 on both sides: Res = 1
+    (Y * 7 - 1, Y**2 + Fraction(2, 3)),
+])
+def test_packed_resultant_of_z1_degree_zero(f, g):
+    deg_g = max(i for i, _ in g.coeff)
+    for a, b in ((f, g), (g, f)):
+        assert resultant_z1(a, b) == ring_resultant_z1(a, b)
+    want = f**deg_g
+    assert resultant_z1(f, g) == Poly1.from_coeff_map(
+        {j: c for (_, j), c in want.coeff.items()})
 
 
 @pytest.mark.parametrize("p1, p2", [
