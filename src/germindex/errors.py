@@ -24,8 +24,10 @@ class NotDivisible(GermIndexError):
 
 
 class PrecisionExhausted(GermIndexError):
-    """A verdict could not be certified: recomputation at increased
-    truncation order disagreed, or needed data lies above the cutoff."""
+    """An exact verdict is out of reach: polys.square_part cannot certify
+    that a large discriminant factor is squarefree without factoring it,
+    or surface.growth_bounds meets a dynamical degree that is known only
+    to an interval, not as an exact surd."""
 
 
 class IdentityGerm(GermIndexError):

@@ -16,7 +16,8 @@ local picture:
 delta and the mu_p of a smooth branch p are both local intersection
 numbers I(a, b) = dim Q[[z1,z2]] / (a, b), computed by one incremental
 truncated-codimension search that stops when the codimension stabilizes
-(Nakayama) or passes the Bezout bound deg a * deg b: mu_p = I(p, q) is the
+(Nakayama), when one gcd at GUARD_DEGREE finds a common factor through the
+origin, or past the Bezout bound deg a * deg b: mu_p = I(p, q) is the
 order of q along the branch, for the cofactor or combination q that
 classify_branch picks.  No truncation parameter enters either number.
 
@@ -135,8 +136,12 @@ class MapGerm:
         return ((a, b), (c, d))
 
     def __eq__(self, other):
+        """Exact polynomials are compared when both germs carry them, else
+        the series images up to the weaker precision."""
         if not isinstance(other, MapGerm):
             return NotImplemented
+        if self.is_polynomial and other.is_polynomial:
+            return self.poly1 == other.poly1 and self.poly2 == other.poly2
         return self.image1 == other.image1 and self.image2 == other.image2
 
     def __repr__(self):
@@ -269,9 +274,9 @@ def _split(germ: MapGerm, d1: Poly2, d2: Poly2):
             # out, so g is the curve factor (a unit h_i is the case I = 0)
             try:
                 h1, h2 = d1.exact_div(g), d2.exact_div(g)
-                if _intersection_number(h1, h2, _no_common_factor(h1, h2)) is not None:
+                if _intersection_number(h1, h2) is not None:
                     return g, factors, h1, h2
-            except (NotDivisible, NotCoprime):
+            except NotDivisible:
                 pass
     factors = _origin_factors(gcd2(d1, d2))
     if not factors:
@@ -297,21 +302,22 @@ def omega_sigma(dec: GermDecomposition) -> DifferentialPair:
 # ---------------------------------------------------------------------------
 
 
-# the truncation degree at which delta and _split, still unstabilized, rule
-# out a common factor with one gcd before the search goes on to the Bezout
-# bound
+# the truncation degree at which _intersection_number, still unstabilized,
+# looks for a common factor through the origin with one gcd before it
+# searches on to the Bezout bound
 GUARD_DEGREE = 16
 
 
-def _intersection_number(a: Poly2, b: Poly2, guard=None) -> int | None:
+def _intersection_number(a: Poly2, b: Poly2) -> int | None:
     """I(a, b) = dim_Q Q[[z1,z2]] / (a, b) by truncated linear algebra.
 
     c(D), the codimension of (a, b) + m^D, grows strictly until it equals
     I(a, b) and stays there (Nakayama), so two consecutive equal values
-    certify it.  A locally coprime pair has I(a, b) <= deg a * deg b
-    (Bezout), so no stabilization by D = deg a * deg b + 1 proves a common
-    factor through the origin: None.  guard, if given, runs once when D =
-    GUARD_DEGREE has not stabilized, to bound the cost of that proof.
+    certify it.  A common factor through the origin makes I(a, b) infinite:
+    None.  When D = GUARD_DEGREE has not stabilized, one gcd of a and b
+    looks for such a factor; otherwise a locally coprime pair has I(a, b)
+    <= deg a * deg b (Bezout), so no stabilization by D = deg a * deg b + 1
+    proves one.
 
     The rows m*a and m*b enter in order of their lowest degree, each reduced
     once into an echelon form keyed by its lowest term; terms at or above a
@@ -367,19 +373,9 @@ def _intersection_number(a: Poly2, b: Poly2, guard=None) -> int | None:
         if cur == prev:
             return cur
         prev = cur
-        if D == GUARD_DEGREE and guard is not None:
-            guard()
+        if D == GUARD_DEGREE and gcd2(a, b).vanishes_at_origin():
+            return None
     return None
-
-
-def _no_common_factor(h1: Poly2, h2: Poly2):
-    """A guard for _intersection_number(h1, h2): one gcd, raising NotCoprime
-    when h1 and h2 share a factor through the origin."""
-    def guard():
-        common = gcd2(h1, h2)
-        if not common.is_constant() and common.vanishes_at_origin():
-            raise NotCoprime(f"cofactors share the factor {common!r}")
-    return guard
 
 
 def delta(dec: GermDecomposition) -> int:
@@ -389,7 +385,7 @@ def delta(dec: GermDecomposition) -> int:
     one gcd when the codimension has not stabilized by D = GUARD_DEGREE,
     else when it has not by the Bezout bound.
     """
-    d = _intersection_number(dec.h1, dec.h2, _no_common_factor(dec.h1, dec.h2))
+    d = _intersection_number(dec.h1, dec.h2)
     if d is None:
         raise NotCoprime("cofactors share a factor through the origin")
     return d

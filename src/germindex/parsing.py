@@ -11,6 +11,10 @@ Grammar (whitespace-insensitive):
 
 Variables are z1 and z2.
 Rational literals only; '/' is legal solely between integer literals.
+No product or power may exceed total degree MAX_DEGREE, and no exponent
+may exceed it either: each bound is checked before the operation runs, so
+nested powers such as ((1+z1+z2)^32)^8 are refused at once instead of
+expanded.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .polys import Poly2
 
-MAX_EXPONENT = 128
+MAX_DEGREE = 128
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", "/"}
 
@@ -96,8 +100,10 @@ class _Parser:
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            value = value * self.factor()
+            star = self.advance()
+            rhs = self.factor()
+            _bound_degree(value.total_degree() + rhs.total_degree(), star[1])
+            value = value * rhs
         return value
 
     def factor(self):
@@ -117,9 +123,11 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer",
                                  tok[1] if len(tok) > 1 else caret[1])
             e = tok[2]
-            if e > MAX_EXPONENT:
-                raise ParseError(f"exponent {e} exceeds the bound {MAX_EXPONENT}",
-                                 tok[1])
+            _bound_degree(base.total_degree() * e, caret[1])
+            # a constant's powers keep degree 0 but grow in height
+            if e > MAX_DEGREE:
+                raise ParseError(f"exponent {e} exceeds the bound {MAX_DEGREE}",
+                                 caret[1])
             return base ** e
         return base
 
@@ -149,6 +157,11 @@ class _Parser:
             self.expect(")")
             return value
         raise ParseError(f"unexpected {tok[0]!r}", tok[1])
+
+
+def _bound_degree(degree: int, position: int):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the bound {MAX_DEGREE}", position)
 
 
 def parse_expression(text: str) -> Poly2:

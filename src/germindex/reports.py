@@ -6,7 +6,7 @@ import json
 from dataclasses import is_dataclass
 from fractions import Fraction
 
-from .germs import BranchRecord, IndexReport
+from .germs import BranchRecord
 from .parsing import poly_to_text
 from .polys import Poly1, Poly2
 from .series import AboveDegree, TruncatedSeries1, TruncatedSeries2
@@ -48,12 +48,6 @@ def jsonable(obj):
             "nu_p": obj.nu_p,
             "type": obj.branch_type,
             "mu_p": obj.mu_p,
-        }
-    if isinstance(obj, IndexReport):
-        return {
-            "delta": obj.delta,
-            "nu_A": obj.nu_A,
-            "branches": [jsonable(b) for b in obj.branches],
         }
     if is_dataclass(obj):
         return {k: jsonable(v) for k, v in vars(obj).items()}

@@ -4,7 +4,9 @@ TruncatedSeries2 models an element of Q[[z1, z2]] known modulo all terms of
 total degree > N; the integer N is carried along as ``precision``.  All
 arithmetic is exact on the stored coefficients and every binary operation
 truncates to the weaker of the two precisions.  TruncatedSeries1 is the
-univariate counterpart used for branch parametrizations, Q[[t]].
+univariate counterpart used for branch parametrizations, Q[[t]].  Both
+share one ring core (_TruncatedSeries); each type adds its exponent's
+degree, its product, and its own substitution, derivative and division.
 
 Values are immutable after construction and all operations are pure, so
 instances can be shared freely.
@@ -73,8 +75,15 @@ class AboveDegree:
         return f"AboveDegree({self.n})"
 
 
-class TruncatedSeries2:
-    """Bivariate series sum c[(i,j)] * z1^i z2^j over i+j <= precision."""
+class _TruncatedSeries:
+    """The ring core of both series types: construction, truncation,
+    equality, +, -, scalar *, powers and unit inversion.
+
+    A subclass supplies the exponent's degree (_degree), the nonzero terms
+    of degree <= n (_cut, written out so that building a series costs no
+    call per coefficient), the constant-term key _ORIGIN and the series
+    product _product.  Results keep the caller's type.
+    """
 
     __slots__ = ("coeff", "precision")
 
@@ -82,19 +91,126 @@ class TruncatedSeries2:
         if precision < 0:
             raise ValueError("precision must be nonnegative")
         self.precision = precision
-        self.coeff = {
-            e: c for e, c in coeff.items() if c != 0 and e[0] + e[1] <= precision
-        }
+        self.coeff = self._cut(coeff, precision)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries2":
+    def zero(cls, precision: int = DEFAULT_PRECISION):
         return cls({}, precision)
 
     @classmethod
-    def constant(cls, value, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries2":
-        return cls({(0, 0): rat(value)}, precision)
+    def constant(cls, value, precision: int = DEFAULT_PRECISION):
+        return cls({cls._ORIGIN: rat(value)}, precision)
+
+    # -- basic queries -------------------------------------------------
+
+    def constant_term(self) -> Fraction:
+        return self.coeff.get(self._ORIGIN, Fraction(0))
+
+    def is_zero(self) -> bool:
+        """Zero up to the stored precision (no claim beyond it)."""
+        return not self.coeff
+
+    def order(self):
+        """Least degree with a nonzero coefficient, or AboveDegree."""
+        if not self.coeff:
+            return AboveDegree(self.precision)
+        return min(map(self._degree, self.coeff))
+
+    def truncate(self, precision: int):
+        if precision >= self.precision:
+            if precision == self.precision:
+                return self
+            raise ValueError("cannot raise precision of a truncated series")
+        return type(self)(self.coeff, precision)
+
+    def __eq__(self, other):
+        """Coefficient-wise equality up to the weaker precision."""
+        if isinstance(other, (int, Fraction)):
+            other = self.constant(other, self.precision)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = min(self.precision, other.precision)
+        return self._cut(self.coeff, n) == other._cut(other.coeff, n)
+
+    def __hash__(self):
+        return hash((self.precision, frozenset(self.coeff.items())))
+
+    # -- ring operations ----------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.constant(other, self.precision)
+        n = min(self.precision, other.precision)
+        out = dict(self.coeff)
+        for e, c in other.coeff.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return type(self)(out, n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({e: -c for e, c in self.coeff.items()}, self.precision)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = rat(other)
+            return type(self)({e: c * v for e, v in self.coeff.items()}, self.precision)
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.invert_unit() ** (-k)
+        result = self.constant(1, self.precision)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def invert_unit(self):
+        """Multiplicative inverse of a unit (nonzero constant term)."""
+        c0 = self.constant_term()
+        if c0 == 0:
+            raise NotAUnit("series has zero constant term")
+        n = self.precision
+        # self = c0 (1 - r) with ord(r) >= 1; invert by geometric series
+        r = type(self)({e: -c / c0 for e, c in self.coeff.items() if e != self._ORIGIN}, n)
+        acc = self.constant(1, n)
+        rp = acc
+        for _ in range(n):
+            rp = rp * r
+            if rp.is_zero():
+                break
+            acc = acc + rp
+        return acc * (Fraction(1) / c0)
+
+
+class TruncatedSeries2(_TruncatedSeries):
+    """Bivariate series sum c[(i,j)] * z1^i z2^j over i+j <= precision."""
+
+    __slots__ = ()
+
+    _ORIGIN = (0, 0)
+
+    @staticmethod
+    def _degree(e) -> int:
+        return e[0] + e[1]
+
+    @staticmethod
+    def _cut(coeff, n: int) -> dict:
+        return {e: c for e, c in coeff.items() if c != 0 and e[0] + e[1] <= n}
 
     @classmethod
     def variable(cls, index: int, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries2":
@@ -108,23 +224,8 @@ class TruncatedSeries2:
     def from_terms(cls, terms, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries2":
         return cls({e: rat(c) for e, c in terms.items()}, precision)
 
-    # -- basic queries -------------------------------------------------
-
     def __getitem__(self, exps) -> Fraction:
         return self.coeff.get(tuple(exps), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.coeff.get((0, 0), Fraction(0))
-
-    def is_zero(self) -> bool:
-        """Zero up to the stored precision (no claim beyond it)."""
-        return not self.coeff
-
-    def order(self):
-        """Least total degree with a nonzero coefficient, or AboveDegree."""
-        if not self.coeff:
-            return AboveDegree(self.precision)
-        return min(i + j for i, j in self.coeff)
 
     def z1_order(self):
         """Least z1-exponent present (divisibility by powers of z1)."""
@@ -132,57 +233,7 @@ class TruncatedSeries2:
             return AboveDegree(self.precision)
         return min(i for i, _ in self.coeff)
 
-    def truncate(self, precision: int) -> "TruncatedSeries2":
-        if precision >= self.precision:
-            if precision == self.precision:
-                return self
-            raise ValueError("cannot raise precision of a truncated series")
-        return TruncatedSeries2(self.coeff, precision)
-
-    def __eq__(self, other):
-        """Coefficient-wise equality up to the weaker precision."""
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries2.constant(other, self.precision)
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        a = {e: c for e, c in self.coeff.items() if e[0] + e[1] <= n}
-        b = {e: c for e, c in other.coeff.items() if e[0] + e[1] <= n}
-        return a == b
-
-    def __hash__(self):
-        return hash((self.precision, frozenset(self.coeff.items())))
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other) -> "TruncatedSeries2":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries2.constant(other, self.precision)
-        n = min(self.precision, other.precision)
-        out = dict(self.coeff)
-        for e, c in other.coeff.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return TruncatedSeries2(out, n)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries2":
-        return TruncatedSeries2({e: -c for e, c in self.coeff.items()}, self.precision)
-
-    def __sub__(self, other) -> "TruncatedSeries2":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries2.constant(other, self.precision)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "TruncatedSeries2":
-        return (-self) + other
-
-    def __mul__(self, other) -> "TruncatedSeries2":
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return TruncatedSeries2(
-                {e: c * v for e, v in self.coeff.items()}, self.precision
-            )
+    def _product(self, other) -> "TruncatedSeries2":
         n = min(self.precision, other.precision)
         out: dict = {}
         for (i1, j1), c1 in self.coeff.items():
@@ -195,20 +246,6 @@ class TruncatedSeries2:
                 e = (i, j)
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return TruncatedSeries2(out, n)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "TruncatedSeries2":
-        if k < 0:
-            return self.invert_unit() ** (-k)
-        result = TruncatedSeries2.constant(1, self.precision)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     # -- local-ring operations ----------------------------------------
 
@@ -240,25 +277,6 @@ class TruncatedSeries2:
                 out[(i, j - 1)] = c * j
         return TruncatedSeries2(out, max(self.precision - 1, 0))
 
-    def invert_unit(self) -> "TruncatedSeries2":
-        """Multiplicative inverse of a unit (nonzero constant term)."""
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise NotAUnit("series has zero constant term")
-        n = self.precision
-        # self = c0 (1 - r) with ord(r) >= 1; invert by geometric series
-        r = TruncatedSeries2(
-            {e: -c / c0 for e, c in self.coeff.items() if e != (0, 0)}, n
-        )
-        acc = TruncatedSeries2.constant(1, n)
-        rp = TruncatedSeries2.constant(1, n)
-        for _ in range(n):
-            rp = rp * r
-            if rp.is_zero():
-                break
-            acc = acc + rp
-        return acc * (Fraction(1) / c0)
-
     def exact_divide(self, b: "TruncatedSeries2") -> "TruncatedSeries2":
         """Quotient q with b*q == self up to precision, if one exists.
 
@@ -274,15 +292,13 @@ class TruncatedSeries2:
             return TruncatedSeries2.zero(max(n - m, 0))
         if self.order() < m:
             raise NotDivisible("dividend has smaller order than divisor")
-        # peel a common monomial factor when b is monomial-led and divides;
-        # general case: solve coefficientwise in graded order.
-        target = {e: c for e, c in self.coeff.items() if e[0] + e[1] <= n}
+        # solve coefficientwise in graded order against a pivot, a
+        # minimal-degree term of b
         q_prec = n - m
-        # choose pivot: a minimal-degree term of b
         pe = min(b.coeff, key=lambda e: (e[0] + e[1], e))
         pc = b.coeff[pe]
         quot: dict = {}
-        rem = dict(target)
+        rem = self._cut(self.coeff, n)
         # repeatedly cancel the least term of the remainder
         while rem:
             e = min(rem, key=lambda x: (x[0] + x[1], x))
@@ -330,24 +346,20 @@ class TruncatedSeries2:
         return " + ".join(parts) + f" + O(deg>{self.precision})"
 
 
-class TruncatedSeries1:
+class TruncatedSeries1(_TruncatedSeries):
     """Univariate truncated series over Q, sum c[e] * t^e for e <= precision."""
 
-    __slots__ = ("coeff", "precision")
+    __slots__ = ()
 
-    def __init__(self, coeff, precision: int):
-        if precision < 0:
-            raise ValueError("precision must be nonnegative")
-        self.precision = precision
-        self.coeff = {e: c for e, c in coeff.items() if c != 0 and e <= precision}
+    _ORIGIN = 0
 
-    @classmethod
-    def zero(cls, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries1":
-        return cls({}, precision)
+    @staticmethod
+    def _degree(e) -> int:
+        return e
 
-    @classmethod
-    def constant(cls, value, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries1":
-        return cls({0: rat(value)}, precision)
+    @staticmethod
+    def _cut(coeff, n: int) -> dict:
+        return {e: c for e, c in coeff.items() if c != 0 and e <= n}
 
     @classmethod
     def variable(cls, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries1":
@@ -356,63 +368,7 @@ class TruncatedSeries1:
     def __getitem__(self, e: int) -> Fraction:
         return self.coeff.get(e, Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.coeff.get(0, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeff
-
-    def order(self):
-        if not self.coeff:
-            return AboveDegree(self.precision)
-        return min(self.coeff)
-
-    def truncate(self, precision: int) -> "TruncatedSeries1":
-        if precision >= self.precision:
-            if precision == self.precision:
-                return self
-            raise ValueError("cannot raise precision of a truncated series")
-        return TruncatedSeries1(self.coeff, precision)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries1.constant(other, self.precision)
-        if not isinstance(other, TruncatedSeries1):
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        return {e: c for e, c in self.coeff.items() if e <= n} == {
-            e: c for e, c in other.coeff.items() if e <= n
-        }
-
-    def __hash__(self):
-        return hash((self.precision, frozenset(self.coeff.items())))
-
-    def __add__(self, other) -> "TruncatedSeries1":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries1.constant(other, self.precision)
-        n = min(self.precision, other.precision)
-        out = dict(self.coeff)
-        for e, c in other.coeff.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return TruncatedSeries1(out, n)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries1":
-        return TruncatedSeries1({e: -c for e, c in self.coeff.items()}, self.precision)
-
-    def __sub__(self, other) -> "TruncatedSeries1":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries1.constant(other, self.precision)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "TruncatedSeries1":
-        return (-self) + other
-
-    def __mul__(self, other) -> "TruncatedSeries1":
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return TruncatedSeries1({e: c * v for e, v in self.coeff.items()}, self.precision)
+    def _product(self, other) -> "TruncatedSeries1":
         n = min(self.precision, other.precision)
         out: dict = {}
         for e1, c1 in self.coeff.items():
@@ -423,40 +379,11 @@ class TruncatedSeries1:
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return TruncatedSeries1(out, n)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "TruncatedSeries1":
-        if k < 0:
-            return self.invert_unit() ** (-k)
-        result = TruncatedSeries1.constant(1, self.precision)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def derivative(self) -> "TruncatedSeries1":
         return TruncatedSeries1(
             {e - 1: c * e for e, c in self.coeff.items() if e > 0},
             max(self.precision - 1, 0),
         )
-
-    def invert_unit(self) -> "TruncatedSeries1":
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise NotAUnit("series has zero constant term")
-        n = self.precision
-        r = TruncatedSeries1({e: -c / c0 for e, c in self.coeff.items() if e != 0}, n)
-        acc = TruncatedSeries1.constant(1, n)
-        rp = TruncatedSeries1.constant(1, n)
-        for _ in range(n):
-            rp = rp * r
-            if rp.is_zero():
-                break
-            acc = acc + rp
-        return acc * (Fraction(1) / c0)
 
     def exact_divide(self, b: "TruncatedSeries1") -> "TruncatedSeries1":
         if b.is_zero():
@@ -468,9 +395,7 @@ class TruncatedSeries1:
         if self.order() < m:
             raise NotDivisible("dividend has smaller order than divisor")
         shifted = TruncatedSeries1({e - m: c for e, c in b.coeff.items()}, n - m)
-        num = TruncatedSeries1({e - m: c for e, c in self.coeff.items() if e >= m}, n - m)
-        if any(e < m for e in self.coeff):
-            raise NotDivisible("dividend not divisible by divisor's leading power")
+        num = TruncatedSeries1({e - m: c for e, c in self.coeff.items()}, n - m)
         return num * shifted.invert_unit()
 
     def compose(self, inner: "TruncatedSeries1") -> "TruncatedSeries1":

@@ -18,7 +18,16 @@ from .errors import (
     PrecisionExhausted,
     TypeICurvePresent,
 )
-from .germs import TYPE_I, TYPE_II, MapGerm, iterate, local_index
+from .germs import (
+    TYPE_I,
+    TYPE_II,
+    MapGerm,
+    branches,
+    classify_branch,
+    decompose,
+    iterate,
+    local_index,
+)
 from .polys import (
     Poly1,
     Poly2,
@@ -365,8 +374,6 @@ class SurfaceModel:
         branch cut out by the recorded local equation must reproduce the
         stored nu_C and type; points carrying both a germ and declared
         indices are cross-checked the same way."""
-        from .germs import branches, classify_branch, decompose
-
         issues = []
         for curve in self.curves:
             for w in curve.germ_witnesses:
@@ -438,8 +445,6 @@ def _curve_index_at(model: SurfaceModel, curve: FixedCurveRecord, m: int) -> int
     # type I curves have no stability guarantee: recompute from a witness;
     # nu_p is the multiplicity of the curve's factor in g, so no branch of
     # the iterate needs a parametrization
-    from .germs import decompose
-
     for w in curve.germ_witnesses:
         dec = decompose(iterate(w.germ, m // curve.prime_period))
         target = w.curve_local_equation.normalized()

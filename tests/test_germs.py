@@ -159,6 +159,20 @@ def test_intersection_number_refuses_a_common_factor_at_the_bezout_bound():
     assert _intersection_number(X * Y, X + Y**3) == 4
 
 
+def test_intersection_number_finds_a_common_factor_with_one_gcd(monkeypatch):
+    # the codimension of (z1 u, z1 v) grows by one per degree; at D =
+    # GUARD_DEGREE one gcd finds z1, long before the Bezout bound 6 * 6 + 1
+    import germindex.germs as germs
+
+    gcds = count_calls(monkeypatch, germs, "gcd2")
+    assert germs._intersection_number(X * (ONE + Y**5), X * (ONE + X**5)) is None
+    assert len(gcds) == 1
+    # a coprime pair that stabilizes past GUARD_DEGREE: the gcd finds no
+    # common factor and the search goes on
+    assert germs._intersection_number(X, X + Y**20) == 20
+    assert len(gcds) == 2
+
+
 def test_delta_resultant_divides_out_a_common_unit():
     # h1 and h2 share z2 + 1, a unit of the local ring: every shear line
     # through the origin meets the common curve, so elimination must divide
@@ -401,6 +415,18 @@ def test_polynomial_germ_builds_its_images_on_first_use(monkeypatch):
     assert (f.image1, f.image2) == expected
     assert len(conversions) == 2  # both images, built once
     assert iterate(f, 2).image1 == iterate(series, 2).image1
+
+
+def test_polynomial_germs_compare_exactly():
+    # both truncate to the identity at degree 16, but the first has the
+    # fixed line z2 = 0 with nu_p = 20 and the second is the identity
+    f, identity = germ(X + Y**20, Y), germ(X, Y)
+    assert f != identity and not f == identity
+    assert (f.image1, f.image2) == (identity.image1, identity.image2)
+    assert local_index(f).branches[0].nu_p == 20
+    with pytest.raises(IdentityGerm):
+        local_index(identity)
+    assert f == germ(X + Y**20, Y, precision=8)
 
 
 def test_invert_shear():

@@ -1,5 +1,6 @@
 """Expression grammar and round-trip printing."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,33 @@ def test_division_restricted_to_literals():
 def test_exponent_bound():
     with pytest.raises(ParseError):
         parse_expression("z1^1000")
+
+
+def test_nested_powers_are_refused_before_expansion():
+    # expanding either would take tens of seconds; the degree bound is
+    # checked before the operator runs, at the operator's position
+    def too_slow(signum, frame):
+        raise TimeoutError("parsing took over a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for text, caret in (("((1+z1+z2)^32)^8", 14), ("(((1+z1+z2)^8)^8)^8", 17)):
+            signal.alarm(1)
+            with pytest.raises(ParseError) as err:
+                parse_expression(text)
+            signal.alarm(0)
+            assert err.value.position == caret
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_degree_bound_admits_degree_128():
+    assert parse_expression("(1 + z1*z2)^64").total_degree() == 128
+    assert parse_expression("z1^100 * z2^28") == X**100 * Y**28
+    with pytest.raises(ParseError) as err:
+        parse_expression("z1^100 * z2^29")
+    assert err.value.position == 7
 
 
 def test_roundtrip_is_fixed_point():

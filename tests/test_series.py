@@ -214,3 +214,45 @@ def test_univariate_compose():
 def test_series_pair_requires_matching_precision():
     with pytest.raises(ValueError):
         SeriesPair(S.zero(4), S.zero(5))
+
+
+def test_univariate_ring_operations():
+    t = TruncatedSeries1.variable(6)
+    one = TruncatedSeries1.constant(1, 6)
+    assert 1 - t == TruncatedSeries1({0: 1, 1: -1}, 6)
+    assert -t == TruncatedSeries1({1: -1}, 6)
+    assert t - 1 == -(1 - t)
+    assert one + t == t + 1 == 1 + t
+    assert (t * 3).coeff == {1: Fraction(3)}
+    assert one == 1 and not t == 1 and t != 1
+    assert hash(t + t * t) == hash(TruncatedSeries1({1: 1, 2: 1}, 6))
+    assert TruncatedSeries1({0: 0, 7: 1}, 6).coeff == {}
+
+
+def test_univariate_truncate():
+    s = TruncatedSeries1({0: 1, 2: 5, 4: -1}, 6)
+    assert s.truncate(6) is s
+    low = s.truncate(3)
+    assert (low.precision, low.coeff) == (3, {0: 1, 2: 5})
+    assert low == s  # equal up to the weaker precision
+    with pytest.raises(ValueError):
+        s.truncate(7)
+
+
+def test_univariate_and_bivariate_series_never_compare_equal():
+    assert TruncatedSeries1.constant(1) != S.constant(1)
+    assert not TruncatedSeries1.zero() == S.zero()
+    assert S.zero() != TruncatedSeries1.zero()
+
+
+def test_univariate_zero_has_order_above_its_degree():
+    assert TruncatedSeries1.zero(5).order() == AboveDegree(5)
+    assert S.zero(5).order() == AboveDegree(5)
+
+
+def test_univariate_negative_power_needs_a_unit():
+    t = TruncatedSeries1.variable(6)
+    with pytest.raises(NotAUnit):
+        t ** -1
+    u = 1 - t
+    assert u ** -2 * u * u == TruncatedSeries1.constant(1, 6)
