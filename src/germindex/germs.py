@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (
     IdentityGerm,
@@ -202,21 +202,6 @@ class IndexReport:
     branches: list[BranchRecord]
     nu_A: int
 
-    def summary(self) -> dict:
-        return {
-            "delta": self.delta,
-            "nu_A": self.nu_A,
-            "branches": [
-                {
-                    "factor": repr(b.defining_polynomial),
-                    "nu_p": b.nu_p,
-                    "type": b.branch_type,
-                    "mu_p": b.mu_p,
-                }
-                for b in self.branches
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # decomposition
@@ -288,7 +273,10 @@ def _split(germ: MapGerm, d1: Poly2, d2: Poly2):
 
 
 def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
-    """The irreducible factors of p through the origin, with multiplicity."""
+    """The irreducible factors of p through the origin, with multiplicity.
+    A p that is a unit at the origin has none, and is not factored."""
+    if not p.vanishes_at_origin():
+        return []
     return [(f, m) for f, m in factor_list2(p)[1] if f.vanishes_at_origin()]
 
 
@@ -325,12 +313,18 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
     D passes it.  A row never drops below its lowest degree, so after the
     rows of lowest degree D - 1 the pivots below D are final and c(D) is
     D(D+1)/2 minus their number.
+
+    The elimination is fraction-free, on the integer multiples of a and b
+    that numerator_terms gives (they generate the same ideal): a pivot row
+    is stored primitive, and a row with lowest coefficient c is reduced by
+    a pivot with lowest coefficient p as row*(p/g) - pivot*(c/g), g =
+    gcd(c, p).
     """
     if a.constant_term() != 0 or b.constant_term() != 0:
         return 0
-    gens = [(h.order(), [(i, i + j, c) for (i, j), c in h.coeff.items()])
+    gens = [(h.order(), [(i, i + j, c) for (i, j), c in h.numerator_terms()])
             for h in (a, b) if not h.is_zero()]
-    pivots: dict = {}  # lowest term (graded index) -> row with coefficient 1 there
+    pivots: dict = {}  # lowest term (graded index) -> primitive row
     cap = 4
     rank = [0] * cap  # rank[d]: the pivots of degree d
 
@@ -348,11 +342,15 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
                     lead = min(row)
                     piv = pivots.get(lead)
                     if piv is None:
-                        c = row[lead]
-                        pivots[lead] = {k: v / c for k, v in row.items()}
+                        g = gcd(*row.values())
+                        pivots[lead] = {k: v // g for k, v in row.items()}
                         rank[(isqrt(8 * lead + 1) - 1) // 2] += 1
                         break
-                    c = row[lead]
+                    c, top = row[lead], piv[lead]
+                    g = gcd(c, top)
+                    s, c = top // g, c // g
+                    if s != 1:
+                        row = {k: v * s for k, v in row.items()}
                     for k, v in piv.items():
                         w = row.get(k, 0) - c * v
                         if w:

@@ -12,9 +12,11 @@ Grammar (whitespace-insensitive):
 Variables are z1 and z2.
 Rational literals only; '/' is legal solely between integer literals.
 No product or power may exceed total degree MAX_DEGREE, and no exponent
-may exceed it either: each bound is checked before the operation runs, so
-nested powers such as ((1+z1+z2)^32)^8 are refused at once instead of
-expanded.
+may exceed it either; a power is also refused when the exponent times the
+bit length of the base's largest coefficient numerator or denominator
+exceeds MAX_HEIGHT_BITS.  Each bound is checked before the operation runs,
+so nested powers such as ((1+z1+z2)^32)^8 or ((3^128)^128)^128 are refused
+at once instead of expanded.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import ParseError
 from .polys import Poly2
 
 MAX_DEGREE = 128
+MAX_HEIGHT_BITS = 4096
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", "/"}
 
@@ -128,6 +131,11 @@ class _Parser:
             if e > MAX_DEGREE:
                 raise ParseError(f"exponent {e} exceeds the bound {MAX_DEGREE}",
                                  caret[1])
+            bits = max((max(abs(c.numerator), c.denominator).bit_length()
+                        for c in base.coeff.values()), default=0)
+            if e * bits > MAX_HEIGHT_BITS:
+                raise ParseError(f"power of height about {e * bits} bits exceeds "
+                                 f"the bound {MAX_HEIGHT_BITS}", caret[1])
             return base ** e
         return base
 

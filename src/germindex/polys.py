@@ -3,22 +3,29 @@
 Poly2 is the workhorse for germ decomposition and the elimination oracle:
 an element of sympy's sparse ring Z[z1, z2] over one positive integer
 denominator, in lowest terms.  Its arithmetic (sums, products, powers and
-derivatives) is the ring's; exact division is one lex-ordered pass of its
-own over the ring's integer coefficients (`_exquo_zz`).  Poly1 is a dense
+derivatives) is the ring's.  Two kernels run on plain integers of their
+own, with monomials z1^i z2^j packed into one int key i*S + j: exact
+division, one lex-ordered pass (`_exquo_zz`), and composition, and with
+it iterates, shears and translations (`_compose_ring`).  Poly1 is a dense
 univariate value type for resultants and characteristic polynomials.
 
 This module is the one boundary to the computer-algebra system.  Besides
-that arithmetic, the heavy steps (composition, and with it iterates, shears
-and translations; bivariate gcd, irreducible factorization over Q,
-resultants, the z2 = 0 level test of the elimination oracle (a univariate
-gcd), real-root isolation, characteristic polynomials and the square part
-of an integer) are delegated to sympy at the ring level: a ring element,
-coefficient dict or matrix goes straight into sympy's sparse ring or domain
-matrix and back, without building symbolic expression trees.  A resultant
-in z1 is, up to a measured size, one univariate resultant over ZZ on
-Kronecker-packed integers (`_resultant_zz`).  Every call
-on bivariate data runs over ZZ on the integer numerator; the one
-denominator is divided out only where a coefficient is read as a Fraction.
+that arithmetic, the heavy steps (bivariate gcd, irreducible
+factorization over Q, resultants, the z2 = 0 level test of the
+elimination oracle (a univariate gcd), real-root isolation,
+characteristic polynomials and the square part of an integer) are
+delegated to sympy at the ring level: a ring element, coefficient dict or
+matrix goes straight into sympy's sparse ring or domain matrix and back,
+without building symbolic expression trees.  A resultant in z1 is, up to
+a measured size, one univariate resultant over ZZ on Kronecker-packed
+integers (`_resultant_zz`).  Both gcd questions first try a certificate
+mod the prime 2**61 - 1 (`_coprime_mod_p`, `_unit_gcd_mod_p`): a gcd 1
+mod a prime that divides neither leading coefficient proves a pair
+coprime, and sympy's gcd runs only when the certificate gives no verdict.
+Every call on bivariate data runs over ZZ on the integer numerator; the
+one denominator is divided out only where a coefficient is read as a
+Fraction.  Callers outside this module read the numerator's terms through
+`Poly2.numerator_terms` (the fraction-free intersection number does).
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from types import MappingProxyType
 from sympy import factorint, integer_nthroot, isprime
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
+from sympy.polys.galoistools import gf_gcd
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
@@ -104,6 +112,11 @@ class Poly2:
             self._coeff = MappingProxyType(
                 {e: Fraction(c, den) for e, c in self._num.items()})
         return self._coeff
+
+    def numerator_terms(self):
+        """((i, j), integer coefficient) pairs of den * self: the smallest
+        positive integer multiple of self with integer coefficients."""
+        return self._num.items()
 
     def __getitem__(self, exps) -> Fraction:
         return Fraction(self._num.get(tuple(exps), 0), self._den)
@@ -309,43 +322,83 @@ def _from_ring1(r) -> "Poly1":
     return Poly1.from_coeff_map({k: _fraction(c) for (k,), c in r.items()})
 
 
-def _power(powers: list, k: int):
+def _mul_packed(a: dict, b: dict) -> dict:
+    """Product of two polynomials on packed monomial keys (see
+    _compose_ring), term by term as PolyElement.__mul__ does."""
+    out = {}
+    get = out.get
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _square_packed(a: dict) -> dict:
+    """a * a on packed monomial keys, each cross product taken once, as
+    PolyElement.square does."""
+    items = list(a.items())
+    out = {}
+    get = out.get
+    for n, (k1, v1) in enumerate(items):
+        for k2, v2 in items[:n]:
+            k = k1 + k2
+            out[k] = get(k, 0) + v1 * v2
+    out = {k: 2 * v for k, v in out.items()}
+    get = out.get
+    for k, v in items:
+        out[2 * k] = get(2 * k, 0) + v * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _power(powers: list, k: int) -> dict:
     """powers[k], extending the table [1, base, base**2, ...] as needed."""
     while len(powers) <= k:
         n = len(powers)
-        powers.append(powers[n // 2].square() if n % 2 == 0 else powers[n - 1] * powers[1])
+        powers.append(_square_packed(powers[n // 2]) if n % 2 == 0
+                      else _mul_packed(powers[n - 1], powers[1]))
     return powers[k]
 
 
 def _compose_ring(outers: list, x, y) -> list:
-    """Each outer ring element with z1 -> x, z2 -> y, all in the ring.
+    """Each outer ring element with z1 -> x, z2 -> y, all over ZZ.
 
     The powers of x and y are built once, and so is each product
     x**i * y**j, which is then added, scaled by its coefficient, straight
     into every outer that has the monomial; PolyElement.compose would
     recompute g**k for every monomial.  A product is dropped once used, so
     the peak memory stays that of the powers and the results.
+
+    The work runs on plain int coefficients keyed by packed monomials
+    z1^a z2^b -> a*S + b, as in _exquo_zz: a product of monomials is a sum
+    of keys, with no exponent tuple built.  S is one more than the largest
+    z2-degree any power, product or result can reach (i*deg_z2 x +
+    j*deg_z2 y over the outers' monomials z1^i z2^j), so no key carries
+    into the next z1-degree.  Each coefficient stays a separate integer,
+    so the coefficient products are exactly the ring's.
     """
-    pow_x, pow_y = [_RING2.one, x], [_RING2.one, y]
-    zero = ZZ.zero
-    out = [_RING2.zero for _ in outers]
+    dx = max((j for _, j in x), default=0)
+    dy = max((j for _, j in y), default=0)
+    S = 1 + max([dx, dy] + [i * dx + j * dy for outer in outers for i, j in outer])
+    pow_x = [{0: 1}, {i * S + j: c for (i, j), c in x.items()}]
+    pow_y = [{0: 1}, {i * S + j: c for (i, j), c in y.items()}]
+    out = [{} for _ in outers]
     for i, j in sorted(set().union(*outers)):
         if j == 0:
             term = _power(pow_x, i)
         elif i == 0:
             term = _power(pow_y, j)
         else:
-            term = _power(pow_x, i) * _power(pow_y, j)
+            term = _mul_packed(_power(pow_x, i), _power(pow_y, j))
         for outer, acc in zip(outers, out):
             c = outer.get((i, j))
             if c is None:
                 continue
             get = acc.get
             for m, v in term.items():
-                acc[m] = get(m, zero) + c * v
-    for acc in out:
-        acc.strip_zero()
-    return out
+                acc[m] = get(m, 0) + c * v
+    return [_RING2.dtype({divmod(k, S): c for k, c in acc.items() if c})
+            for acc in out]
 
 
 def _exquo_zz(r, b) -> dict:
@@ -414,9 +467,69 @@ def iterate_pair(p1: Poly2, p2: Poly2, n: int,
 def gcd2(a: Poly2, b: Poly2) -> Poly2:
     """Polynomial gcd over Q, normalized (zero when both inputs are zero).
 
-    The gcd of the integer numerators of a and b is a scalar multiple of
-    the gcd over Q, and normalized() picks the same multiple of both."""
+    A pair that _coprime_mod_p certifies has gcd 1 with no further work.
+    Otherwise the gcd of the integer numerators of a and b is a scalar
+    multiple of the gcd over Q, and normalized() picks the same multiple
+    of both."""
+    if a._num and b._num and _coprime_mod_p(a, b):
+        return Poly2.constant(1)
     return Poly2._new(a._num.gcd(b._num)).normalized()
+
+
+# The prime of the coprimality certificate (2**61 - 1, a Mersenne prime) and
+# the values the other variable is set to, tried in turn until neither
+# leading coefficient vanishes mod _PRIME.  They are far from the small
+# integer coordinates of the fixed points that make a difference pair share
+# a root on a line.
+_PRIME = 2**61 - 1
+_EVAL_POINTS = (65537, 65539, 65543, 65551)
+
+
+def _unit_gcd_mod_p(f: list, g: list) -> bool:
+    """Is gcd(f, g) = 1 over GF(_PRIME), for dense lists over ZZ reduced
+    mod _PRIME, leading coefficient first, neither leading entry zero?
+
+    A gcd taken mod a prime that divides neither leading coefficient has
+    at least the degree of the gcd over Q (W. S. Brown, J. ACM 18, 1971),
+    so True proves f and g coprime over Q."""
+    return len(gf_gcd(f, g, _PRIME, ZZ)) == 1
+
+
+def _specialize(P, keep: int, c: int) -> list:
+    """P mod _PRIME with the variable other than z_(keep + 1) set to c: a
+    dense list, leading coefficient first, of P's degree in z_(keep + 1)
+    (its leading entry is the z_(keep + 1)-leading coefficient of P at c,
+    which may vanish)."""
+    deg = max(e[keep] for e in P)
+    powers = [1]
+    for _ in range(max(e[1 - keep] for e in P)):
+        powers.append(powers[-1] * c % _PRIME)
+    out = [0] * (deg + 1)
+    for e, v in P.items():
+        out[deg - e[keep]] += v * powers[e[1 - keep]]
+    return [v % _PRIME for v in out]
+
+
+def _coprime_mod_p(a: Poly2, b: Poly2) -> bool:
+    """A certificate that nonzero a and b share no nonconstant factor.
+
+    For each variable in turn the other is set to the first c of
+    _EVAL_POINTS at which neither leading coefficient in the kept variable
+    vanishes mod _PRIME.  A common factor G of positive degree in the kept
+    variable keeps that degree there (its leading coefficient divides
+    theirs), and G(c) divides both specializations, so a gcd 1 mod _PRIME
+    rules out such a G.  Both variables passing proves the gcd constant.
+    False means no verdict: the pair may still be coprime."""
+    for keep in (0, 1):
+        for c in _EVAL_POINTS:
+            f, g = _specialize(a._num, keep, c), _specialize(b._num, keep, c)
+            if f[0] and g[0]:
+                break
+        else:
+            return False
+        if not _unit_gcd_mod_p(f, g):
+            return False
+    return True
 
 
 def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
@@ -528,12 +641,23 @@ def origin_alone_on_z2_zero(p: Poly2, q: Poly2) -> bool | None:
     the line is unusable for elimination: either restriction is zero, or
     the z1-leading coefficient of p vanishes at z2 = 0 (p(z1, 0) has lower
     degree than p in z1).  Otherwise True when the gcd of the restrictions
-    is a monomial, and False when they share a nonzero root."""
+    is a monomial, and False when they share a nonzero root.  With their
+    powers of z1 divided out, a gcd 1 mod _PRIME proves True; the gcd over
+    ZZ is taken only when that certificate gives no verdict."""
     u1 = _RING1Z({(i,): c for (i, j), c in p._num.items() if j == 0})
     u2 = _RING1Z({(i,): c for (i, j), c in q._num.items() if j == 0})
     if not u1 or not u2 or u1.degree() < _z1_degree(p):
         return None
+    f, g = _without_z1_power(u1), _without_z1_power(u2)
+    if f[0] and g[0] and _unit_gcd_mod_p(f, g):
+        return True
     return len(u1.gcd(u2)) == 1
+
+
+def _without_z1_power(u) -> list:
+    """u / z1**ord(u) mod _PRIME as a dense list, leading coefficient first."""
+    lo, hi = min(u)[0], max(u)[0]
+    return [u.get((k,), 0) % _PRIME for k in range(hi, lo - 1, -1)]
 
 
 def _to_ring1(p: "Poly1"):

@@ -32,6 +32,7 @@ from germindex import (
 )
 from germindex.germs import branch_parametrization
 from germindex.oracle import local_multiplicity
+from germindex.reports import jsonable
 
 from conftest import count_calls
 from germ_samples import type_two_germ
@@ -382,11 +383,22 @@ def test_simple_fixed_points_skip_the_cas(monkeypatch):
         assert (rep.nu_A, rep.branches) == (1, [])
     assert calls == {"gcd2": 0, "factor_list2": 0, "exact_div": 0}
     # Df(0) of remark42 has the double eigenvalue -1, so f^2 takes the gcd
-    # route; the gcd has no factor through the origin, so nothing is
+    # route; the gcd is a unit at the origin, so it is neither factored nor
     # divided, and delta stabilizes without a gcd of its own
     rep = local_index(iterate(remark42_map(), 2))
     assert (rep.nu_A, rep.branches) == (3, [])
-    assert calls == {"gcd2": 1, "factor_list2": 1, "exact_div": 0}
+    assert calls == {"gcd2": 1, "factor_list2": 0, "exact_div": 0}
+
+
+def test_coprime_differences_need_no_ring_gcd(monkeypatch):
+    # the differences of remark42's f^6 (degree 64) are coprime: the mod-p
+    # certificate in gcd2 decides, and sympy's gcd never runs
+    from sympy.polys.rings import PolyElement
+
+    gcds = count_calls(monkeypatch, PolyElement, "gcd")
+    rep = local_index(iterate(remark42_map(), 6))
+    assert (rep.nu_A, rep.branches) == (3, [])
+    assert gcds == []
 
 
 # -- iterate / invert ---------------------------------------------------------
@@ -505,8 +517,8 @@ def test_iterate_with_both_cofactors_vanishing_falls_back():
     dec = decompose(f2)
     assert dec.g == X**2 == gcd_route(f2).g
     assert (dec.h1, dec.h2) == (Poly2.zero(), ONE * 2)
-    assert local_index(f2).summary() == local_index(
-        MapGerm.from_polynomials(f2.poly1, f2.poly2)).summary()
+    assert jsonable(local_index(f2)) == jsonable(local_index(
+        MapGerm.from_polynomials(f2.poly1, f2.poly2)))
 
 
 def test_iterate_with_a_wrong_base_falls_back():

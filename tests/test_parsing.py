@@ -1,6 +1,7 @@
 """Expression grammar and round-trip printing."""
 
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,18 @@ def test_degree_bound_admits_degree_128():
     with pytest.raises(ParseError) as err:
         parse_expression("z1^100 * z2^29")
     assert err.value.position == 7
+
+
+def test_coefficient_height_is_bounded_before_expansion():
+    # (3^128)^128 would have about 26000 bits; the height bound is checked
+    # at its caret, before the power runs
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_expression("((3^128)^128)^128")
+    assert time.perf_counter() - start < 0.1
+    assert err.value.position == 8
+    assert parse_expression("3^128") == Poly2.constant(3**128)
+    assert parse_expression("(1/3)^128") == Poly2.constant(Fraction(1, 3**128))
 
 
 def test_roundtrip_is_fixed_point():

@@ -17,9 +17,10 @@ import pytest
 import sympy as sp
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
 from sympy.polys.polyerrors import PolynomialDivisionFailed
+from sympy.polys.rings import ring
 
 import germindex
 from germindex import (MapGerm, NotDivisible, Poly1, Poly2, factor_list2, gcd2, iterate,
@@ -140,6 +141,40 @@ def test_translate_matches_expression_substitution(p, a, b):
     out = p.translate(a, b)
     assert out == compose_reference(p, X + a, Y + b)
     assert all_fractions(out)
+
+
+# images with denominators up to 12: general, in z1 alone, in z2 alone,
+# constant and zero
+wide_coefficients = st.fractions(min_value=-50, max_value=50,
+                                 max_denominator=12).filter(bool)
+
+
+@st.composite
+def shaped_polys(draw):
+    max_i, max_j = draw(st.sampled_from(((3, 3), (3, 0), (0, 3), (0, 0))))
+    return Poly2(draw(st.dictionaries(
+        st.tuples(st.integers(0, max_i), st.integers(0, max_j)),
+        wide_coefficients, max_size=5)))
+
+
+def ring_compose(p: Poly2, im1: Poly2, im2: Poly2) -> Poly2:
+    """p(im1, im2) by sympy's PolyElement.compose over QQ."""
+    R, z1, z2 = ring("z1,z2", QQ)
+
+    def to_ring(q):
+        return R({e: QQ(c.numerator, c.denominator) for e, c in q.coeff.items()})
+
+    out = to_ring(p).compose([(z1, to_ring(im1)), (z2, to_ring(im2))])
+    return Poly2({e: Fraction(int(c.numerator), int(c.denominator))
+                  for e, c in out.items()})
+
+
+@given(shaped_polys(), shaped_polys(), shaped_polys(), shaped_polys())
+@settings(max_examples=80)
+def test_compose_matches_the_ring_compose(p, q, im1, im2):
+    assert p.compose(im1, im2) == ring_compose(p, im1, im2)
+    assert p.compose(im1, im2, partner=q) == (ring_compose(p, im1, im2),
+                                              ring_compose(q, im1, im2))
 
 
 def test_compose_keeps_fraction_coefficients_of_integral_results():
@@ -362,6 +397,67 @@ def test_resultant_z1_matches_expression_resultant(f, g):
     coeffs = [Fraction(int(c.p), int(c.q))
               for c in reversed(sp.Poly(ref, Z2).all_coeffs())] if ref != 0 else []
     assert resultant_z1(f, g) == Poly1(coeffs)
+
+
+# -- the mod-p coprimality certificate ----------------------------------------
+
+
+def _vanishing_lead(var: Poly2) -> Poly2:
+    """A polynomial in var that vanishes at every evaluation point."""
+    out = Poly2.constant(1)
+    for c in polys._EVAL_POINTS:
+        out = out * (var - c)
+    return out
+
+
+@st.composite
+def common_factors(draw):
+    """A nonconstant factor in z2 alone, in z1 alone, with a leading
+    coefficient that vanishes mod the prime at every evaluation point, or a
+    general one."""
+    c = draw(st.integers(-5, 5))
+    kind = draw(st.sampled_from(("z2", "z1", "lead_z1", "lead_z2", "lead_prime",
+                                 "general")))
+    if kind == "z2":
+        return Y ** draw(st.integers(1, 2)) + c
+    if kind == "z1":
+        return X ** draw(st.integers(1, 2)) + c
+    if kind == "lead_z1":
+        return X * _vanishing_lead(Y) + Y + c
+    if kind == "lead_z2":
+        return Y * _vanishing_lead(X) + X + c
+    if kind == "lead_prime":
+        return X * polys._PRIME + Y + c
+    return nonconstant(draw(small_polys()))
+
+
+@given(small_polys(), small_polys(), common_factors())
+@settings(max_examples=80)
+def test_certificate_never_certifies_a_common_factor(a, b, f):
+    assert not polys._coprime_mod_p(a * f, b * f)
+    assert not gcd2(a * f, b * f).is_constant()
+
+
+@given(small_polys(max_degree=3, max_terms=5), small_polys(max_degree=3, max_terms=5))
+@settings(max_examples=60)
+def test_certified_pairs_are_coprime(a, b):
+    certified = polys._coprime_mod_p(a, b)
+    event(f"certified: {certified}")
+    if certified:
+        assert sp.gcd(to_expr(a), to_expr(b)).is_number
+
+
+def test_certificate_skips_points_where_a_leading_coefficient_vanishes():
+    # the z1-leading coefficient of a vanishes at the first evaluation
+    # point, so the second one decides
+    a = X * (Y - polys._EVAL_POINTS[0]) + 1
+    assert polys._coprime_mod_p(a, X + Y)
+    assert polys._coprime_mod_p(X, Y)
+    assert polys._coprime_mod_p(Poly2.constant(3), X * Y)
+    # every point is skipped: no verdict, and gcd2 asks the ring
+    b = X * _vanishing_lead(Y) + 1
+    assert not polys._coprime_mod_p(b, X + Y)
+    assert gcd2(b, X + Y) == Poly2.constant(1)
 
 
 # -- factorization constants ------------------------------------------------

@@ -23,10 +23,12 @@ from germindex import (
 from germindex.germs import (
     TYPE_II,
     GermDecomposition,
+    _intersection_number,
     branches,
     classify_branch,
 )
 from germindex.oracle import local_multiplicity
+from germindex.reports import jsonable
 
 from germ_samples import (
     automorphism_pair,
@@ -136,7 +138,7 @@ def test_iterate_reports_match_the_rebuilt_map():
         for n in (2, 3, 4):
             it = iterate(germ, n)
             rebuilt = MapGerm.from_polynomials(it.poly1, it.poly2)
-            assert local_index(it).summary() == local_index(rebuilt).summary(), \
+            assert jsonable(local_index(it)) == jsonable(local_index(rebuilt)), \
                 (germ, n)
 
 
@@ -218,6 +220,28 @@ def test_local_multiplicity_matches_delta(system):
             local_multiplicity(P, Q)
     else:
         assert local_multiplicity(P, Q) == want
+
+
+# polynomials through the origin of degree <= 4 with rational coefficients
+rational_origin_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: 0 < sum(e) <= 4),
+    st.fractions(min_value=-7, max_value=7, max_denominator=6).filter(bool),
+    min_size=1, max_size=4).map(Poly2)
+
+
+@given(rational_origin_polys, rational_origin_polys, rational_origin_polys)
+@settings(max_examples=60)
+def test_intersection_number_matches_the_oracle(P, Q, F):
+    """The fraction-free elimination on the integer numerators gives the
+    oracle's multiplicity, and None once a common factor through the origin
+    is multiplied in."""
+    try:
+        want = local_multiplicity(P, Q)
+    except NonIsolated:
+        assert _intersection_number(P, Q) is None
+    else:
+        assert _intersection_number(P, Q) == want
+    assert _intersection_number(P * F, Q * F) is None
 
 
 def test_three_way_index_agreement_at_isolated_points():
