@@ -55,6 +55,17 @@ def test_fixed_multiplicity_remark42_is_one_elimination(monkeypatch):
     assert len(gcds) == 0 and len(resultants) == 1
 
 
+def test_line_test_certificate_decides_without_a_ring_gcd(monkeypatch):
+    # the restrictions of remark42's f^6 - id to z2 = 0 have degree 64 and
+    # share only the origin: the gcd mod p of their cofactors of z1 decides,
+    # and no univariate gcd over ZZ runs
+    from sympy.polys.rings import PolyElement
+
+    gcds = count_calls(monkeypatch, PolyElement, "gcd")
+    assert fixed_multiplicity(remark42(), (0, 0), 6) == 3
+    assert gcds == []
+
+
 def resultant_routes(monkeypatch):
     """Calls of the packed univariate resultant and of sympy's bivariate
     ring resultant, the route above the packing switch."""
