@@ -6,8 +6,7 @@ when the map is squared; the second fixes a whole line, and its (g, h1, h2)
 decomposition produces branch data instead.
 """
 
-from germindex import decompose, iterate, local_index, omega_sigma
-from germindex.germs import branch_parametrization
+from germindex import decompose, iterate, local_index
 from germindex.scenario import load_fixture
 
 print("== quadratic map (-2 z1 - z1^2 - z2, z1) at the origin ==")
@@ -28,17 +27,12 @@ dec = decompose(origin)
 print(f"  g  = {dec.g}")
 print(f"  h1 = {dec.h1}")
 print(f"  h2 = {dec.h2}")
-w = omega_sigma(dec)
 n = origin.precision
-print(f"  form: ({w.coeff_dz1.to_series(n)}) dz1 + ({w.coeff_dz2.to_series(n)}) dz2")
+print(f"  form: ({dec.h2.to_series(n)}) dz1 + ({(-dec.h1).to_series(n)}) dz2")
 rep = local_index(origin)
 for b in rep.branches:
-    # the form restricted to the branch: a = h2(x, y) x' - h1(x, y) y'
-    (x, y), _ = branch_parametrization(b.defining_polynomial, n)
-    a = (dec.h2.eval_on_parametrization(x, y) * x.derivative()
-         - dec.h1.eval_on_parametrization(x, y) * y.derivative())
     print(f"  branch {b.defining_polynomial}: nu_p = {b.nu_p}, "
-          f"type {b.branch_type}, mu_p = {b.mu_p}, a = {a}")
+          f"type {b.branch_type}, mu_p = {b.mu_p}")
 print(f"  delta = {rep.delta}, local index nu = {rep.nu_A}")
 
 print()

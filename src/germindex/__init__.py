@@ -14,7 +14,6 @@ from .errors import (
     NotAUnit,
     NotCoprime,
     NotDivisible,
-    NotInvertible,
     ParseError,
     PrecisionExhausted,
     ScenarioError,
@@ -26,7 +25,6 @@ from .germs import (
     TYPE_I,
     TYPE_II,
     BranchRecord,
-    DifferentialPair,
     GermDecomposition,
     IndexReport,
     MapGerm,
@@ -34,20 +32,10 @@ from .germs import (
     classify_branch,
     decompose,
     delta,
-    delta_resultant,
-    invert,
     iterate,
     local_index,
-    omega_sigma,
 )
 from .polys import Poly1, Poly2, factor_list2, gcd2, resultant_z1
-from .series import (
-    DEFAULT_PRECISION,
-    AboveDegree,
-    Rational,
-    SeriesPair,
-    TruncatedSeries1,
-    TruncatedSeries2,
-)
+from .series import DEFAULT_PRECISION, AboveDegree, SeriesPair, TruncatedSeries2
 
 __version__ = "0.1.0"

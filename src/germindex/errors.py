@@ -53,10 +53,6 @@ class UnsupportedSingularBranch(GermIndexError):
     computed."""
 
 
-class NotInvertible(GermIndexError):
-    """Germ has singular linear part; no local inverse exists."""
-
-
 class NotACurveFixingGerm(GermIndexError):
     """The germ does not fix the curve z1 = 0 pointwise."""
 

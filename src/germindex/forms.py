@@ -34,7 +34,7 @@ class FormGerm:
     unit_part: TruncatedSeries2
 
     def __post_init__(self):
-        if self.unit_part.restrict_z1_zero().is_zero():
+        if self.unit_part.z1_order() != 0:
             raise ValueError(
                 "unit part must not vanish identically on z1 = 0 "
                 "(divide the z1 factor into the valuation)"

@@ -30,31 +30,25 @@ germ it iterates, and is first decomposed by that base's curve factor g
 divides both differences and the quotients have a finite intersection
 number, no further factor through the origin divides both, so g is
 certified with no factorization.
+
+Nothing here is taken from the elimination oracle (`oracle`), which
+cross-checks these numbers by resultants on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (
     IdentityGerm,
-    NonIsolated,
     NonPolynomialGerm,
     NotCoprime,
     NotDivisible,
-    NotInvertible,
     UnsupportedSingularBranch,
 )
-from .oracle import local_multiplicity
 from .polys import Poly2, factor_list2, gcd2, iterate_pair
-from .series import (
-    DEFAULT_PRECISION,
-    SeriesPair,
-    TruncatedSeries1,
-    TruncatedSeries2,
-)
+from .series import DEFAULT_PRECISION, SeriesPair, TruncatedSeries2
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -64,14 +58,15 @@ class MapGerm:
     """A map germ fixing the origin, with optional exact polynomial images.
 
     image1/image2 are the truncated-series images of z1 and z2 at the
-    germ's precision.  When the germ is polynomial the exact polynomials
-    are retained so that gcd extraction, iteration and the elimination
-    oracle stay exact, and the series images are built from them on first
-    use.  An iterate keeps the germ it iterates as `base`; `decompose`
-    stores the germ's curve data (g and its origin factors) so that each
-    germ object computes it at most once.  A polynomial germ holds the
-    chain of its exact iterates [f, f^2, ...] that `iterate` has composed
-    so far.
+    germ's precision; the forms module reads them, and a germ built from
+    series alone (`from_series`, jet data) iterates through them.  When
+    the germ is polynomial the exact polynomials are retained so that gcd
+    extraction, iteration and the intersection numbers stay exact, and the
+    series images are built from them on first use.  An iterate keeps the
+    germ it iterates as `base`; `decompose` stores the germ's curve data
+    (g and its origin factors) so that each germ object computes it at
+    most once.  A polynomial germ holds the chain of its exact iterates
+    [f, f^2, ...] that `iterate` has composed so far.
     """
 
     __slots__ = ("precision", "poly1", "poly2", "source_point_label",
@@ -129,12 +124,6 @@ class MapGerm:
         """(sigma(z1) - z1, sigma(z2) - z2) of a polynomial germ."""
         return (self.poly1 - Poly2.variable(1), self.poly2 - Poly2.variable(2))
 
-    def linear_matrix(self):
-        """The 2x2 Jacobian at the origin, as rows of Fractions."""
-        a, b = (self.image1[(1, 0)], self.image1[(0, 1)])
-        c, d = (self.image2[(1, 0)], self.image2[(0, 1)])
-        return ((a, b), (c, d))
-
     def __eq__(self, other):
         """Exact polynomials are compared when both germs carry them, else
         the series images up to the weaker precision."""
@@ -169,14 +158,6 @@ class GermDecomposition:
     def __post_init__(self):
         if self.factors is None:
             self.factors = _origin_factors(self.g)
-
-
-@dataclass
-class DifferentialPair:
-    """Coefficients of a 1-form a*dz1 + b*dz2."""
-
-    coeff_dz1: Poly2
-    coeff_dz2: Poly2
 
 
 @dataclass
@@ -278,11 +259,6 @@ def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
     if not p.vanishes_at_origin():
         return []
     return [(f, m) for f, m in factor_list2(p)[1] if f.vanishes_at_origin()]
-
-
-def omega_sigma(dec: GermDecomposition) -> DifferentialPair:
-    """The 1-form h2*dz1 - h1*dz2 attached to a decomposition."""
-    return DifferentialPair(coeff_dz1=dec.h2, coeff_dz2=-dec.h1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,35 +365,9 @@ def delta(dec: GermDecomposition) -> int:
     return d
 
 
-def delta_resultant(dec: GermDecomposition) -> int:
-    """Independent route to delta: the intersection multiplicity of h1 and
-    h2 at the origin by elimination (oracle.local_multiplicity)."""
-    try:
-        return local_multiplicity(dec.h1, dec.h2)
-    except NonIsolated as exc:
-        raise NotCoprime("cofactors share a factor through the origin") from exc
-
-
 # ---------------------------------------------------------------------------
 # branches and their classification
 # ---------------------------------------------------------------------------
-
-
-def _implicit_series_over_z1(p: Poly2, precision: int) -> TruncatedSeries1:
-    """phi with p(t, phi(t)) = 0 to the given order; needs d(p)/dz2 (0,0) != 0."""
-    c01 = p.linear_part()[1]
-    t = TruncatedSeries1.variable(precision)
-    phi = TruncatedSeries1.zero(precision)
-    for k in range(1, precision + 1):
-        defect = p.eval_on_parametrization(t, phi)
-        if defect.is_zero():
-            # exact to the working order: every later coefficient of the
-            # defect is 0 as well, so phi cannot change
-            break
-        ck = defect[k]
-        if ck != 0:
-            phi = phi + TruncatedSeries1({k: -ck / c01}, precision)
-    return phi
 
 
 def _smooth_form(p: Poly2) -> str:
@@ -429,16 +379,6 @@ def _smooth_form(p: Poly2) -> str:
     if c10 != 0:
         return "over_z2"
     raise UnsupportedSingularBranch(f"factor {p!r} is singular at the origin")
-
-
-def branch_parametrization(p: Poly2, precision: int):
-    """Smooth parametrization of an origin branch: (t, phi) or (psi, t)."""
-    form = _smooth_form(p)
-    t = TruncatedSeries1.variable(precision)
-    if form == "over_z1":
-        return (t, _implicit_series_over_z1(p, precision)), form
-    swapped = Poly2({(j, i): c for (i, j), c in p.coeff.items()})
-    return (_implicit_series_over_z1(swapped, precision), t), form
 
 
 def branches(dec: GermDecomposition) -> list[BranchRecord]:
@@ -507,14 +447,15 @@ def local_index(germ: MapGerm) -> IndexReport:
 
 
 # ---------------------------------------------------------------------------
-# iteration and inversion
+# iteration
 # ---------------------------------------------------------------------------
 
 
 def iterate(germ: MapGerm, n: int) -> MapGerm:
     """n-fold self-composition.  Polynomial germs compose exactly, each new
-    n by one composition onto the germ's chain of iterates.  For n >= 2 the
-    result keeps germ as its base, for decompose."""
+    n by one composition onto the germ's chain of iterates; a series germ
+    composes its truncated images.  For n >= 2 the result keeps germ as
+    its base, for decompose."""
     if n < 1:
         raise ValueError("iterate needs n >= 1")
     if n == 1:
@@ -531,29 +472,3 @@ def iterate(germ: MapGerm, n: int) -> MapGerm:
         out = MapGerm.from_series(s1, s2, germ.source_point_label)
     out.base = germ
     return out
-
-
-def invert(germ: MapGerm) -> MapGerm:
-    """Local inverse as a series germ; the linear part must be invertible."""
-    (a, b), (c, d) = germ.linear_matrix()
-    det = a * d - b * c
-    if det == 0:
-        raise NotInvertible("linear part of the germ is singular")
-    n = germ.precision
-
-    def linv(w1: TruncatedSeries2, w2: TruncatedSeries2):
-        return ((w1 * d - w2 * b) * (Fraction(1) / det),
-                (w2 * a - w1 * c) * (Fraction(1) / det))
-
-    z1 = TruncatedSeries2.variable(1, n)
-    z2 = TruncatedSeries2.variable(2, n)
-    t1, t2 = linv(z1, z2)
-    for _ in range(n + 1):
-        pair = SeriesPair(t1, t2)
-        e1 = germ.image1.compose(pair) - z1
-        e2 = germ.image2.compose(pair) - z2
-        if e1.is_zero() and e2.is_zero():
-            break
-        c1, c2 = linv(e1, e2)
-        t1, t2 = t1 - c1, t2 - c2
-    return MapGerm.from_series(t1, t2, germ.source_point_label)

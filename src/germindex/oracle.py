@@ -7,7 +7,10 @@ the point and leave the point alone on its z2-level (a gcd only when a
 common zero elsewhere on that level blocks a shear), total affine
 fixed-point counts from resultant degrees, a positivity test for indices
 at points lying on fixed curves, and the determinant form of the torus
-Lefschetz number.  Nothing is taken from the germ engine.
+Lefschetz number.  A point is moved to the origin by conjugating the
+global map itself (`PolynomialMap.localized`), whose iterates are then
+composed here.  Nothing is taken from the germ engine, and the engine
+imports nothing from here.
 """
 
 from __future__ import annotations
@@ -28,14 +31,32 @@ from .surd import Surd
 class PolynomialMap:
     """A global polynomial self-map of the affine plane.  It holds the chain
     of its exact iterates [f, f^2, ...] composed so far, so each new n
-    costs one composition."""
+    costs one composition, and its localizations at the points asked for
+    so far."""
 
-    __slots__ = ("p1", "p2", "_iterates")
+    __slots__ = ("p1", "p2", "_iterates", "_localized")
 
     def __init__(self, p1: Poly2, p2: Poly2):
         self.p1 = p1
         self.p2 = p2
         self._iterates = [(p1, p2)]
+        self._localized: dict = {}
+
+    def localized(self, point) -> "PolynomialMap":
+        """The map conjugated to `point`: z -> f(z + point) - point, built
+        once per point.  Its iterates are f's conjugated the same way, so
+        its fixed system is f's translated by `point`, composed from a map
+        of f's own degree instead of translating f^n.  At the origin it is
+        the map itself, with its chain."""
+        a, b = rat(point[0]), rat(point[1])
+        if a == 0 and b == 0:
+            return self
+        local = self._localized.get((a, b))
+        if local is None:
+            local = PolynomialMap(self.p1.translate(a, b) - Poly2.constant(a),
+                                  self.p2.translate(a, b) - Poly2.constant(b))
+            self._localized[(a, b)] = local
+        return local
 
     def iterate(self, n: int) -> "PolynomialMap":
         return PolynomialMap(*iterate_pair(self.p1, self.p2, n, self._iterates))
@@ -107,12 +128,12 @@ def local_multiplicity(P: Poly2, Q: Poly2) -> int:
 def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """Multiplicity of `point` as a solution of f^n(z) = z.
 
-    The point must be isolated: a fixed-curve component through it raises
-    NonIsolated.  Points that are not fixed at all report 0.
+    The fixed system of the map localized at the point is eliminated at
+    the origin.  The point must be isolated: a fixed-curve component
+    through it raises NonIsolated.  Points that are not fixed at all
+    report 0.
     """
-    a, b = (rat(point[0]), rat(point[1]))
-    P, Q = pmap.fixed_system(n)
-    return local_multiplicity(P.translate(a, b), Q.translate(a, b))
+    return local_multiplicity(*pmap.localized(point).fixed_system(n))
 
 
 def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:
@@ -152,36 +173,34 @@ def fixed_index_positive(pmap: PolynomialMap, point, n: int = 1) -> bool:
     """Is the local index of f^n at `point` positive?
 
     Works at points lying on fixed curves, where fixed_multiplicity refuses.
-    Writing the fixed-point system as (G*h1, G*h2) with G the global curve
-    factor, the index is positive iff h1 and h2 both vanish at the point or
-    some type I curve branch through it is tangent to (h2, -h1) there, i.e.
-    h1 * dp/dz1 + h2 * dp/dz2 vanishes at the point.
+    Writing the fixed-point system of the map localized at the point as
+    (G*h1, G*h2) with G the global curve factor, the index is positive iff
+    h1 and h2 both vanish at the origin or some type I curve branch through
+    it is tangent to (h2, -h1) there, i.e. h1 * dp/dz1 + h2 * dp/dz2
+    vanishes at the origin.
     """
-    a, b = (rat(point[0]), rat(point[1]))
-    P, Q = pmap.fixed_system(n)
+    P, Q = pmap.localized(point).fixed_system(n)
     G = gcd2(P, Q)
     if G.is_constant():
-        return local_multiplicity(P.translate(a, b), Q.translate(a, b)) > 0
+        return local_multiplicity(P, Q) > 0
     h1 = P.exact_div(G)
     h2 = Q.exact_div(G)
-    if h1.evaluate(a, b) == 0 and h2.evaluate(a, b) == 0:
+    if h1.vanishes_at_origin() and h2.vanishes_at_origin():
         return True
     for factor, _mult in factor_list2(G)[1]:
-        if factor.evaluate(a, b) != 0:
+        if not factor.vanishes_at_origin():
             continue
-        gx = factor.derivative(1)
-        gy = factor.derivative(2)
-        if gx.evaluate(a, b) == 0 and gy.evaluate(a, b) == 0:
+        if factor.linear_part() == (0, 0):
             raise UnsupportedSingularBranch(
-                f"curve factor {factor!r} is singular at {point}"
+                f"curve factor {factor!r}, centred at {point}, is singular there"
             )
-        e = h1 * gx + h2 * gy
+        e = h1 * factor.derivative(1) + h2 * factor.derivative(2)
         if factor.divides(e):
             # the restricted form vanishes identically on this branch
             # (type II); its order contributes only where h1, h2 vanish,
             # which was already tested
             continue
-        if e.evaluate(a, b) == 0:
+        if e.vanishes_at_origin():
             return True
     return False
 

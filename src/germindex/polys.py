@@ -43,7 +43,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from .errors import NotDivisible, PrecisionExhausted
-from .series import TruncatedSeries1, TruncatedSeries2, rat, substitute
+from .series import TruncatedSeries2, rat
 
 _RING2 = ring("z1,z2", ZZ)[0]
 _RING1 = ring("t", QQ)[0]
@@ -247,12 +247,6 @@ class Poly2:
         if a == 0 and b == 0:
             return self
         return self.compose(Poly2.variable(1) + a, Poly2.variable(2) + b)
-
-    def eval_on_parametrization(self, x: TruncatedSeries1, y: TruncatedSeries1) -> TruncatedSeries1:
-        """Substitute a univariate parametrization (x(t), y(t))."""
-        n = min(x.precision, y.precision)
-        one = TruncatedSeries1.constant(1, n)
-        return TruncatedSeries1(substitute(self.coeff, x, y, one), n)
 
     # -- division and normalization ----------------------------------------
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from .germs import BranchRecord
 from .parsing import poly_to_text
 from .polys import Poly1, Poly2
-from .series import AboveDegree, TruncatedSeries1, TruncatedSeries2
+from .series import AboveDegree, TruncatedSeries2
 from .surd import Surd
 
 
@@ -40,7 +40,7 @@ def jsonable(obj):
         return {"above_degree": obj.n}
     if isinstance(obj, Poly2):
         return poly_to_text(obj)
-    if isinstance(obj, (Poly1, TruncatedSeries1, TruncatedSeries2)):
+    if isinstance(obj, (Poly1, TruncatedSeries2)):
         return repr(obj)
     if isinstance(obj, BranchRecord):
         return {

@@ -17,7 +17,6 @@ from .forms import FormGerm
 from .germs import MapGerm
 from .oracle import PolynomialMap
 from .parsing import parse_expression
-from .polys import Poly2
 from .series import DEFAULT_PRECISION
 from .surd import Surd
 from .surface import (
@@ -81,14 +80,13 @@ def _surd(data) -> Surd:
 
 def localized_germ(pmap: PolynomialMap, point, precision: int,
                    label: str | None = None) -> MapGerm:
-    """Chart germ of a global map at a fixed rational point: conjugate by
-    the translation moving the point to the origin."""
+    """Chart germ of a global map at a fixed rational point: the map
+    conjugated by the translation moving the point to the origin."""
     a, b = _rat(point[0]), _rat(point[1])
     if pmap.p1.evaluate(a, b) != a or pmap.p2.evaluate(a, b) != b:
         raise ScenarioError(f"point ({a}, {b}) is not fixed by the map")
-    p1 = pmap.p1.translate(a, b) - Poly2.constant(a)
-    p2 = pmap.p2.translate(a, b) - Poly2.constant(b)
-    return MapGerm.from_polynomials(p1, p2, precision, label)
+    local = pmap.localized((a, b))
+    return MapGerm.from_polynomials(local.p1, local.p2, precision, label)
 
 
 def _build_action(data, default_as: bool) -> CohomologyAction:

@@ -3,10 +3,10 @@
 TruncatedSeries2 models an element of Q[[z1, z2]] known modulo all terms of
 total degree > N; the integer N is carried along as ``precision``.  All
 arithmetic is exact on the stored coefficients and every binary operation
-truncates to the weaker of the two precisions.  TruncatedSeries1 is the
-univariate counterpart used for branch parametrizations, Q[[t]].  Both
-share one ring core (_TruncatedSeries); each type adds its exponent's
-degree, its product, and its own substitution, derivative and division.
+truncates to the weaker of the two precisions.  Series carry the images
+of germs given without exact polynomials (jet data) and the expansions
+and 2-forms of the forms module; exact polynomials are composed in
+sympy's ring by ``Poly2.compose``.
 
 Values are immutable after construction and all operations are pure, so
 instances can be shared freely.
@@ -20,8 +20,6 @@ from .errors import NonLocalSubstitution, NotAUnit, NotDivisible
 
 DEFAULT_PRECISION = 16
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints / strings / Fractions to an exact rational."""
@@ -32,28 +30,6 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def substitute(coeff: dict, x, y, one) -> dict:
-    """Coefficients of the sum of c * x**i * y**j over the terms (i, j): c
-    of coeff.
-
-    x, y and the unit one are truncated series carrying a ``coeff`` dict;
-    products truncate as their ring does (exact polynomials are composed
-    in sympy's ring by ``Poly2.compose``).  Each power of x and y is built
-    once, and the terms are summed into one dict, which the caller wraps in
-    its own type.
-    """
-    pow_x, pow_y = [one], [one]
-    out: dict = {}
-    for (i, j), c in sorted(coeff.items()):
-        while len(pow_x) <= i:
-            pow_x.append(pow_x[-1] * x)
-        while len(pow_y) <= j:
-            pow_y.append(pow_y[-1] * y)
-        for e, v in (pow_x[i] * pow_y[j]).coeff.items():
-            out[e] = out.get(e, 0) + c * v
-    return out
 
 
 class AboveDegree:
@@ -75,15 +51,8 @@ class AboveDegree:
         return f"AboveDegree({self.n})"
 
 
-class _TruncatedSeries:
-    """The ring core of both series types: construction, truncation,
-    equality, +, -, scalar *, powers and unit inversion.
-
-    A subclass supplies the exponent's degree (_degree), the nonzero terms
-    of degree <= n (_cut, written out so that building a series costs no
-    call per coefficient), the constant-term key _ORIGIN and the series
-    product _product.  Results keep the caller's type.
-    """
+class TruncatedSeries2:
+    """Bivariate series sum c[(i,j)] * z1^i z2^j over i+j <= precision."""
 
     __slots__ = ("coeff", "precision")
 
@@ -91,126 +60,18 @@ class _TruncatedSeries:
         if precision < 0:
             raise ValueError("precision must be nonnegative")
         self.precision = precision
-        self.coeff = self._cut(coeff, precision)
+        self.coeff = {e: c for e, c in coeff.items()
+                      if c != 0 and e[0] + e[1] <= precision}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, precision: int = DEFAULT_PRECISION):
+    def zero(cls, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries2":
         return cls({}, precision)
 
     @classmethod
-    def constant(cls, value, precision: int = DEFAULT_PRECISION):
-        return cls({cls._ORIGIN: rat(value)}, precision)
-
-    # -- basic queries -------------------------------------------------
-
-    def constant_term(self) -> Fraction:
-        return self.coeff.get(self._ORIGIN, Fraction(0))
-
-    def is_zero(self) -> bool:
-        """Zero up to the stored precision (no claim beyond it)."""
-        return not self.coeff
-
-    def order(self):
-        """Least degree with a nonzero coefficient, or AboveDegree."""
-        if not self.coeff:
-            return AboveDegree(self.precision)
-        return min(map(self._degree, self.coeff))
-
-    def truncate(self, precision: int):
-        if precision >= self.precision:
-            if precision == self.precision:
-                return self
-            raise ValueError("cannot raise precision of a truncated series")
-        return type(self)(self.coeff, precision)
-
-    def __eq__(self, other):
-        """Coefficient-wise equality up to the weaker precision."""
-        if isinstance(other, (int, Fraction)):
-            other = self.constant(other, self.precision)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        return self._cut(self.coeff, n) == other._cut(other.coeff, n)
-
-    def __hash__(self):
-        return hash((self.precision, frozenset(self.coeff.items())))
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.constant(other, self.precision)
-        n = min(self.precision, other.precision)
-        out = dict(self.coeff)
-        for e, c in other.coeff.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return type(self)(out, n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)({e: -c for e, c in self.coeff.items()}, self.precision)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return type(self)({e: c * v for e, v in self.coeff.items()}, self.precision)
-        return self._product(other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.invert_unit() ** (-k)
-        result = self.constant(1, self.precision)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def invert_unit(self):
-        """Multiplicative inverse of a unit (nonzero constant term)."""
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise NotAUnit("series has zero constant term")
-        n = self.precision
-        # self = c0 (1 - r) with ord(r) >= 1; invert by geometric series
-        r = type(self)({e: -c / c0 for e, c in self.coeff.items() if e != self._ORIGIN}, n)
-        acc = self.constant(1, n)
-        rp = acc
-        for _ in range(n):
-            rp = rp * r
-            if rp.is_zero():
-                break
-            acc = acc + rp
-        return acc * (Fraction(1) / c0)
-
-
-class TruncatedSeries2(_TruncatedSeries):
-    """Bivariate series sum c[(i,j)] * z1^i z2^j over i+j <= precision."""
-
-    __slots__ = ()
-
-    _ORIGIN = (0, 0)
-
-    @staticmethod
-    def _degree(e) -> int:
-        return e[0] + e[1]
-
-    @staticmethod
-    def _cut(coeff, n: int) -> dict:
-        return {e: c for e, c in coeff.items() if c != 0 and e[0] + e[1] <= n}
+    def constant(cls, value, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries2":
+        return cls({(0, 0): rat(value)}, precision)
 
     @classmethod
     def variable(cls, index: int, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries2":
@@ -224,8 +85,20 @@ class TruncatedSeries2(_TruncatedSeries):
     def from_terms(cls, terms, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries2":
         return cls({e: rat(c) for e, c in terms.items()}, precision)
 
-    def __getitem__(self, exps) -> Fraction:
-        return self.coeff.get(tuple(exps), Fraction(0))
+    # -- basic queries -------------------------------------------------
+
+    def constant_term(self) -> Fraction:
+        return self.coeff.get((0, 0), Fraction(0))
+
+    def is_zero(self) -> bool:
+        """Zero up to the stored precision (no claim beyond it)."""
+        return not self.coeff
+
+    def order(self):
+        """Least total degree with a nonzero coefficient, or AboveDegree."""
+        if not self.coeff:
+            return AboveDegree(self.precision)
+        return min(i + j for i, j in self.coeff)
 
     def z1_order(self):
         """Least z1-exponent present (divisibility by powers of z1)."""
@@ -233,7 +106,52 @@ class TruncatedSeries2(_TruncatedSeries):
             return AboveDegree(self.precision)
         return min(i for i, _ in self.coeff)
 
-    def _product(self, other) -> "TruncatedSeries2":
+    def truncate(self, precision: int) -> "TruncatedSeries2":
+        if precision >= self.precision:
+            if precision == self.precision:
+                return self
+            raise ValueError("cannot raise precision of a truncated series")
+        return TruncatedSeries2(self.coeff, precision)
+
+    def __eq__(self, other):
+        """Coefficient-wise equality up to the weaker precision."""
+        if isinstance(other, (int, Fraction)):
+            other = self.constant(other, self.precision)
+        if not isinstance(other, TruncatedSeries2):
+            return NotImplemented
+        n = min(self.precision, other.precision)
+        return self.truncate(n).coeff == other.truncate(n).coeff
+
+    def __hash__(self):
+        return hash((self.precision, frozenset(self.coeff.items())))
+
+    # -- ring operations ----------------------------------------------
+
+    def __add__(self, other) -> "TruncatedSeries2":
+        if isinstance(other, (int, Fraction)):
+            other = self.constant(other, self.precision)
+        n = min(self.precision, other.precision)
+        out = dict(self.coeff)
+        for e, c in other.coeff.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return TruncatedSeries2(out, n)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "TruncatedSeries2":
+        return TruncatedSeries2({e: -c for e, c in self.coeff.items()}, self.precision)
+
+    def __sub__(self, other) -> "TruncatedSeries2":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "TruncatedSeries2":
+        return (-self) + other
+
+    def __mul__(self, other) -> "TruncatedSeries2":
+        if isinstance(other, (int, Fraction)):
+            c = rat(other)
+            return TruncatedSeries2({e: c * v for e, v in self.coeff.items()},
+                                    self.precision)
         n = min(self.precision, other.precision)
         out: dict = {}
         for (i1, j1), c1 in self.coeff.items():
@@ -247,23 +165,63 @@ class TruncatedSeries2(_TruncatedSeries):
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return TruncatedSeries2(out, n)
 
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "TruncatedSeries2":
+        if k < 0:
+            return self.invert_unit() ** (-k)
+        result = self.constant(1, self.precision)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def invert_unit(self) -> "TruncatedSeries2":
+        """Multiplicative inverse of a unit (nonzero constant term)."""
+        c0 = self.constant_term()
+        if c0 == 0:
+            raise NotAUnit("series has zero constant term")
+        n = self.precision
+        # self = c0 (1 - r) with ord(r) >= 1: a geometric series in r
+        r = TruncatedSeries2({e: -c / c0 for e, c in self.coeff.items() if e != (0, 0)}, n)
+        acc = self.constant(1, n)
+        rp = acc
+        for _ in range(n):
+            rp = rp * r
+            if rp.is_zero():
+                break
+            acc = acc + rp
+        return acc * (Fraction(1) / c0)
+
     # -- local-ring operations ----------------------------------------
 
     def compose(self, images) -> "TruncatedSeries2":
-        """Substitute (z1, z2) -> images.  Both images need zero constant
-        term; otherwise the substitution is not continuous and
-        NonLocalSubstitution is raised."""
-        if isinstance(images, SeriesPair):
-            g1, g2 = images.first, images.second
-        else:
-            g1, g2 = images
+        """Substitute (z1, z2) -> images, a SeriesPair or a pair of series.
+        Both images need zero constant term; otherwise the substitution is
+        not continuous and NonLocalSubstitution is raised.
+
+        Each power of the two images is built once, and the terms are
+        summed into one dict."""
+        g1, g2 = images
         if g1.constant_term() != 0 or g2.constant_term() != 0:
             raise NonLocalSubstitution(
                 "substitution images must vanish at the origin"
             )
         n = min(self.precision, g1.precision, g2.precision)
-        one = TruncatedSeries2.constant(1, n)
-        return TruncatedSeries2(substitute(self.truncate(n).coeff, g1, g2, one), n)
+        pow_1 = [TruncatedSeries2.constant(1, n)]
+        pow_2 = pow_1[:]
+        out: dict = {}
+        for (i, j), c in sorted(self.truncate(n).coeff.items()):
+            while len(pow_1) <= i:
+                pow_1.append(pow_1[-1] * g1)
+            while len(pow_2) <= j:
+                pow_2.append(pow_2[-1] * g2)
+            for e, v in (pow_1[i] * pow_2[j]).coeff.items():
+                out[e] = out.get(e, 0) + c * v
+        return TruncatedSeries2(out, n)
 
     def partial_derivative(self, variable: int) -> "TruncatedSeries2":
         """Term-wise d/dz1 or d/dz2; precision drops by one."""
@@ -298,7 +256,7 @@ class TruncatedSeries2(_TruncatedSeries):
         pe = min(b.coeff, key=lambda e: (e[0] + e[1], e))
         pc = b.coeff[pe]
         quot: dict = {}
-        rem = self._cut(self.coeff, n)
+        rem = dict(self.truncate(n).coeff)
         # repeatedly cancel the least term of the remainder
         while rem:
             e = min(rem, key=lambda x: (x[0] + x[1], x))
@@ -325,12 +283,6 @@ class TruncatedSeries2(_TruncatedSeries):
             raise NotDivisible("no quotient exists at working precision")
         return q
 
-    def restrict_z1_zero(self) -> "TruncatedSeries1":
-        """Restriction to the curve z1 = 0 as a series in z2."""
-        return TruncatedSeries1(
-            {j: c for (i, j), c in self.coeff.items() if i == 0}, self.precision
-        )
-
     # -- display -------------------------------------------------------
 
     def __repr__(self):
@@ -344,82 +296,6 @@ class TruncatedSeries2(_TruncatedSeries):
             )
             parts.append(f"{c}{mono}")
         return " + ".join(parts) + f" + O(deg>{self.precision})"
-
-
-class TruncatedSeries1(_TruncatedSeries):
-    """Univariate truncated series over Q, sum c[e] * t^e for e <= precision."""
-
-    __slots__ = ()
-
-    _ORIGIN = 0
-
-    @staticmethod
-    def _degree(e) -> int:
-        return e
-
-    @staticmethod
-    def _cut(coeff, n: int) -> dict:
-        return {e: c for e, c in coeff.items() if c != 0 and e <= n}
-
-    @classmethod
-    def variable(cls, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries1":
-        return cls({1: Fraction(1)}, precision)
-
-    def __getitem__(self, e: int) -> Fraction:
-        return self.coeff.get(e, Fraction(0))
-
-    def _product(self, other) -> "TruncatedSeries1":
-        n = min(self.precision, other.precision)
-        out: dict = {}
-        for e1, c1 in self.coeff.items():
-            for e2, c2 in other.coeff.items():
-                e = e1 + e2
-                if e > n:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return TruncatedSeries1(out, n)
-
-    def derivative(self) -> "TruncatedSeries1":
-        return TruncatedSeries1(
-            {e - 1: c * e for e, c in self.coeff.items() if e > 0},
-            max(self.precision - 1, 0),
-        )
-
-    def exact_divide(self, b: "TruncatedSeries1") -> "TruncatedSeries1":
-        if b.is_zero():
-            raise NotDivisible("division by a series that is zero to precision")
-        m = b.order()
-        n = min(self.precision, b.precision)
-        if self.is_zero():
-            return TruncatedSeries1.zero(max(n - m, 0))
-        if self.order() < m:
-            raise NotDivisible("dividend has smaller order than divisor")
-        shifted = TruncatedSeries1({e - m: c for e, c in b.coeff.items()}, n - m)
-        num = TruncatedSeries1({e - m: c for e, c in self.coeff.items()}, n - m)
-        return num * shifted.invert_unit()
-
-    def compose(self, inner: "TruncatedSeries1") -> "TruncatedSeries1":
-        if inner.constant_term() != 0:
-            raise NonLocalSubstitution("substitution image must vanish at 0")
-        n = min(self.precision, inner.precision)
-        acc = TruncatedSeries1.constant(0, n)
-        p = TruncatedSeries1.constant(1, n)
-        for e in range(0, n + 1):
-            c = self.coeff.get(e)
-            if c is not None:
-                acc = acc + p * c
-            p = p * inner
-            if p.is_zero():
-                break
-        return acc
-
-    def __repr__(self):
-        if not self.coeff:
-            return f"O(t^>{self.precision})"
-        parts = []
-        for e, c in sorted(self.coeff.items()):
-            parts.append(f"{c}" if e == 0 else (f"{c}*t" if e == 1 else f"{c}*t^{e}"))
-        return " + ".join(parts) + f" + O(t^>{self.precision})"
 
 
 class SeriesPair:

@@ -13,12 +13,10 @@ from germindex import (
     classify_branch,
     decompose,
     delta,
-    delta_resultant,
-    invert,
     local_index,
 )
 from germindex.germs import TYPE_II, GermDecomposition
-from germindex.oracle import PolynomialMap, fixed_multiplicity
+from germindex.oracle import PolynomialMap, fixed_multiplicity, local_multiplicity
 from germindex.scenario import load_scenario
 
 X = Poly2.variable(1)
@@ -33,7 +31,7 @@ def test_delta_resultant_other_zero_on_initial_line():
     # common zeros (0,0) and (1,0) share the z2 = 0 line until sheared away
     dec = GermDecomposition(g=ONE, h1=Y, h2=X * (X - 1))
     assert delta(dec) == 1
-    assert delta_resultant(dec) == 1
+    assert local_multiplicity(dec.h1, dec.h2) == 1
 
 
 def test_delta_resultant_shears_collide_with_conjugate_zeros():
@@ -44,7 +42,7 @@ def test_delta_resultant_shears_collide_with_conjugate_zeros():
     h2 = Y + X**2
     dec = GermDecomposition(g=ONE, h1=h1, h2=h2)
     assert delta(dec) == 1
-    assert delta_resultant(dec) == 1
+    assert local_multiplicity(dec.h1, dec.h2) == 1
 
 
 def test_delta_tangential_intersections():
@@ -58,7 +56,7 @@ def test_delta_tangential_intersections():
     for h1, h2, want in cases:
         dec = GermDecomposition(g=ONE, h1=h1, h2=h2)
         assert delta(dec) == want, (h1, h2)
-        assert delta_resultant(dec) == want, (h1, h2)
+        assert local_multiplicity(dec.h1, dec.h2) == want, (h1, h2)
 
 
 def test_oracle_agrees_on_tangential_point():
@@ -108,14 +106,6 @@ def test_order_does_not_depend_on_the_germ_precision():
 def test_germ_must_fix_origin():
     with pytest.raises(ValueError):
         MapGerm.from_polynomials(X + 1, Y)
-
-
-def test_invert_geometric_series_shape():
-    g = invert(MapGerm.from_polynomials(X + X * Y, Y))
-    expected = Poly2.zero()
-    for k in range(17):
-        expected = expected + X * (Y**k) * Fraction((-1) ** k)
-    assert g.image1 == expected.to_series(16)
 
 
 def test_branch_key_ignores_scaling():

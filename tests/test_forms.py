@@ -110,6 +110,15 @@ def test_predict_type():
     assert predict_type(pole, 2) == FORCED_TYPE_II
 
 
+def test_form_unit_part_must_not_vanish_on_the_curve():
+    # z1 + z1*z2 and 0 vanish on z1 = 0: the z1 factor belongs in the
+    # valuation
+    for unit in ((X + X * Y).to_series(16), TruncatedSeries2.zero(16)):
+        with pytest.raises(ValueError):
+            FormGerm(0, unit)
+    assert FormGerm(-1, (Y + X).to_series(16)).pole_order == 1
+
+
 def test_pullback_requires_curve_fixing_for_poles():
     w = FormGerm(-1, TruncatedSeries2.constant(1, 16))
     with pytest.raises(NotACurveFixingGerm):

@@ -14,23 +14,19 @@ from germindex import (
     TYPE_II,
     IdentityGerm,
     MapGerm,
+    NonIsolated,
     NotCoprime,
-    NotInvertible,
     Poly2,
-    TruncatedSeries1,
+    TruncatedSeries2,
     UnsupportedSingularBranch,
     branches,
     classify_branch,
     decompose,
     delta,
-    delta_resultant,
     gcd2,
-    invert,
     iterate,
     local_index,
-    omega_sigma,
 )
-from germindex.germs import branch_parametrization
 from germindex.oracle import local_multiplicity
 from germindex.reports import jsonable
 
@@ -117,13 +113,13 @@ def test_delta_maximal_ideal():
 
     dec = GermDecomposition(g=ONE, h1=X, h2=Y)
     assert delta(dec) == 1
-    assert delta_resultant(dec) == 1
+    assert local_multiplicity(dec.h1, dec.h2) == 1
 
 
 def test_delta_remark42():
     dec = decompose(remark42_map())
     assert delta(dec) == 1
-    assert delta_resultant(dec) == 1
+    assert local_multiplicity(dec.h1, dec.h2) == 1
 
 
 def test_delta_z1sq_z2():
@@ -131,7 +127,7 @@ def test_delta_z1sq_z2():
 
     dec = GermDecomposition(g=ONE, h1=X**2, h2=Y)
     assert delta(dec) == 2
-    assert delta_resultant(dec) == 2
+    assert local_multiplicity(dec.h1, dec.h2) == 2
 
 
 def test_delta_substitution_case():
@@ -139,7 +135,7 @@ def test_delta_substitution_case():
 
     dec = GermDecomposition(g=ONE, h1=X**2 + Y, h2=X)
     assert delta(dec) == 1
-    assert delta_resultant(dec) == 1
+    assert local_multiplicity(dec.h1, dec.h2) == 1
 
 
 def test_delta_not_coprime():
@@ -148,8 +144,8 @@ def test_delta_not_coprime():
     dec = GermDecomposition(g=ONE, h1=X * Y, h2=X * (ONE + Y))
     with pytest.raises(NotCoprime):
         delta(dec)
-    with pytest.raises(NotCoprime):
-        delta_resultant(dec)
+    with pytest.raises(NonIsolated):
+        local_multiplicity(dec.h1, dec.h2)
 
 
 def test_intersection_number_refuses_a_common_factor_at_the_bezout_bound():
@@ -182,7 +178,7 @@ def test_delta_resultant_divides_out_a_common_unit():
 
     dec = GermDecomposition(g=ONE, h1=Y * (Y + 1), h2=X * (Y + 1))
     assert delta(dec) == 1
-    assert delta_resultant(dec) == 1
+    assert local_multiplicity(dec.h1, dec.h2) == 1
 
 
 def test_delta_unit_ideal_is_zero():
@@ -190,27 +186,7 @@ def test_delta_unit_ideal_is_zero():
 
     dec = GermDecomposition(g=X, h1=Poly2.zero(), h2=ONE + Y)
     assert delta(dec) == 0
-    assert delta_resultant(dec) == 0
-
-
-# -- omega --------------------------------------------------------------------
-
-
-def test_omega_sigma_values():
-    from germindex.germs import GermDecomposition
-
-    dec = GermDecomposition(g=X, h1=X**2 + Y, h2=X)
-    w = omega_sigma(dec)
-    assert (w.coeff_dz1, w.coeff_dz2) == (X, -(X**2 + Y))
-
-    dec2 = GermDecomposition(g=ONE, h1=X, h2=Y)
-    w2 = omega_sigma(dec2)
-    assert (w2.coeff_dz1, w2.coeff_dz2) == (Y, -X)
-
-    # crossing-point germ with unit factors: form is (z2 u2, -z1 u1)
-    dec3 = decompose(cubic_corner_map(u1=ONE + Y, u2=ONE - X))
-    w3 = omega_sigma(dec3)
-    assert (w3.coeff_dz1, w3.coeff_dz2) == (Y * (ONE - X), -(X * (ONE + Y)))
+    assert local_multiplicity(dec.h1, dec.h2) == 0
 
 
 # -- branches -----------------------------------------------------------------
@@ -225,11 +201,6 @@ def test_branches_cubic_corner():
     bz2 = by_key["1*z2"]
     assert bz1.nu_p == 2 and bz2.nu_p == 1
     assert (bz1.param_form, bz2.param_form) == ("over_z2", "over_z1")
-    t = TruncatedSeries1.variable(16)
-    (x1, y1), _ = branch_parametrization(bz1.defining_polynomial, 16)
-    (x2, y2), _ = branch_parametrization(bz2.defining_polynomial, 16)
-    assert x1.is_zero() and y1 == t
-    assert x2 == t and y2.is_zero()
 
 
 def test_branches_unit_g_empty():
@@ -243,8 +214,6 @@ def test_branches_parabola():
     dec = GermDecomposition(g=Y - X**2, h1=ONE, h2=X)
     (b,) = branches(dec)
     assert b.nu_p == 1 and b.param_form == "over_z1"
-    t = TruncatedSeries1.variable(16)
-    assert branch_parametrization(b.defining_polynomial, 16) == ((t, t * t), "over_z1")
 
 
 def test_branches_singular_factor_raises():
@@ -401,7 +370,7 @@ def test_coprime_differences_need_no_ring_gcd(monkeypatch):
     assert gcds == []
 
 
-# -- iterate / invert ---------------------------------------------------------
+# -- iterate ------------------------------------------------------------------
 
 
 def test_iterate_identity_case():
@@ -439,36 +408,6 @@ def test_polynomial_germs_compare_exactly():
     with pytest.raises(IdentityGerm):
         local_index(identity)
     assert f == germ(X + Y**20, Y, precision=8)
-
-
-def test_invert_shear():
-    g = invert(germ(X + Y**2, Y))
-    z1s = g.image1
-    assert z1s == (X - Y**2).to_series(16)
-    assert g.image2 == Y.to_series(16)
-
-
-def test_invert_diagonal():
-    g = invert(germ(X * 2, Y * Fraction(1, 2)))
-    assert g.image1 == (X * Fraction(1, 2)).to_series(16)
-    assert g.image2 == (Y * 2).to_series(16)
-
-
-def test_invert_geometric():
-    f = germ(X + X * Y, Y)
-    g = invert(f)
-    # verify by composing both ways
-    from germindex import SeriesPair
-
-    pair = SeriesPair(g.image1, g.image2)
-    assert f.image1.compose(pair) == Poly2.variable(1).to_series(16)
-    pair2 = SeriesPair(f.image1, f.image2)
-    assert g.image1.compose(pair2) == Poly2.variable(1).to_series(16)
-
-
-def test_invert_singular_raises():
-    with pytest.raises(NotInvertible):
-        invert(germ(X + Y, X + Y + X**2))
 
 
 # -- iterates decomposed by their base's curve factor ---------------------------
@@ -563,14 +502,8 @@ def test_each_new_iterate_costs_one_composition(monkeypatch):
 
 
 def test_iterates_of_a_polynomial_germ_build_no_series(monkeypatch):
-    import germindex.germs as germs
-    import germindex.polys as polys
-    import germindex.series as series
-
     conversions = count_calls(monkeypatch, Poly2, "to_series")
-    substitutions = count_calls(monkeypatch, series, "substitute")
-    restrictions = count_calls(monkeypatch, polys, "substitute")
-    parametrizations = count_calls(monkeypatch, germs, "_implicit_series_over_z1")
+    substitutions = count_calls(monkeypatch, TruncatedSeries2, "compose")
     # smooth branches with mu_p = 1: the cubic corner's z1 = 0 (a graph over
     # z2) and z2 = 0 (over z1) are type II, remark43's z1 = 0 is type I
     cases = [
@@ -583,5 +516,4 @@ def test_iterates_of_a_polynomial_germ_build_no_series(monkeypatch):
             assert rep.delta == 1
             assert [(repr(b.defining_polynomial), b.nu_p, b.branch_type, b.mu_p)
                     for b in rep.branches] == expected
-    assert conversions == [] and parametrizations == []
-    assert substitutions == [] and restrictions == []
+    assert conversions == [] and substitutions == []

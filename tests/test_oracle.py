@@ -1,5 +1,6 @@
 """Elimination oracle: independent multiplicities, counts, torus numbers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,41 @@ def test_polynomial_map_iterates_extend_one_chain(monkeypatch):
     assert composes == []
     assert m.iterate(4).p2 == f3.p1
     assert len(composes) == 1
+
+
+def translated(pmap, point, n):
+    """The fixed system of f^n, translated to move point to the origin."""
+    return tuple(P.translate(*point) for P in pmap.fixed_system(n))
+
+
+def test_localizing_commutes_with_iterating():
+    # the map conjugated to a point iterates to f^n conjugated there
+    m = remark42()
+    assert m.localized((0, 0)) is m
+    for point in ((0, 0), (-4, -4)):
+        local = m.localized(point)
+        assert m.localized((Fraction(point[0]), point[1])) is local
+        for n in range(1, 7):
+            assert local.fixed_system(n) == translated(m, point, n), (point, n)
+    rng = random.Random(47)
+    for _ in range(10):
+        c = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)]
+        pmap = PolynomialMap(
+            ONE * c[0] + X * c[1] + Y * c[2] + X**2 * c[3] + X * Y * c[4] + Y**2 * c[5],
+            X)
+        point = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-3, 3))
+        local = pmap.localized(point)
+        for n in (1, 2, 3):
+            assert local.fixed_system(n) == translated(pmap, point, n), (pmap, point, n)
+
+
+def test_the_oracle_translates_the_map_not_its_iterates(monkeypatch):
+    # remark42's f^6 - id has degree 64; only the quadratic map is moved
+    # to (-4, -4), and its iterates are composed there
+    translations = count_calls(monkeypatch, Poly2, "translate")
+    assert fixed_multiplicity(remark42(), (-4, -4), 6) == 1
+    assert translations
+    assert max(p.total_degree() for p, *_ in translations) <= 2
 
 
 def test_torus_oracle_fixture_values():

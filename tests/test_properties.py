@@ -16,7 +16,6 @@ from germindex import (
     Poly2,
     decompose,
     delta,
-    invert,
     iterate,
     local_index,
 )
@@ -31,7 +30,6 @@ from germindex.oracle import local_multiplicity
 from germindex.reports import jsonable
 
 from germ_samples import (
-    automorphism_pair,
     index_data,
     parabola_type_two_germ,
     type_two_germ,
@@ -168,14 +166,6 @@ def test_iterates_with_a_unit_cofactor_make_no_cas_call(monkeypatch):
     assert checked >= 5
 
 
-def test_inverse_composes_to_identity():
-    rng = random.Random(43)
-    for _ in range(10):
-        f, g_exact = automorphism_pair(rng)
-        g = invert(f)
-        assert g.image1 == g_exact.image1 and g.image2 == g_exact.image2
-
-
 def test_decomposition_reproduces_differences_on_samples():
     rng = random.Random(44)
     for _ in range(20):
@@ -247,7 +237,6 @@ def test_intersection_number_matches_the_oracle(P, Q, F):
 def test_three_way_index_agreement_at_isolated_points():
     """Random branch-free germs: linear algebra, sheared resultants and the
     global elimination oracle must give one and the same multiplicity."""
-    from germindex import delta_resultant
     from germindex.oracle import PolynomialMap, fixed_multiplicity
     from germ_samples import coprime_cofactor_pair
 
@@ -262,7 +251,7 @@ def test_three_way_index_agreement_at_isolated_points():
         if not dec.g.is_constant():
             continue  # a curve through the origin: not the isolated case
         d = delta(dec)
-        assert delta_resultant(dec) == d
+        assert local_multiplicity(dec.h1, dec.h2) == d
         assert local_index(germ).nu_A == d
         oracle = fixed_multiplicity(PolynomialMap(X + h1, Y + h2), (0, 0), 1)
         assert oracle == d, (h1, h2)

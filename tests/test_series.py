@@ -1,4 +1,4 @@
-"""Ring arithmetic of the truncated series types."""
+"""Ring arithmetic of the truncated bivariate series."""
 
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from germindex import (
     NotAUnit,
     NotDivisible,
     SeriesPair,
-    TruncatedSeries1,
     TruncatedSeries2,
 )
 
@@ -193,66 +192,37 @@ def test_exact_divide_roundtrip(a, b):
     assert q == a.truncate(q.precision)
 
 
-def test_univariate_basics():
-    t = TruncatedSeries1.variable()
-    u = TruncatedSeries1.constant(1) + t
-    assert u.invert_unit() * u == TruncatedSeries1.constant(1)
-    assert (t ** 3).order() == 3
-    assert (t * t).exact_divide(t) == t
-    assert u.derivative() == TruncatedSeries1.constant(1, 15)
-    with pytest.raises(NotDivisible):
-        TruncatedSeries1.constant(1).exact_divide(t)
-
-
-def test_univariate_compose():
-    t = TruncatedSeries1.variable(8)
-    f = TruncatedSeries1({0: Fraction(1), 1: Fraction(1)}, 8)  # 1 + t
-    g = t + t * t
-    assert f.compose(g) == TruncatedSeries1({0: 1, 1: 1, 2: 1}, 8)
-
-
 def test_series_pair_requires_matching_precision():
     with pytest.raises(ValueError):
         SeriesPair(S.zero(4), S.zero(5))
 
 
-def test_univariate_ring_operations():
-    t = TruncatedSeries1.variable(6)
-    one = TruncatedSeries1.constant(1, 6)
-    assert 1 - t == TruncatedSeries1({0: 1, 1: -1}, 6)
-    assert -t == TruncatedSeries1({1: -1}, 6)
-    assert t - 1 == -(1 - t)
-    assert one + t == t + 1 == 1 + t
-    assert (t * 3).coeff == {1: Fraction(3)}
-    assert one == 1 and not t == 1 and t != 1
-    assert hash(t + t * t) == hash(TruncatedSeries1({1: 1, 2: 1}, 6))
-    assert TruncatedSeries1({0: 0, 7: 1}, 6).coeff == {}
+def test_ring_operations_coerce_ints_and_hash():
+    z = S.variable(1, 6)
+    one6 = S.constant(1, 6)
+    assert 1 - z == S.from_terms({(0, 0): 1, (1, 0): -1}, 6)
+    assert -z == S.from_terms({(1, 0): -1}, 6)
+    assert z - 1 == -(1 - z)
+    assert one6 + z == z + 1 == 1 + z
+    assert (z * 3).coeff == {(1, 0): Fraction(3)}
+    assert one6 == 1 and not z == 1 and z != 1
+    assert hash(z + z * z) == hash(S.from_terms({(1, 0): 1, (2, 0): 1}, 6))
+    assert S({(0, 0): Fraction(0), (7, 0): Fraction(1)}, 6).coeff == {}
 
 
-def test_univariate_truncate():
-    s = TruncatedSeries1({0: 1, 2: 5, 4: -1}, 6)
+def test_truncate():
+    s = S.from_terms({(0, 0): 1, (1, 1): 5, (0, 4): -1}, 6)
     assert s.truncate(6) is s
     low = s.truncate(3)
-    assert (low.precision, low.coeff) == (3, {0: 1, 2: 5})
+    assert (low.precision, low.coeff) == (3, {(0, 0): 1, (1, 1): 5})
     assert low == s  # equal up to the weaker precision
     with pytest.raises(ValueError):
         s.truncate(7)
 
 
-def test_univariate_and_bivariate_series_never_compare_equal():
-    assert TruncatedSeries1.constant(1) != S.constant(1)
-    assert not TruncatedSeries1.zero() == S.zero()
-    assert S.zero() != TruncatedSeries1.zero()
-
-
-def test_univariate_zero_has_order_above_its_degree():
-    assert TruncatedSeries1.zero(5).order() == AboveDegree(5)
-    assert S.zero(5).order() == AboveDegree(5)
-
-
-def test_univariate_negative_power_needs_a_unit():
-    t = TruncatedSeries1.variable(6)
+def test_negative_power_needs_a_unit():
+    z = S.variable(2, 6)
     with pytest.raises(NotAUnit):
-        t ** -1
-    u = 1 - t
-    assert u ** -2 * u * u == TruncatedSeries1.constant(1, 6)
+        z ** -1
+    u = 1 - z
+    assert u ** -2 * u * u == S.constant(1, 6)
