@@ -220,6 +220,12 @@ def test_truncate():
         s.truncate(7)
 
 
+def test_univariate_zero_has_order_above_its_degree():
+    z = S.variable(1, 5)
+    assert (z - z).order() == AboveDegree(5)
+    assert S.zero(5).order() == AboveDegree(5)
+
+
 def test_negative_power_needs_a_unit():
     z = S.variable(2, 6)
     with pytest.raises(NotAUnit):
