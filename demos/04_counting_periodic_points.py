@@ -18,7 +18,6 @@ from germindex.surd import Surd
 from germindex.surface import (
     count_isolated_periodic,
     dynamical_degree,
-    lefschetz_number,
     partition_isolated_points,
     saito_residual,
     validate_periodic_inventory,

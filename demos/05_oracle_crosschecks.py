@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from germindex import iterate, local_index
 from germindex.oracle import (
-    PolynomialMap,
     affine_fixed_count,
     fixed_index_positive,
     fixed_multiplicity,

@@ -24,8 +24,9 @@ classify_branch picks.  No truncation parameter enters either number.
 Decomposition requires exact polynomial images: two polynomials whose gcd
 is trivial have a finite common zero set, so the local gcd is the
 polynomial gcd with the factors not vanishing at the origin stripped off.
-Iterates of polynomial germs stay polynomial.  An iterate remembers the
-germ it iterates, and is first decomposed by that base's curve factor g
+Iterates of polynomial germs stay polynomial: they are read from the
+chain of the germ's `PolynomialMap`.  An iterate remembers the germ it
+iterates, and is first decomposed by that base's curve factor g
 (type II stability says g is the curve factor of every iterate): when g
 divides both differences and the quotients have a finite intersection
 number, no further factor through the origin divides both, so g is
@@ -47,7 +48,7 @@ from .errors import (
     NotDivisible,
     UnsupportedSingularBranch,
 )
-from .polys import Poly2, factor_list2, gcd2, iterate_pair
+from .polys import Poly2, PolynomialMap, factor_list2, gcd2
 from .series import DEFAULT_PRECISION, SeriesPair, TruncatedSeries2
 
 TYPE_I = "I"
@@ -59,31 +60,29 @@ class MapGerm:
 
     image1/image2 are the truncated-series images of z1 and z2 at the
     germ's precision; the forms module reads them, and a germ built from
-    series alone (`from_series`, jet data) iterates through them.  When
-    the germ is polynomial the exact polynomials are retained so that gcd
-    extraction, iteration and the intersection numbers stay exact, and the
-    series images are built from them on first use.  An iterate keeps the
-    germ it iterates as `base`; `decompose` stores the germ's curve data
-    (g and its origin factors) so that each germ object computes it at
-    most once.  A polynomial germ holds the chain of its exact iterates
-    [f, f^2, ...] that `iterate` has composed so far.
+    series alone (`from_series`, jet data) iterates through them.  A
+    polynomial germ holds its exact map, a `PolynomialMap` (`map`, read
+    through poly1/poly2), so that gcd extraction, iteration and the
+    intersection numbers stay exact; the series images are built from it
+    on first use.  Its iterates come from the map's chain, which the
+    oracle reads too when it is handed the same map (a scenario germ's).
+    An iterate keeps the germ it iterates as `base`; `decompose` stores
+    the germ's curve data (g and its origin factors) so that each germ
+    object computes it at most once.
     """
 
-    __slots__ = ("precision", "poly1", "poly2", "source_point_label",
-                 "base", "_images", "_curve", "_iterates")
+    __slots__ = ("precision", "map", "source_point_label", "base", "_images",
+                 "_curve")
 
-    def __init__(self, precision: int, poly1: Poly2 | None = None,
-                 poly2: Poly2 | None = None,
+    def __init__(self, precision: int, pmap: PolynomialMap | None = None,
                  images: tuple[TruncatedSeries2, TruncatedSeries2] | None = None,
                  source_point_label: str | None = None):
         self.precision = precision
-        self.poly1 = poly1
-        self.poly2 = poly2
+        self.map = pmap
         self.source_point_label = source_point_label
         self.base: MapGerm | None = None
         self._images = images
         self._curve: tuple[Poly2, list[tuple[Poly2, int]]] | None = None
-        self._iterates = [(poly1, poly2)] if poly1 is not None else None
 
     @classmethod
     def from_polynomials(cls, p1: Poly2, p2: Poly2,
@@ -91,7 +90,7 @@ class MapGerm:
                          label: str | None = None) -> "MapGerm":
         if p1.constant_term() != 0 or p2.constant_term() != 0:
             raise ValueError("germ must fix the origin")
-        return cls(precision, p1, p2, source_point_label=label)
+        return cls(precision, PolynomialMap(p1, p2), source_point_label=label)
 
     @classmethod
     def from_series(cls, s1: TruncatedSeries2, s2: TruncatedSeries2,
@@ -101,6 +100,14 @@ class MapGerm:
         if s1.constant_term() != 0 or s2.constant_term() != 0:
             raise ValueError("germ must fix the origin")
         return cls(s1.precision, images=(s1, s2), source_point_label=label)
+
+    @property
+    def poly1(self) -> Poly2:
+        return self.map.p1
+
+    @property
+    def poly2(self) -> Poly2:
+        return self.map.p2
 
     @property
     def image1(self) -> TruncatedSeries2:
@@ -118,11 +125,7 @@ class MapGerm:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.poly1 is not None
-
-    def differences(self) -> tuple[Poly2, Poly2]:
-        """(sigma(z1) - z1, sigma(z2) - z2) of a polynomial germ."""
-        return (self.poly1 - Poly2.variable(1), self.poly2 - Poly2.variable(2))
+        return self.map is not None
 
     def __eq__(self, other):
         """Exact polynomials are compared when both germs carry them, else
@@ -201,7 +204,7 @@ def decompose(germ: MapGerm) -> GermDecomposition:
     """
     if not germ.is_polynomial:
         raise NonPolynomialGerm("decomposition needs exact polynomial images")
-    d1, d2 = germ.differences()
+    d1, d2 = germ.map.fixed_system()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("the identity germ admits no (g, h1, h2) data")
     if germ._curve is None:
@@ -220,7 +223,7 @@ def _curve(germ: MapGerm) -> tuple[Poly2, list[tuple[Poly2, int]]]:
     than through decompose, so the base's data is not a decomposition of
     its own."""
     if germ._curve is None:
-        germ._curve = _split(germ, *germ.differences())[:2]
+        germ._curve = _split(germ, *germ.map.fixed_system())[:2]
     return germ._curve
 
 
@@ -452,18 +455,17 @@ def local_index(germ: MapGerm) -> IndexReport:
 
 
 def iterate(germ: MapGerm, n: int) -> MapGerm:
-    """n-fold self-composition.  Polynomial germs compose exactly, each new
-    n by one composition onto the germ's chain of iterates; a series germ
-    composes its truncated images.  For n >= 2 the result keeps germ as
-    its base, for decompose."""
+    """n-fold self-composition.  A polynomial germ's iterate is built on
+    `germ.map.iterate(n)`, one composition per n beyond the map's chain;
+    a series germ composes its truncated images.  For n >= 2 the result
+    keeps germ as its base, for decompose."""
     if n < 1:
         raise ValueError("iterate needs n >= 1")
     if n == 1:
         return germ
     if germ.is_polynomial:
-        p1, p2 = iterate_pair(germ.poly1, germ.poly2, n, germ._iterates)
-        out = MapGerm.from_polynomials(p1, p2, germ.precision,
-                                       germ.source_point_label)
+        out = MapGerm(germ.precision, germ.map.iterate(n),
+                      source_point_label=germ.source_point_label)
     else:
         s1, s2 = germ.image1, germ.image2
         for _ in range(n - 1):

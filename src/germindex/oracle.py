@@ -8,9 +8,13 @@ common zero elsewhere on that level blocks a shear), total affine
 fixed-point counts from resultant degrees, a positivity test for indices
 at points lying on fixed curves, and the determinant form of the torus
 Lefschetz number.  A point is moved to the origin by conjugating the
-global map itself (`PolynomialMap.localized`), whose iterates are then
-composed here.  Nothing is taken from the germ engine, and the engine
-imports nothing from here.
+global map itself (`polys.PolynomialMap.localized`).
+
+A scenario's germ at a point is built on that localized map, so for
+scenario germs the oracle reads the iterates the engine composed.  Its
+independence lies in elimination: the z2-order of one resultant against
+the engine's Nakayama codimension.  `test_localizing_commutes_with_iterating`
+keeps composition cross-checked.  The engine imports nothing from here.
 """
 
 from __future__ import annotations
@@ -18,55 +22,13 @@ from __future__ import annotations
 from .errors import NonIsolated, ShearExhausted, UnsupportedSingularBranch
 from .polys import (
     Poly2,
+    PolynomialMap,
     factor_list2,
     gcd2,
-    iterate_pair,
     origin_alone_on_z2_zero,
     resultant_z1,
 )
-from .series import rat
 from .surd import Surd
-
-
-class PolynomialMap:
-    """A global polynomial self-map of the affine plane.  It holds the chain
-    of its exact iterates [f, f^2, ...] composed so far, so each new n
-    costs one composition, and its localizations at the points asked for
-    so far."""
-
-    __slots__ = ("p1", "p2", "_iterates", "_localized")
-
-    def __init__(self, p1: Poly2, p2: Poly2):
-        self.p1 = p1
-        self.p2 = p2
-        self._iterates = [(p1, p2)]
-        self._localized: dict = {}
-
-    def localized(self, point) -> "PolynomialMap":
-        """The map conjugated to `point`: z -> f(z + point) - point, built
-        once per point.  Its iterates are f's conjugated the same way, so
-        its fixed system is f's translated by `point`, composed from a map
-        of f's own degree instead of translating f^n.  At the origin it is
-        the map itself, with its chain."""
-        a, b = rat(point[0]), rat(point[1])
-        if a == 0 and b == 0:
-            return self
-        local = self._localized.get((a, b))
-        if local is None:
-            local = PolynomialMap(self.p1.translate(a, b) - Poly2.constant(a),
-                                  self.p2.translate(a, b) - Poly2.constant(b))
-            self._localized[(a, b)] = local
-        return local
-
-    def iterate(self, n: int) -> "PolynomialMap":
-        return PolynomialMap(*iterate_pair(self.p1, self.p2, n, self._iterates))
-
-    def fixed_system(self, n: int = 1) -> tuple[Poly2, Poly2]:
-        fn = self.iterate(n)
-        return fn.p1 - Poly2.variable(1), fn.p2 - Poly2.variable(2)
-
-    def __repr__(self):
-        return f"PolynomialMap({self.p1!r}, {self.p2!r})"
 
 
 _SHEARS = [0]

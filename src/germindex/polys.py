@@ -6,8 +6,10 @@ denominator, in lowest terms.  Its arithmetic (sums, products, powers and
 derivatives) is the ring's.  Two kernels run on plain integers of their
 own, with monomials z1^i z2^j packed into one int key i*S + j: exact
 division, one lex-ordered pass (`_exquo_zz`), and composition, and with
-it iterates, shears and translations (`_compose_ring`).  Poly1 is a dense
-univariate value type for resultants and characteristic polynomials.
+it iterates, shears and translations (`_compose_ring`).  PolynomialMap
+owns exact iteration: the germ engine and the oracle read its one chain
+of iterates.  Poly1 is a dense univariate value type for resultants and
+characteristic polynomials.
 
 This module is the one boundary to the computer-algebra system.  Besides
 that arithmetic, the heavy steps (bivariate gcd, irreducible
@@ -440,22 +442,54 @@ def _exquo_zz(r, b) -> dict:
     return q
 
 
-def iterate_pair(p1: Poly2, p2: Poly2, n: int,
-                 chain: list | None = None) -> tuple[Poly2, Poly2]:
-    """Components of the n-fold iterate of the map f = (p1, p2), n >= 1:
-    each step substitutes the previous iterate into both components at
-    once, f^k = f o f^(k-1).
+class PolynomialMap:
+    """A polynomial self-map f = (p1, p2) of the affine plane.  It holds
+    the chain of its iterates composed so far, so each new n costs one
+    composition, and its localizations at the points asked for so far.
+    A polynomial germ is built on one (`MapGerm.map`)."""
 
-    chain, when given, is the caller's list [f^1, ..., f^k] of the iterates
-    of f computed so far (k >= 1, f^1 = (p1, p2)).  It is extended in place
-    up to f^n, so each n beyond k costs one composition and n <= k none."""
-    if n < 1:
-        raise ValueError("iterate needs n >= 1")
-    if chain is None:
-        chain = [(p1, p2)]
-    while len(chain) < n:
-        chain.append(p1.compose(*chain[-1], partner=p2))
-    return chain[n - 1]
+    __slots__ = ("p1", "p2", "_iterates", "_localized")
+
+    def __init__(self, p1: Poly2, p2: Poly2):
+        self.p1 = p1
+        self.p2 = p2
+        self._iterates = []  # f^2, f^3, ...; f itself is left out: no cycle
+        self._localized: dict = {}
+
+    def localized(self, point) -> "PolynomialMap":
+        """The map conjugated to `point`: z -> f(z + point) - point, built
+        once per point.  Its iterates are f's conjugated the same way, so
+        its fixed system is f's translated by `point`, composed from a map
+        of f's own degree instead of translating f^n.  At the origin it is
+        the map itself, with its chain."""
+        a, b = rat(point[0]), rat(point[1])
+        if a == 0 and b == 0:
+            return self
+        local = self._localized.get((a, b))
+        if local is None:
+            local = PolynomialMap(self.p1.translate(a, b) - Poly2.constant(a),
+                                  self.p2.translate(a, b) - Poly2.constant(b))
+            self._localized[(a, b)] = local
+        return local
+
+    def iterate(self, n: int) -> "PolynomialMap":
+        """f^n for n >= 1, f^k = f o f^(k-1), from the chain."""
+        if n < 1:
+            raise ValueError("iterate needs n >= 1")
+        chain = self._iterates
+        while len(chain) < n - 1:
+            last = chain[-1] if chain else self
+            chain.append(PolynomialMap(
+                *self.p1.compose(last.p1, last.p2, partner=self.p2)))
+        return chain[n - 2] if n > 1 else self
+
+    def fixed_system(self, n: int = 1) -> tuple[Poly2, Poly2]:
+        """The differences f^n(z) - z of f^n's images and coordinates."""
+        fn = self.iterate(n)
+        return fn.p1 - Poly2.variable(1), fn.p2 - Poly2.variable(2)
+
+    def __repr__(self):
+        return f"PolynomialMap({self.p1!r}, {self.p2!r})"
 
 
 def gcd2(a: Poly2, b: Poly2) -> Poly2:

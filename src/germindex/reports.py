@@ -8,8 +8,7 @@ from fractions import Fraction
 
 from .germs import BranchRecord
 from .parsing import poly_to_text
-from .polys import Poly1, Poly2
-from .series import AboveDegree, TruncatedSeries2
+from .polys import Poly2
 from .surd import Surd
 
 
@@ -36,12 +35,8 @@ def jsonable(obj):
         if obj != obj or obj in (float("inf"), float("-inf")):
             return str(obj)
         return obj
-    if isinstance(obj, AboveDegree):
-        return {"above_degree": obj.n}
     if isinstance(obj, Poly2):
         return poly_to_text(obj)
-    if isinstance(obj, (Poly1, TruncatedSeries2)):
-        return repr(obj)
     if isinstance(obj, BranchRecord):
         return {
             "factor": poly_to_text(obj.defining_polynomial),

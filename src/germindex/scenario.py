@@ -15,8 +15,8 @@ from importlib import resources
 from .errors import ScenarioError
 from .forms import FormGerm
 from .germs import MapGerm
-from .oracle import PolynomialMap
 from .parsing import parse_expression
+from .polys import PolynomialMap
 from .series import DEFAULT_PRECISION
 from .surd import Surd
 from .surface import (
@@ -59,56 +59,46 @@ class Scenario:
 
 
 def _rat(value) -> Fraction:
-    if isinstance(value, bool):
+    """A rational literal: an integer or a string such as "-1/2"."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ScenarioError(f"expected a rational literal, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError as exc:
-            raise ScenarioError(f"bad rational literal {value!r}") from exc
-    raise ScenarioError(f"expected a rational literal, got {value!r}")
-
-
-def _surd(data) -> Surd:
-    try:
-        return Surd.from_json(data)
-    except ValueError as exc:
-        raise ScenarioError(f"bad field element {data!r}: {exc}") from exc
+    return Fraction(value)
 
 
 def localized_germ(pmap: PolynomialMap, point, precision: int,
                    label: str | None = None) -> MapGerm:
-    """Chart germ of a global map at a fixed rational point: the map
-    conjugated by the translation moving the point to the origin."""
+    """Chart germ of a global map at a fixed rational point, built on the
+    map conjugated to the point, whose chain the oracle reads too."""
     a, b = _rat(point[0]), _rat(point[1])
-    if pmap.p1.evaluate(a, b) != a or pmap.p2.evaluate(a, b) != b:
-        raise ScenarioError(f"point ({a}, {b}) is not fixed by the map")
     local = pmap.localized((a, b))
-    return MapGerm.from_polynomials(local.p1, local.p2, precision, label)
+    if not (local.p1.vanishes_at_origin() and local.p2.vanishes_at_origin()):
+        raise ScenarioError(f"point ({a}, {b}) is not fixed by the map")
+    return MapGerm(precision, local, source_point_label=label)
 
 
 def _build_action(data, default_as: bool) -> CohomologyAction:
     mode_name = data.get("mode")
     stable = bool(data.get("algebraically_stable", default_as))
+    growth = data.get("growth_constant")
+    if growth is not None and type(growth) is not int:
+        raise ScenarioError(f"growth_constant must be an integer, got {growth!r}")
     kwargs = dict(
         picard_number=int(data.get("picard_number", 1)),
         algebraically_stable=stable,
         kodaira_nonnegative=bool(data.get("kodaira_nonnegative", False)),
-        growth_constant=data.get("growth_constant"),
+        growth_constant=growth,
         description=data.get("description", ""),
     )
     if mode_name == "h1trivial":
         return CohomologyAction(mode=H1Trivial(data["matrix"]), **kwargs)
     if mode_name == "k3":
         return CohomologyAction(
-            mode=K3Mode(data["matrix"], _surd(data["hodge_scalar"])),
+            mode=K3Mode(data["matrix"], Surd.from_json(data["hodge_scalar"])),
             **kwargs)
     if mode_name == "torus":
         return CohomologyAction(
-            mode=TorusMode(_surd(data["delta"]),
-                           _surd(data["epsilon"])),
+            mode=TorusMode(Surd.from_json(data["delta"]),
+                           Surd.from_json(data["epsilon"])),
             **kwargs)
     if mode_name == "explicit_traces":
         traces = {}
@@ -132,14 +122,24 @@ def _build_action(data, default_as: bool) -> CohomologyAction:
             raise ScenarioError("explicit_traces needs 'traces' or a recurrence")
         declared = None
         if "dynamical_degree" in data:
-            declared = _surd(data["dynamical_degree"])
+            declared = Surd.from_json(data["dynamical_degree"])
         return CohomologyAction(
             mode=ExplicitTraces(traces, declared_degree=declared), **kwargs)
     raise ScenarioError(f"unknown action mode {mode_name!r}")
 
 
 def load_scenario(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document, resolving all labels."""
+    """Build a Scenario from a parsed JSON document, resolving all labels.
+    A document of the wrong shape (a key missing, a value of the wrong type
+    or out of range, a label that names nothing) raises ScenarioError."""
+    try:
+        return _build_scenario(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ScenarioError(
+            f"malformed scenario document: {type(exc).__name__}: {exc}") from exc
+
+
+def _build_scenario(doc: dict) -> Scenario:
     meta = doc.get("meta", {})
     precision = int(meta.get("precision", DEFAULT_PRECISION))
     default_as = bool(meta.get("algebraically_stable", False))

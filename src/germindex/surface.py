@@ -649,14 +649,11 @@ def validate_periodic_inventory(model: SurfaceModel,
     if isinstance(lam, Surd):
         lam_above_one = lam > 1
     elif isinstance(lam, RationalInterval):
-        iv = lam
-        for _ in range(80):
-            if iv.lo > 1:
-                lam_above_one = True
-                break
-            if iv.hi <= 1:
-                break
-            iv = iv.refine()
+        # lam.poly is irreducible of degree >= 3, so it does not vanish at
+        # 1, and its one root in (lo, hi) exceeds 1 iff it lies in (1, hi)
+        f = lam.poly
+        lam_above_one = lam.lo >= 1 or (
+            lam.hi > 1 and f.evaluate(1) * f.evaluate(lam.hi) < 0)
     if lam_above_one:
         periods = {c.prime_period for c in model.curves if c.curve_type == TYPE_II}
         bound = model.action.picard_number

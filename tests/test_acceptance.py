@@ -10,8 +10,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from germindex import (
     MapGerm,
     Poly2,

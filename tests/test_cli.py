@@ -5,7 +5,7 @@ import json
 import pytest
 
 from germindex.cli import main
-from germindex.scenario import load_fixture
+from germindex.scenario import fixture_document, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +145,38 @@ def test_non_squarefree_dynamical_degree_is_a_scenario_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "ScenarioError"
+
+
+def _cubic(edit):
+    """The cubic-d4 fixture document with one edit; an edit may return a
+    replacement for the whole document."""
+    doc = fixture_document("cubic-d4")
+    return edit(doc) or doc
+
+
+@pytest.mark.parametrize("doc", [
+    _cubic(lambda d: d["curves"][0].update(type="III")),
+    _cubic(lambda d: d["curves"][0].pop("label") and None),
+    _cubic(lambda d: d["meta"].update(precision="abc")),
+    _cubic(lambda d: [d]),
+    _cubic(lambda d: d["points"][0].update(on_curves=["E9"])),
+    _cubic(lambda d: d["germs"].update(u1={"images": ["z1+1", "z2"]})),
+    _cubic(lambda d: d["action"].update(growth_constant=2.5)),
+], ids=["curve_type_III", "curve_without_label", "precision_abc", "top_level_list",
+        "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5"])
+def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "count", str(path), "--n-range", "1..2")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ScenarioError"
+
+
+def test_the_unedited_cubic_document_counts(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(fixture_document("cubic-d4")))
+    assert run_cli(capsys, "count", str(path), "--n-range", "1..2")[0] == 0
 
 
 def test_empty_count_range(capsys):

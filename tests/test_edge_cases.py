@@ -141,7 +141,7 @@ def test_scenario_rejects_dangling_curve_in_point():
                    "picard_number": 1, "algebraically_stable": True},
         "points": [{"label": "p", "prime_period": 1, "on_curves": ["missing"]}],
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioError, match="unknown curve missing"):
         load_scenario(doc)
 
 

@@ -89,7 +89,7 @@ def test_decompose_identity_raises():
 def test_decompose_reproduces_differences():
     g = cubic_corner_map(u1=ONE + Y)
     dec = decompose(g)
-    d1, d2 = g.differences()
+    d1, d2 = g.map.fixed_system()
     assert dec.g * dec.h1 == d1
     assert dec.g * dec.h2 == d2
 
@@ -482,13 +482,13 @@ def test_decompose_computes_the_curve_data_once_per_germ(monkeypatch):
 
 
 def test_iterates_in_any_order_match_iterating_from_scratch():
-    from germindex.polys import iterate_pair
+    from germindex.polys import PolynomialMap
 
     type_two = germ(X + X * X, Y + X * (ONE + Y))
     for f in (remark42_map(), type_two):
         for n in (4, 2, 5, 1, 3):
-            it = iterate(f, n)
-            assert (it.poly1, it.poly2) == iterate_pair(f.poly1, f.poly2, n)
+            it, fresh = iterate(f, n), PolynomialMap(f.poly1, f.poly2).iterate(n)
+            assert (it.poly1, it.poly2) == (fresh.p1, fresh.p2)
 
 
 def test_each_new_iterate_costs_one_composition(monkeypatch):

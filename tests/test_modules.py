@@ -1,5 +1,6 @@
 """Module structure: the germ engine stands apart from the elimination
-oracle that cross-checks it, and no module keeps an import it never uses."""
+oracle that cross-checks it, and no module, test or demo keeps an import
+it never uses."""
 
 import ast
 import os
@@ -12,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "germindex").glob("*.py")
                  if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +36,9 @@ def test_unused_import_check_sees_names_and_attributes():
     assert unused_imports(source) == ["j", "c"]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("module", MODULES + SCRIPTS,
+                         ids=[p.stem for p in MODULES]
+                         + [str(p.relative_to(ROOT)) for p in SCRIPTS])
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 

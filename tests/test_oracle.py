@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import germindex.oracle
-from germindex import NonIsolated, Poly2
+from germindex import NonIsolated, Poly2, iterate, local_index
 from germindex.oracle import (
     PolynomialMap,
     affine_fixed_count,
@@ -15,6 +15,7 @@ from germindex.oracle import (
     local_multiplicity,
     torus_lefschetz_oracle,
 )
+from germindex.scenario import load_fixture
 from germindex.surd import Surd
 
 from conftest import count_calls
@@ -188,9 +189,9 @@ def test_positivity_matches_multiplicity_at_isolated_points():
 
 
 def test_positivity_at_an_isolated_point_iterates_once(monkeypatch):
-    iterates = count_calls(monkeypatch, germindex.oracle, "iterate_pair")
+    composes = count_calls(monkeypatch, Poly2, "compose")
     assert fixed_index_positive(remark42(), (0, 0), 2)
-    assert len(iterates) == 1
+    assert len(composes) == 1
 
 
 def test_polynomial_map_iterates_extend_one_chain(monkeypatch):
@@ -202,6 +203,18 @@ def test_polynomial_map_iterates_extend_one_chain(monkeypatch):
     assert composes == []
     assert m.iterate(4).p2 == f3.p1
     assert len(composes) == 1
+
+
+def test_scenario_germs_and_the_oracle_share_one_chain(monkeypatch):
+    # the fixture's germ at a point is built on the map localized there, so
+    # the oracle reads the iterates the engine composed
+    scn = load_fixture("remark42")
+    for germ in scn.germs.values():
+        local_index(iterate(germ, 4))
+    composes = count_calls(monkeypatch, Poly2, "compose")
+    for origin in scn.germ_origins.values():
+        assert fixed_multiplicity(scn.maps["f"], origin.base_point, 4) >= 1
+    assert composes == []
 
 
 def translated(pmap, point, n):

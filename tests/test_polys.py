@@ -26,9 +26,8 @@ import germindex
 from germindex import (MapGerm, NotDivisible, Poly1, Poly2, factor_list2, gcd2, iterate,
                        resultant_z1)
 from germindex import polys
-from germindex.oracle import PolynomialMap
-from germindex.polys import (charpoly, factor_list1, origin_alone_on_z2_zero,
-                             real_root_intervals1)
+from germindex.polys import (PolynomialMap, charpoly, factor_list1,
+                             origin_alone_on_z2_zero, real_root_intervals1)
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -346,8 +345,9 @@ def test_engine_and_oracle_iterates_agree(p1, p2):
                         for e in f)
         germ_n = iterate(MapGerm.from_polynomials(p1, p2), n)
         map_n = PolynomialMap(p1, p2).iterate(n)
-        assert (germ_n.poly1, germ_n.poly2) == (map_n.p1, map_n.p2)
-        assert (map_n.p1, map_n.p2) == tuple(from_expr(e) for e in ref)
+        want = tuple(from_expr(e) for e in ref)
+        assert (germ_n.poly1, germ_n.poly2) == want
+        assert (map_n.p1, map_n.p2) == want
 
 
 def test_only_polys_imports_sympy():

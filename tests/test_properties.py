@@ -171,7 +171,7 @@ def test_decomposition_reproduces_differences_on_samples():
     for _ in range(20):
         germ = type_two_germ(rng)
         dec = decompose(germ)
-        d1, d2 = germ.differences()
+        d1, d2 = germ.map.fixed_system()
         assert dec.g * dec.h1 == d1
         assert dec.g * dec.h2 == d2
 

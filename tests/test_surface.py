@@ -10,6 +10,7 @@ import sympy as sp
 from germindex import (
     MissingIndexData,
     NotAlgebraicallyStable,
+    Poly1,
     Poly2,
     TypeICurvePresent,
 )
@@ -17,7 +18,6 @@ from germindex.oracle import torus_lefschetz_oracle
 from germindex.surd import Surd
 from germindex.surface import (
     CohomologyAction,
-    CountReport,
     ExplicitTraces,
     FixedCurveRecord,
     FixedPointRecord,
@@ -364,6 +364,41 @@ def test_validator_too_many_periods():
         action=act)
     out = validate_periodic_inventory(model, [])
     assert [v.kind for v in out] == ["too_many_type_II_periods"]
+
+
+PLASTIC = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # companion of x^3 - x - 1
+
+
+def period_bound_violations(matrix) -> list[str]:
+    """The inventory violations of five type II curves of distinct periods
+    on a rational surface of Picard number 3 (at most 4 periods when the
+    dynamical degree exceeds 1)."""
+    model = SurfaceModel(
+        points=[],
+        curves=[FixedCurveRecord(f"C{k}", k, "II", 1, -2) for k in (1, 2, 3, 5, 7)],
+        action=action_h1(matrix))
+    return [v.kind for v in validate_periodic_inventory(model, [])]
+
+
+@pytest.mark.parametrize("matrix, kinds", [
+    (PLASTIC, ["too_many_type_II_periods"]),                  # radius ~ 1.32
+    ([[Fraction(x, 2) for x in row] for row in PLASTIC], []),  # ~ 0.66
+], ids=["plastic", "plastic_halved"])
+def test_validator_period_bound_on_an_interval_degree(matrix, kinds):
+    assert isinstance(spectral_radius(matrix), RationalInterval)
+    assert period_bound_violations(matrix) == kinds
+
+
+@pytest.mark.parametrize("poly, kinds", [
+    (Poly1([-1, -1, 0, 1]), ["too_many_type_II_periods"]),  # x^3 - x - 1: ~ 1.32
+    (Poly1([-1, -2, 0, 8]), []),                            # 8x^3 - 2x - 1: ~ 0.66
+], ids=["root_above_one", "root_below_one"])
+def test_validator_decides_an_interval_that_straddles_one(monkeypatch, poly, kinds):
+    import germindex.surface as surface
+
+    monkeypatch.setattr(surface, "dynamical_degree", lambda action: RationalInterval(
+        Fraction(1, 2), Fraction(3, 2), poly))
+    assert period_bound_violations(PLASTIC) == kinds
 
 
 def test_validator_divisibility_case():
