@@ -15,19 +15,20 @@ This module is the one boundary to the computer-algebra system.  Besides
 that arithmetic, the heavy steps (bivariate gcd, irreducible
 factorization over Q, resultants, the z2 = 0 level test of the
 elimination oracle (a univariate gcd), real-root isolation,
-characteristic polynomials and the square part of an integer) are
-delegated to sympy at the ring level: a ring element, coefficient dict or
-matrix goes straight into sympy's sparse ring or domain matrix and back,
-without building symbolic expression trees.  A resultant in z1 is, up to
-a measured size, one univariate resultant over ZZ on Kronecker-packed
-integers (`_resultant_zz`).  Both gcd questions first try a certificate
-mod the prime 2**61 - 1 (`_coprime_mod_p`, `_unit_gcd_mod_p`): a gcd 1
-mod a prime that divides neither leading coefficient proves a pair
-coprime, and sympy's gcd runs only when the certificate gives no verdict.
-Every call on bivariate data runs over ZZ on the integer numerator; the
-one denominator is divided out only where a coefficient is read as a
-Fraction.  Callers outside this module read the numerator's terms through
-`Poly2.numerator_terms` (the fraction-free intersection number does).
+characteristic polynomials, traces of matrix powers and the square part
+of an integer) are delegated to sympy at the ring level: a ring element,
+coefficient dict or matrix goes straight into sympy's sparse ring or
+domain matrix and back, without building symbolic expression trees.  A
+resultant in z1 is, up to a measured size, one univariate resultant over
+ZZ on Kronecker-packed integers (`_resultant_zz`).  Both gcd questions
+first try a certificate mod the prime 2**61 - 1 (`_coprime_mod_p`,
+`_unit_gcd_mod_p`): a gcd 1 mod a prime that divides neither leading
+coefficient proves a pair coprime, and sympy's gcd runs only when the
+certificate gives no verdict.  Every call on bivariate data runs over ZZ
+on the integer numerator; the one denominator is divided out only where a
+coefficient is read as a Fraction.  Callers outside this module read the
+numerator's terms through `Poly2.numerator_terms` (the fraction-free
+intersection number does).
 """
 
 from __future__ import annotations
@@ -710,12 +711,20 @@ def real_root_intervals1(p: "Poly1") -> list[tuple[Fraction, Fraction]]:
             for (lo, hi), _ in _RING1.dup_isolate_real_roots(_to_ring1(p))]
 
 
+def _domain_matrix(M) -> DomainMatrix:
+    n = len(M)
+    return DomainMatrix([[_qq(rat(x)) for x in row] for row in M], (n, n), QQ)
+
+
 def charpoly(M) -> "Poly1":
     """det(t I - M) of a square matrix with rational entries, exactly."""
-    n = len(M)
-    entries = [[_qq(rat(x)) for x in row] for row in M]
-    coeffs = DomainMatrix(entries, (n, n), QQ).charpoly()
+    coeffs = _domain_matrix(M).charpoly()
     return Poly1([_fraction(c) for c in reversed(coeffs)])
+
+
+def trace_of_power(M, n: int) -> Fraction:
+    """tr(M^n) of a square matrix with rational entries, for n >= 0."""
+    return _fraction(sum((_domain_matrix(M) ** n).diagonal(), QQ.zero))
 
 
 _TRIAL_BOUND = 2**16

@@ -65,6 +65,32 @@ def _rat(value) -> Fraction:
     return Fraction(value)
 
 
+_KINDS = {int: "an integer", bool: "true or false"}
+
+
+def _typed(value, kind, what: str):
+    """value itself, which must be a JSON value of `kind` (int or bool): a
+    float is not an integer, and a boolean is not an integer either."""
+    if type(value) is not kind:
+        raise ScenarioError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def _field(spec: dict, key: str, kind, default=_REQUIRED):
+    """spec[key] read by `_typed`; an absent key gives the default, or a
+    KeyError when the field has none."""
+    if key not in spec and default is not _REQUIRED:
+        return default
+    return _typed(spec[key], kind, key)
+
+
+def _int_matrix(rows) -> list[list[int]]:
+    return [[_typed(x, int, "a matrix entry") for x in row] for row in rows]
+
+
 def localized_germ(pmap: PolynomialMap, point, precision: int,
                    label: str | None = None) -> MapGerm:
     """Chart germ of a global map at a fixed rational point, built on the
@@ -78,22 +104,19 @@ def localized_germ(pmap: PolynomialMap, point, precision: int,
 
 def _build_action(data, default_as: bool) -> CohomologyAction:
     mode_name = data.get("mode")
-    stable = bool(data.get("algebraically_stable", default_as))
-    growth = data.get("growth_constant")
-    if growth is not None and type(growth) is not int:
-        raise ScenarioError(f"growth_constant must be an integer, got {growth!r}")
     kwargs = dict(
-        picard_number=int(data.get("picard_number", 1)),
-        algebraically_stable=stable,
-        kodaira_nonnegative=bool(data.get("kodaira_nonnegative", False)),
-        growth_constant=growth,
+        picard_number=_field(data, "picard_number", int, 1),
+        algebraically_stable=_field(data, "algebraically_stable", bool, default_as),
+        kodaira_nonnegative=_field(data, "kodaira_nonnegative", bool, False),
+        growth_constant=_field(data, "growth_constant", int, None),
         description=data.get("description", ""),
     )
     if mode_name == "h1trivial":
-        return CohomologyAction(mode=H1Trivial(data["matrix"]), **kwargs)
+        return CohomologyAction(mode=H1Trivial(_int_matrix(data["matrix"])), **kwargs)
     if mode_name == "k3":
         return CohomologyAction(
-            mode=K3Mode(data["matrix"], Surd.from_json(data["hodge_scalar"])),
+            mode=K3Mode(_int_matrix(data["matrix"]),
+                        Surd.from_json(data["hodge_scalar"])),
             **kwargs)
     if mode_name == "torus":
         return CohomologyAction(
@@ -105,15 +128,16 @@ def _build_action(data, default_as: bool) -> CohomologyAction:
         if "traces" in data:
             for n_str, table in data["traces"].items():
                 traces[int(n_str)] = {
-                    tuple(int(x) for x in key.split(",")): int(v)
+                    tuple(int(x) for x in key.split(",")): _typed(v, int, "a trace")
                     for key, v in table.items()
                 }
         elif "h11_trace_recurrence" in data:
             rec = data["h11_trace_recurrence"]
-            coeffs = [int(c) for c in rec["coefficients"]]
-            seq = [int(v) for v in rec["initial"]]
-            offset = int(rec.get("offset", 0))
-            max_n = int(data.get("max_n", 12))
+            coeffs = [_typed(c, int, "a recurrence coefficient")
+                      for c in rec["coefficients"]]
+            seq = [_typed(v, int, "an initial trace") for v in rec["initial"]]
+            offset = _field(rec, "offset", int, 0)
+            max_n = _field(data, "max_n", int, 12)
             while len(seq) <= max_n:
                 seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
             traces = {n: {(0, 0): 1, (1, 1): seq[n] + offset, (2, 2): 1}
@@ -141,8 +165,8 @@ def load_scenario(doc: dict) -> Scenario:
 
 def _build_scenario(doc: dict) -> Scenario:
     meta = doc.get("meta", {})
-    precision = int(meta.get("precision", DEFAULT_PRECISION))
-    default_as = bool(meta.get("algebraically_stable", False))
+    precision = _field(meta, "precision", int, DEFAULT_PRECISION)
+    default_as = _field(meta, "algebraically_stable", bool, False)
 
     maps = {}
     for label, exprs in (doc.get("maps") or {}).items():
@@ -174,7 +198,7 @@ def _build_scenario(doc: dict) -> Scenario:
     forms = {}
     for label, spec in (doc.get("forms") or {}).items():
         unit = parse_expression(spec.get("unit", "1"))
-        forms[label] = FormGerm(int(spec.get("z1_valuation", 0)),
+        forms[label] = FormGerm(_field(spec, "z1_valuation", int, 0),
                                 unit.to_series(precision))
 
     model = None
@@ -196,13 +220,11 @@ def _build_scenario(doc: dict) -> Scenario:
                 ))
             curves.append(FixedCurveRecord(
                 label=c["label"],
-                prime_period=int(c.get("prime_period", 1)),
+                prime_period=_field(c, "prime_period", int, 1),
                 curve_type=c["type"],
-                nu_C=int(c["nu_C"]),
-                self_intersection=int(c["self_intersection"]),
-                euler_characteristic=(int(c["euler_characteristic"])
-                                      if "euler_characteristic" in c else None),
-                fiber_component=bool(c.get("fiber_component", False)),
+                nu_C=_field(c, "nu_C", int),
+                self_intersection=_field(c, "self_intersection", int),
+                euler_characteristic=_field(c, "euler_characteristic", int, None),
                 germ_witnesses=witnesses,
             ))
         points = []
@@ -215,16 +237,16 @@ def _build_scenario(doc: dict) -> Scenario:
                 germ = germs[p["germ"]]
             declared = None
             if "declared_index" in p:
-                declared = {int(k): int(v) for k, v in p["declared_index"].items()}
+                declared = {int(k): _typed(v, int, "a declared index")
+                            for k, v in p["declared_index"].items()}
             isolation = None
             if "isolation" in p:
                 iso = p["isolation"]
                 isolation = (iso["kind"],
-                             int(iso["secondary_period"])
-                             if "secondary_period" in iso else None)
+                             _field(iso, "secondary_period", int, None))
             points.append(FixedPointRecord(
                 label=p["label"],
-                prime_period=int(p.get("prime_period", 1)),
+                prime_period=_field(p, "prime_period", int, 1),
                 germ=germ,
                 declared_index_per_n=declared,
                 on_curves=list(p.get("on_curves", [])),

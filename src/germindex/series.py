@@ -22,10 +22,11 @@ DEFAULT_PRECISION = 16
 
 
 def rat(x) -> Fraction:
-    """Coerce ints / strings / Fractions to an exact rational."""
+    """Coerce ints / strings / Fractions to an exact rational; a boolean
+    is not a number."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

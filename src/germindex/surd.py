@@ -32,7 +32,8 @@ def _is_squarefree(d: int) -> bool:
 def _normalize_d(d):
     if d is None:
         return None
-    d = int(d)
+    if type(d) is not int:
+        raise TypeError(f"discriminant must be an integer, got {d!r}")
     if d <= 1 or not _is_squarefree(d):
         raise ValueError("discriminant must be a squarefree integer > 1")
     return d
@@ -96,12 +97,6 @@ class Surd:
 
     def is_real(self) -> bool:
         return self.c == 0 and self.e == 0
-
-    def real(self) -> "Surd":
-        return Surd(a=self.a, b=self.b, d=self.d if self.b else None)
-
-    def imag(self) -> "Surd":
-        return Surd(a=self.c, b=self.e, d=self.d if self.e else None)
 
     def conjugate(self) -> "Surd":
         """Complex conjugation (i -> -i); fixes sqrt(d)."""
@@ -264,16 +259,10 @@ class Surd:
 
     @classmethod
     def from_json(cls, data) -> "Surd":
+        """Inverse of to_json: each component an integer or a rational
+        string such as "-1/2" (read by `rat`, which refuses a float), and d
+        an integer."""
         if isinstance(data, (int, str)):
-            return cls(a=Fraction(data))
-        return cls(
-            a=Fraction(data.get("a", 0)),
-            b=Fraction(data.get("b", 0)),
-            c=Fraction(data.get("c", 0)),
-            e=Fraction(data.get("e", 0)),
-            d=data.get("d"),
-        )
-
-
-ZERO = Surd(0)
-ONE = Surd(1)
+            return cls(a=data)
+        return cls(a=data.get("a", 0), b=data.get("b", 0), c=data.get("c", 0),
+                   e=data.get("e", 0), d=data.get("d"))

@@ -35,6 +35,7 @@ from .polys import (
     factor_list1,
     real_root_intervals1,
     resultant_z1,
+    trace_of_power,
 )
 from .surd import Surd, square_part
 
@@ -61,7 +62,6 @@ class FixedCurveRecord:
     nu_C: int
     self_intersection: int    # tau_C
     euler_characteristic: int | None = None   # chi of the normalization
-    fiber_component: bool = False
     germ_witnesses: list[CurveWitness] = field(default_factory=list)
 
     def __post_init__(self):
@@ -71,9 +71,7 @@ class FixedCurveRecord:
             raise ValueError("curve type must be 'I' or 'II'")
 
 
-ABSOLUTELY_ISOLATED = "absolutely_isolated"
 CONDITIONALLY_ISOLATED = "conditionally_isolated"
-NON_ISOLATED = "non_isolated"
 
 
 @dataclass
@@ -100,29 +98,8 @@ class FixedPointRecord:
 # ---------------------------------------------------------------------------
 # cohomology action
 # ---------------------------------------------------------------------------
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-def _mat_pow(A, e: int):
-    n = len(A)
-    R = [[int(i == j) for j in range(n)] for i in range(n)]
-    B = [row[:] for row in A]
-    while e:
-        if e & 1:
-            R = _mat_mul(R, B)
-        e >>= 1
-        if e:
-            B = _mat_mul(B, B)
-    return R
-
-
-def _trace(A) -> int:
-    return sum(A[i][i] for i in range(len(A)))
+# Each mode answers lefschetz(n) and dynamical_degree(); the module functions
+# of those names check the AS assertion and delegate to it.
 
 
 @dataclass
@@ -132,17 +109,31 @@ class H1Trivial:
 
     matrix: list[list[int]]
 
+    def __post_init__(self):
+        if any(len(row) != len(self.matrix) for row in self.matrix):
+            raise ValueError("the action matrix must be square")
+
+    def lefschetz(self, n: int) -> Surd:
+        return Surd.rational(trace_of_power(self.matrix, n) + 2)
+
+    def dynamical_degree(self) -> Surd | RationalInterval:
+        return spectral_radius(self.matrix)
+
 
 @dataclass
-class K3Mode:
+class K3Mode(H1Trivial):
     """L(f^n) = tr(M^n) + d^n + conj(d)^n + 2 with |d| = 1."""
 
-    matrix: list[list[int]]
     hodge_scalar: Surd
 
     def __post_init__(self):
+        super().__post_init__()
         if self.hodge_scalar.norm_squared() != Surd.rational(1):
             raise ValueError("Hodge scalar must have modulus one")
+
+    def lefschetz(self, n: int) -> Surd:
+        d = self.hodge_scalar
+        return super().lefschetz(n) + d**n + d.conjugate()**n
 
 
 @dataclass
@@ -159,6 +150,30 @@ class TorusMode:
         if self.delta.norm_squared() < Surd.rational(1):
             raise ValueError("delta must have modulus at least one")
 
+    def lefschetz(self, n: int) -> Surd:
+        """Alternating sum of the eigenvalue powers of the torus action
+        with H^{1,0} eigenvalues delta and epsilon/delta."""
+        d = self.delta**n
+        db = self.delta.conjugate()**n
+        e = self.epsilon**n
+        eb = self.epsilon.conjugate()**n
+        d_inv = d.inverse()
+        db_inv = db.inverse()
+        t10 = d + e * d_inv
+        t01 = db + eb * db_inv
+        t20 = e
+        t02 = eb
+        t21 = e * db + db_inv
+        t12 = eb * d + d_inv
+        t11 = d * db + eb * d * db_inv + e * db * d_inv + (d * db).inverse()
+        total = Surd.rational(2) + t11 + t20 + t02 - t10 - t01 - t21 - t12
+        if not total.is_real():
+            raise ValueError("torus Lefschetz number must be real")
+        return total
+
+    def dynamical_degree(self) -> Surd:
+        return self.delta.norm_squared()
+
 
 @dataclass
 class ExplicitTraces:
@@ -168,6 +183,21 @@ class ExplicitTraces:
 
     traces: dict[int, dict[tuple[int, int], int]]
     declared_degree: Surd | None = None
+
+    def lefschetz(self, n: int) -> Surd:
+        if n not in self.traces:
+            raise MissingIndexData(f"no trace data stored for n = {n}")
+        return Surd.rational(
+            sum((-1) ** (i + j) * t for (i, j), t in self.traces[n].items())
+        )
+
+    def dynamical_degree(self) -> Surd:
+        if self.declared_degree is None:
+            raise MissingIndexData(
+                "explicit traces do not determine the dynamical degree; "
+                "declare it on the action"
+            )
+        return self.declared_degree
 
 
 @dataclass
@@ -191,44 +221,7 @@ def lefschetz_number(action: CohomologyAction, n: int) -> Surd:
         )
     if n < 1:
         raise ValueError("n must be positive")
-    mode = action.mode
-    if isinstance(mode, H1Trivial):
-        return Surd.rational(_trace(_mat_pow(mode.matrix, n)) + 2)
-    if isinstance(mode, K3Mode):
-        d = mode.hodge_scalar
-        return Surd.rational(_trace(_mat_pow(mode.matrix, n)) + 2) \
-            + d**n + d.conjugate()**n
-    if isinstance(mode, TorusMode):
-        return _torus_lefschetz(mode.delta, mode.epsilon, n)
-    if isinstance(mode, ExplicitTraces):
-        if n not in mode.traces:
-            raise MissingIndexData(f"no trace data stored for n = {n}")
-        return Surd.rational(
-            sum((-1) ** (i + j) * t for (i, j), t in mode.traces[n].items())
-        )
-    raise TypeError(f"unknown action mode {mode!r}")
-
-
-def _torus_lefschetz(delta: Surd, eps: Surd, n: int) -> Surd:
-    """Alternating sum of the eigenvalue powers of the torus action with
-    H^{1,0} eigenvalues delta and eps/delta."""
-    d = delta**n
-    db = delta.conjugate()**n
-    e = eps**n
-    eb = eps.conjugate()**n
-    d_inv = d.inverse()
-    db_inv = db.inverse()
-    t10 = d + e * d_inv
-    t01 = db + eb * db_inv
-    t20 = e
-    t02 = eb
-    t21 = e * db + db_inv
-    t12 = eb * d + d_inv
-    t11 = d * db + eb * d * db_inv + e * db * d_inv + (d * db).inverse()
-    total = Surd.rational(2) + t11 + t20 + t02 - t10 - t01 - t21 - t12
-    if not total.is_real():
-        raise ValueError("torus Lefschetz number must be real")
-    return total
+    return action.mode.lefschetz(n)
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +311,7 @@ def dynamical_degree(action: CohomologyAction) -> Surd | RationalInterval:
         raise NotAlgebraicallyStable(
             "the dynamical degree equals the spectral radius only under AS"
         )
-    mode = action.mode
-    if isinstance(mode, (H1Trivial, K3Mode)):
-        return spectral_radius(mode.matrix)
-    if isinstance(mode, TorusMode):
-        return mode.delta.norm_squared()
-    if isinstance(mode, ExplicitTraces):
-        if mode.declared_degree is None:
-            raise MissingIndexData(
-                "explicit traces do not determine the dynamical degree; "
-                "declare it on the action"
-            )
-        return mode.declared_degree
-    raise TypeError(f"unknown action mode {mode!r}")
+    return action.mode.dynamical_degree()
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +462,6 @@ class GrowthVerdict:
     n: int
     within_bound: bool
     branch: str           # "torus" or "constant"
-    bound_text: str
 
 
 @dataclass
@@ -685,16 +665,11 @@ def growth_bounds(action: CohomologyAction, n: int, count) -> GrowthVerdict:
     gap = abs(count - lam**n)
     if isinstance(action.mode, TorusMode):
         B = Surd.rational(11)
-        if gap <= B:
-            ok = True
-        else:
-            # gap - B < 4 lambda^(n/2)  <=>  (gap - B)^2 < 16 lambda^n
-            ok = (gap - B) ** 2 < Surd.rational(16) * lam**n
-        return GrowthVerdict(n, ok, "torus",
-                             f"|count - lambda^{n}| < 4*lambda^({n}/2) + {B!r}")
+        # gap - B < 4 lambda^(n/2)  <=>  (gap - B)^2 < 16 lambda^n
+        ok = gap <= B or (gap - B) ** 2 < Surd.rational(16) * lam**n
+        return GrowthVerdict(n, ok, "torus")
     B = action.growth_constant
     if B is None:
         raise ValueError("non-torus growth check needs a declared constant")
     ok = gap <= Surd.rational(B)
-    return GrowthVerdict(n, ok, "constant",
-                         f"|count - lambda^{n}| <= {B}")
+    return GrowthVerdict(n, ok, "constant")

@@ -147,11 +147,19 @@ def test_non_squarefree_dynamical_degree_is_a_scenario_error(tmp_path, capsys):
     assert json.loads(err)["error"]["kind"] == "ScenarioError"
 
 
-def _cubic(edit):
-    """The cubic-d4 fixture document with one edit; an edit may return a
-    replacement for the whole document."""
-    doc = fixture_document("cubic-d4")
+def _edited(name, edit):
+    """A fixture document with one edit; an edit may return a replacement
+    for the whole document."""
+    doc = fixture_document(name)
     return edit(doc) or doc
+
+
+def _cubic(edit):
+    return _edited("cubic-d4", edit)
+
+
+def _degree(**parts):
+    return _cubic(lambda d: d["action"]["dynamical_degree"].update(parts))
 
 
 @pytest.mark.parametrize("doc", [
@@ -162,8 +170,19 @@ def _cubic(edit):
     _cubic(lambda d: d["points"][0].update(on_curves=["E9"])),
     _cubic(lambda d: d["germs"].update(u1={"images": ["z1+1", "z2"]})),
     _cubic(lambda d: d["action"].update(growth_constant=2.5)),
+    _cubic(lambda d: d["curves"][0].update(nu_C=2.5)),
+    _cubic(lambda d: d["action"].update(picard_number=7.9)),
+    _cubic(lambda d: d["action"].update(algebraically_stable="false")),
+    _degree(d=5.7),
+    _degree(a=0.1),
+    _degree(a=True),
+    _edited("remark43", lambda d: d["action"].update(matrix=[[2.5]])),
+    _edited("remark43", lambda d: d["action"].update(matrix=[[1, 2], [3]])),
 ], ids=["curve_type_III", "curve_without_label", "precision_abc", "top_level_list",
-        "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5"])
+        "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
+        "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
+        "degree_d_5.7", "degree_a_0.1", "degree_a_true",
+        "matrix_entry_2.5", "ragged_matrix"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))

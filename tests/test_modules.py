@@ -1,6 +1,6 @@
 """Module structure: the germ engine stands apart from the elimination
-oracle that cross-checks it, and no module, test or demo keeps an import
-it never uses."""
+oracle that cross-checks it, no module, test or demo keeps an import it
+never uses, and the package defines no name that nothing reads."""
 
 import ast
 import os
@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "germindex").glob("*.py")
                  if p.name != "__init__.py")
 SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+READERS = sorted(p for d in ("src", "tests", "demos", "bench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +43,63 @@ def test_unused_import_check_sees_names_and_attributes():
                          + [str(p.relative_to(ROOT)) for p in SCRIPTS])
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(source: str) -> list[str]:
+    """The module-level functions, classes and constants of a module, and
+    the methods of its classes other than dunders, as "name" or
+    "Class.method"."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{f.name}" for f in node.body
+                      if isinstance(f, ast.FunctionDef) and not _dunder(f.name)]
+    return [name for name in names if not _dunder(name)]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a source loads, and every attribute it accesses."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def dead_names(source: str, read: set[str]) -> list[str]:
+    """The names `source` defines that are not in `read`; a method counts
+    as read when any attribute of its name is."""
+    return [name for name in defined_names(source)
+            if name.rpartition(".")[2] not in read]
+
+
+def test_dead_name_check_sees_loads_and_attributes():
+    source = ("import os\nK = 1\n_L: int = 2\n__all__ = []\n"
+              "def f():\n    return K\n"
+              "class C:\n    def __init__(self):\n        pass\n"
+              "    def m(self):\n        return f()\n"
+              "    def n(self):\n        pass\n"
+              "def g():\n    g = 1\n")
+    assert defined_names(source) == ["K", "_L", "f", "C", "C.m", "C.n", "g"]
+    read = read_names(source) | read_names("C().m\nos.path\n")
+    # g is only stored, _L only defined, C.n never accessed
+    assert dead_names(source, read) == ["_L", "C.n", "g"]
+
+
+def test_every_package_name_is_read():
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
+    dead = {p.stem: dead_names(p.read_text(encoding="utf-8"), read)
+            for p in MODULES}
+    assert {stem: names for stem, names in dead.items() if names} == {}
 
 
 def test_the_engine_does_not_import_the_oracle():

@@ -27,7 +27,8 @@ from germindex import (MapGerm, NotDivisible, Poly1, Poly2, factor_list2, gcd2, 
                        resultant_z1)
 from germindex import polys
 from germindex.polys import (PolynomialMap, charpoly, factor_list1,
-                             origin_alone_on_z2_zero, real_root_intervals1)
+                             origin_alone_on_z2_zero, real_root_intervals1,
+                             trace_of_power)
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -551,6 +552,24 @@ def test_to_series_truncates_the_coefficients(p, precision):
 @settings(max_examples=40)
 def test_charpoly_matches_matrix_charpoly(M):
     assert charpoly(M) == from_expr1(sp.Matrix(M).charpoly(T).as_expr())
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.integers(0, 8))
+@settings(max_examples=60)
+def test_trace_of_power_matches_the_plain_product(M, n):
+    size = len(M)
+    P = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    for _ in range(n):
+        P = [[sum((P[i][k] * M[k][j] for k in range(size)), Fraction(0))
+              for j in range(size)] for i in range(size)]
+    got = trace_of_power(M, n)
+    assert type(got) is Fraction
+    assert got == sum((P[i][i] for i in range(size)), Fraction(0))
 
 
 @given(univariate_coeffs)

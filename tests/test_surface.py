@@ -82,6 +82,14 @@ def test_lefschetz_k3_mode():
     assert lefschetz_number(act, 2) == Surd.rational(7)
 
 
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 2]], [[1], [2]]])
+def test_a_matrix_that_is_not_square_is_refused(matrix):
+    with pytest.raises(ValueError, match="square"):
+        H1Trivial(matrix)
+    with pytest.raises(ValueError, match="square"):
+        K3Mode(matrix, Surd.imaginary(1))
+
+
 def test_torus_lefschetz_matches_closed_form():
     """Triple check: the trace-table sum equals the closed form
     |d|^2n + |d|^-2n + 2 - 2 Re{(1 + conj(e)^n) d^n + (1 + e^n) d^-n
