@@ -8,7 +8,7 @@ how to factor, take gcds and eliminate variables.
 
 from fractions import Fraction
 
-from germindex import Poly2, SeriesPair, TruncatedSeries2
+from germindex import Poly2, TruncatedSeries2
 from germindex.polys import factor_list2, gcd2, resultant_z1
 
 S = TruncatedSeries2
@@ -21,7 +21,7 @@ print("1/u        =", u.invert_unit())
 print("u * 1/u    =", u * u.invert_unit())
 
 s = z1 + z2**2
-swap = s.compose(SeriesPair(z2, z1))
+swap = s.compose((z2, z1))
 print("swap of z1 + z2^2        =", swap)
 
 quotient = (z1 * z1 * z2).exact_divide(z1)
@@ -44,7 +44,8 @@ b = X * Y
 print("gcd(z1^2 z2 + z1 z2^2, z1 z2) =", gcd2(a, b))
 
 res = resultant_z1(X**2 + Y, X)
-print("res_z1(z1^2 + z2, z1)         =", res.coeff, "(coefficients of z2^k)")
+print("res_z1(z1^2 + z2, z1)         =",
+      [res[(0, k)] for k in range(res.total_degree() + 1)], "(coefficients of z2^k)")
 
 half = Poly2.constant(Fraction(1, 2))
 print("evaluation of 1/2 * z1 * z2 at (2, 3):",

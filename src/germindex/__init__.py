@@ -35,7 +35,7 @@ from .germs import (
     iterate,
     local_index,
 )
-from .polys import Poly1, Poly2, factor_list2, gcd2, resultant_z1
-from .series import DEFAULT_PRECISION, AboveDegree, SeriesPair, TruncatedSeries2
+from .polys import Poly2, factor_list2, gcd2, resultant_z1
+from .series import DEFAULT_PRECISION, AboveDegree, TruncatedSeries2
 
 __version__ = "0.1.0"

@@ -26,8 +26,9 @@ class NotDivisible(GermIndexError):
 class PrecisionExhausted(GermIndexError):
     """An exact verdict is out of reach: polys.square_part cannot certify
     that a large discriminant factor is squarefree without factoring it,
-    or surface.growth_bounds meets a dynamical degree that is known only
-    to an interval, not as an exact surd."""
+    surface.growth_bounds meets a dynamical degree that is known only to an
+    interval, not as an exact surd, or PolynomialMap.iterate would compose
+    an iterate above the degree bound polys.MAX_ITERATE_DEGREE."""
 
 
 class IdentityGerm(GermIndexError):

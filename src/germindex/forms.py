@@ -18,7 +18,7 @@ from .errors import (
     NotDivisible,
 )
 from .germs import MapGerm
-from .series import SeriesPair, TruncatedSeries2
+from .series import TruncatedSeries2
 
 INFINITY = math.inf
 
@@ -146,8 +146,8 @@ def pullback_form(germ: MapGerm, form: FormGerm) -> FormGerm:
     """
     s = form.z1_valuation
     n = min(germ.precision, form.unit_part.precision)
-    images = SeriesPair(germ.image1.truncate(n), germ.image2.truncate(n))
-    u_pulled = form.unit_part.truncate(n).compose(images)
+    u_pulled = form.unit_part.truncate(n).compose(
+        (germ.image1.truncate(n), germ.image2.truncate(n)))
     jac = _jacobian_determinant(germ)
     bracket = u_pulled * jac
     if s != 0:

@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedSingularBranch,
 )
 from .polys import Poly2, PolynomialMap, factor_list2, gcd2
-from .series import DEFAULT_PRECISION, SeriesPair, TruncatedSeries2
+from .series import DEFAULT_PRECISION, TruncatedSeries2
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -469,8 +469,7 @@ def iterate(germ: MapGerm, n: int) -> MapGerm:
     else:
         s1, s2 = germ.image1, germ.image2
         for _ in range(n - 1):
-            pair = SeriesPair(s1, s2)
-            s1, s2 = germ.image1.compose(pair), germ.image2.compose(pair)
+            s1, s2 = germ.image1.compose((s1, s2)), germ.image2.compose((s1, s2))
         out = MapGerm.from_series(s1, s2, germ.source_point_label)
     out.base = germ
     return out

@@ -127,7 +127,7 @@ def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:
         res = resultant_z1(Pc, _shear(Q, c))
         if res.is_zero():
             raise NonIsolated("system has a common component")
-        return res.degree()
+        return res.total_degree()
     raise ShearExhausted("no shear made the system z1-regular")
 
 

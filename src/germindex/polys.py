@@ -1,15 +1,16 @@
-"""Exact bivariate and univariate polynomials with rational coefficients.
+"""Exact polynomials in z1, z2 with rational coefficients.
 
-Poly2 is the workhorse for germ decomposition and the elimination oracle:
-an element of sympy's sparse ring Z[z1, z2] over one positive integer
+Poly2 is the one exact polynomial type, for germ decomposition, the
+elimination oracle and the spectral data of the surface layer (a
+resultant or characteristic polynomial is a Poly2 in one variable): an
+element of sympy's sparse ring Z[z1, z2] over one positive integer
 denominator, in lowest terms.  Its arithmetic (sums, products, powers and
 derivatives) is the ring's.  Two kernels run on plain integers of their
 own, with monomials z1^i z2^j packed into one int key i*S + j: exact
 division, one lex-ordered pass (`_exquo_zz`), and composition, and with
 it iterates, shears and translations (`_compose_ring`).  PolynomialMap
 owns exact iteration: the germ engine and the oracle read its one chain
-of iterates.  Poly1 is a dense univariate value type for resultants and
-characteristic polynomials.
+of iterates, up to the degree bound MAX_ITERATE_DEGREE.
 
 This module is the one boundary to the computer-algebra system.  Besides
 that arithmetic, the heavy steps (bivariate gcd, irreducible
@@ -49,8 +50,12 @@ from .errors import NotDivisible, PrecisionExhausted
 from .series import TruncatedSeries2, rat
 
 _RING2 = ring("z1,z2", ZZ)[0]
-_RING1 = ring("t", QQ)[0]
 _RING1Z = ring("t", ZZ)[0]
+
+# The largest total degree an iterate f^n may be composed to.  remark42's
+# f^8 has degree 256, and each doubling of the degree costs about 16 times
+# the composition before it.
+MAX_ITERATE_DEGREE = 256
 
 
 class Poly2:
@@ -168,6 +173,9 @@ class Poly2:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as that value
+        if self._num.is_ground:
+            return hash(self.constant_term())
         return hash((self._den, frozenset(self._num.items())))
 
     # -- arithmetic -------------------------------------------------------
@@ -313,10 +321,6 @@ def _to_zz2(p: Poly2, dx: int, dy: int):
     P = _RING2.dtype({(i, j): c * dx**(I - i) * dy**(J - j)
                       for (i, j), c in p._num.items()})
     return P, p._den * dx**I * dy**J
-
-
-def _from_ring1(r) -> "Poly1":
-    return Poly1.from_coeff_map({k: _fraction(c) for (k,), c in r.items()})
 
 
 def _mul_packed(a: dict, b: dict) -> dict:
@@ -474,12 +478,23 @@ class PolynomialMap:
         return local
 
     def iterate(self, n: int) -> "PolynomialMap":
-        """f^n for n >= 1, f^k = f o f^(k-1), from the chain."""
+        """f^n for n >= 1, f^k = f o f^(k-1), from the chain.
+
+        Before each composition the degree of f^k is bounded by the largest
+        i * deg p1 + j * deg p2 of f^(k-1) over f's monomials z1^i z2^j;
+        above MAX_ITERATE_DEGREE PrecisionExhausted is raised."""
         if n < 1:
             raise ValueError("iterate needs n >= 1")
         chain = self._iterates
         while len(chain) < n - 1:
             last = chain[-1] if chain else self
+            d1, d2 = last.p1.total_degree(), last.p2.total_degree()
+            bound = max((i * d1 + j * d2 for p in (self.p1, self.p2)
+                         for i, j in p._num), default=0)
+            if bound > MAX_ITERATE_DEGREE:
+                raise PrecisionExhausted(
+                    f"f^{n} is out of reach: f^{len(chain) + 2} may reach "
+                    f"degree {bound}, above the bound {MAX_ITERATE_DEGREE}")
             chain.append(PolynomialMap(
                 *self.p1.compose(last.p1, last.p2, partner=self.p2)))
         return chain[n - 2] if n > 1 else self
@@ -587,16 +602,16 @@ def _z1_degree(p: Poly2) -> int:
 _PACKED_BITS = 1024
 
 
-def resultant_z1(f: Poly2, g: Poly2) -> "Poly1":
-    """Resultant eliminating z1; a univariate polynomial in z2.
+def resultant_z1(f: Poly2, g: Poly2) -> Poly2:
+    """Resultant eliminating z1; a polynomial in z2 alone.
 
     With f = F/a and g = G/b for integer F, G, the resultant is homogeneous
     of degree deg_z1 g in f and deg_z1 f in g, so Res(f, g) =
     Res(F, G) / (a**deg_z1 g * b**deg_z1 f)."""
     m, n = _z1_degree(f), _z1_degree(g)
-    den = f._den**n * g._den**m
-    return Poly1.from_coeff_map({k: Fraction(c, den) for k, c in
-                                 _resultant_zz(f._num, g._num, m, n).items()})
+    res = _resultant_zz(f._num, g._num, m, n)
+    return Poly2._new(_RING2.dtype({(0, k): c for k, c in res.items()}),
+                      f._den**n * g._den**m)
 
 
 def _resultant_zz(F, G, m: int, n: int) -> dict:
@@ -666,15 +681,16 @@ def _balanced_digits(r: int, b: int) -> dict:
 def origin_alone_on_z2_zero(p: Poly2, q: Poly2) -> bool | None:
     """Is the origin the only common zero of p and q on the line z2 = 0?
 
-    Read over ZZ from the numerators of p(z1, 0) and q(z1, 0).  None when
-    the line is unusable for elimination: either restriction is zero, or
-    the z1-leading coefficient of p vanishes at z2 = 0 (p(z1, 0) has lower
-    degree than p in z1).  Otherwise True when the gcd of the restrictions
-    is a monomial, and False when they share a nonzero root.  With their
+    Read over ZZ from the numerators of p(z1, 0) and q(z1, 0), built in
+    the bivariate ring.  None when the line is unusable for elimination:
+    either restriction is zero, or the z1-leading coefficient of p
+    vanishes at z2 = 0 (p(z1, 0) has lower degree than p in z1).
+    Otherwise True when the gcd of the restrictions is a monomial, and
+    False when they share a nonzero root.  With their
     powers of z1 divided out, a gcd 1 mod _PRIME proves True; the gcd over
     ZZ is taken only when that certificate gives no verdict."""
-    u1 = _RING1Z({(i,): c for (i, j), c in p._num.items() if j == 0})
-    u2 = _RING1Z({(i,): c for (i, j), c in q._num.items() if j == 0})
+    u1 = _RING2.dtype({e: c for e, c in p._num.items() if e[1] == 0})
+    u2 = _RING2.dtype({e: c for e, c in q._num.items() if e[1] == 0})
     if not u1 or not u2 or u1.degree() < _z1_degree(p):
         return None
     f, g = _without_z1_power(u1), _without_z1_power(u2)
@@ -686,29 +702,18 @@ def origin_alone_on_z2_zero(p: Poly2, q: Poly2) -> bool | None:
 def _without_z1_power(u) -> list:
     """u / z1**ord(u) mod _PRIME as a dense list, leading coefficient first."""
     lo, hi = min(u)[0], max(u)[0]
-    return [u.get((k,), 0) % _PRIME for k in range(hi, lo - 1, -1)]
+    return [u.get((k, 0), 0) % _PRIME for k in range(hi, lo - 1, -1)]
 
 
-def _to_ring1(p: "Poly1"):
-    return _RING1.from_dict({(k,): _qq(c) for k, c in enumerate(p.coeff) if c != 0})
-
-
-def factor_list1(p: "Poly1") -> tuple[Fraction, list[tuple["Poly1", int]]]:
-    """Irreducible factorization over Q: (constant, [(factor, multiplicity)])
-    with primitive integer factors of positive leading coefficient and
-    constant * prod(factor**multiplicity) == p."""
-    const, factors = _to_ring1(p).factor_list()
-    return _fraction(const), [(_from_ring1(f), int(m)) for f, m in factors]
-
-
-def real_root_intervals1(p: "Poly1") -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals (lo, hi) of the distinct real roots of p, in
-    increasing order: (r, r) for a rational root r found exactly, otherwise
-    exactly one root with lo < root < hi (an end may be another, rational,
-    root).  Negative and positive roots are isolated apart, so no interval
-    has lo < 0 < hi."""
+def real_root_intervals(p: Poly2) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi) of the distinct real roots of p, a
+    polynomial in z1 alone, in increasing order: (r, r) for a rational root
+    r found exactly, otherwise exactly one root with lo < root < hi (an end
+    may be another, rational, root).  Negative and positive roots are
+    isolated apart, so no interval has lo < 0 < hi."""
+    u = _RING1Z({(i,): c for (i, _), c in p._num.items()})
     return [(_fraction(lo), _fraction(hi))
-            for (lo, hi), _ in _RING1.dup_isolate_real_roots(_to_ring1(p))]
+            for (lo, hi), _ in _RING1Z.dup_isolate_real_roots(u)]
 
 
 def _domain_matrix(M) -> DomainMatrix:
@@ -716,10 +721,10 @@ def _domain_matrix(M) -> DomainMatrix:
     return DomainMatrix([[_qq(rat(x)) for x in row] for row in M], (n, n), QQ)
 
 
-def charpoly(M) -> "Poly1":
-    """det(t I - M) of a square matrix with rational entries, exactly."""
+def charpoly(M) -> Poly2:
+    """det(z1 I - M) of a square matrix with rational entries, exactly."""
     coeffs = _domain_matrix(M).charpoly()
-    return Poly1([_fraction(c) for c in reversed(coeffs)])
+    return Poly2({(k, 0): _fraction(c) for k, c in enumerate(reversed(coeffs))})
 
 
 def trace_of_power(M, n: int) -> Fraction:
@@ -753,51 +758,3 @@ def square_part(m: int) -> tuple[int, int]:
         s *= q ** (k // 2)
         f *= q ** (k % 2)
     return s, f
-
-
-class Poly1:
-    """Dense univariate polynomial over Q; coeff[k] multiplies t^k.
-
-    A value type: the arithmetic on univariate polynomials goes through
-    the ring-level functions above."""
-
-    __slots__ = ("coeff",)
-
-    def __init__(self, coeff):
-        coeff = [rat(c) for c in coeff]
-        while coeff and coeff[-1] == 0:
-            coeff.pop()
-        self.coeff = coeff
-
-    @classmethod
-    def from_coeff_map(cls, m) -> "Poly1":
-        if not m:
-            return cls([])
-        out = [Fraction(0)] * (max(m) + 1)
-        for e, c in m.items():
-            out[e] = rat(c)
-        return cls(out)
-
-    def degree(self) -> int:
-        return len(self.coeff) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeff
-
-    def order(self) -> int:
-        """Multiplicity of the root 0; raises on the zero polynomial."""
-        if not self.coeff:
-            raise ValueError("zero polynomial has no order")
-        return next(i for i, c in enumerate(self.coeff) if c != 0)
-
-    def evaluate(self, x) -> Fraction:
-        x = rat(x)
-        total = Fraction(0)
-        for c in reversed(self.coeff):
-            total = total * x + c
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self.coeff == other.coeff

@@ -124,7 +124,9 @@ class TruncatedSeries2:
         return self.truncate(n).coeff == other.truncate(n).coeff
 
     def __hash__(self):
-        return hash((self.precision, frozenset(self.coeff.items())))
+        # equal series agree at least in degree 0, which every precision
+        # keeps, and a constant series equals its value
+        return hash(self.constant_term())
 
     # -- ring operations ----------------------------------------------
 
@@ -200,7 +202,7 @@ class TruncatedSeries2:
     # -- local-ring operations ----------------------------------------
 
     def compose(self, images) -> "TruncatedSeries2":
-        """Substitute (z1, z2) -> images, a SeriesPair or a pair of series.
+        """Substitute (z1, z2) -> images, a pair of series.
         Both images need zero constant term; otherwise the substitution is
         not continuous and NonLocalSubstitution is raised.
 
@@ -297,32 +299,3 @@ class TruncatedSeries2:
             )
             parts.append(f"{c}{mono}")
         return " + ".join(parts) + f" + O(deg>{self.precision})"
-
-
-class SeriesPair:
-    """An ordered pair of bivariate series with equal precision, used as
-    the image data (s(z1), s(z2)) of a substitution."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first: TruncatedSeries2, second: TruncatedSeries2):
-        if first.precision != second.precision:
-            raise ValueError("pair components must share a precision")
-        self.first = first
-        self.second = second
-
-    @property
-    def precision(self) -> int:
-        return self.first.precision
-
-    def __iter__(self):
-        yield self.first
-        yield self.second
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesPair):
-            return NotImplemented
-        return self.first == other.first and self.second == other.second
-
-    def __repr__(self):
-        return f"SeriesPair({self.first!r}, {self.second!r})"

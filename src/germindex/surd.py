@@ -213,6 +213,9 @@ class Surd:
                 and self.c == other.c and self.e == other.e)
 
     def __hash__(self):
+        # a rational Surd equals its value a, so it hashes as a
+        if self.is_rational():
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.e, self.d))
 
     def __lt__(self, other):

@@ -29,11 +29,10 @@ from .germs import (
     local_index,
 )
 from .polys import (
-    Poly1,
     Poly2,
     charpoly,
-    factor_list1,
-    real_root_intervals1,
+    factor_list2,
+    real_root_intervals,
     resultant_z1,
     trace_of_power,
 )
@@ -231,19 +230,19 @@ def lefschetz_number(action: CohomologyAction, n: int) -> Surd:
 
 @dataclass
 class RationalInterval:
-    """An isolating interval (lo, hi) for a simple real root of `poly`,
-    refinable by bisection to any width."""
+    """An isolating interval (lo, hi) for a simple real root of `poly`, a
+    polynomial in z1 alone, refinable by bisection to any width."""
 
     lo: Fraction
     hi: Fraction
-    poly: Poly1
+    poly: Poly2
 
     def refine(self, steps: int = 1) -> "RationalInterval":
         lo, hi = self.lo, self.hi
-        flo = self.poly.evaluate(lo)
+        flo = self.poly.evaluate(lo, 0)
         for _ in range(steps):
             mid = (lo + hi) / 2
-            fmid = self.poly.evaluate(mid)
+            fmid = self.poly.evaluate(mid, 0)
             if fmid == 0:
                 lo = hi = mid
                 break
@@ -272,35 +271,34 @@ def spectral_radius(M) -> Surd | RationalInterval:
     """Spectral radius rho of a square rational matrix, exactly.
 
     With p the characteristic polynomial, of degree d, the roots of
-    q(s) = Res_x(p(x), x^d p(s/x)) are the products lambda_i*lambda_j of
-    its roots.  Every real one is at most rho^2, and rho^2 is one of them
-    (lambda^2 for a real dominant root, lambda*conj(lambda) for a complex
-    one), so rho is the largest real root of q(t^2), found by one real-root
-    isolation.  The output is a Surd when the irreducible factor of q(t^2)
+    q(s) = Res_x(p(x), x^d p(s/x)), with x = z1 and s = z2, are the
+    products lambda_i*lambda_j of its roots.  Every real one is at most
+    rho^2, and rho^2 is one of them (lambda^2 for a real dominant root,
+    lambda*conj(lambda) for a complex one), so rho is the largest real
+    root of q(t^2), found by one real-root isolation.  The output is a Surd when the irreducible factor of q(t^2)
     that holds rho has degree at most two, and otherwise an isolating
     interval on that factor.
     """
     p = charpoly(M)
-    d = p.degree()
+    d = p.total_degree()
     if d < 1:
         raise ValueError("an empty matrix has no spectral radius")
-    q = resultant_z1(Poly2({(k, 0): c for k, c in enumerate(p.coeff)}),
-                     Poly2({(d - k, k): c for k, c in enumerate(p.coeff)}))
-    q_t2 = Poly1.from_coeff_map({2 * k: c for k, c in enumerate(q.coeff)})
-    lo, hi = real_root_intervals1(q_t2)[-1]
+    q = resultant_z1(p, Poly2({(d - k, k): c for (k, _), c in p.coeff.items()}))
+    q_t2 = Poly2({(2 * k, 0): c for (_, k), c in q.coeff.items()})
+    lo, hi = real_root_intervals(q_t2)[-1]
     if lo == hi:
         return Surd.rational(lo)
     # rho is the only root of q(t^2) in (lo, hi), and a simple root of its
     # irreducible factor, which is the one factor that changes sign there
-    f = next(f for f, _ in factor_list1(q_t2)[1]
-             if f.evaluate(lo) * f.evaluate(hi) < 0)
-    cs = f.coeff
-    if f.degree() == 1:
-        return Surd.rational(-cs[0] / cs[1])
-    if f.degree() == 2:
+    f = next(f for f, _ in factor_list2(q_t2)[1]
+             if f.evaluate(lo, 0) * f.evaluate(hi, 0) < 0)
+    c0, c1, c2 = (f[(k, 0)] for k in range(3))
+    if f.total_degree() == 1:
+        return Surd.rational(-c0 / c1)
+    if f.total_degree() == 2:
         # the larger root; the leading coefficient of f is positive
-        disc = cs[1] * cs[1] - 4 * cs[2] * cs[0]
-        return (Surd.rational(-cs[1]) + _sqrt_exact(disc)) * (Fraction(1, 2) / cs[2])
+        disc = c1 * c1 - 4 * c2 * c0
+        return (Surd.rational(-c1) + _sqrt_exact(disc)) * (Fraction(1, 2) / c2)
     return RationalInterval(lo, hi, f)
 
 
@@ -633,7 +631,7 @@ def validate_periodic_inventory(model: SurfaceModel,
         # 1, and its one root in (lo, hi) exceeds 1 iff it lies in (1, hi)
         f = lam.poly
         lam_above_one = lam.lo >= 1 or (
-            lam.hi > 1 and f.evaluate(1) * f.evaluate(lam.hi) < 0)
+            lam.hi > 1 and f.evaluate(1, 0) * f.evaluate(lam.hi, 0) < 0)
     if lam_above_one:
         periods = {c.prime_period for c in model.curves if c.curve_type == TYPE_II}
         bound = model.action.picard_number

@@ -235,6 +235,15 @@ def test_scenario_from_file(tmp_path, capsys):
     assert data["curves"] == []
 
 
+def test_iterate_above_the_degree_bound_exits_1(tmp_path, capsys):
+    # f^3 of (z2 + z1^16, z1) could reach degree 4096, above the bound 256
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"germs": {"g": {"images": ["z2 + z1^16", "z1"]}}}))
+    code, out, err = run_cli(capsys, "index", str(path), "--germ", "g", "--n", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "PrecisionExhausted"
+
+
 def test_declared_isolation_parses(tmp_path, capsys):
     doc = {
         "meta": {"precision": 12},

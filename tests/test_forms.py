@@ -126,13 +126,11 @@ def test_pullback_requires_curve_fixing_for_poles():
 
 
 def test_pullback_functorial_on_composition():
-    from germindex import SeriesPair
-
     f = germ(X + X * Y, Y + X**2)      # fixes z1 = 0
     g = germ(X + X**3, Y + X)           # fixes z1 = 0
     w = FormGerm(-1, (ONE + Y).to_series(16))
     # compose: (f o g)(z) = f(g(z))
-    pair = SeriesPair(g.image1, g.image2)
+    pair = (g.image1, g.image2)
     fg = MapGerm.from_series(f.image1.compose(pair), f.image2.compose(pair))
     lhs = pullback_form(fg, w)
     rhs = pullback_form(g, pullback_form(f, w))

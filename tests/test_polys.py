@@ -23,16 +23,15 @@ from sympy.polys.polyerrors import PolynomialDivisionFailed
 from sympy.polys.rings import ring
 
 import germindex
-from germindex import (MapGerm, NotDivisible, Poly1, Poly2, factor_list2, gcd2, iterate,
-                       resultant_z1)
+from germindex import (MapGerm, NotDivisible, Poly2, PrecisionExhausted, factor_list2, gcd2,
+                       iterate, resultant_z1)
 from germindex import polys
-from germindex.polys import (PolynomialMap, charpoly, factor_list1,
-                             origin_alone_on_z2_zero, real_root_intervals1,
-                             trace_of_power)
+from germindex.polys import (PolynomialMap, charpoly, origin_alone_on_z2_zero,
+                             real_root_intervals, trace_of_power)
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
-Z1, Z2, T = sp.symbols("z1 z2 t")
+Z1, Z2 = sp.symbols("z1 z2")
 
 
 def to_expr(p: Poly2):
@@ -46,14 +45,14 @@ def from_expr(expr) -> Poly2:
                   for m, c in zip(poly.monoms(), poly.coeffs())})
 
 
-def to_expr1(p: Poly1):
-    return sp.Add(*(sp.Rational(c.numerator, c.denominator) * T**k
-                    for k, c in enumerate(p.coeff)))
+def in_z1(coeffs) -> Poly2:
+    """sum coeffs[k] * z1^k."""
+    return Poly2.from_terms({(k, 0): c for k, c in enumerate(coeffs)})
 
 
-def from_expr1(expr) -> Poly1:
-    return Poly1([Fraction(int(c.p), int(c.q))
-                  for c in reversed(sp.Poly(expr, T, domain="QQ").all_coeffs())])
+def in_z2(coeffs) -> Poly2:
+    """sum coeffs[k] * z2^k."""
+    return Poly2.from_terms({(0, k): c for k, c in enumerate(coeffs)})
 
 
 def rebuild(const, factors, one):
@@ -240,19 +239,19 @@ def test_compose_pinned_with_different_denominators():
      [Fraction(27, 16), 0, 0, 0, Fraction(-9, 16), Fraction(-3, 2), -1]),
 ])
 def test_resultant_z1_pinned(f, g, res):
-    assert resultant_z1(f, g) == Poly1(res)
+    assert resultant_z1(f, g) == in_z2(res)
     # deg_z1 f * deg_z1 g is even in every case, so the order does not matter
-    assert resultant_z1(g, f) == Poly1(res)
+    assert resultant_z1(g, f) == in_z2(res)
 
 
-def ring_resultant_z1(f: Poly2, g: Poly2) -> Poly1:
+def ring_resultant_z1(f: Poly2, g: Poly2) -> Poly2:
     """The reference: sympy's bivariate subresultant resultant of the
     numerators, over the denominators f._den**deg_z1 g * g._den**deg_z1 f."""
     m = max((i for i, _ in f._num), default=0)
     n = max((i for i, _ in g._num), default=0)
     den = f._den**n * g._den**m
-    return Poly1.from_coeff_map({k: Fraction(c, den)
-                                 for (k,), c in f._num.resultant(g._num).items()})
+    return Poly2({(0, k): Fraction(c, den)
+                  for (k,), c in f._num.resultant(g._num).items()})
 
 
 def slot_bits(f: Poly2, g: Poly2) -> tuple[int, int]:
@@ -304,15 +303,15 @@ def test_packing_keeps_the_z1_degree():
     for lead in (16, 32):
         f, g = (Y - lead) * X + 1, Poly2.constant(3)
         assert slot_bits(f, g)[0] == 5
-        assert resultant_z1(f, g) == Poly1([3])
-        assert resultant_z1(g, f) == Poly1([3])
+        assert resultant_z1(f, g) == Poly2.constant(3)
+        assert resultant_z1(g, f) == Poly2.constant(3)
 
 
 def test_packed_digits_borrow_across_zero_digits():
     # Res(z1 - z2, g) = g(z2, z2) = -3 z2^2 - 5 z2^4 - z2^6: z2-order 2, and
     # every negative digit borrows from a zero digit above it
     g = Y**2 * -3 - X**4 * 5 - X**3 * Y**3
-    want = Poly1([0, 0, -3, 0, -5, 0, -1])
+    want = in_z2([0, 0, -3, 0, -5, 0, -1])
     assert resultant_z1(X - Y, g) == want
     assert resultant_z1(g, X - Y) == want
     assert resultant_z1(X - Y, g).order() == 2
@@ -328,9 +327,7 @@ def test_packed_resultant_of_z1_degree_zero(f, g):
     deg_g = max(i for i, _ in g.coeff)
     for a, b in ((f, g), (g, f)):
         assert resultant_z1(a, b) == ring_resultant_z1(a, b)
-    want = f**deg_g
-    assert resultant_z1(f, g) == Poly1.from_coeff_map(
-        {j: c for (_, j), c in want.coeff.items()})
+    assert resultant_z1(f, g) == f**deg_g
 
 
 @pytest.mark.parametrize("p1, p2", [
@@ -349,6 +346,18 @@ def test_engine_and_oracle_iterates_agree(p1, p2):
         want = tuple(from_expr(e) for e in ref)
         assert (germ_n.poly1, germ_n.poly2) == want
         assert (map_n.p1, map_n.p2) == want
+
+
+def test_iterate_refuses_degrees_above_the_bound():
+    # f^2 has degree 16 * 16 = 256, the bound; f^3 could reach 16 * 256
+    f = PolynomialMap(Y + X**16, X)
+    assert f.iterate(2).p1.total_degree() == polys.MAX_ITERATE_DEGREE
+    with pytest.raises(PrecisionExhausted, match="f\\^3 .* 4096"):
+        f.iterate(3)
+    assert len(f._iterates) == 1  # the chain stays as it was
+    # a triangular map never grows: f^n = (z1 + n z2^17, z2)
+    g = PolynomialMap(X + Y**17, Y).iterate(40)
+    assert (g.p1, g.p2) == (X + Y**17 * 40, Y)
 
 
 def test_only_polys_imports_sympy():
@@ -397,7 +406,7 @@ def test_resultant_z1_matches_expression_resultant(f, g):
     ref = sp.resultant(sp.Poly(to_expr(f), Z1, Z2), sp.Poly(to_expr(g), Z1, Z2), Z1)
     coeffs = [Fraction(int(c.p), int(c.q))
               for c in reversed(sp.Poly(ref, Z2).all_coeffs())] if ref != 0 else []
-    assert resultant_z1(f, g) == Poly1(coeffs)
+    assert resultant_z1(f, g) == in_z2(coeffs)
 
 
 # -- the mod-p coprimality certificate ----------------------------------------
@@ -478,7 +487,7 @@ def test_cas_calls_on_zero_and_constants():
     assert factor_list2(Poly2.constant(Fraction(-5, 3))) == (Fraction(-5, 3), [])
     assert gcd2(Poly2.zero(), Poly2.zero()) == Poly2.zero()
     assert gcd2(Poly2.zero(), X * Y * -3) == X * Y
-    assert resultant_z1(Poly2.zero(), X) == Poly1([])
+    assert resultant_z1(Poly2.zero(), X) == Poly2.zero()
 
 
 @given(st.lists(st.tuples(small_polys(), st.integers(1, 3)), min_size=1, max_size=3),
@@ -499,17 +508,15 @@ univariate_coeffs = st.lists(st.fractions(min_value=-4, max_value=4, max_denomin
 
 @given(univariate_coeffs)
 @settings(max_examples=40)
-def test_factor_list1_matches_expression_factor_list(coeffs):
-    p = Poly1(coeffs)
-    if p.degree() < 1:
+def test_factor_list2_in_one_variable_matches_expression_factor_list(coeffs):
+    p = in_z1(coeffs)
+    if p.total_degree() < 1:
         return
-    const, factors = factor_list1(p)
-    rebuilt = sp.Rational(const.numerator, const.denominator) * sp.Mul(
-        *(to_expr1(f)**m for f, m in factors))
-    assert from_expr1(sp.expand(rebuilt)) == p
-    ref_const, ref = sp.factor_list(to_expr1(p), T)
+    const, factors = factor_list2(p)
+    assert rebuild(const, factors, Poly2.constant(1)) == p
+    ref_const, ref = sp.factor_list(to_expr(p), Z1, Z2)
     assert const == Fraction(int(ref_const.p), int(ref_const.q))
-    assert factors == [(from_expr1(f), m) for f, m in ref]
+    assert factors == [(from_expr(f), m) for f, m in ref]
 
 
 @given(small_polys(), small_polys(), small_polys(max_degree=1, max_terms=2))
@@ -551,7 +558,7 @@ def test_to_series_truncates_the_coefficients(p, precision):
     st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
 @settings(max_examples=40)
 def test_charpoly_matches_matrix_charpoly(M):
-    assert charpoly(M) == from_expr1(sp.Matrix(M).charpoly(T).as_expr())
+    assert charpoly(M) == from_expr(sp.Matrix(M).charpoly(Z1).as_expr())
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -574,20 +581,20 @@ def test_trace_of_power_matches_the_plain_product(M, n):
 
 @given(univariate_coeffs)
 @settings(max_examples=40)
-def test_real_root_intervals1_isolate_the_real_roots(coeffs):
-    p = Poly1(coeffs)
-    if p.degree() < 1:
+def test_real_root_intervals_isolate_the_real_roots(coeffs):
+    p = in_z1(coeffs)
+    if p.total_degree() < 1:
         return
-    sqf = sp.sqf_part(to_expr1(p))
-    roots = sp.real_roots(sp.Poly(sqf, T))
+    sqf = sp.sqf_part(to_expr(p))
+    roots = sp.real_roots(sp.Poly(sqf, Z1))
 
     def holds(lo, hi, r):
         # (r, r) is a rational root found exactly; otherwise the interval is open
         return r == lo if lo == hi else bool(lo < r < hi)
 
     # a repeated root is isolated once, as in the squarefree part
-    for q in (sqf, sqf * to_expr1(p)):
-        intervals = real_root_intervals1(from_expr1(q))
+    for q in (sqf, sqf * to_expr(p)):
+        intervals = real_root_intervals(from_expr(q))
         for (lo, hi), (next_lo, _) in zip(intervals, intervals[1:]):
             assert lo <= hi <= next_lo
         bounds = [(sp.Rational(lo.numerator, lo.denominator),

@@ -10,7 +10,6 @@ import sympy as sp
 from germindex import (
     MissingIndexData,
     NotAlgebraicallyStable,
-    Poly1,
     Poly2,
     TypeICurvePresent,
 )
@@ -398,8 +397,10 @@ def test_validator_period_bound_on_an_interval_degree(matrix, kinds):
 
 
 @pytest.mark.parametrize("poly, kinds", [
-    (Poly1([-1, -1, 0, 1]), ["too_many_type_II_periods"]),  # x^3 - x - 1: ~ 1.32
-    (Poly1([-1, -2, 0, 8]), []),                            # 8x^3 - 2x - 1: ~ 0.66
+    # z1^3 - z1 - 1: ~ 1.32
+    (Poly2.from_terms({(3, 0): 1, (1, 0): -1, (0, 0): -1}), ["too_many_type_II_periods"]),
+    # 8 z1^3 - 2 z1 - 1: ~ 0.66
+    (Poly2.from_terms({(3, 0): 8, (1, 0): -2, (0, 0): -1}), []),
 ], ids=["root_above_one", "root_below_one"])
 def test_validator_decides_an_interval_that_straddles_one(monkeypatch, poly, kinds):
     import germindex.surface as surface
