@@ -13,9 +13,11 @@ import argparse
 import json
 import sys
 
-from .errors import GermIndexError, NonIsolated, ParseError, ScenarioError
+from .errors import (GermIndexError, NonIsolated, ParseError, PrecisionExhausted,
+                     ScenarioError)
 from .germs import branches, classify_branch, decompose, iterate, local_index
 from .oracle import fixed_index_positive, fixed_multiplicity
+from .polys import MAX_ITERATE_N
 from .reports import emit_json, jsonable, render_table
 from .scenario import FIXTURE_NAMES, Scenario, load_fixture, load_scenario_file
 from .surface import (
@@ -215,6 +217,10 @@ def cmd_validate(args) -> tuple[int, str]:
 
 def cmd_verify(args) -> tuple[int, str]:
     n_max = _at_least_one(args.n_max, "--n-max")
+    if n_max > MAX_ITERATE_N:
+        raise PrecisionExhausted(
+            f"--n-max {n_max} is out of reach: iterates are composed up to "
+            f"n = {MAX_ITERATE_N}")
     scn = _load(args)
     checks = []
     for label in sorted(scn.germs):

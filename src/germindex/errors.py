@@ -28,7 +28,8 @@ class PrecisionExhausted(GermIndexError):
     that a large discriminant factor is squarefree without factoring it,
     surface.growth_bounds meets a dynamical degree that is known only to an
     interval, not as an exact surd, or PolynomialMap.iterate would compose
-    an iterate above the degree bound polys.MAX_ITERATE_DEGREE."""
+    an iterate above the degree bound polys.MAX_ITERATE_DEGREE or for an n
+    above polys.MAX_ITERATE_N."""
 
 
 class IdentityGerm(GermIndexError):

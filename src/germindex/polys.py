@@ -10,7 +10,8 @@ own, with monomials z1^i z2^j packed into one int key i*S + j: exact
 division, one lex-ordered pass (`_exquo_zz`), and composition, and with
 it iterates, shears and translations (`_compose_ring`).  PolynomialMap
 owns exact iteration: the germ engine and the oracle read its one chain
-of iterates, up to the degree bound MAX_ITERATE_DEGREE.
+of iterates, up to the degree bound MAX_ITERATE_DEGREE and up to
+n = MAX_ITERATE_N.
 
 This module is the one boundary to the computer-algebra system.  Besides
 that arithmetic, the heavy steps (bivariate gcd, irreducible
@@ -18,11 +19,16 @@ factorization over Q, resultants, the z2 = 0 level test of the
 elimination oracle (a univariate gcd), real-root isolation,
 characteristic polynomials, traces of matrix powers and the square part
 of an integer) are delegated to sympy at the ring level: a ring element,
-coefficient dict or matrix goes straight into sympy's sparse ring or
-domain matrix and back, without building symbolic expression trees.  A
-resultant in z1 is, up to a measured size, one univariate resultant over
-ZZ on Kronecker-packed integers (`_resultant_zz`).  Both gcd questions
-first try a certificate mod the prime 2**61 - 1 (`_coprime_mod_p`,
+coefficient dict, dense list or matrix goes straight into sympy's sparse
+ring, dense routines or domain matrix and back, without building symbolic
+expression trees.  A binary form (a curve factor made of lines through
+the origin, such as z1^2 z2) is factored as the polynomial p(t, 1) in one
+variable (`_binary_form_factors`), whose factors, made homogeneous again,
+are sorted by the bivariate factorizer's own key, so both routes give the
+same list in the same order.  A resultant in z1 is, up to a measured
+size, one univariate resultant over ZZ on Kronecker-packed integers
+(`_resultant_zz`).  Both gcd questions first try a certificate mod the
+prime 2**61 - 1 (`_coprime_mod_p`,
 `_unit_gcd_mod_p`): a gcd 1 mod a prime that divides neither leading
 coefficient proves a pair coprime, and sympy's gcd runs only when the
 certificate gives no verdict.  Every call on bivariate data runs over ZZ
@@ -42,6 +48,7 @@ from types import MappingProxyType
 from sympy import factorint, integer_nthroot, isprime
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import gf_gcd
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
@@ -56,6 +63,11 @@ _RING1Z = ring("t", ZZ)[0]
 # f^8 has degree 256, and each doubling of the degree costs about 16 times
 # the composition before it.
 MAX_ITERATE_DEGREE = 256
+# The largest n an iterate f^n may be composed for.  A map whose degree
+# does not grow, such as (z1 + z2^2, z2), never meets the degree bound, and
+# its chain keeps every iterate; this is ten times the deepest n = 100 the
+# jet route aims at.
+MAX_ITERATE_N = 1000
 
 
 class Poly2:
@@ -480,11 +492,15 @@ class PolynomialMap:
     def iterate(self, n: int) -> "PolynomialMap":
         """f^n for n >= 1, f^k = f o f^(k-1), from the chain.
 
-        Before each composition the degree of f^k is bounded by the largest
-        i * deg p1 + j * deg p2 of f^(k-1) over f's monomials z1^i z2^j;
-        above MAX_ITERATE_DEGREE PrecisionExhausted is raised."""
+        An n above MAX_ITERATE_N raises PrecisionExhausted before anything
+        is composed.  Before each composition the degree of f^k is bounded
+        by the largest i * deg p1 + j * deg p2 of f^(k-1) over f's monomials
+        z1^i z2^j; above MAX_ITERATE_DEGREE PrecisionExhausted is raised."""
         if n < 1:
             raise ValueError("iterate needs n >= 1")
+        if n > MAX_ITERATE_N:
+            raise PrecisionExhausted(
+                f"f^{n} is out of reach: n is above the bound {MAX_ITERATE_N}")
         chain = self._iterates
         while len(chain) < n - 1:
             last = chain[-1] if chain else self
@@ -502,10 +518,23 @@ class PolynomialMap:
     def fixed_system(self, n: int = 1) -> tuple[Poly2, Poly2]:
         """The differences f^n(z) - z of f^n's images and coordinates."""
         fn = self.iterate(n)
-        return fn.p1 - Poly2.variable(1), fn.p2 - Poly2.variable(2)
+        return _minus_monomial(fn.p1, (1, 0)), _minus_monomial(fn.p2, (0, 1))
 
     def __repr__(self):
         return f"PolynomialMap({self.p1!r}, {self.p2!r})"
+
+
+def _minus_monomial(p: Poly2, e: tuple) -> Poly2:
+    """p - z^e: a copy of p's numerator with its e coefficient lowered by
+    the denominator.  gcd(den, c - den) = gcd(den, c), so lowest terms
+    carry over."""
+    num = p._num.copy()
+    c = num.get(e, 0) - p._den
+    if c:
+        num[e] = c
+    else:
+        del num[e]
+    return Poly2._new(num, p._den)
 
 
 def gcd2(a: Poly2, b: Poly2) -> Poly2:
@@ -578,17 +607,57 @@ def _coprime_mod_p(a: Poly2, b: Poly2) -> bool:
 
 def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
     """Irreducible factorization over Q: (constant, [(factor, multiplicity)])
-    with normalized factors and constant * prod(factor**multiplicity) == p."""
+    with normalized factors and constant * prod(factor**multiplicity) == p.
+
+    A binary form (every term of one total degree, monomials included) is
+    factored as a polynomial in one variable (`_binary_form_factors`); any
+    other p goes to sympy's bivariate factorizer.  Both routes list the
+    factors in the bivariate factorizer's order."""
     if p.is_constant():
         return p.constant_term(), []
-    # over ZZ the factors are primitive (Gauss), so normalized() only fixes
-    # their sign; the constant is rebuilt from p below, not from the content
-    out = [(Poly2._new(f).normalized(), int(m)) for f, m in p._num.factor_list()[1]]
+    degrees = {i + j for i, j in p._num}
+    if len(degrees) == 1:
+        out = _binary_form_factors(p._num, degrees.pop())
+    else:
+        # over ZZ the factors are primitive (Gauss), so normalized() only
+        # fixes their sign; the constant is rebuilt from p below, not from
+        # the content
+        out = [(Poly2._new(f).normalized(), int(m)) for f, m in p._num.factor_list()[1]]
     # graded-lex is a monomial order, so leading coefficients multiply
     lead = Fraction(1)
     for f, m in out:
         lead *= f.leading_coefficient() ** m
     return p.leading_coefficient() / lead, out
+
+
+def _binary_form_factors(P, d: int) -> list[tuple[Poly2, int]]:
+    """[(factor, multiplicity)] of a binary form P over ZZ of degree d, the
+    factors normalized and in the order of sympy's bivariate factor_list.
+
+    P = sum c_i z1^i z2^(d-i) is z2^d u(z1/z2) for u(t) = P(t, 1), so each
+    irreducible factor g = sum g_i t^i of u, of degree k, gives the
+    irreducible form sum g_i z1^i z2^(k-i), and z2 divides P d - deg u
+    times.  sympy's factors of u are primitive with a positive leading
+    coefficient, so each form is primitive with a positive coefficient of
+    z1^k: normalized, and the very factor the bivariate factorizer returns.
+    That factorizer sorts by (1 + deg_z1 f, multiplicity, the dense form of
+    f), the dense form listing, from the top power of z1 down, the
+    coefficient of that power as a dense list in z2 ([] for zero); the same
+    key gives the same order."""
+    deg_u = max(i for i, _ in P)
+    u = [0] * (deg_u + 1)
+    for (i, _), c in P.items():
+        u[deg_u - i] = c
+    keyed = []
+    for g, m in dup_factor_list(u, ZZ)[1]:
+        k = len(g) - 1  # g[s] is the coefficient of z1^(k-s) z2^s
+        dense = [[c] + [0] * s if c else [] for s, c in enumerate(g)]
+        form = _RING2.dtype({(k - s, s): c for s, c in enumerate(g) if c})
+        keyed.append(((k + 1, m, dense), Poly2._new(form)))
+    if d > deg_u:
+        keyed.append(((1, d - deg_u, [[1, 0]]), Poly2.variable(2)))
+    keyed.sort(key=lambda t: t[0])
+    return [(f, key[1]) for key, f in keyed]
 
 
 def _z1_degree(p: Poly2) -> int:

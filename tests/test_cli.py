@@ -244,6 +244,18 @@ def test_iterate_above_the_degree_bound_exits_1(tmp_path, capsys):
     assert json.loads(err)["error"]["kind"] == "PrecisionExhausted"
 
 
+@pytest.mark.parametrize("argv", [("index", "--n", "1001"), ("verify", "--n-max", "1001")])
+def test_n_above_the_iterate_bound_exits_1(tmp_path, capsys, argv):
+    # (z1 + z2^2, z2) keeps degree 2 for every n, so only the bound on n
+    # keeps a deep iterate from holding the whole chain in memory
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"maps": {"f": ["z1 + z2^2", "z2"]},
+                                "germs": {"origin": {"map": "f", "base_point": [0, 0]}}}))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "PrecisionExhausted"
+
+
 def test_declared_isolation_parses(tmp_path, capsys):
     doc = {
         "meta": {"precision": 12},

@@ -15,7 +15,7 @@ from unittest.mock import patch
 
 import pytest
 import sympy as sp
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
@@ -23,6 +23,7 @@ from sympy.polys.polyerrors import PolynomialDivisionFailed
 from sympy.polys.rings import ring
 
 import germindex
+from conftest import count_calls
 from germindex import (MapGerm, NotDivisible, Poly2, PrecisionExhausted, factor_list2, gcd2,
                        iterate, resultant_z1)
 from germindex import polys
@@ -360,6 +361,16 @@ def test_iterate_refuses_degrees_above_the_bound():
     assert (g.p1, g.p2) == (X + Y**17 * 40, Y)
 
 
+def test_iterate_refuses_n_above_the_bound():
+    # (z1 + z2^2, z2) never grows in degree, so only the bound on n stops a
+    # deep iterate, and it does so before composing anything
+    f = PolynomialMap(X + Y**2, Y)
+    with pytest.raises(PrecisionExhausted, match=f"f\\^{polys.MAX_ITERATE_N + 1} "):
+        f.iterate(polys.MAX_ITERATE_N + 1)
+    assert f._iterates == []
+    assert f.iterate(3).p1 == X + Y**2 * 3
+
+
 def test_only_polys_imports_sympy():
     # polys is the one boundary to the computer-algebra system, and the only
     # module that knows Poly2 is a ring element over one denominator
@@ -390,13 +401,49 @@ def test_gcd2_matches_expression_gcd(a, b, c):
     assert gcd2(a, b) == from_expr(sp.gcd(to_expr(a), to_expr(b))).normalized()
 
 
-@given(small_polys(), small_polys())
-@settings(max_examples=40)
-def test_factor_list2_matches_expression_factor_list(a, b):
-    p = nonconstant(a) * nonconstant(b) ** 2
-    _const, factors = factor_list2(p)
-    _ref_const, ref = sp.factor_list(to_expr(p), Z1, Z2)
-    assert factors == [(from_expr(f).normalized(), int(m)) for f, m in ref]
+@st.composite
+def binary_form_products(draw):
+    """Rational content times z1^a z2^b times up to three binary forms of
+    degree 1-3 with small integer coefficients, each to the power 1 or 2."""
+    p = Poly2.constant(draw(coefficients)) * X**draw(st.integers(0, 2)) * Y**draw(
+        st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, 3))
+        cs = draw(st.lists(st.integers(-3, 3), min_size=k + 1, max_size=k + 1).filter(any))
+        form = Poly2.from_terms({(i, k - i): c for i, c in enumerate(cs)})
+        p = p * form ** draw(st.integers(1, 2))
+    return nonconstant(p)
+
+
+@given(st.one_of(
+    st.builds(lambda a, b: nonconstant(a) * nonconstant(b) ** 2, small_polys(), small_polys()),
+    binary_form_products()))
+# a zero coefficient of z1 z2 sorts before a negative one
+@example((X**2 - X * Y + Y**2) * (X**2 + Y**2))
+@settings(max_examples=80)
+def test_factor_list2_matches_expression_factor_list(p):
+    const, factors = factor_list2(p)
+    ref_const, ref = sp.factor_list(to_expr(p), Z1, Z2)
+    ref = [(from_expr(f), int(m)) for f, m in ref]
+    assert factors == [(f.normalized(), m) for f, m in ref]
+    # each reference factor is a scalar multiple r of its normalized form,
+    # and the constant takes r**m over
+    want = Fraction(int(ref_const.p), int(ref_const.q))
+    for f, m in ref:
+        want *= (f.leading_coefficient() / f.normalized().leading_coefficient()) ** m
+    assert const == want
+
+
+def test_binary_forms_skip_the_bivariate_factorizer(monkeypatch):
+    # (z1 + 2 z2)^2 z1 z2^3 is a binary form: it is factored as the
+    # univariate (t + 2)^2 t, and sympy's bivariate factorizer never runs
+    from sympy.polys.rings import PolyElement
+
+    bivariate = count_calls(monkeypatch, PolyElement, "factor_list")
+    univariate = count_calls(monkeypatch, polys, "dup_factor_list")
+    assert factor_list2((X + Y * 2) ** 2 * X * Y**3) == (
+        Fraction(1), [(Y, 3), (X, 1), (X + Y * 2, 2)])
+    assert bivariate == [] and len(univariate) == 1
 
 
 @given(small_polys(), small_polys())
