@@ -100,6 +100,9 @@ def _parse_range(text: str) -> range:
         raise ScenarioError(f"bad range {text!r}, expected a..b") from exc
     if lo < 1:
         raise ScenarioError(f"range {text!r} must start at 1 or later")
+    if hi > MAX_ITERATE_N:
+        raise PrecisionExhausted(
+            f"range {text!r} is out of reach: n runs up to {MAX_ITERATE_N}")
     return range(lo, hi + 1)  # hi < lo yields an empty range
 
 
@@ -163,19 +166,21 @@ def cmd_classify(args) -> tuple[int, str]:
 
 
 def cmd_lefschetz(args) -> tuple[int, str]:
+    n_range = _parse_range(args.n_range)
     scn = _load(args)
     model = scn.require_model()
     rows = [{"n": n, "lefschetz": lefschetz_number(model.action, n)}
-            for n in _parse_range(args.n_range)]
+            for n in n_range]
     if args.format == "json":
         return 0, emit_json(rows)
     return 0, render_table(rows, ["n", "lefschetz"])
 
 
 def cmd_count(args) -> tuple[int, str]:
+    n_range = _parse_range(args.n_range)
     scn = _load(args)
     model = scn.require_model()
-    reports = [count_isolated_periodic(model, n) for n in _parse_range(args.n_range)]
+    reports = [count_isolated_periodic(model, n) for n in n_range]
     rows = [{
         "n": r.n,
         "lefschetz": r.lefschetz,

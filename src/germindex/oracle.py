@@ -10,11 +10,21 @@ at points lying on fixed curves, and the determinant form of the torus
 Lefschetz number.  A point is moved to the origin by conjugating the
 global map itself (`polys.PolynomialMap.localized`).
 
+A fixed-point multiplicity is first taken from the jets of the fixed
+system below degree 4 (its terms of total degree at most 3).  Finite
+determinacy certifies the answer when it is below 4; otherwise the exact
+system is eliminated.  One order is tried, not a doubling sequence: these
+jets are cheap and certify the small multiplicities that most isolated
+points have, while jets of higher order lose the structure that lets the
+exact system's resultant finish fast, and cost as much as the exact
+elimination or far more.
+
 A scenario's germ at a point is built on that localized map, so for
 scenario germs the oracle reads the iterates the engine composed.  Its
-independence lies in elimination: the z2-order of one resultant against
-the engine's Nakayama codimension.  `test_localizing_commutes_with_iterating`
-keeps composition cross-checked.  The engine imports nothing from here.
+independence lies in elimination: the z2-order of its own resultant, on
+the jets or on the exact pair, against the engine's Nakayama codimension.
+`test_localizing_commutes_with_iterating` keeps composition cross-checked.
+The engine imports nothing from here.
 """
 
 from __future__ import annotations
@@ -34,6 +44,13 @@ from .surd import Surd
 _SHEARS = [0]
 for _k in range(1, 25):
     _SHEARS += [_k, -_k]
+
+# Finite determinacy (W. Fulton, Algebraic Curves, 1969, ch. 2-3): an ideal
+# of colength mu in the local ring at the origin contains m^mu.  Let P_N, Q_N
+# be the terms of P, Q of total degree below N, with multiplicity mu' < N.
+# Then m^N lies in J = (P_N, Q_N), so J = (P, Q) + m^N; hence m^mu' lies in
+# (P, Q) + m * m^mu', and by Nakayama in (P, Q).  So (P, Q) = J and mu = mu'.
+_JET_ORDER = 4
 
 
 def _shear(p: Poly2, c: int) -> Poly2:
@@ -91,11 +108,23 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """Multiplicity of `point` as a solution of f^n(z) = z.
 
     The fixed system of the map localized at the point is eliminated at
-    the origin.  The point must be isolated: a fixed-curve component
-    through it raises NonIsolated.  Points that are not fixed at all
-    report 0.
+    the origin: its jets below degree _JET_ORDER first, and the exact
+    system only when the jets certify nothing (a multiplicity of at least
+    _JET_ORDER, or jets that are not isolated or defeat every shear).  The
+    point must be isolated: a fixed-curve component through it raises
+    NonIsolated, from the exact system alone.  Points that are not fixed
+    at all report 0.
     """
-    return local_multiplicity(*pmap.localized(point).fixed_system(n))
+    P, Q = pmap.localized(point).fixed_system(n)
+    if P.vanishes_at_origin() and Q.vanishes_at_origin():
+        N = _JET_ORDER
+        try:
+            mu = local_multiplicity(P.truncated(N), Q.truncated(N))
+        except (NonIsolated, ShearExhausted):
+            mu = N
+        if mu < N:
+            return mu
+    return local_multiplicity(P, Q)
 
 
 def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:
@@ -139,12 +168,16 @@ def fixed_index_positive(pmap: PolynomialMap, point, n: int = 1) -> bool:
     (G*h1, G*h2) with G the global curve factor, the index is positive iff
     h1 and h2 both vanish at the origin or some type I curve branch through
     it is tangent to (h2, -h1) there, i.e. h1 * dp/dz1 + h2 * dp/dz2
-    vanishes at the origin.
+    vanishes at the origin.  With G a nonzero constant the pair is coprime,
+    its multiplicity is finite, and it is positive exactly when P and Q
+    both vanish at the origin: no elimination is needed.
     """
     P, Q = pmap.localized(point).fixed_system(n)
     G = gcd2(P, Q)
+    if G.is_zero():
+        raise NonIsolated("a common component passes through the point")
     if G.is_constant():
-        return local_multiplicity(P, Q) > 0
+        return P.vanishes_at_origin() and Q.vanishes_at_origin()
     h1 = P.exact_div(G)
     h2 = Q.exact_div(G)
     if h1.vanishes_at_origin() and h2.vanishes_at_origin():

@@ -177,6 +177,11 @@ class Poly2:
         """Coefficients of (z1, z2) in the degree-1 part."""
         return (self[(1, 0)], self[(0, 1)])
 
+    def truncated(self, N: int) -> "Poly2":
+        """The jet below degree N: the terms of total degree below N."""
+        return Poly2._new(_RING2.dtype({e: c for e, c in self._num.items()
+                                        if e[0] + e[1] < N}), self._den)
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly2.constant(other)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import is_dataclass
 from fractions import Fraction
 
+from .errors import PrecisionExhausted
 from .germs import BranchRecord
 from .parsing import poly_to_text
 from .polys import Poly2
@@ -53,15 +55,30 @@ def jsonable(obj):
     return repr(obj)
 
 
+@contextmanager
+def _printable():
+    """Python refuses with a ValueError to write an integer of more digits
+    than sys.get_int_max_str_digits() as text; report that value as
+    PrecisionExhausted instead."""
+    try:
+        yield
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise PrecisionExhausted(f"a value is too large to print: {exc}") from None
+
+
 def emit_json(payload) -> str:
-    return json.dumps(jsonable(payload), sort_keys=True, indent=2)
+    with _printable():
+        return json.dumps(jsonable(payload), sort_keys=True, indent=2)
 
 
 def render_table(rows: list[dict], columns: list[str]) -> str:
     """Aligned-column text table; values pass through jsonable first."""
     if not rows:
         return "(empty)"
-    cells = [[_cell(jsonable(r.get(c))) for c in columns] for r in rows]
+    with _printable():
+        cells = [[_cell(jsonable(r.get(c))) for c in columns] for r in rows]
     widths = [max(len(columns[i]), max(len(row[i]) for row in cells))
               for i in range(len(columns))]
     out = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]

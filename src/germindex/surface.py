@@ -471,11 +471,6 @@ class CountReport:
     algebraically_stable: bool
     growth: GrowthVerdict | None = None
 
-    def __post_init__(self):
-        total = self.count_isolated + sum(self.xi_breakdown.values())
-        if total != self.lefschetz:
-            raise ValueError("count identity violated")
-
     def count_as_int(self) -> int:
         if not self.count_isolated.is_rational():
             raise ValueError("count is irrational")

@@ -256,6 +256,36 @@ def test_n_above_the_iterate_bound_exits_1(tmp_path, capsys, argv):
     assert json.loads(err)["error"]["kind"] == "PrecisionExhausted"
 
 
+@pytest.mark.parametrize("command", ["lefschetz", "count"])
+def test_a_range_above_the_iterate_bound_exits_1(capsys, command):
+    # refused before any number is computed, like verify --n-max 1001
+    code, out, err = run_cli(capsys, command, "--fixture", "remark43",
+                             "--n-range", "1..10000", "--format", "json")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "PrecisionExhausted"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_value_too_long_to_print_exits_1(tmp_path, capsys, fmt):
+    # L(f^1000) = 2 + 100000^1000 has 5001 digits, above Python's 4300-digit
+    # limit for writing an integer as text
+    path = tmp_path / "scn.json"
+    doc = fixture_document("remark43")
+    doc["action"]["matrix"] = [[100000]]
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "lefschetz", str(path),
+                             "--n-range", "1000..1000", "--format", fmt)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "PrecisionExhausted"
+
+
+def test_verify_remark42_agrees_at_n_7(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--fixture", "remark42",
+                           "--n-max", "7", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["all_agree"] is True
+
+
 def test_declared_isolation_parses(tmp_path, capsys):
     doc = {
         "meta": {"precision": 12},

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import germindex.oracle
 from germindex import NonIsolated, Poly2, iterate, local_index
@@ -57,6 +59,70 @@ def test_fixed_multiplicity_remark42_is_one_elimination(monkeypatch):
     assert len(gcds) == 0 and len(resultants) == 1
 
 
+# Henon-like maps (a z1 + b z2 + q, z1), q quadratic.  Linear parts of
+# finite order make f^n tangent to the identity at n = 2 (order 2) and
+# n = 3 (order 3), where the multiplicity is 4 or more and the jets below
+# degree 4 certify nothing; with a + b = 1 and q a multiple of
+# z1 (z1 - z2) the whole diagonal is fixed.
+ORDER_2, ORDER_3 = (0, 1), (-1, -1)
+quadratics = st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]),
+                             st.integers(-2, 2).filter(bool), min_size=1)
+
+
+def _henon(ab, q):
+    return PolynomialMap(X * ab[0] + Y * ab[1] + q, X)
+
+
+@st.composite
+def henon_maps(draw):
+    kind = draw(st.sampled_from(("generic", "a + b = 1", "finite order", "curve")))
+    if kind == "finite order":
+        a, b = draw(st.sampled_from((ORDER_2, ORDER_3, (0, -1), (1, -1))))
+    else:
+        a = draw(st.integers(-2, 2))
+        b = 1 - a if kind != "generic" else draw(st.integers(-2, 2).filter(bool))
+    if kind == "curve":
+        q = (X**2 - X * Y) * draw(st.integers(-2, 2).filter(bool))
+    else:
+        q = Poly2.from_terms(draw(quadratics))
+    return _henon((a, b), q)
+
+
+@given(henon_maps(), st.integers(1, 3))
+@example(_henon(ORDER_3, X**2), 3)           # multiplicity 4: the exact system
+@example(_henon(ORDER_2, X**2), 2)           # multiplicity 4
+@example(_henon((2, -1), X**2 - X * Y), 2)  # the diagonal is fixed
+@settings(max_examples=60)
+def test_fixed_multiplicity_is_the_exact_elimination(pmap, n):
+    """The jets' certified answer, or the fallback, is the multiplicity of
+    the exact localized system, and both refuse a point on a fixed curve."""
+    exact = pmap.localized((0, 0)).fixed_system(n)
+    try:
+        want = local_multiplicity(*exact)
+    except NonIsolated:
+        with pytest.raises(NonIsolated):
+            fixed_multiplicity(pmap, (0, 0), n)
+    else:
+        assert fixed_multiplicity(pmap, (0, 0), n) == want
+
+
+def test_jets_without_a_certificate_fall_back_to_the_exact_system(monkeypatch):
+    # (2 z1, z2 + z1 + z2^4) - id = (z1, z1 + z2^4): the jets (z1, z1) share
+    # a line, which the exact pair does not
+    resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
+    assert fixed_multiplicity(PolynomialMap(X * 2, Y + X + Y**4), (0, 0), 1) == 4
+    assert resultants == [(X, X), (X, X + Y**4)]
+
+
+def test_fixed_multiplicity_eliminates_only_the_jets(monkeypatch):
+    # remark42's f^6 - id has degree 64; at (-4, -4) its jets below degree 4
+    # certify the multiplicity 1
+    resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
+    assert fixed_multiplicity(remark42(), (-4, -4), 6) == 1
+    assert len(resultants) == 1
+    assert max(p.total_degree() for p in resultants[0]) <= 3
+
+
 def test_line_test_certificate_decides_without_a_ring_gcd(monkeypatch):
     # the restrictions of remark42's f^6 - id to z2 = 0 have degree 64 and
     # share only the origin: the gcd mod p of their cofactors of z1 decides,
@@ -84,7 +150,7 @@ def resultant_routes(monkeypatch):
 ])
 def test_oracle_eliminations_pack_below_the_switch(monkeypatch, pmap, n, want):
     packed, ring = resultant_routes(monkeypatch)
-    assert fixed_multiplicity(pmap, (0, 0), n) == want
+    assert local_multiplicity(*pmap.localized((0, 0)).fixed_system(n)) == want
     assert len(packed) == 1 and ring == []
 
 
@@ -95,7 +161,7 @@ def test_remark42_multiplicities_on_both_sides_of_the_switch(monkeypatch):
     # the second fixed point at n = 6 needs a slot width of 6844 bits, above
     # the switch, where the bivariate route is the faster one
     packed, ring = resultant_routes(monkeypatch)
-    assert fixed_multiplicity(m, (-4, -4), 6) == 1
+    assert local_multiplicity(*m.localized((-4, -4)).fixed_system(6)) == 1
     assert packed == [] and len(ring) == 1
 
 
@@ -108,7 +174,7 @@ def test_fixed_multiplicity_divides_out_a_common_unit(monkeypatch):
     p1, p2 = X * 3 + Y + X * Y + X**2, X
     assert local_index(iterate(MapGerm.from_polynomials(p1, p2), 2)).nu_A == 1
     gcds = count_calls(monkeypatch, germindex.oracle, "gcd2")
-    assert fixed_multiplicity(PolynomialMap(p1, p2), (0, 0), 2) == 1
+    assert local_multiplicity(*PolynomialMap(p1, p2).localized((0, 0)).fixed_system(2)) == 1
     assert len(gcds) == 1
 
 
@@ -192,6 +258,18 @@ def test_positivity_at_an_isolated_point_iterates_once(monkeypatch):
     composes = count_calls(monkeypatch, Poly2, "compose")
     assert fixed_index_positive(remark42(), (0, 0), 2)
     assert len(composes) == 1
+
+
+def test_positivity_at_an_isolated_point_eliminates_nothing(monkeypatch):
+    resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
+    assert fixed_index_positive(remark42(), (-4, -4), 3)
+    assert not fixed_index_positive(remark42(), (1, 1), 3)
+    assert resultants == []
+
+
+def test_positivity_refuses_a_map_that_fixes_everything():
+    with pytest.raises(NonIsolated):
+        fixed_index_positive(PolynomialMap(X, Y), (0, 0), 1)
 
 
 def test_polynomial_map_iterates_extend_one_chain(monkeypatch):

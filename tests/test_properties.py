@@ -324,6 +324,16 @@ def test_dold_congruences_local_index_remark42():
     assert _dold_residues(nus) == [0] * 5, nus
 
 
+def test_dold_congruences_oracle_multiplicities_remark42():
+    from germindex.oracle import fixed_multiplicity
+    from germindex.scenario import load_fixture
+
+    pmap = load_fixture("remark42").maps["f"]
+    for point in ((0, 0), (-4, -4)):
+        mus = [fixed_multiplicity(pmap, point, n) for n in range(1, 8)]
+        assert _dold_residues(mus) == [0] * 7, (point, mus)
+
+
 def test_dold_congruences_cubic_lefschetz_and_counts():
     from germindex.scenario import load_fixture
     from germindex.surface import count_isolated_periodic, lefschetz_number
