@@ -1,36 +1,15 @@
 #!/usr/bin/env python3
 """Tour of the exact arithmetic substrate.
 
-Truncated bivariate series over Q carry a precision (a total-degree
-cutoff) through every operation; the polynomial layer is exact and knows
-how to factor, take gcds and eliminate variables.
+Polynomials in z1, z2 over Q are exact: they divide, factor, take gcds
+and eliminate variables with no truncation anywhere.
 """
 
 from fractions import Fraction
 
-from germindex import Poly2, TruncatedSeries2
+from germindex import Poly2
 from germindex.polys import factor_list2, gcd2, resultant_z1
 
-S = TruncatedSeries2
-z1, z2 = S.variable(1), S.variable(2)
-
-print("== truncated series ==")
-u = S.constant(1) + z1
-print("u          =", u)
-print("1/u        =", u.invert_unit())
-print("u * 1/u    =", u * u.invert_unit())
-
-s = z1 + z2**2
-swap = s.compose((z2, z1))
-print("swap of z1 + z2^2        =", swap)
-
-quotient = (z1 * z1 * z2).exact_divide(z1)
-print("z1^2 z2 / z1             =", quotient, " (precision dropped by 1)")
-
-geom = z1.exact_divide(z1 + z1 * z1)
-print("z1 / (z1 + z1^2)         =", geom)
-
-print()
 print("== exact polynomials ==")
 X, Y = Poly2.variable(1), Poly2.variable(2)
 p = (X + Y) ** 2 * (Y - X**2)
@@ -42,6 +21,7 @@ for f, m in factors:
 a = X**2 * Y + X * Y**2
 b = X * Y
 print("gcd(z1^2 z2 + z1 z2^2, z1 z2) =", gcd2(a, b))
+print("(z1^2 z2 + z1 z2^2) / (z1 z2) =", a.exact_div(b))
 
 res = resultant_z1(X**2 + Y, X)
 print("res_z1(z1^2 + z2, z1)         =",

@@ -27,8 +27,7 @@ dec = decompose(origin)
 print(f"  g  = {dec.g}")
 print(f"  h1 = {dec.h1}")
 print(f"  h2 = {dec.h2}")
-n = origin.precision
-print(f"  form: ({dec.h2.to_series(n)}) dz1 + ({(-dec.h1).to_series(n)}) dz2")
+print(f"  form: ({dec.h2}) dz1 + ({-dec.h1}) dz2")
 rep = local_index(origin)
 for b in rep.branches:
     print(f"  branch {b.defining_polynomial}: nu_p = {b.nu_p}, "

@@ -7,7 +7,7 @@ Preserving a 2-form without a pole of order exactly nu_C along the curve
 forces type II -- a pole of matching order is the one escape hatch.
 """
 
-from germindex import MapGerm, Poly2, TruncatedSeries2
+from germindex import MapGerm, Poly2
 from germindex.forms import (
     FormGerm,
     adapted_expansion,
@@ -38,14 +38,15 @@ scn = load_fixture("remark43")
 germ = scn.germs["origin"]
 omega = scn.forms["omega"]
 pulled = pullback_form(germ, omega)
-print(f"  pullback valuation {pulled.z1_valuation}, unit {pulled.unit_part}")
-print(f"  preserved: {bool(is_preserved(germ, omega))}")
+print(f"  pullback valuation {pulled.z1_valuation}, "
+      f"unit ({pulled.unit_part}) / ({pulled.denominator})")
+print(f"  preserved: {is_preserved(germ, omega)}")
 print(f"  but the holomorphic form is not: "
-      f"{bool(is_preserved(germ, FormGerm.standard()))}")
+      f"{is_preserved(germ, FormGerm.standard())}")
 
 print()
 print("== type prediction from the pole order ==")
-pole = FormGerm(-1, TruncatedSeries2.constant(1, 16))
+pole = FormGerm(-1, Poly2.constant(1))
 holo = FormGerm.standard()
 print("  holomorphic form, nu_C = 2:", predict_type(holo, 2))
 print("  simple pole,      nu_C = 1:", predict_type(pole, 1),

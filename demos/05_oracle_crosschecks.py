@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Independent verification: nothing here touches the series code.
+"""Independent verification, apart from the germ engine.
 
 Fixed-point multiplicities come from resultant elimination on the exact
 global polynomials; torus Lefschetz numbers come from the determinant

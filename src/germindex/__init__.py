@@ -7,11 +7,8 @@ from .errors import (
     IdentityGerm,
     MissingIndexData,
     NonIsolated,
-    NonLocalSubstitution,
-    NonPolynomialGerm,
     NotACurveFixingGerm,
     NotAlgebraicallyStable,
-    NotAUnit,
     NotCoprime,
     NotDivisible,
     ParseError,
@@ -36,6 +33,5 @@ from .germs import (
     local_index,
 )
 from .polys import Poly2, factor_list2, gcd2, resultant_z1
-from .series import DEFAULT_PRECISION, AboveDegree, TruncatedSeries2
 
 __version__ = "0.1.0"

@@ -10,17 +10,9 @@ class GermIndexError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NonLocalSubstitution(GermIndexError):
-    """Substitution image has a nonzero constant term, so it does not
-    define a continuous local substitution."""
-
-
-class NotAUnit(GermIndexError):
-    """Series inversion requested for a series with zero constant term."""
-
-
 class NotDivisible(GermIndexError):
-    """Exact division impossible at the working precision."""
+    """An exact quotient does not exist: a polynomial does not divide
+    another, or a pulled-back 2-form is not of the shape z1^s * unit."""
 
 
 class PrecisionExhausted(GermIndexError):
@@ -35,11 +27,7 @@ class PrecisionExhausted(GermIndexError):
 
 
 class IdentityGerm(GermIndexError):
-    """The germ is the identity (up to precision); no decomposition exists."""
-
-
-class NonPolynomialGerm(GermIndexError):
-    """Operation needs exact polynomial images (gcd extraction, resultants)."""
+    """The germ is the identity; no decomposition exists."""
 
 
 class NotCoprime(GermIndexError):

@@ -1,58 +1,68 @@
 """Meromorphic 2-form germs in a chart adapted to the curve z1 = 0.
 
-A form is alpha * dz1 ^ dz2 with alpha = z1^s * u where u is not divisible
-by z1.  Negative s is a pole of order -s along the curve, positive s a zero.
-The module provides the adapted expansion of a curve-fixing germ, the
-min-exponent index/type rule it implies, pullback of forms, and the
+A form is alpha * dz1 ^ dz2 with alpha = z1^s * u, where the unit part
+u = a / b is a quotient of polynomials with b(0) != 0 and a not divisible
+by z1.  Negative s is a pole of order -s along the curve, positive s a
+zero.  The module provides the adapted expansion of a curve-fixing germ,
+the min-exponent index/type rule it implies, pullback of forms, and the
 area-preservation test together with the type prediction it forces.
+Everything is exact polynomial arithmetic: preservation is the identity
+of two quotients of polynomials, decided with no truncation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .errors import (
-    IdentityGerm,
-    NotACurveFixingGerm,
-    NotAUnit,
-    NotDivisible,
-)
+
+from .errors import IdentityGerm, NotACurveFixingGerm, NotDivisible
 from .germs import MapGerm
-from .series import TruncatedSeries2
+from .polys import Poly2, gcd2
 
 INFINITY = math.inf
 
 FORCED_TYPE_II = "ForcedTypeII"
 NO_PREDICTION = "NoPrediction"
 
+_ONE = Poly2.constant(1)
+_Z1 = Poly2.variable(1)
+
 
 @dataclass
 class FormGerm:
-    """alpha = z1^z1_valuation * unit_part; pole order is -z1_valuation."""
+    """alpha = z1^z1_valuation * unit_part / denominator; pole order is
+    -z1_valuation.  The unit part must not vanish identically on z1 = 0
+    and the denominator must not vanish at the origin."""
 
     z1_valuation: int
-    unit_part: TruncatedSeries2
+    unit_part: Poly2
+    denominator: Poly2 = _ONE
 
     def __post_init__(self):
-        if self.unit_part.z1_order() != 0:
+        if self.unit_part.is_zero() or self.unit_part.z1_order() != 0:
             raise ValueError(
                 "unit part must not vanish identically on z1 = 0 "
                 "(divide the z1 factor into the valuation)"
             )
+        if self.denominator.constant_term() == 0:
+            raise ValueError("denominator must not vanish at the origin")
 
     @property
     def pole_order(self) -> int:
         return -self.z1_valuation
 
     @classmethod
-    def standard(cls, precision: int = 16) -> "FormGerm":
+    def standard(cls) -> "FormGerm":
         """dz1 ^ dz2."""
-        return cls(0, TruncatedSeries2.constant(1, precision))
+        return cls(0, _ONE)
 
     def __eq__(self, other):
+        """Equal valuations and equal unit quotients a/b == a'/b'."""
         if not isinstance(other, FormGerm):
             return NotImplemented
-        return self.z1_valuation == other.z1_valuation and self.unit_part == other.unit_part
+        return (self.z1_valuation == other.z1_valuation
+                and self.unit_part * other.denominator
+                == other.unit_part * self.denominator)
 
 
 @dataclass
@@ -62,39 +72,14 @@ class AdaptedExpansion:
 
     k: int | float
     l: int | float
-    f1: TruncatedSeries2
-    f2: TruncatedSeries2
+    f1: Poly2
+    f2: Poly2
 
 
 @dataclass
 class CurveTypeVerdict:
     nu_C: int
     is_type_II: bool
-
-
-@dataclass
-class PreservationVerdict:
-    """Equality of the pulled-back form with the original, certified only
-    up to the stated truncation degree."""
-
-    preserved: bool
-    precision: int
-
-    def __bool__(self):
-        return self.preserved
-
-
-def _divide_by_z1_power(s: TruncatedSeries2, k: int) -> TruncatedSeries2:
-    """s / z1**k, for a series whose terms all have z1-exponent >= k."""
-    return TruncatedSeries2({(i - k, j): c for (i, j), c in s.coeff.items()},
-                            s.precision - k)
-
-
-def _differences_series(germ: MapGerm):
-    n = germ.precision
-    z1 = TruncatedSeries2.variable(1, n)
-    z2 = TruncatedSeries2.variable(2, n)
-    return germ.image1 - z1, germ.image2 - z2
 
 
 def adapted_expansion(germ: MapGerm) -> AdaptedExpansion:
@@ -104,17 +89,17 @@ def adapted_expansion(germ: MapGerm) -> AdaptedExpansion:
     a vanishing difference gives the exponent infinity.  Raises
     NotACurveFixingGerm when a difference is not divisible by z1.
     """
-    d1, d2 = _differences_series(germ)
+    d1, d2 = germ.map.fixed_system()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("identity germ has no adapted expansion")
 
-    def split(d: TruncatedSeries2):
+    def split(d: Poly2):
         if d.is_zero():
-            return INFINITY, TruncatedSeries2.zero(d.precision)
+            return INFINITY, d
         k = d.z1_order()
-        if isinstance(k, int) and k == 0:
+        if k == 0:
             raise NotACurveFixingGerm("difference is not divisible by z1")
-        return k, _divide_by_z1_power(d, k)
+        return k, d.exact_div(_Z1**k)
 
     k, f1 = split(d1)
     l, f2 = split(d2)
@@ -130,61 +115,56 @@ def curve_type_via_minkl(exp: AdaptedExpansion) -> CurveTypeVerdict:
     return CurveTypeVerdict(nu_C=int(nu), is_type_II=exp.k > exp.l)
 
 
-def _jacobian_determinant(germ: MapGerm) -> TruncatedSeries2:
-    a = germ.image1.partial_derivative(1)
-    b = germ.image1.partial_derivative(2)
-    c = germ.image2.partial_derivative(1)
-    d = germ.image2.partial_derivative(2)
-    return a * d - b * c
+def _jacobian_determinant(germ: MapGerm) -> Poly2:
+    p1, p2 = germ.poly1, germ.poly2
+    return p1.derivative(1) * p2.derivative(2) - p1.derivative(2) * p2.derivative(1)
 
 
 def pullback_form(germ: MapGerm, form: FormGerm) -> FormGerm:
-    """alpha(sigma(z)) * det(D sigma), re-expressed as z1^s' * unit.
+    """alpha(sigma(z)) * det(D sigma), re-expressed as z1^s' * a' / b'.
 
-    For s != 0 the germ must fix z1 = 0 so that substituting into z1^s
-    stays inside the ring after exact division by z1^s.
+    For s != 0 the germ must fix z1 = 0, so that sigma(z1) = z1 * c and
+    the pullback of z1^s is z1^s * c^s; a negative s puts c^(-s) into the
+    denominator.  The z1-powers of numerator and denominator go into the
+    valuation, and the quotient is brought to lowest terms with the
+    denominator's constant term 1.  NotDivisible is raised when the
+    pullback vanishes or its denominator vanishes at the origin, where it
+    is not of the shape z1^s' * unit.
     """
     s = form.z1_valuation
-    n = min(germ.precision, form.unit_part.precision)
-    u_pulled = form.unit_part.truncate(n).compose(
-        (germ.image1.truncate(n), germ.image2.truncate(n)))
-    jac = _jacobian_determinant(germ)
-    bracket = u_pulled * jac
+    p1, p2 = germ.poly1, germ.poly2
+    num = form.unit_part.compose(p1, p2) * _jacobian_determinant(germ)
+    den = form.denominator.compose(p1, p2)
     if s != 0:
-        d1 = germ.image1 - TruncatedSeries2.variable(1, germ.precision)
-        if not d1.is_zero() and d1.z1_order() == 0:
+        if not _Z1.divides(p1):
             raise NotACurveFixingGerm(
                 "pullback of a form with nonzero valuation needs a germ "
                 "fixing z1 = 0"
             )
-        # image1 = z1 * c with c the exact cofactor
-        c = _divide_by_z1_power(germ.image1, 1)
-        try:
-            c_pow = c ** s  # handles negative s via unit inversion
-        except NotAUnit as exc:
-            raise NotDivisible(
-                "pulled-back coefficient is not of the shape z1^s * unit"
-            ) from exc
-        bracket = bracket * c_pow
-    if bracket.is_zero():
+        c = p1.exact_div(_Z1)
+        if s > 0:
+            num = num * c**s
+        else:
+            den = den * c**-s
+    if num.is_zero():
+        raise NotDivisible("pulled-back coefficient vanishes")
+    m, m_den = num.z1_order(), den.z1_order()
+    num, den = num.exact_div(_Z1**m), den.exact_div(_Z1**m_den)
+    g = gcd2(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    b0 = den.constant_term()
+    if b0 == 0:
         raise NotDivisible(
-            "pulled-back coefficient vanishes to working precision"
+            "pulled-back coefficient is not of the shape z1^s * unit"
         )
-    m = bracket.z1_order()
-    return FormGerm(z1_valuation=s + m, unit_part=_divide_by_z1_power(bracket, m))
+    return FormGerm(z1_valuation=s + m - m_den, unit_part=num * (1 / b0),
+                    denominator=den * (1 / b0))
 
 
-def is_preserved(germ: MapGerm, form: FormGerm) -> PreservationVerdict:
-    """Does the germ preserve the form, up to the working truncation?
-
-    A positive verdict is necessarily precision-limited: it certifies
-    equality of all computable coefficients only.
-    """
-    pulled = pullback_form(germ, form)
-    n = min(pulled.unit_part.precision, form.unit_part.precision)
-    same = (pulled.z1_valuation == form.z1_valuation
-            and pulled.unit_part == form.unit_part)
-    return PreservationVerdict(preserved=same, precision=n)
+def is_preserved(germ: MapGerm, form: FormGerm) -> bool:
+    """Does the germ preserve the form?  An exact identity of quotients of
+    polynomials."""
+    return pullback_form(germ, form) == form
 
 
 def predict_type(form: FormGerm, nu_C: int):
@@ -195,4 +175,3 @@ def predict_type(form: FormGerm, nu_C: int):
     if nu_C < 1:
         raise ValueError("curve index must be a positive integer")
     return NO_PREDICTION if form.pole_order == nu_C else FORCED_TYPE_II
-

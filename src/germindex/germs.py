@@ -21,11 +21,10 @@ origin, or past the Bezout bound deg a * deg b: mu_p = I(p, q) is the
 order of q along the branch, for the cofactor or combination q that
 classify_branch picks.  No truncation parameter enters either number.
 
-Decomposition requires exact polynomial images: two polynomials whose gcd
-is trivial have a finite common zero set, so the local gcd is the
-polynomial gcd with the factors not vanishing at the origin stripped off.
-Iterates of polynomial germs stay polynomial: they are read from the
-chain of the germ's `PolynomialMap`.  An iterate remembers the germ it
+Every germ is polynomial, and two polynomials whose gcd is trivial have a
+finite common zero set, so the local gcd is the polynomial gcd with the
+factors not vanishing at the origin stripped off.  Iterates are read from
+the chain of the germ's `PolynomialMap`.  An iterate remembers the germ it
 iterates, and is first decomposed by that base's curve factor g
 (type II stability says g is the curve factor of every iterate): when g
 divides both differences and the quotients have a finite intersection
@@ -43,63 +42,42 @@ from math import gcd, isqrt
 
 from .errors import (
     IdentityGerm,
-    NonPolynomialGerm,
     NotCoprime,
     NotDivisible,
     UnsupportedSingularBranch,
 )
 from .polys import Poly2, PolynomialMap, factor_list2, gcd2
-from .series import DEFAULT_PRECISION, TruncatedSeries2
 
 TYPE_I = "I"
 TYPE_II = "II"
 
 
 class MapGerm:
-    """A map germ fixing the origin, with optional exact polynomial images.
+    """A map germ fixing the origin, held as its exact polynomial map.
 
-    image1/image2 are the truncated-series images of z1 and z2 at the
-    germ's precision; the forms module reads them, and a germ built from
-    series alone (`from_series`, jet data) iterates through them.  A
-    polynomial germ holds its exact map, a `PolynomialMap` (`map`, read
-    through poly1/poly2), so that gcd extraction, iteration and the
-    intersection numbers stay exact; the series images are built from it
-    on first use.  Its iterates come from the map's chain, which the
+    The map is a `PolynomialMap` (`map`, read through poly1/poly2), so that
+    gcd extraction, iteration, the intersection numbers and the pullback
+    of forms stay exact.  Its iterates come from the map's chain, which the
     oracle reads too when it is handed the same map (a scenario germ's).
     An iterate keeps the germ it iterates as `base`; `decompose` stores
     the germ's curve data (g and its origin factors) so that each germ
     object computes it at most once.
     """
 
-    __slots__ = ("precision", "map", "source_point_label", "base", "_images",
-                 "_curve")
+    __slots__ = ("map", "source_point_label", "base", "_curve")
 
-    def __init__(self, precision: int, pmap: PolynomialMap | None = None,
-                 images: tuple[TruncatedSeries2, TruncatedSeries2] | None = None,
-                 source_point_label: str | None = None):
-        self.precision = precision
+    def __init__(self, pmap: PolynomialMap, source_point_label: str | None = None):
         self.map = pmap
         self.source_point_label = source_point_label
         self.base: MapGerm | None = None
-        self._images = images
         self._curve: tuple[Poly2, list[tuple[Poly2, int]]] | None = None
 
     @classmethod
     def from_polynomials(cls, p1: Poly2, p2: Poly2,
-                         precision: int = DEFAULT_PRECISION,
                          label: str | None = None) -> "MapGerm":
         if p1.constant_term() != 0 or p2.constant_term() != 0:
             raise ValueError("germ must fix the origin")
-        return cls(precision, PolynomialMap(p1, p2), source_point_label=label)
-
-    @classmethod
-    def from_series(cls, s1: TruncatedSeries2, s2: TruncatedSeries2,
-                    label: str | None = None) -> "MapGerm":
-        if s1.precision != s2.precision:
-            raise ValueError("germ images must share a precision")
-        if s1.constant_term() != 0 or s2.constant_term() != 0:
-            raise ValueError("germ must fix the origin")
-        return cls(s1.precision, images=(s1, s2), source_point_label=label)
+        return cls(PolynomialMap(p1, p2), source_point_label=label)
 
     @property
     def poly1(self) -> Poly2:
@@ -109,36 +87,14 @@ class MapGerm:
     def poly2(self) -> Poly2:
         return self.map.p2
 
-    @property
-    def image1(self) -> TruncatedSeries2:
-        return self._series_images()[0]
-
-    @property
-    def image2(self) -> TruncatedSeries2:
-        return self._series_images()[1]
-
-    def _series_images(self) -> tuple[TruncatedSeries2, TruncatedSeries2]:
-        if self._images is None:
-            n = self.precision
-            self._images = (self.poly1.to_series(n), self.poly2.to_series(n))
-        return self._images
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.map is not None
-
     def __eq__(self, other):
-        """Exact polynomials are compared when both germs carry them, else
-        the series images up to the weaker precision."""
         if not isinstance(other, MapGerm):
             return NotImplemented
-        if self.is_polynomial and other.is_polynomial:
-            return self.poly1 == other.poly1 and self.poly2 == other.poly2
-        return self.image1 == other.image1 and self.image2 == other.image2
+        return self.poly1 == other.poly1 and self.poly2 == other.poly2
 
     def __repr__(self):
         tag = f" at {self.source_point_label}" if self.source_point_label else ""
-        return f"MapGerm({self.image1!r}, {self.image2!r}){tag}"
+        return f"MapGerm({self.poly1!r}, {self.poly2!r}){tag}"
 
 
 @dataclass
@@ -195,15 +151,13 @@ class IndexReport:
 def decompose(germ: MapGerm) -> GermDecomposition:
     """Split the image differences as (g*h1, g*h2) with h1, h2 coprime.
 
-    The germ must carry exact polynomial images; the factors of the
-    polynomial gcd that do not vanish at the origin are local units and are
-    left inside the h_i.  At a degenerate point an iterate is first divided
-    by its base germ's curve factor, with the gcd route as the fallback.
+    The factors of the polynomial gcd that do not vanish at the origin are
+    local units and are left inside the h_i.  At a degenerate point an
+    iterate is first divided by its base germ's curve factor, with the gcd
+    route as the fallback.
     The germ keeps (g, factors), so a second decomposition of it needs no
     CAS call.
     """
-    if not germ.is_polynomial:
-        raise NonPolynomialGerm("decomposition needs exact polynomial images")
     d1, d2 = germ.map.fixed_system()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("the identity germ admits no (g, h1, h2) data")
@@ -439,12 +393,11 @@ def _index_report(dec: GermDecomposition) -> IndexReport:
 def local_index(germ: MapGerm) -> IndexReport:
     """Full local report: delta, classified branches and nu_A.
 
-    One pass is exact for a polynomial germ, the only kind decompose
-    accepts: the cofactors are exact polynomials, the type verdict is an
-    exact divisibility test, the branches and their nu_p are the factors of
-    g, and delta and each mu_p are intersection numbers certified by the
-    stabilization (Nakayama) of one truncated codimension, which the
-    Bezout bound of the pair ends.
+    One pass is exact: the cofactors are exact polynomials, the type
+    verdict is an exact divisibility test, the branches and their nu_p are
+    the factors of g, and delta and each mu_p are intersection numbers
+    certified by the stabilization (Nakayama) of one truncated
+    codimension, which the Bezout bound of the pair ends.
     """
     return _index_report(decompose(germ))
 
@@ -455,21 +408,13 @@ def local_index(germ: MapGerm) -> IndexReport:
 
 
 def iterate(germ: MapGerm, n: int) -> MapGerm:
-    """n-fold self-composition.  A polynomial germ's iterate is built on
-    `germ.map.iterate(n)`, one composition per n beyond the map's chain;
-    a series germ composes its truncated images.  For n >= 2 the result
-    keeps germ as its base, for decompose."""
+    """n-fold self-composition, built on `germ.map.iterate(n)`: one
+    composition per n beyond the map's chain.  For n >= 2 the result keeps
+    germ as its base, for decompose."""
     if n < 1:
         raise ValueError("iterate needs n >= 1")
     if n == 1:
         return germ
-    if germ.is_polynomial:
-        out = MapGerm(germ.precision, germ.map.iterate(n),
-                      source_point_label=germ.source_point_label)
-    else:
-        s1, s2 = germ.image1, germ.image2
-        for _ in range(n - 1):
-            s1, s2 = germ.image1.compose((s1, s2)), germ.image2.compose((s1, s2))
-        out = MapGerm.from_series(s1, s2, germ.source_point_label)
+    out = MapGerm(germ.map.iterate(n), source_point_label=germ.source_point_label)
     out.base = germ
     return out

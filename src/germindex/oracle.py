@@ -1,4 +1,4 @@
-"""Brute-force verification paths that avoid the truncated-series code.
+"""Brute-force verification paths, apart from the germ engine.
 
 Everything here works on exact global polynomial data: fixed-point
 multiplicities as the z2-order of one resultant, after deterministic

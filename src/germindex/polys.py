@@ -54,7 +54,6 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from .errors import NotDivisible, PrecisionExhausted
-from .series import TruncatedSeries2, rat
 
 _RING2 = ring("z1,z2", ZZ)[0]
 _RING1Z = ring("t", ZZ)[0]
@@ -68,6 +67,18 @@ MAX_ITERATE_DEGREE = 256
 # its chain keeps every iterate; this is ten times the deepest n = 100 the
 # jet route aims at.
 MAX_ITERATE_N = 1000
+
+
+def rat(x) -> Fraction:
+    """Coerce ints / strings / Fractions to an exact rational; a boolean
+    is not a number."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 class Poly2:
@@ -115,11 +126,6 @@ class Poly2:
     @classmethod
     def from_terms(cls, terms) -> "Poly2":
         return cls({tuple(e): rat(c) for e, c in terms.items()})
-
-    def to_series(self, precision: int) -> TruncatedSeries2:
-        den = self._den
-        return TruncatedSeries2({e: Fraction(c, den) for e, c in self._num.items()
-                                 if e[0] + e[1] <= precision}, precision)
 
     # -- queries ----------------------------------------------------------
 

@@ -17,7 +17,6 @@ from .forms import FormGerm
 from .germs import MapGerm
 from .parsing import parse_expression
 from .polys import PolynomialMap
-from .series import DEFAULT_PRECISION
 from .surd import Surd
 from .surface import (
     CohomologyAction,
@@ -91,15 +90,14 @@ def _int_matrix(rows) -> list[list[int]]:
     return [[_typed(x, int, "a matrix entry") for x in row] for row in rows]
 
 
-def localized_germ(pmap: PolynomialMap, point, precision: int,
-                   label: str | None = None) -> MapGerm:
+def localized_germ(pmap: PolynomialMap, point, label: str | None = None) -> MapGerm:
     """Chart germ of a global map at a fixed rational point, built on the
     map conjugated to the point, whose chain the oracle reads too."""
     a, b = _rat(point[0]), _rat(point[1])
     local = pmap.localized((a, b))
     if not (local.p1.vanishes_at_origin() and local.p2.vanishes_at_origin()):
         raise ScenarioError(f"point ({a}, {b}) is not fixed by the map")
-    return MapGerm(precision, local, source_point_label=label)
+    return MapGerm(local, source_point_label=label)
 
 
 def _build_action(data, default_as: bool) -> CohomologyAction:
@@ -165,7 +163,6 @@ def load_scenario(doc: dict) -> Scenario:
 
 def _build_scenario(doc: dict) -> Scenario:
     meta = doc.get("meta", {})
-    precision = _field(meta, "precision", int, DEFAULT_PRECISION)
     default_as = _field(meta, "algebraically_stable", bool, False)
 
     maps = {}
@@ -184,22 +181,21 @@ def _build_scenario(doc: dict) -> Scenario:
                 raise ScenarioError(f"germ {label!r} references unknown map "
                                     f"{map_label!r}")
             point = spec.get("base_point", [0, 0])
-            germs[label] = localized_germ(maps[map_label], point, precision, label)
+            germs[label] = localized_germ(maps[map_label], point, label)
             origins[label] = GermOrigin(map_label,
                                         (_rat(point[0]), _rat(point[1])))
         elif "images" in spec:
             p1 = parse_expression(spec["images"][0])
             p2 = parse_expression(spec["images"][1])
-            germs[label] = MapGerm.from_polynomials(p1, p2, precision, label)
+            germs[label] = MapGerm.from_polynomials(p1, p2, label)
             origins[label] = GermOrigin(None, None)
         else:
             raise ScenarioError(f"germ {label!r} needs 'map' or 'images'")
 
     forms = {}
     for label, spec in (doc.get("forms") or {}).items():
-        unit = parse_expression(spec.get("unit", "1"))
         forms[label] = FormGerm(_field(spec, "z1_valuation", int, 0),
-                                unit.to_series(precision))
+                                parse_expression(spec.get("unit", "1")))
 
     model = None
     if doc.get("action"):

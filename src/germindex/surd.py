@@ -18,8 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FieldMismatch
-from .polys import square_part
-from .series import rat
+from .polys import rat, square_part
 
 
 @lru_cache(maxsize=128)

@@ -41,7 +41,7 @@ def count_calls(monkeypatch, owner, name) -> list:
 def corner_germ(label=None) -> MapGerm:
     """Chart germ at a crossing of the two exceptional curves:
     (z1 + z1^3 z2, z2 + z1^2 z2^2)."""
-    return MapGerm.from_polynomials(X + X**3 * Y, Y + X**2 * Y**2, 16, label)
+    return MapGerm.from_polynomials(X + X**3 * Y, Y + X**2 * Y**2, label)
 
 
 def lefschetz_trace_table(max_n: int) -> dict:

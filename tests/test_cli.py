@@ -133,7 +133,6 @@ def test_bad_scenario_path(capsys):
 
 def test_non_squarefree_dynamical_degree_is_a_scenario_error(tmp_path, capsys):
     doc = {
-        "meta": {"precision": 12},
         "action": {"mode": "explicit_traces", "picard_number": 1,
                    "algebraically_stable": True,
                    "traces": {"1": {"0,0": 1, "1,1": 3, "2,2": 1}},
@@ -165,7 +164,7 @@ def _degree(**parts):
 @pytest.mark.parametrize("doc", [
     _cubic(lambda d: d["curves"][0].update(type="III")),
     _cubic(lambda d: d["curves"][0].pop("label") and None),
-    _cubic(lambda d: d["meta"].update(precision="abc")),
+    _cubic(lambda d: d["forms"]["holomorphic_near_E"].update(z1_valuation="abc")),
     _cubic(lambda d: [d]),
     _cubic(lambda d: d["points"][0].update(on_curves=["E9"])),
     _cubic(lambda d: d["germs"].update(u1={"images": ["z1+1", "z2"]})),
@@ -178,7 +177,7 @@ def _degree(**parts):
     _degree(a=True),
     _edited("remark43", lambda d: d["action"].update(matrix=[[2.5]])),
     _edited("remark43", lambda d: d["action"].update(matrix=[[1, 2], [3]])),
-], ids=["curve_type_III", "curve_without_label", "precision_abc", "top_level_list",
+], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
         "degree_d_5.7", "degree_a_0.1", "degree_a_true",
@@ -222,7 +221,7 @@ def test_table_output_runs(capsys):
 
 def test_scenario_from_file(tmp_path, capsys):
     doc = {
-        "meta": {"description": "inline test", "precision": 12},
+        "meta": {"description": "inline test"},
         "germs": {"shear": {"images": ["z1 + z2", "z2"]}},
     }
     path = tmp_path / "scn.json"
@@ -288,7 +287,6 @@ def test_verify_remark42_agrees_at_n_7(capsys):
 
 def test_declared_isolation_parses(tmp_path, capsys):
     doc = {
-        "meta": {"precision": 12},
         "germs": {"g": {"images": ["z1", "z2 + z1^2"]}},
         "action": {"mode": "h1trivial", "matrix": [[1]],
                    "picard_number": 1, "algebraically_stable": True},

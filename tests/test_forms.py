@@ -2,7 +2,7 @@
 
 import pytest
 
-from germindex import MapGerm, NotACurveFixingGerm, Poly2, TruncatedSeries2
+from germindex import MapGerm, NotACurveFixingGerm, NotDivisible, Poly2
 from germindex.forms import (
     FORCED_TYPE_II,
     INFINITY,
@@ -15,14 +15,15 @@ from germindex.forms import (
     predict_type,
     pullback_form,
 )
+from germindex.scenario import load_fixture
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
 ONE = Poly2.constant(1)
 
 
-def germ(p1, p2, precision=16):
-    return MapGerm.from_polynomials(p1, p2, precision)
+def germ(p1, p2):
+    return MapGerm.from_polynomials(p1, p2)
 
 
 def remark43_map():
@@ -36,8 +37,8 @@ def remark42_map():
 def test_adapted_expansion_remark43():
     exp = adapted_expansion(remark43_map())
     assert exp.k == 1 and exp.l == 2
-    assert exp.f1 == (X**2 + Y).to_series(15)
-    assert exp.f2 == ONE.to_series(14)
+    assert exp.f1 == X**2 + Y
+    assert exp.f2 == ONE
 
 
 def test_adapted_expansion_monomial_orders():
@@ -68,21 +69,21 @@ def test_pullback_standard_form_under_area_preserving_map():
     w = FormGerm.standard()
     pulled = pullback_form(remark42_map(), w)
     assert pulled.z1_valuation == 0
-    assert pulled.unit_part == TruncatedSeries2.constant(1, pulled.unit_part.precision)
+    assert pulled.unit_part == ONE
 
 
 def test_pullback_simple_pole_form_remark43():
-    w = FormGerm(-1, TruncatedSeries2.constant(1, 16))
+    w = FormGerm(-1, ONE)
     pulled = pullback_form(remark43_map(), w)
     assert pulled.z1_valuation == -1
-    assert pulled.unit_part == TruncatedSeries2.constant(1, pulled.unit_part.precision)
+    assert (pulled.unit_part, pulled.denominator) == (ONE, ONE)
     assert is_preserved(remark43_map(), w)
 
 
 def test_pullback_linear_scaling():
     pulled = pullback_form(germ(X * 2, Y), FormGerm.standard())
     assert pulled.z1_valuation == 0
-    assert pulled.unit_part == TruncatedSeries2.constant(2, pulled.unit_part.precision)
+    assert pulled.unit_part == ONE * 2
 
 
 def test_is_preserved_verdicts():
@@ -92,19 +93,17 @@ def test_is_preserved_verdicts():
     assert not res
 
 
-def test_is_preserved_precision_caveat():
-    n = 8
-    s1 = TruncatedSeries2.from_terms({(1, 0): 1, (n + 1, 0): 1}, n)  # z1 + z1^{n+1}
-    s2 = TruncatedSeries2.variable(2, n)
-    g = MapGerm.from_series(s1, s2)
-    verdict = is_preserved(g, FormGerm.standard(n))
-    assert verdict  # the perturbation lies beyond the truncation degree
-    assert verdict.precision <= n
+@pytest.mark.parametrize("p1", [X + X**17, X + X**9 * Y**8],
+                         ids=["z1^17", "z1^9_z2^8"])
+def test_is_preserved_sees_terms_of_any_degree(p1):
+    # det Df = 1 + 17 z1^16 and 1 + 9 z1^8 z2^8: the Jacobian differs from
+    # 1 only in degree 16 and 17
+    assert is_preserved(germ(p1, Y), FormGerm.standard()) is False
 
 
 def test_predict_type():
     holomorphic = FormGerm.standard()
-    pole = FormGerm(-1, TruncatedSeries2.constant(1, 16))
+    pole = FormGerm(-1, ONE)
     assert predict_type(holomorphic, 2) == FORCED_TYPE_II
     assert predict_type(pole, 1) == NO_PREDICTION
     assert predict_type(pole, 2) == FORCED_TYPE_II
@@ -113,27 +112,49 @@ def test_predict_type():
 def test_form_unit_part_must_not_vanish_on_the_curve():
     # z1 + z1*z2 and 0 vanish on z1 = 0: the z1 factor belongs in the
     # valuation
-    for unit in ((X + X * Y).to_series(16), TruncatedSeries2.zero(16)):
+    for unit in (X + X * Y, Poly2.zero()):
         with pytest.raises(ValueError):
             FormGerm(0, unit)
-    assert FormGerm(-1, (Y + X).to_series(16)).pole_order == 1
+    assert FormGerm(-1, Y + X).pole_order == 1
 
 
 def test_pullback_requires_curve_fixing_for_poles():
-    w = FormGerm(-1, TruncatedSeries2.constant(1, 16))
+    w = FormGerm(-1, ONE)
     with pytest.raises(NotACurveFixingGerm):
         pullback_form(remark42_map(), w)
+
+
+def test_pullback_refuses_a_coefficient_not_of_unit_shape():
+    # (z1^2 + z1 z2, z2) pulls z1^-1 dz1 ^ dz2 back to
+    # z1^-1 (2 z1 + z2) / (z1 + z2), a pole along z1 + z2 = 0 too; a
+    # constant image2 pulls every form back to zero
+    for f in (germ(X**2 + X * Y, Y), germ(X, Poly2.zero())):
+        with pytest.raises(NotDivisible):
+            pullback_form(f, FormGerm(-1, ONE))
 
 
 def test_pullback_functorial_on_composition():
     f = germ(X + X * Y, Y + X**2)      # fixes z1 = 0
     g = germ(X + X**3, Y + X)           # fixes z1 = 0
-    w = FormGerm(-1, (ONE + Y).to_series(16))
+    # a rational unit: (1 + z2) / (1 + z1 + z2^2)
+    w = FormGerm(-1, ONE + Y, ONE + X + Y**2)
     # compose: (f o g)(z) = f(g(z))
-    pair = (g.image1, g.image2)
-    fg = MapGerm.from_series(f.image1.compose(pair), f.image2.compose(pair))
+    fg = germ(*f.poly1.compose(g.poly1, g.poly2, partner=f.poly2))
     lhs = pullback_form(fg, w)
     rhs = pullback_form(g, pullback_form(f, w))
     assert lhs.z1_valuation == rhs.z1_valuation
-    n = min(lhs.unit_part.precision, rhs.unit_part.precision)
-    assert lhs.unit_part.truncate(n) == rhs.unit_part.truncate(n)
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("fixture, form, verdicts", [
+    ("remark42", "standard", {"origin": True, "second_fixed_point": True}),
+    ("remark43", "omega", {"origin": True, "minus_two": True}),
+    ("remark43", "standard", {"origin": False, "minus_two": False}),
+    # det Df = 1 + 5 z1^2 z2 + 4 z1^4 z2^2 for the corner map
+    ("cubic-d4", "holomorphic_near_E", {"u1": False, "u2": False, "u3": False}),
+], ids=["remark42-standard", "remark43-omega", "remark43-standard",
+        "cubic-d4-holomorphic_near_E"])
+def test_bundled_fixture_preservation_verdicts(fixture, form, verdicts):
+    scn = load_fixture(fixture)
+    assert {label: is_preserved(g, scn.forms[form])
+            for label, g in scn.germs.items()} == verdicts

@@ -17,7 +17,6 @@ from germindex import (
     NonIsolated,
     NotCoprime,
     Poly2,
-    TruncatedSeries2,
     UnsupportedSingularBranch,
     branches,
     classify_branch,
@@ -38,8 +37,8 @@ Y = Poly2.variable(2)
 ONE = Poly2.constant(1)
 
 
-def germ(p1: Poly2, p2: Poly2, precision=16) -> MapGerm:
-    return MapGerm.from_polynomials(p1, p2, precision)
+def germ(p1: Poly2, p2: Poly2) -> MapGerm:
+    return MapGerm.from_polynomials(p1, p2)
 
 
 def remark42_map() -> MapGerm:
@@ -385,29 +384,17 @@ def test_iterate_shear():
     assert f3.poly2 == Y
 
 
-def test_polynomial_germ_builds_its_images_on_first_use(monkeypatch):
-    p1, p2 = X + Y**20, Y + X * Y
-    series = MapGerm.from_series(p1.to_series(16), p2.to_series(16), "pt")
-    expected = (X.to_series(16), p2.to_series(16))  # Y^20 is above degree 16
-    conversions = count_calls(monkeypatch, Poly2, "to_series")
-    f = MapGerm.from_polynomials(p1, p2, 16, "pt")
-    assert f.precision == 16 and conversions == []
-    assert f == series and repr(f) == repr(series)
-    assert (f.image1, f.image2) == expected
-    assert len(conversions) == 2  # both images, built once
-    assert iterate(f, 2).image1 == iterate(series, 2).image1
-
-
 def test_polynomial_germs_compare_exactly():
-    # both truncate to the identity at degree 16, but the first has the
-    # fixed line z2 = 0 with nu_p = 20 and the second is the identity
+    # the first has the fixed line z2 = 0 with nu_p = 20, the second is
+    # the identity
     f, identity = germ(X + Y**20, Y), germ(X, Y)
     assert f != identity and not f == identity
-    assert (f.image1, f.image2) == (identity.image1, identity.image2)
     assert local_index(f).branches[0].nu_p == 20
     with pytest.raises(IdentityGerm):
         local_index(identity)
-    assert f == germ(X + Y**20, Y, precision=8)
+    assert f == germ(X + Y**20, Y)
+    labelled = MapGerm.from_polynomials(X + Y**20, Y, "pt")
+    assert repr(labelled) == "MapGerm(1*z1 + 1*z2^20, 1*z2) at pt"
 
 
 # -- iterates decomposed by their base's curve factor ---------------------------
@@ -415,7 +402,7 @@ def test_polynomial_germs_compare_exactly():
 
 def gcd_route(it: MapGerm):
     """decompose of the same map rebuilt without a base: the gcd route."""
-    return decompose(MapGerm.from_polynomials(it.poly1, it.poly2, it.precision))
+    return decompose(MapGerm.from_polynomials(it.poly1, it.poly2))
 
 
 def test_iterate_decomposition_matches_gcd_route():
@@ -501,9 +488,7 @@ def test_each_new_iterate_costs_one_composition(monkeypatch):
     assert len(composes) == 1
 
 
-def test_iterates_of_a_polynomial_germ_build_no_series(monkeypatch):
-    conversions = count_calls(monkeypatch, Poly2, "to_series")
-    substitutions = count_calls(monkeypatch, TruncatedSeries2, "compose")
+def test_iterates_of_a_polynomial_germ_build_no_series():
     # smooth branches with mu_p = 1: the cubic corner's z1 = 0 (a graph over
     # z2) and z2 = 0 (over z1) are type II, remark43's z1 = 0 is type I
     cases = [
@@ -516,4 +501,3 @@ def test_iterates_of_a_polynomial_germ_build_no_series(monkeypatch):
             assert rep.delta == 1
             assert [(repr(b.defining_polynomial), b.nu_p, b.branch_type, b.mu_p)
                     for b in rep.branches] == expected
-    assert conversions == [] and substitutions == []

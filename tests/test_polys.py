@@ -29,6 +29,7 @@ from germindex import (MapGerm, NotDivisible, Poly2, PrecisionExhausted, factor_
 from germindex import polys
 from germindex.polys import (PolynomialMap, charpoly, origin_alone_on_z2_zero,
                              real_root_intervals, trace_of_power)
+from germindex.surd import Surd
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -203,6 +204,18 @@ def test_compose_keeps_fraction_coefficients_of_integral_results():
         assert hash(q) == hash(ways[0])
         assert dict(q.coeff) == expected
         assert all_fractions(q)
+
+
+@pytest.mark.parametrize("a, b", [
+    (Poly2.constant(3), 3),
+    (Poly2.zero(), 0),
+    (Surd.rational(3), 3),
+    (Surd.rational(Fraction(1, 2)), Fraction(1, 2)),
+], ids=["poly2", "poly2_zero", "surd", "surd_fraction"])
+def test_equal_values_hash_equal(a, b):
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_compose_pinned_with_different_denominators():
@@ -589,16 +602,6 @@ def test_origin_alone_on_z2_zero_pinned():
     # a restriction is zero
     assert origin_alone_on_z2_zero(X, Y) is None
     assert origin_alone_on_z2_zero(Y, X) is None
-
-
-@given(any_polys, st.integers(0, 4))
-@settings(max_examples=60)
-def test_to_series_truncates_the_coefficients(p, precision):
-    want = {e: c for e, c in p.coeff.items() if e[0] + e[1] <= precision}
-    fresh = p * 1
-    got = fresh.to_series(precision)
-    assert got.coeff == want and got.precision == precision
-    assert fresh._coeff is None  # the Fraction view is left unbuilt
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
