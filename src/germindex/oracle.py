@@ -11,20 +11,23 @@ Lefschetz number.  A point is moved to the origin by conjugating the
 global map itself (`polys.PolynomialMap.localized`).
 
 A fixed-point multiplicity is first taken from the jets of the fixed
-system below degree 4 (its terms of total degree at most 3).  Finite
-determinacy certifies the answer when it is below 4; otherwise the exact
-system is eliminated.  One order is tried, not a doubling sequence: these
-jets are cheap and certify the small multiplicities that most isolated
-points have, while jets of higher order lose the structure that lets the
-exact system's resultant finish fast, and cost as much as the exact
+system below degree 4 (its terms of total degree at most 3), read from
+the localized map's capped chain of jets (`PolynomialMap.fixed_jets`),
+which never composes the exact f^n.  Finite determinacy certifies the
+answer when it is below 4; otherwise the exact system is composed and
+eliminated.  One order is tried, not a doubling sequence: these jets are
+cheap and certify the small multiplicities that most isolated points
+have, while jets of higher order lose the structure that lets the exact
+system's resultant finish fast, and cost as much as the exact
 elimination or far more.
 
 A scenario's germ at a point is built on that localized map, so for
-scenario germs the oracle reads the iterates the engine composed.  Its
-independence lies in elimination: the z2-order of its own resultant, on
-the jets or on the exact pair, against the engine's Nakayama codimension.
-`test_localizing_commutes_with_iterating` keeps composition cross-checked.
-The engine imports nothing from here.
+scenario germs the oracle reads the chains of the map the engine
+iterates.  Its independence lies in elimination: the z2-order of its own
+resultant, on the jets or on the exact pair, against the engine's
+Nakayama codimension.  `test_localizing_commutes_with_iterating` and
+`test_fixed_jets_are_the_exact_fixed_system_truncated` keep composition
+cross-checked.  The engine imports nothing from here.
 """
 
 from __future__ import annotations
@@ -108,23 +111,25 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """Multiplicity of `point` as a solution of f^n(z) = z.
 
     The fixed system of the map localized at the point is eliminated at
-    the origin: its jets below degree _JET_ORDER first, and the exact
-    system only when the jets certify nothing (a multiplicity of at least
-    _JET_ORDER, or jets that are not isolated or defeat every shear).  The
+    the origin.  When f fixes the point, its jets below degree _JET_ORDER
+    come first, from the capped chain (`fixed_jets`), and f^n itself is
+    composed only when they certify nothing (a multiplicity of at least
+    _JET_ORDER, or jets that are not isolated or defeat every shear).  A
+    point that f moves (periodic of a period dividing n, or not fixed by
+    f^n at all, which reports 0) takes the exact system at once.  The
     point must be isolated: a fixed-curve component through it raises
-    NonIsolated, from the exact system alone.  Points that are not fixed
-    at all report 0.
+    NonIsolated, from the exact system alone.
     """
-    P, Q = pmap.localized(point).fixed_system(n)
-    if P.vanishes_at_origin() and Q.vanishes_at_origin():
+    local = pmap.localized(point)
+    if local.p1.vanishes_at_origin() and local.p2.vanishes_at_origin():
         N = _JET_ORDER
         try:
-            mu = local_multiplicity(P.truncated(N), Q.truncated(N))
+            mu = local_multiplicity(*local.fixed_jets(n, N))
         except (NonIsolated, ShearExhausted):
             mu = N
         if mu < N:
             return mu
-    return local_multiplicity(P, Q)
+    return local_multiplicity(*local.fixed_system(n))
 
 
 def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:

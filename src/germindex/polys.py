@@ -8,10 +8,14 @@ denominator, in lowest terms.  Its arithmetic (sums, products, powers and
 derivatives) is the ring's.  Two kernels run on plain integers of their
 own, with monomials z1^i z2^j packed into one int key i*S + j: exact
 division, one lex-ordered pass (`_exquo_zz`), and composition, and with
-it iterates, shears and translations (`_compose_ring`).  PolynomialMap
-owns exact iteration: the germ engine and the oracle read its one chain
-of iterates, up to the degree bound MAX_ITERATE_DEGREE and up to
-n = MAX_ITERATE_N.
+it iterates, shears and translations (`_compose_ring`), which with a
+degree cap N keeps only the terms below degree N.  PolynomialMap owns
+iteration: the germ engine and the oracle read its one chain of exact
+iterates, up to the degree bound MAX_ITERATE_DEGREE and up to
+n = MAX_ITERATE_N, and a map that fixes the origin keeps beside it one
+capped chain of jets per order N, whose jets of f^n cost one small
+composition per step whatever deg f^n is (`fixed_jets`, the oracle's
+route).
 
 This module is the one boundary to the computer-algebra system.  Besides
 that arithmetic, the heavy steps (bivariate gcd, irreducible
@@ -28,10 +32,10 @@ are sorted by the bivariate factorizer's own key, so both routes give the
 same list in the same order.  A resultant in z1 is, up to a measured
 size, one univariate resultant over ZZ on Kronecker-packed integers
 (`_resultant_zz`).  Both gcd questions first try a certificate mod the
-prime 2**61 - 1 (`_coprime_mod_p`,
-`_unit_gcd_mod_p`): a gcd 1 mod a prime that divides neither leading
-coefficient proves a pair coprime, and sympy's gcd runs only when the
-certificate gives no verdict.  Every call on bivariate data runs over ZZ
+prime 2**61 - 1 (`_coprime_mod_p`, `_unit_gcd_mod_p`, Euclid on plain
+ints): a gcd 1 mod a prime that divides neither leading coefficient
+proves a pair coprime, and sympy's gcd runs only when the certificate
+gives no verdict.  Every call on bivariate data runs over ZZ
 on the integer numerator; the one denominator is divided out only where a
 coefficient is read as a Fraction.  Callers outside this module read the
 numerator's terms through `Poly2.numerator_terms` (the fraction-free
@@ -49,7 +53,6 @@ from sympy import factorint, integer_nthroot, isprime
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
 from sympy.polys.factortools import dup_factor_list
-from sympy.polys.galoistools import gf_gcd
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
@@ -258,11 +261,7 @@ class Poly2:
         im2)) is returned: the two share one table of the powers of im1 and
         im2 and their products, which is how a map is composed with another.
         """
-        dx, dy = im1._den, im2._den
-        polys = [self] if partner is None else [self, partner]
-        outers = [_to_zz2(p, dx, dy) for p in polys]
-        out = [Poly2._new(r, D) for r, (_, D) in
-               zip(_compose_ring([P for P, _ in outers], im1._num, im2._num), outers)]
+        out = _compose([self] if partner is None else [self, partner], im1, im2)
         return out[0] if partner is None else tuple(out)
 
     def derivative(self, index: int) -> "Poly2":
@@ -346,6 +345,16 @@ def _to_zz2(p: Poly2, dx: int, dy: int):
     return P, p._den * dx**I * dy**J
 
 
+def _compose(polys: list, im1: Poly2, im2: Poly2, cap: int | None = None) -> list:
+    """Each of polys with z1 -> im1, z2 -> im2, as Poly2.compose does; with a
+    cap N, each result's jet below degree N, for im1 and im2 that vanish at
+    the origin (see _compose_ring)."""
+    dx, dy = im1._den, im2._den
+    outers = [_to_zz2(p, dx, dy) for p in polys]
+    return [Poly2._new(r, D) for r, (_, D) in
+            zip(_compose_ring([P for P, _ in outers], im1._num, im2._num, cap), outers)]
+
+
 def _mul_packed(a: dict, b: dict) -> dict:
     """Product of two polynomials on packed monomial keys (see
     _compose_ring), term by term as PolyElement.__mul__ does."""
@@ -375,17 +384,19 @@ def _square_packed(a: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _power(powers: list, k: int) -> dict:
-    """powers[k], extending the table [1, base, base**2, ...] as needed."""
+def _power(powers: list, k: int, cut) -> dict:
+    """powers[k], extending the table [1, base, base**2, ...] as needed;
+    each new power passes through cut."""
     while len(powers) <= k:
         n = len(powers)
-        powers.append(_square_packed(powers[n // 2]) if n % 2 == 0
-                      else _mul_packed(powers[n - 1], powers[1]))
+        powers.append(cut(_square_packed(powers[n // 2]) if n % 2 == 0
+                          else _mul_packed(powers[n - 1], powers[1])))
     return powers[k]
 
 
-def _compose_ring(outers: list, x, y) -> list:
-    """Each outer ring element with z1 -> x, z2 -> y, all over ZZ.
+def _compose_ring(outers: list, x, y, cap: int | None = None) -> list:
+    """Each outer ring element with z1 -> x, z2 -> y, all over ZZ; with a
+    cap N, only the terms of total degree below N of each result.
 
     The powers of x and y are built once, and so is each product
     x**i * y**j, which is then added, scaled by its coefficient, straight
@@ -400,20 +411,35 @@ def _compose_ring(outers: list, x, y) -> list:
     j*deg_z2 y over the outers' monomials z1^i z2^j), so no key carries
     into the next z1-degree.  Each coefficient stays a separate integer,
     so the coefficient products are exactly the ring's.
+
+    The cap needs x and y without constant terms.  Then x**i * y**j lies
+    in m**(i + j), m the maximal ideal at the origin, so an outer monomial
+    with i + j >= N is skipped, and each power and product is cut below
+    degree N as it is built: a term cut from a factor only feeds terms of
+    degree N or more.  With no cap nothing is cut, and no term is tested.
     """
+    if cap is None:
+        def cut(d):
+            return d
+    else:
+        outers = [{e: c for e, c in outer.items() if e[0] + e[1] < cap}
+                  for outer in outers]
+
+        def cut(d):
+            return {k: v for k, v in d.items() if k // S + k % S < cap}
     dx = max((j for _, j in x), default=0)
     dy = max((j for _, j in y), default=0)
     S = 1 + max([dx, dy] + [i * dx + j * dy for outer in outers for i, j in outer])
-    pow_x = [{0: 1}, {i * S + j: c for (i, j), c in x.items()}]
-    pow_y = [{0: 1}, {i * S + j: c for (i, j), c in y.items()}]
+    pow_x = [{0: 1}, cut({i * S + j: c for (i, j), c in x.items()})]
+    pow_y = [{0: 1}, cut({i * S + j: c for (i, j), c in y.items()})]
     out = [{} for _ in outers]
     for i, j in sorted(set().union(*outers)):
         if j == 0:
-            term = _power(pow_x, i)
+            term = _power(pow_x, i, cut)
         elif i == 0:
-            term = _power(pow_y, j)
+            term = _power(pow_y, j, cut)
         else:
-            term = _mul_packed(_power(pow_x, i), _power(pow_y, j))
+            term = cut(_mul_packed(_power(pow_x, i, cut), _power(pow_y, j, cut)))
         for outer, acc in zip(outers, out):
             c = outer.get((i, j))
             if c is None:
@@ -473,15 +499,17 @@ def _exquo_zz(r, b) -> dict:
 class PolynomialMap:
     """A polynomial self-map f = (p1, p2) of the affine plane.  It holds
     the chain of its iterates composed so far, so each new n costs one
-    composition, and its localizations at the points asked for so far.
+    composition, beside one chain of jets per order N for a map that fixes
+    the origin, and its localizations at the points asked for so far.
     A polynomial germ is built on one (`MapGerm.map`)."""
 
-    __slots__ = ("p1", "p2", "_iterates", "_localized")
+    __slots__ = ("p1", "p2", "_iterates", "_jets", "_localized")
 
     def __init__(self, p1: Poly2, p2: Poly2):
         self.p1 = p1
         self.p2 = p2
         self._iterates = []  # f^2, f^3, ...; f itself is left out: no cycle
+        self._jets: dict = {}  # N -> [J(f), J(f^2), ...], J the jet below N
         self._localized: dict = {}
 
     def localized(self, point) -> "PolynomialMap":
@@ -507,11 +535,7 @@ class PolynomialMap:
         is composed.  Before each composition the degree of f^k is bounded
         by the largest i * deg p1 + j * deg p2 of f^(k-1) over f's monomials
         z1^i z2^j; above MAX_ITERATE_DEGREE PrecisionExhausted is raised."""
-        if n < 1:
-            raise ValueError("iterate needs n >= 1")
-        if n > MAX_ITERATE_N:
-            raise PrecisionExhausted(
-                f"f^{n} is out of reach: n is above the bound {MAX_ITERATE_N}")
+        _check_iterate_n(n)
         chain = self._iterates
         while len(chain) < n - 1:
             last = chain[-1] if chain else self
@@ -531,8 +555,38 @@ class PolynomialMap:
         fn = self.iterate(n)
         return _minus_monomial(fn.p1, (1, 0)), _minus_monomial(fn.p2, (0, 1))
 
+    def fixed_jets(self, n: int, N: int) -> tuple[Poly2, Poly2]:
+        """The jets below degree N (the terms of total degree below N) of
+        fixed_system(n), for a map that fixes the origin.
+
+        They come from the chain J(f^k) = J(J(f) o J(f^(k-1))), J the jet
+        below N, one capped composition per step: f^(k-1) vanishes at the
+        origin, so terms of degree N or more, in f or in f^(k-1), only feed
+        terms of degree N or more of f^k.  Every jet has degree below N, so
+        no degree bound applies; an n above MAX_ITERATE_N raises
+        PrecisionExhausted, and a map that moves the origin ValueError."""
+        _check_iterate_n(n)
+        if not (self.p1.vanishes_at_origin() and self.p2.vanishes_at_origin()):
+            raise ValueError("jets of iterates need a map that fixes the origin")
+        chain = self._jets.get(N)
+        if chain is None:
+            chain = self._jets[N] = [(self.p1.truncated(N), self.p2.truncated(N))]
+        while len(chain) < n:
+            chain.append(tuple(_compose(list(chain[0]), *chain[-1], cap=N)))
+        j1, j2 = chain[n - 1]
+        return (_minus_monomial(j1, (1, 0)).truncated(N),
+                _minus_monomial(j2, (0, 1)).truncated(N))
+
     def __repr__(self):
         return f"PolynomialMap({self.p1!r}, {self.p2!r})"
+
+
+def _check_iterate_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("iterate needs n >= 1")
+    if n > MAX_ITERATE_N:
+        raise PrecisionExhausted(
+            f"f^{n} is out of reach: n is above the bound {MAX_ITERATE_N}")
 
 
 def _minus_monomial(p: Poly2, e: tuple) -> Poly2:
@@ -575,8 +629,30 @@ def _unit_gcd_mod_p(f: list, g: list) -> bool:
 
     A gcd taken mod a prime that divides neither leading coefficient has
     at least the degree of the gcd over Q (W. S. Brown, J. ACM 18, 1971),
-    so True proves f and g coprime over Q."""
-    return len(gf_gcd(f, g, _PRIME, ZZ)) == 1
+    so True proves f and g coprime over Q.  Plain Euclid on ints: each
+    step divides by the remainder before it, whose leading coefficient is
+    inverted mod _PRIME, until a remainder is zero (a gcd of positive
+    degree) or a nonzero constant (gcd 1)."""
+    p = _PRIME
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        inv = pow(g[0], -1, p)
+        d = len(g) - 1
+        r = list(f)
+        for k in range(len(r) - d):
+            q = r[k] * inv % p
+            if q:
+                for t in range(1, d + 1):
+                    r[k + t] = (r[k + t] - q * g[t]) % p
+        r = r[len(r) - d:]
+        k = 0
+        while k < d and not r[k]:
+            k += 1
+        if k == d:
+            return False
+        f, g = g, r[k:]
+    return True
 
 
 def _specialize(P, keep: int, c: int) -> list:

@@ -86,6 +86,52 @@ def _field(spec: dict, key: str, kind, default=_REQUIRED):
     return _typed(spec[key], kind, key)
 
 
+# The keys each object of a document may carry: those the loader reads, and
+# the free-text comments "description" and "note" anywhere.  Any other key
+# is refused, so a misspelled field cannot silently take its default.
+_COMMENTS = {"description", "note"}
+_DOCUMENT_KEYS = {"meta", "maps", "germs", "forms", "action", "curves", "points",
+                  "intersections"}
+# meta.precision is the truncation degree of older documents, loaded unread
+_META_KEYS = {"algebraically_stable", "precision"}
+_GERM_KEYS = {"map", "base_point", "images"}
+_FORM_KEYS = {"z1_valuation", "unit"}
+_ACTION_KEYS = {"mode", "picard_number", "algebraically_stable",
+                "kodaira_nonnegative", "growth_constant"}
+_MODE_KEYS = {
+    "h1trivial": {"matrix"},
+    "k3": {"matrix", "hodge_scalar"},
+    "torus": {"delta", "epsilon"},
+    "explicit_traces": {"traces", "h11_trace_recurrence", "max_n", "dynamical_degree"},
+}
+_RECURRENCE_KEYS = {"coefficients", "initial", "offset"}
+_SURD_KEYS = {"a", "b", "c", "e", "d"}
+_CURVE_KEYS = {"label", "prime_period", "type", "nu_C", "self_intersection",
+               "euler_characteristic", "witnesses"}
+_WITNESS_KEYS = {"germ", "point", "curve_equation"}
+_POINT_KEYS = {"label", "prime_period", "germ", "declared_index", "on_curves",
+               "isolation"}
+_ISOLATION_KEYS = {"kind", "secondary_period"}
+
+
+def _known(spec, keys: set, what: str) -> dict:
+    """spec itself, which must be a JSON object with no key outside `keys`
+    and the comments."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{what} must be an object, not {type(spec).__name__}")
+    unknown = sorted(set(spec) - keys - _COMMENTS)
+    if unknown:
+        raise ScenarioError(f"{what} has unknown keys: {', '.join(unknown)}")
+    return spec
+
+
+def _surd(value, what: str) -> Surd:
+    """A Surd literal: a rational literal or an object of its components."""
+    if isinstance(value, dict):
+        _known(value, _SURD_KEYS, what)
+    return Surd.from_json(value)
+
+
 def _int_matrix(rows) -> list[list[int]]:
     return [[_typed(x, int, "a matrix entry") for x in row] for row in rows]
 
@@ -102,6 +148,9 @@ def localized_germ(pmap: PolynomialMap, point, label: str | None = None) -> MapG
 
 def _build_action(data, default_as: bool) -> CohomologyAction:
     mode_name = data.get("mode")
+    if mode_name not in _MODE_KEYS:
+        raise ScenarioError(f"unknown action mode {mode_name!r}")
+    _known(data, _ACTION_KEYS | _MODE_KEYS[mode_name], f"{mode_name} action")
     kwargs = dict(
         picard_number=_field(data, "picard_number", int, 1),
         algebraically_stable=_field(data, "algebraically_stable", bool, default_as),
@@ -114,40 +163,39 @@ def _build_action(data, default_as: bool) -> CohomologyAction:
     if mode_name == "k3":
         return CohomologyAction(
             mode=K3Mode(_int_matrix(data["matrix"]),
-                        Surd.from_json(data["hodge_scalar"])),
+                        _surd(data["hodge_scalar"], "hodge_scalar")),
             **kwargs)
     if mode_name == "torus":
         return CohomologyAction(
-            mode=TorusMode(Surd.from_json(data["delta"]),
-                           Surd.from_json(data["epsilon"])),
+            mode=TorusMode(_surd(data["delta"], "delta"),
+                           _surd(data["epsilon"], "epsilon")),
             **kwargs)
-    if mode_name == "explicit_traces":
-        traces = {}
-        if "traces" in data:
-            for n_str, table in data["traces"].items():
-                traces[int(n_str)] = {
-                    tuple(int(x) for x in key.split(",")): _typed(v, int, "a trace")
-                    for key, v in table.items()
-                }
-        elif "h11_trace_recurrence" in data:
-            rec = data["h11_trace_recurrence"]
-            coeffs = [_typed(c, int, "a recurrence coefficient")
-                      for c in rec["coefficients"]]
-            seq = [_typed(v, int, "an initial trace") for v in rec["initial"]]
-            offset = _field(rec, "offset", int, 0)
-            max_n = _field(data, "max_n", int, 12)
-            while len(seq) <= max_n:
-                seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
-            traces = {n: {(0, 0): 1, (1, 1): seq[n] + offset, (2, 2): 1}
-                      for n in range(1, max_n + 1)}
-        else:
-            raise ScenarioError("explicit_traces needs 'traces' or a recurrence")
-        declared = None
-        if "dynamical_degree" in data:
-            declared = Surd.from_json(data["dynamical_degree"])
-        return CohomologyAction(
-            mode=ExplicitTraces(traces, declared_degree=declared), **kwargs)
-    raise ScenarioError(f"unknown action mode {mode_name!r}")
+    traces = {}
+    if "traces" in data:
+        for n_str, table in data["traces"].items():
+            traces[int(n_str)] = {
+                tuple(int(x) for x in key.split(",")): _typed(v, int, "a trace")
+                for key, v in table.items()
+            }
+    elif "h11_trace_recurrence" in data:
+        rec = _known(data["h11_trace_recurrence"], _RECURRENCE_KEYS,
+                     "h11_trace_recurrence")
+        coeffs = [_typed(c, int, "a recurrence coefficient")
+                  for c in rec["coefficients"]]
+        seq = [_typed(v, int, "an initial trace") for v in rec["initial"]]
+        offset = _field(rec, "offset", int, 0)
+        max_n = _field(data, "max_n", int, 12)
+        while len(seq) <= max_n:
+            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
+        traces = {n: {(0, 0): 1, (1, 1): seq[n] + offset, (2, 2): 1}
+                  for n in range(1, max_n + 1)}
+    else:
+        raise ScenarioError("explicit_traces needs 'traces' or a recurrence")
+    declared = None
+    if "dynamical_degree" in data:
+        declared = _surd(data["dynamical_degree"], "dynamical_degree")
+    return CohomologyAction(
+        mode=ExplicitTraces(traces, declared_degree=declared), **kwargs)
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -162,7 +210,8 @@ def load_scenario(doc: dict) -> Scenario:
 
 
 def _build_scenario(doc: dict) -> Scenario:
-    meta = doc.get("meta", {})
+    _known(doc, _DOCUMENT_KEYS, "the document")
+    meta = _known(doc.get("meta", {}), _META_KEYS, "meta")
     default_as = _field(meta, "algebraically_stable", bool, False)
 
     maps = {}
@@ -175,6 +224,7 @@ def _build_scenario(doc: dict) -> Scenario:
     germs: dict[str, MapGerm] = {}
     origins: dict[str, GermOrigin] = {}
     for label, spec in (doc.get("germs") or {}).items():
+        _known(spec, _GERM_KEYS, f"germ {label!r}")
         if "map" in spec:
             map_label = spec["map"]
             if map_label not in maps:
@@ -194,6 +244,7 @@ def _build_scenario(doc: dict) -> Scenario:
 
     forms = {}
     for label, spec in (doc.get("forms") or {}).items():
+        _known(spec, _FORM_KEYS, f"form {label!r}")
         forms[label] = FormGerm(_field(spec, "z1_valuation", int, 0),
                                 parse_expression(spec.get("unit", "1")))
 
@@ -202,8 +253,10 @@ def _build_scenario(doc: dict) -> Scenario:
         action = _build_action(doc["action"], default_as)
         curves = []
         for c in doc.get("curves", []):
+            _known(c, _CURVE_KEYS, "a curve")
             witnesses = []
             for w in c.get("witnesses", []):
+                _known(w, _WITNESS_KEYS, f"a witness of curve {c['label']!r}")
                 germ_label = w["germ"]
                 if germ_label not in germs:
                     raise ScenarioError(
@@ -225,6 +278,7 @@ def _build_scenario(doc: dict) -> Scenario:
             ))
         points = []
         for p in doc.get("points", []):
+            _known(p, _POINT_KEYS, "a point")
             germ = None
             if "germ" in p:
                 if p["germ"] not in germs:
@@ -237,7 +291,8 @@ def _build_scenario(doc: dict) -> Scenario:
                             for k, v in p["declared_index"].items()}
             isolation = None
             if "isolation" in p:
-                iso = p["isolation"]
+                iso = _known(p["isolation"], _ISOLATION_KEYS,
+                             f"the isolation of point {p['label']!r}")
                 isolation = (iso["kind"],
                              _field(iso, "secondary_period", int, None))
             points.append(FixedPointRecord(

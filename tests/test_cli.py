@@ -191,6 +191,56 @@ def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc)
     assert json.loads(err)["error"]["kind"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("doc, key", [
+    (_edited("remark43", lambda d: d["forms"].update(omega={"z1_valuaton": -1})),
+     "z1_valuaton"),
+    (_edited("remark43", lambda d: d.update(point=[])), "point"),
+    (_edited("remark43", lambda d: d["meta"].update(algebraically_stabel=True)),
+     "algebraically_stabel"),
+    (_edited("remark43", lambda d: d["germs"]["origin"].update(basepoint=[0, 0])),
+     "basepoint"),
+    (_edited("remark43", lambda d: d["action"].update(picard=1)), "picard"),
+    (_edited("remark43", lambda d: d["action"].update(delta=1)), "delta"),
+    (_edited("remark43", lambda d: d["curves"][0].update(prime_periode=2)),
+     "prime_periode"),
+    (_edited("remark43", lambda d: d["curves"][0]["witnesses"][0].update(equation="z1")),
+     "equation"),
+    (_edited("remark43", lambda d: d["points"][0].update(declared={"1": 1})),
+     "declared"),
+    (_edited("cubic-d4", lambda d: d["action"]["h11_trace_recurrence"].update(ofset=4)),
+     "ofset"),
+    (_edited("cubic-d4", lambda d: d["action"]["dynamical_degree"].update(f=1)), "f"),
+    (_edited("cubic-d4", lambda d: d["points"][0].update(
+        isolation={"kind": "conditionally_isolated", "period": 2})), "period"),
+], ids=["form_z1_valuaton", "document_point", "meta_algebraically_stabel",
+        "germ_basepoint", "action_picard", "h1trivial_action_delta",
+        "curve_prime_periode", "witness_equation", "point_declared",
+        "recurrence_ofset", "surd_f", "isolation_period"])
+def test_unknown_keys_are_scenario_errors(tmp_path, capsys, doc, key):
+    # a misspelled field would otherwise silently take its default: the
+    # first case loads omega as the holomorphic form
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "count", str(path), "--n-range", "1..2")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ScenarioError"
+    assert error["message"].endswith(f"has unknown keys: {key}")
+
+
+def test_comments_and_the_unread_precision_load(tmp_path, capsys):
+    # description and note are free text at any level, and meta.precision,
+    # the truncation degree of older documents, still loads unread
+    doc = fixture_document("remark43")
+    doc["meta"]["precision"] = 16
+    doc["description"] = "remark 4.3"
+    doc["forms"]["omega"]["note"] = "the invariant form"
+    doc["action"]["note"] = "no H^1"
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "lefschetz", str(path), "--n-range", "1..2")[0] == 0
+
+
 def test_the_unedited_cubic_document_counts(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(fixture_document("cubic-d4")))

@@ -285,14 +285,37 @@ def test_polynomial_map_iterates_extend_one_chain(monkeypatch):
 
 def test_scenario_germs_and_the_oracle_share_one_chain(monkeypatch):
     # the fixture's germ at a point is built on the map localized there, so
-    # the oracle reads the iterates the engine composed
+    # the oracle reads that map's chains; at these isolated points its jets
+    # certify every answer, and it composes no exact iterate
     scn = load_fixture("remark42")
     for germ in scn.germs.values():
         local_index(iterate(germ, 4))
+    lengths = [len(germ.map._iterates) for germ in scn.germs.values()]
     composes = count_calls(monkeypatch, Poly2, "compose")
-    for origin in scn.germ_origins.values():
-        assert fixed_multiplicity(scn.maps["f"], origin.base_point, 4) >= 1
+    for label, origin in scn.germ_origins.items():
+        assert scn.maps["f"].localized(origin.base_point) is scn.germs[label].map
+        for n in range(1, 7):
+            assert fixed_multiplicity(scn.maps["f"], origin.base_point, n) >= 1
     assert composes == []
+    assert [len(germ.map._iterates) for germ in scn.germs.values()] == lengths
+
+
+def test_deep_iterates_of_remark42_from_the_jet_chain():
+    # f^20 has degree 2^20, far above the bound on composed iterates; the
+    # jets below degree 4 certify every answer
+    m = remark42()
+    ns = (20, 40, 41, 100)
+    assert [fixed_multiplicity(m, (0, 0), n) for n in ns] == [3, 3, 1, 3]
+    assert [fixed_multiplicity(m, (-4, -4), n) for n in ns] == [1, 1, 1, 1]
+    assert m._iterates == [] and m.localized((-4, -4))._iterates == []
+
+
+def test_a_point_the_map_moves_takes_the_exact_route():
+    # (1, 0) lies on the 2-cycle {(1, 0), (0, 0)} of (1 - z1^2, 2 z2); the
+    # map localized there moves the origin and builds no chain of jets
+    m = PolynomialMap(ONE - X**2, Y * 2)
+    assert [fixed_multiplicity(m, (1, 0), n) for n in (1, 2, 3, 4)] == [0, 1, 0, 1]
+    assert m.localized((1, 0))._jets == {}
 
 
 def translated(pmap, point, n):

@@ -19,6 +19,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
+from sympy.polys.galoistools import gf_gcd
 from sympy.polys.polyerrors import PolynomialDivisionFailed
 from sympy.polys.rings import ring
 
@@ -384,6 +385,46 @@ def test_iterate_refuses_n_above_the_bound():
     assert f.iterate(3).p1 == X + Y**2 * 3
 
 
+@st.composite
+def maps_fixing_the_origin(draw):
+    """A map with Fraction coefficients and no constant terms, of degree up
+    to 3 in each image."""
+    def image():
+        return Poly2(draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+                lambda e: 0 < e[0] + e[1] <= 3),
+            coefficients, max_size=4)))
+    return PolynomialMap(image(), image())
+
+
+@given(maps_fixing_the_origin(), st.integers(1, 4), st.integers(1, 6))
+@example(PolynomialMap(X * -2 - X**2 - Y, X), 4, 4)
+@settings(max_examples=80)
+def test_fixed_jets_are_the_exact_fixed_system_truncated(f, n, N):
+    P, Q = f.fixed_system(n)
+    assert f.fixed_jets(n, N) == (P.truncated(N), Q.truncated(N))
+    # the chain holds the jets of f .. f^n, and a smaller n reads it
+    assert len(f._jets[N]) == n
+    assert f.fixed_jets(1, N) == tuple(p.truncated(N) for p in f.fixed_system(1))
+
+
+def test_fixed_jets_refuse_a_map_that_moves_the_origin():
+    with pytest.raises(ValueError, match="fixes the origin"):
+        PolynomialMap(X + 1, Y).fixed_jets(2, 4)
+    with pytest.raises(ValueError, match="fixes the origin"):
+        PolynomialMap(X, Y + Fraction(1, 2) + X**2).fixed_jets(1, 4)
+
+
+def test_fixed_jets_refuse_n_above_the_bound():
+    f = PolynomialMap(X * -2 - X**2 - Y, X)
+    with pytest.raises(PrecisionExhausted, match=f"f\\^{polys.MAX_ITERATE_N + 1} "):
+        f.fixed_jets(polys.MAX_ITERATE_N + 1, 4)
+    assert f._jets == {}
+    # every jet has degree below N, so a deep n meets no degree bound
+    P, Q = f.fixed_jets(polys.MAX_ITERATE_N, 4)
+    assert max(P.total_degree(), Q.total_degree()) <= 3
+
+
 def test_only_polys_imports_sympy():
     # polys is the one boundary to the computer-algebra system, and the only
     # module that knows Poly2 is a ring element over one denominator
@@ -515,6 +556,42 @@ def test_certified_pairs_are_coprime(a, b):
     event(f"certified: {certified}")
     if certified:
         assert sp.gcd(to_expr(a), to_expr(b)).is_number
+
+
+residues = st.integers(0, polys._PRIME - 1)
+residue_lists = st.lists(residues, min_size=1, max_size=8).map(
+    lambda u: [u[0] or 1] + u[1:])
+
+
+def _times_mod_p(f: list, g: list) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % polys._PRIME
+    return out
+
+
+@given(residue_lists, residue_lists,
+       st.one_of(st.none(), residue_lists, st.lists(st.integers(-3, 3), min_size=2,
+                                                    max_size=4).filter(lambda u: u[0])))
+@example([1, 2], [1, 2], None)
+@example([3], [1, 0, 5], None)
+@example([1, 0, 0], [1, 0], None)
+@settings(max_examples=150)
+def test_unit_gcd_mod_p_matches_the_galois_field_gcd(f, g, common):
+    """Euclid mod the prime on plain ints against sympy's gf_gcd, on random
+    pairs and on pairs made to share a factor (of degree 0 when common has
+    one entry)."""
+    p = polys._PRIME
+    if common is not None:
+        common = [c % p for c in common]
+        f, g = _times_mod_p(f, common), _times_mod_p(g, common)
+    want = len(gf_gcd(f, g, p, ZZ)) == 1
+    event(f"coprime: {want}")
+    assert polys._unit_gcd_mod_p(f, g) is want
+    assert polys._unit_gcd_mod_p(g, f) is want
+    if common is not None and len(common) > 1:
+        assert not want
 
 
 def test_certificate_skips_points_where_a_leading_coefficient_vanishes():
