@@ -137,15 +137,8 @@ def cmd_classify(args) -> tuple[int, str]:
         if label not in scn.germs:
             raise ScenarioError(f"unknown germ {label!r}")
         dec = decompose(scn.germs[label])
-        for b in branches(dec):
-            done = classify_branch(dec, b)
-            rows.append({
-                "germ": label,
-                "factor": done.defining_polynomial,
-                "nu_p": done.nu_p,
-                "type": done.branch_type,
-                "mu_p": done.mu_p,
-            })
+        rows += [{"germ": label, **jsonable(classify_branch(dec, b))}
+                 for b in branches(dec)]
     curve_rows = []
     if scn.model is not None:
         for c in scn.model.curves:
@@ -238,27 +231,19 @@ def cmd_verify(args) -> tuple[int, str]:
         for n in range(1, n_max + 1):
             report = local_index(iterate(germ, n))
             if report.branches:
+                check = "index_positivity"
                 oracle = fixed_index_positive(pmap, point, n)
                 agree = oracle == (report.nu_A > 0)
-                checks.append({
-                    "germ": label, "n": n, "check": "index_positivity",
-                    "engine": report.nu_A, "oracle": oracle, "agree": agree,
-                })
             else:
+                check = "multiplicity"
                 try:
-                    mult = fixed_multiplicity(pmap, point, n)
+                    oracle = fixed_multiplicity(pmap, point, n)
+                    agree = oracle == report.nu_A
                 except NonIsolated:
-                    checks.append({
-                        "germ": label, "n": n, "check": "multiplicity",
-                        "engine": report.nu_A, "oracle": "non-isolated",
-                        "agree": False,
-                    })
-                    continue
-                checks.append({
-                    "germ": label, "n": n, "check": "multiplicity",
-                    "engine": report.nu_A, "oracle": mult,
-                    "agree": mult == report.nu_A,
-                })
+                    oracle, agree = "non-isolated", False
+            checks.append({"germ": label, "n": n, "check": check,
+                           "engine": report.nu_A, "oracle": oracle,
+                           "agree": agree})
     ok = all(c["agree"] for c in checks)
     if args.format == "json":
         return (0 if ok else 1), emit_json({"checks": checks, "all_agree": ok})

@@ -60,17 +60,17 @@ class MapGerm:
     of forms stay exact.  Its iterates come from the map's chain, which the
     oracle reads too when it is handed the same map (a scenario germ's).
     An iterate keeps the germ it iterates as `base`; `decompose` stores
-    the germ's curve data (g and its origin factors) so that each germ
-    object computes it at most once.
+    the germ's decomposition in `_dec`, so that each germ object computes
+    it at most once.
     """
 
-    __slots__ = ("map", "source_point_label", "base", "_curve")
+    __slots__ = ("map", "source_point_label", "base", "_dec")
 
     def __init__(self, pmap: PolynomialMap, source_point_label: str | None = None):
         self.map = pmap
         self.source_point_label = source_point_label
         self.base: MapGerm | None = None
-        self._curve: tuple[Poly2, list[tuple[Poly2, int]]] | None = None
+        self._dec: GermDecomposition | None = None
 
     @classmethod
     def from_polynomials(cls, p1: Poly2, p2: Poly2,
@@ -155,42 +155,33 @@ def decompose(germ: MapGerm) -> GermDecomposition:
     local units and are left inside the h_i.  At a degenerate point an
     iterate is first divided by its base germ's curve factor, with the gcd
     route as the fallback.
-    The germ keeps (g, factors), so a second decomposition of it needs no
+    The germ keeps its decomposition, so a second call returns it with no
     CAS call.
     """
+    if germ._dec is None:
+        germ._dec = _split(germ)
+    return germ._dec
+
+
+def _split(germ: MapGerm) -> GermDecomposition:
+    """The decomposition of germ, computed from its differences.  An
+    iterate reads its base's curve data from base._dec, filled here rather
+    than through decompose, so the base's is not a decomposition call of
+    its own."""
     d1, d2 = germ.map.fixed_system()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("the identity germ admits no (g, h1, h2) data")
-    if germ._curve is None:
-        g, factors, h1, h2 = _split(germ, d1, d2)
-        germ._curve = (g, factors)
-    else:
-        g, factors = germ._curve
-        h1, h2 = (d1.exact_div(g), d2.exact_div(g)) if factors else (d1, d2)
-    return GermDecomposition(g=g, h1=h1, h2=h2, factors=factors)
-
-
-def _curve(germ: MapGerm) -> tuple[Poly2, list[tuple[Poly2, int]]]:
-    """(g, factors) of a polynomial germ, computed at most once per object.
-
-    The decomposition of an iterate reaches its base through here rather
-    than through decompose, so the base's data is not a decomposition of
-    its own."""
-    if germ._curve is None:
-        germ._curve = _split(germ, *germ.map.fixed_system())[:2]
-    return germ._curve
-
-
-def _split(germ: MapGerm, d1: Poly2, d2: Poly2):
-    """(g, factors, h1, h2) for the differences d1, d2 of germ."""
     (a, b), (c, d) = d1.linear_part(), d2.linear_part()
     # at a simple fixed point, det(Df(0) - I) != 0, no curve through the
     # origin divides both differences: it would make both rows of their
     # Jacobian multiples of its gradient at 0
     if a * d != b * c:
-        return Poly2.constant(1), [], d1, d2
-    if germ.base is not None:
-        g, factors = _curve(germ.base)
+        return GermDecomposition(Poly2.constant(1), d1, d2, [])
+    base = germ.base
+    if base is not None:
+        if base._dec is None:
+            base._dec = _split(base)
+        g, factors = base._dec.g, base._dec.factors
         if factors:
             # an origin prime dividing both differences more often than it
             # divides g would divide both h_i: a finite I(h1, h2) rules it
@@ -198,16 +189,16 @@ def _split(germ: MapGerm, d1: Poly2, d2: Poly2):
             try:
                 h1, h2 = d1.exact_div(g), d2.exact_div(g)
                 if _intersection_number(h1, h2) is not None:
-                    return g, factors, h1, h2
+                    return GermDecomposition(g, h1, h2, factors)
             except NotDivisible:
                 pass
     factors = _origin_factors(gcd2(d1, d2))
     if not factors:
-        return Poly2.constant(1), [], d1, d2
+        return GermDecomposition(Poly2.constant(1), d1, d2, [])
     g = Poly2.constant(1)
     for factor, mult in factors:
         g = g * factor**mult
-    return g, factors, d1.exact_div(g), d2.exact_div(g)
+    return GermDecomposition(g, d1.exact_div(g), d2.exact_div(g), factors)
 
 
 def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
@@ -411,8 +402,6 @@ def iterate(germ: MapGerm, n: int) -> MapGerm:
     """n-fold self-composition, built on `germ.map.iterate(n)`: one
     composition per n beyond the map's chain.  For n >= 2 the result keeps
     germ as its base, for decompose."""
-    if n < 1:
-        raise ValueError("iterate needs n >= 1")
     if n == 1:
         return germ
     out = MapGerm(germ.map.iterate(n), source_point_label=germ.source_point_label)

@@ -16,7 +16,9 @@ also refused when the exponent times the bit length of the base's largest
 coefficient numerator or denominator exceeds MAX_HEIGHT_BITS (a constant's
 powers keep degree 0 but grow in height).  Each bound is checked before
 the operation runs, so nested powers such as ((1+z1+z2)^32)^8 or
-((3^128)^128)^128 are refused at once instead of expanded.
+((3^128)^128)^128 are refused at once instead of expanded.  Parentheses
+nest at most MAX_NESTING deep, which keeps the recursive descent well
+inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -28,19 +30,23 @@ from .polys import Poly2
 
 MAX_DEGREE = 128
 MAX_HEIGHT_BITS = 4096
+MAX_NESTING = 100
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", "/"}
 
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
         if ch in _TOKEN_CHARS:
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", i)
             tokens.append((ch, i))
             i += 1
             continue
@@ -110,12 +116,11 @@ class _Parser:
         return value
 
     def factor(self):
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
-            self.advance()
-            inner = self.factor()
-            return inner if tok[0] == "+" else -inner
-        return self.power()
+        negate = False
+        while self.peek()[0] in ("+", "-"):
+            negate ^= self.advance()[0] == "-"
+        value = self.power()
+        return -value if negate else value
 
     def power(self):
         base = self.atom()

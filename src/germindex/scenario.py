@@ -43,7 +43,6 @@ class GermOrigin:
 
 @dataclass
 class Scenario:
-    description: str
     maps: dict[str, PolynomialMap]
     germs: dict[str, MapGerm]
     germ_origins: dict[str, GermOrigin]
@@ -64,12 +63,13 @@ def _rat(value) -> Fraction:
     return Fraction(value)
 
 
-_KINDS = {int: "an integer", bool: "true or false"}
+_KINDS = {int: "an integer", bool: "true or false", list: "a list"}
 
 
 def _typed(value, kind, what: str):
-    """value itself, which must be a JSON value of `kind` (int or bool): a
-    float is not an integer, and a boolean is not an integer either."""
+    """value itself, which must be a JSON value of `kind` (int, bool or
+    list): a float is not an integer, and a boolean is not an integer
+    either."""
     if type(value) is not kind:
         raise ScenarioError(f"{what} must be {_KINDS[kind]}, got {value!r}")
     return value
@@ -93,7 +93,7 @@ _COMMENTS = {"description", "note"}
 _DOCUMENT_KEYS = {"meta", "maps", "germs", "forms", "action", "curves", "points",
                   "intersections"}
 # meta.precision is the truncation degree of older documents, loaded unread
-_META_KEYS = {"algebraically_stable", "precision"}
+_META_KEYS = {"precision"}
 _GERM_KEYS = {"map", "base_point", "images"}
 _FORM_KEYS = {"z1_valuation", "unit"}
 _ACTION_KEYS = {"mode", "picard_number", "algebraically_stable",
@@ -109,9 +109,7 @@ _SURD_KEYS = {"a", "b", "c", "e", "d"}
 _CURVE_KEYS = {"label", "prime_period", "type", "nu_C", "self_intersection",
                "euler_characteristic", "witnesses"}
 _WITNESS_KEYS = {"germ", "point", "curve_equation"}
-_POINT_KEYS = {"label", "prime_period", "germ", "declared_index", "on_curves",
-               "isolation"}
-_ISOLATION_KEYS = {"kind", "secondary_period"}
+_POINT_KEYS = {"label", "prime_period", "germ", "declared_index", "on_curves"}
 
 
 def _known(spec, keys: set, what: str) -> dict:
@@ -146,17 +144,16 @@ def localized_germ(pmap: PolynomialMap, point, label: str | None = None) -> MapG
     return MapGerm(local, source_point_label=label)
 
 
-def _build_action(data, default_as: bool) -> CohomologyAction:
+def _build_action(data) -> CohomologyAction:
     mode_name = data.get("mode")
     if mode_name not in _MODE_KEYS:
         raise ScenarioError(f"unknown action mode {mode_name!r}")
     _known(data, _ACTION_KEYS | _MODE_KEYS[mode_name], f"{mode_name} action")
     kwargs = dict(
         picard_number=_field(data, "picard_number", int, 1),
-        algebraically_stable=_field(data, "algebraically_stable", bool, default_as),
+        algebraically_stable=_field(data, "algebraically_stable", bool, False),
         kodaira_nonnegative=_field(data, "kodaira_nonnegative", bool, False),
         growth_constant=_field(data, "growth_constant", int, None),
-        description=data.get("description", ""),
     )
     if mode_name == "h1trivial":
         return CohomologyAction(mode=H1Trivial(_int_matrix(data["matrix"])), **kwargs)
@@ -204,15 +201,14 @@ def load_scenario(doc: dict) -> Scenario:
     or out of range, a label that names nothing) raises ScenarioError."""
     try:
         return _build_scenario(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise ScenarioError(
             f"malformed scenario document: {type(exc).__name__}: {exc}") from exc
 
 
 def _build_scenario(doc: dict) -> Scenario:
     _known(doc, _DOCUMENT_KEYS, "the document")
-    meta = _known(doc.get("meta", {}), _META_KEYS, "meta")
-    default_as = _field(meta, "algebraically_stable", bool, False)
+    _known(doc.get("meta", {}), _META_KEYS, "meta")
 
     maps = {}
     for label, exprs in (doc.get("maps") or {}).items():
@@ -250,7 +246,7 @@ def _build_scenario(doc: dict) -> Scenario:
 
     model = None
     if doc.get("action"):
-        action = _build_action(doc["action"], default_as)
+        action = _build_action(doc["action"])
         curves = []
         for c in doc.get("curves", []):
             _known(c, _CURVE_KEYS, "a curve")
@@ -289,26 +285,20 @@ def _build_scenario(doc: dict) -> Scenario:
             if "declared_index" in p:
                 declared = {int(k): _typed(v, int, "a declared index")
                             for k, v in p["declared_index"].items()}
-            isolation = None
-            if "isolation" in p:
-                iso = _known(p["isolation"], _ISOLATION_KEYS,
-                             f"the isolation of point {p['label']!r}")
-                isolation = (iso["kind"],
-                             _field(iso, "secondary_period", int, None))
             points.append(FixedPointRecord(
                 label=p["label"],
                 prime_period=_field(p, "prime_period", int, 1),
                 germ=germ,
                 declared_index_per_n=declared,
-                on_curves=list(p.get("on_curves", [])),
-                declared_isolation=isolation,
+                on_curves=_field(p, "on_curves", list, []),
             ))
-        model = SurfaceModel(points=points, curves=curves, action=action,
-                             description=meta.get("description", ""))
+        model = SurfaceModel(points=points, curves=curves, action=action)
 
-    intersections = [tuple(pair) for pair in doc.get("intersections", [])]
+    intersections = [(a, b) for a, b in doc.get("intersections", [])]
+    labels = {c.label for c in model.curves} if model is not None else set()
+    if not labels.issuperset(x for pair in intersections for x in pair):
+        raise ScenarioError("an intersection names a curve the model lacks")
     return Scenario(
-        description=meta.get("description", ""),
         maps=maps,
         germs=germs,
         germ_origins=origins,

@@ -70,9 +70,6 @@ class FixedCurveRecord:
             raise ValueError("curve type must be 'I' or 'II'")
 
 
-CONDITIONALLY_ISOLATED = "conditionally_isolated"
-
-
 @dataclass
 class FixedPointRecord:
     label: str
@@ -80,18 +77,10 @@ class FixedPointRecord:
     germ: MapGerm | None = None
     declared_index_per_n: dict[int, int] | None = None
     on_curves: list[str] = field(default_factory=list)
-    declared_isolation: tuple[str, int | None] | None = None
 
     def __post_init__(self):
         if self.prime_period < 1:
             raise ValueError("prime period must be positive")
-        if self.declared_isolation is not None:
-            kind, m = self.declared_isolation
-            if kind == CONDITIONALLY_ISOLATED:
-                if m is None or m <= self.prime_period or m % self.prime_period:
-                    raise ValueError(
-                        "secondary period must be a strict multiple of the prime period"
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +98,9 @@ class H1Trivial:
     matrix: list[list[int]]
 
     def __post_init__(self):
-        if any(len(row) != len(self.matrix) for row in self.matrix):
-            raise ValueError("the action matrix must be square")
+        if not self.matrix or any(len(row) != len(self.matrix)
+                                  for row in self.matrix):
+            raise ValueError("the action matrix must be square and not empty")
 
     def lefschetz(self, n: int) -> Surd:
         return Surd.rational(trace_of_power(self.matrix, n) + 2)
@@ -183,6 +173,10 @@ class ExplicitTraces:
     traces: dict[int, dict[tuple[int, int], int]]
     declared_degree: Surd | None = None
 
+    def __post_init__(self):
+        if any(len(ij) != 2 for table in self.traces.values() for ij in table):
+            raise ValueError("a trace key must name two indices i,j")
+
     def lefschetz(self, n: int) -> Surd:
         if n not in self.traces:
             raise MissingIndexData(f"no trace data stored for n = {n}")
@@ -206,7 +200,6 @@ class CohomologyAction:
     algebraically_stable: bool
     kodaira_nonnegative: bool = False
     growth_constant: int | None = None
-    description: str = ""
 
 
 def lefschetz_number(action: CohomologyAction, n: int) -> Surd:
@@ -322,7 +315,6 @@ class SurfaceModel:
     points: list[FixedPointRecord]
     curves: list[FixedCurveRecord]
     action: CohomologyAction
-    description: str = ""
 
     def __post_init__(self):
         labels = {c.label for c in self.curves}
@@ -457,7 +449,6 @@ def xi_k(model: SurfaceModel, k: int, evaluate_at: int | None = None) -> int:
 
 @dataclass
 class GrowthVerdict:
-    n: int
     within_bound: bool
     branch: str           # "torus" or "constant"
 
@@ -485,7 +476,9 @@ def count_isolated_periodic(model: SurfaceModel, n: int) -> CountReport:
 
     Refuses models with a type I periodic curve (the identity behind the
     count needs every periodic curve to be type II) and models without the
-    AS assertion."""
+    AS assertion.  growth is None unless the dynamical degree is an exact
+    lambda > 1 and the action has a growth envelope (a torus, or a declared
+    growth_constant)."""
     for c in model.curves:
         if c.curve_type == TYPE_I:
             raise TypeICurvePresent(
@@ -502,7 +495,9 @@ def count_isolated_periodic(model: SurfaceModel, n: int) -> CountReport:
         lam = dynamical_degree(model.action)
     except MissingIndexData:
         lam = None
-    if isinstance(lam, Surd) and lam > 1:
+    has_envelope = (isinstance(model.action.mode, TorusMode)
+                    or model.action.growth_constant is not None)
+    if has_envelope and isinstance(lam, Surd) and lam > 1:
         growth = growth_bounds(model.action, n, count)
     return CountReport(n=n, lefschetz=L, xi_breakdown=breakdown,
                        count_isolated=count,
@@ -660,9 +655,9 @@ def growth_bounds(action: CohomologyAction, n: int, count) -> GrowthVerdict:
         B = Surd.rational(11)
         # gap - B < 4 lambda^(n/2)  <=>  (gap - B)^2 < 16 lambda^n
         ok = gap <= B or (gap - B) ** 2 < Surd.rational(16) * lam**n
-        return GrowthVerdict(n, ok, "torus")
+        return GrowthVerdict(ok, "torus")
     B = action.growth_constant
     if B is None:
         raise ValueError("non-torus growth check needs a declared constant")
     ok = gap <= Surd.rational(B)
-    return GrowthVerdict(n, ok, "constant")
+    return GrowthVerdict(ok, "constant")

@@ -66,7 +66,6 @@ def build_cubic_model(max_n: int = 8, corrupt_u1: bool = False) -> SurfaceModel:
         algebraically_stable=True,
         kodaira_nonnegative=False,
         growth_constant=2,
-        description="area-preserving map on the resolved D4 cubic surface",
     )
     curves = [
         FixedCurveRecord("E0", 1, "II", 2, -2, 2,
@@ -91,8 +90,7 @@ def build_cubic_model(max_n: int = 8, corrupt_u1: bool = False) -> SurfaceModel:
     for i in (1, 2, 3):
         points.append(FixedPointRecord(
             f"v{i}", 1, declared_index_per_n={1: 2}, on_curves=[f"E{i}"]))
-    return SurfaceModel(points=points, curves=curves, action=action,
-                        description="cubic-d4 fixture")
+    return SurfaceModel(points=points, curves=curves, action=action)
 
 
 @pytest.fixture

@@ -177,11 +177,21 @@ def _degree(**parts):
     _degree(a=True),
     _edited("remark43", lambda d: d["action"].update(matrix=[[2.5]])),
     _edited("remark43", lambda d: d["action"].update(matrix=[[1, 2], [3]])),
+    _edited("remark43", lambda d: d["action"].update(matrix=[])),
+    _cubic(lambda d: d["germs"]["u1"].update(base_point=[0])),
+    _cubic(lambda d: d["germs"].update(u1={"images": ["z1"]})),
+    _cubic(lambda d: d["action"]["h11_trace_recurrence"].update(initial=[])),
+    _cubic(lambda d: d.update(intersections=[["E0", "nope"]])),
+    _cubic(lambda d: d.update(intersections=[["E0"]])),
+    _cubic(lambda d: d["action"].update(traces={"1": {"0": 1, "1,1": 4}})),
+    _edited("remark43", lambda d: d["points"][0].update(on_curves="C")),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
         "degree_d_5.7", "degree_a_0.1", "degree_a_true",
-        "matrix_entry_2.5", "ragged_matrix"])
+        "matrix_entry_2.5", "ragged_matrix", "empty_matrix", "base_point_of_one",
+        "one_image", "empty_recurrence", "intersection_with_unknown_curve",
+        "intersection_of_one", "trace_key_of_one_index", "on_curves_string"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -211,11 +221,17 @@ def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc)
      "ofset"),
     (_edited("cubic-d4", lambda d: d["action"]["dynamical_degree"].update(f=1)), "f"),
     (_edited("cubic-d4", lambda d: d["points"][0].update(
-        isolation={"kind": "conditionally_isolated", "period": 2})), "period"),
+        isolation={"kind": "conditionally_isolated", "period": 2})), "isolation"),
+    (_edited("remark43", lambda d: d["meta"].update(algebraically_stable=True)),
+     "algebraically_stable"),
+    (_edited("cubic-d4", lambda d: d["points"][0].update(
+        isolation={"kind": "conditionally_isolated", "secondary_period": 2})),
+     "isolation"),
 ], ids=["form_z1_valuaton", "document_point", "meta_algebraically_stabel",
         "germ_basepoint", "action_picard", "h1trivial_action_delta",
         "curve_prime_periode", "witness_equation", "point_declared",
-        "recurrence_ofset", "surd_f", "isolation_period"])
+        "recurrence_ofset", "surd_f", "isolation_period",
+        "meta_algebraically_stable", "point_isolation"])
 def test_unknown_keys_are_scenario_errors(tmp_path, capsys, doc, key):
     # a misspelled field would otherwise silently take its default: the
     # first case loads omega as the holomorphic form
@@ -239,6 +255,22 @@ def test_comments_and_the_unread_precision_load(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "lefschetz", str(path), "--n-range", "1..2")[0] == 0
+
+
+@pytest.mark.parametrize("action", [{}, {"mode": "k3", "hodge_scalar": -1}],
+                         ids=["h1trivial", "k3"])
+def test_count_without_a_growth_envelope_reports_null(tmp_path, capsys, action):
+    # lambda = 3 > 1, but only a torus or a declared growth_constant gives
+    # an envelope to check the count against
+    doc = fixture_document("remark43")
+    del doc["curves"], doc["points"]
+    doc["action"].update(action)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "count", str(path), "--n-range", "1..2",
+                           "--format", "json")
+    assert code == 0
+    assert [r["growth_ok"] for r in json.loads(out)] == [None, None]
 
 
 def test_the_unedited_cubic_document_counts(tmp_path, capsys):
@@ -343,9 +375,7 @@ def test_declared_isolation_parses(tmp_path, capsys):
         "curves": [{"label": "C", "prime_period": 2, "type": "II",
                     "nu_C": 1, "self_intersection": -1}],
         "points": [{"label": "p", "prime_period": 1, "on_curves": ["C"],
-                    "declared_index": {"1": 1},
-                    "isolation": {"kind": "conditionally_isolated",
-                                  "secondary_period": 2}}],
+                    "declared_index": {"1": 1}}],
     }
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -354,8 +384,6 @@ def test_declared_isolation_parses(tmp_path, capsys):
 
     scn = load_scenario_file(str(path))
     model = scn.require_model()
-    pt = model.points[0]
-    assert pt.declared_isolation == ("conditionally_isolated", 2)
     part = partition_isolated_points(model, horizon=4)
     assert part.conditionally == [("p", 2)]
 

@@ -460,9 +460,29 @@ def test_decompose_computes_the_curve_data_once_per_germ(monkeypatch):
     calls = []
     monkeypatch.setattr(germs, "gcd2", lambda a, b: calls.append(1) or gcd2(a, b))
     f = cubic_corner_map()
-    first, second = decompose(f), decompose(f)
+    first = decompose(f)
     assert calls == [1]
-    assert (first.g, first.h1, first.h2) == (second.g, second.h1, second.h2)
+    # the second call returns the stored decomposition: no gcd, no
+    # factorization and no division
+    again = (count_calls(monkeypatch, germs, "gcd2"),
+             count_calls(monkeypatch, germs, "factor_list2"),
+             count_calls(monkeypatch, Poly2, "exact_div"))
+    assert decompose(f) is first
+    assert again == ([], [], [])
+
+
+def test_an_iterate_fills_its_base_decomposition(monkeypatch):
+    # the base's decomposition is stored on the base without a decompose
+    # call of its own, so one decompose of f^2 is one decompose call
+    import germindex.germs as germs
+
+    f = cubic_corner_map()
+    f2 = iterate(f, 2)
+    calls = count_calls(monkeypatch, germs, "decompose")
+    dec = germs.decompose(f2)
+    assert calls == [(f2,)]
+    assert f._dec is not None and f._dec.g == dec.g
+    assert decompose(f) is f._dec
 
 
 # -- one chain of iterates per germ, reused parametrizations -----------------

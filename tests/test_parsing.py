@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from germindex import ParseError, Poly2
-from germindex.parsing import parse_expression, poly_to_text
+from germindex.parsing import MAX_NESTING, parse_expression, poly_to_text
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -99,6 +99,21 @@ def test_coefficient_height_is_bounded_before_expansion():
     assert parse_expression("(1/3)^128") == Poly2.constant(Fraction(1, 3**128))
     # a constant's power is limited by its height alone, not its exponent
     assert parse_expression("2^200") == Poly2.constant(2**200)
+
+
+def test_nesting_is_bounded_before_the_recursion_limit():
+    # each level of parentheses costs several frames of the recursive
+    # descent, so 200 levels would pass Python's recursion limit: the first
+    # "(" past MAX_NESTING is refused at its position
+    deep = MAX_NESTING * "(" + "z1" + MAX_NESTING * ")"
+    assert parse_expression(deep) == X
+    for depth in (MAX_NESTING + 1, 200, 5000):
+        with pytest.raises(ParseError) as err:
+            parse_expression(depth * "(" + "z1" + depth * ")")
+        assert err.value.position == MAX_NESTING
+    # a chain of signs is read in a loop, not one call deep per sign
+    assert parse_expression(5001 * "-" + "z1") == -X
+    assert parse_expression("- + -z1^2") == X**2
 
 
 def test_roundtrip_is_fixed_point():
