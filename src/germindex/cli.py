@@ -89,7 +89,8 @@ def _pick_germ(scn: Scenario, label: str | None):
         return next(iter(scn.germs.items()))
     if "origin" in scn.germs:
         return "origin", scn.germs["origin"]
-    raise ScenarioError("scenario has several germs; pick one with --germ")
+    raise ScenarioError("scenario has several germs; pick one with --germ"
+                        if scn.germs else "scenario has no germs")
 
 
 def _parse_range(text: str) -> range:

@@ -16,7 +16,7 @@ from .errors import ScenarioError
 from .forms import FormGerm
 from .germs import MapGerm
 from .parsing import parse_expression
-from .polys import PolynomialMap
+from .polys import MAX_ITERATE_N, PolynomialMap
 from .surd import Surd
 from .surface import (
     CohomologyAction,
@@ -182,6 +182,8 @@ def _build_action(data) -> CohomologyAction:
         seq = [_typed(v, int, "an initial trace") for v in rec["initial"]]
         offset = _field(rec, "offset", int, 0)
         max_n = _field(data, "max_n", int, 12)
+        if max_n > MAX_ITERATE_N:
+            raise ScenarioError(f"max_n {max_n} exceeds the bound {MAX_ITERATE_N}")
         while len(seq) <= max_n:
             seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
         traces = {n: {(0, 0): 1, (1, 1): seq[n] + offset, (2, 2): 1}

@@ -21,6 +21,7 @@ from .errors import (
 from .germs import (
     TYPE_I,
     TYPE_II,
+    BranchRecord,
     MapGerm,
     branches,
     classify_branch,
@@ -200,6 +201,8 @@ class CohomologyAction:
     algebraically_stable: bool
     kodaira_nonnegative: bool = False
     growth_constant: int | None = None
+    _degree: Surd | RationalInterval | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 def lefschetz_number(action: CohomologyAction, n: int) -> Surd:
@@ -297,12 +300,14 @@ def spectral_radius(M) -> Surd | RationalInterval:
 
 def dynamical_degree(action: CohomologyAction) -> Surd | RationalInterval:
     """First dynamical degree: the spectral radius of the pullback on
-    H^{1,1} (exact under the AS assertion)."""
+    H^{1,1} (exact under the AS assertion), computed once per action."""
     if not action.algebraically_stable:
         raise NotAlgebraicallyStable(
             "the dynamical degree equals the spectral radius only under AS"
         )
-    return action.mode.dynamical_degree()
+    if action._degree is None:
+        action._degree = action.mode.dynamical_degree()
+    return action._degree
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +347,20 @@ class SurfaceModel:
         """Witness recomputation diagnostics (empty list means consistent).
 
         For every curve witness the chart germ is re-analyzed and the
-        branch cut out by the recorded local equation must reproduce the
-        stored nu_C and type; points carrying both a germ and declared
-        indices are cross-checked the same way."""
+        branch cut out by the recorded local equation, classified alone,
+        must reproduce the stored nu_C and type; points carrying both a
+        germ and declared indices are cross-checked the same way."""
         issues = []
         for curve in self.curves:
             for w in curve.germ_witnesses:
-                dec = decompose(w.germ)
-                target = w.curve_local_equation.normalized()
-                found = None
-                for b in branches(dec):
-                    if b.defining_polynomial.normalized() == target:
-                        found = classify_branch(dec, b)
-                        break
-                if found is None:
+                branch = _witness_branch(w, 1)
+                if branch is None:
                     issues.append(
                         f"curve {curve.label}: witness at {w.point_label} has no "
-                        f"branch with equation {target!r}"
+                        f"branch with equation {w.curve_local_equation.normalized()!r}"
                     )
                     continue
+                found = classify_branch(decompose(w.germ), branch)
                 if found.nu_p != curve.nu_C:
                     issues.append(
                         f"curve {curve.label}: witness at {w.point_label} gives "
@@ -372,15 +372,14 @@ class SurfaceModel:
                         f"type {found.branch_type}, record says {curve.curve_type}"
                     )
         for pt in self.points:
-            if pt.germ is not None and pt.declared_index_per_n:
-                declared = pt.declared_index_per_n.get(pt.prime_period)
-                if declared is not None:
-                    computed = local_index(pt.germ).nu_A
-                    if computed != declared:
-                        issues.append(
-                            f"point {pt.label}: germ gives nu = {computed}, "
-                            f"declared {declared}"
-                        )
+            declared = (pt.declared_index_per_n or {}).get(pt.prime_period)
+            if pt.germ is not None and declared is not None:
+                computed = local_index(pt.germ).nu_A
+                if computed != declared:
+                    issues.append(
+                        f"point {pt.label}: germ gives nu = {computed}, "
+                        f"declared {declared}"
+                    )
         return issues
 
 
@@ -405,6 +404,14 @@ def _point_index_at(model: SurfaceModel, pt: FixedPointRecord, m: int) -> int:
     raise MissingIndexData(f"point {pt.label} has no index data for n = {m}")
 
 
+def _witness_branch(w: CurveWitness, m: int) -> BranchRecord | None:
+    """The branch of decompose(iterate(w.germ, m)) cut out by the curve's
+    local equation, or None; unclassified, as nu_p needs no parametrization."""
+    target = w.curve_local_equation.normalized()
+    return next((b for b in branches(decompose(iterate(w.germ, m)))
+                 if b.defining_polynomial.normalized() == target), None)
+
+
 def _curve_index_at(model: SurfaceModel, curve: FixedCurveRecord, m: int) -> int:
     """nu_C(f^m) for m a multiple of the curve's prime period."""
     if m % curve.prime_period:
@@ -413,23 +420,20 @@ def _curve_index_at(model: SurfaceModel, curve: FixedCurveRecord, m: int) -> int
         )
     if curve.curve_type == TYPE_II or m == curve.prime_period:
         return curve.nu_C
-    # type I curves have no stability guarantee: recompute from a witness;
-    # nu_p is the multiplicity of the curve's factor in g, so no branch of
-    # the iterate needs a parametrization
+    # type I curves have no stability guarantee: recompute from a witness
     for w in curve.germ_witnesses:
-        dec = decompose(iterate(w.germ, m // curve.prime_period))
-        target = w.curve_local_equation.normalized()
-        for factor, mult in dec.factors:
-            if factor.normalized() == target:
-                return mult
+        branch = _witness_branch(w, m // curve.prime_period)
+        if branch is not None:
+            return branch.nu_p
     raise MissingIndexData(
         f"type I curve {curve.label} needs a germ witness to evaluate at n = {m}"
     )
 
 
 def xi_k(model: SurfaceModel, k: int, evaluate_at: int | None = None) -> int:
-    """Combined contribution of the prime-period-k curves:
-    sum of point indices on those curves plus sum of tau_C * nu_C.
+    """Combined contribution of the prime-period-k curves: the point
+    indices on them plus w_C * nu_C, with w_C = tau_C for a type II curve
+    and chi_C for a type I curve (MissingIndexData when chi_C is absent).
 
     With evaluate_at = n (a multiple of k) the indices are recomputed at
     level n instead of the prime period; index stability for type II data
@@ -443,7 +447,12 @@ def xi_k(model: SurfaceModel, k: int, evaluate_at: int | None = None) -> int:
     for pt in model.points_on_period(k):
         total += _point_index_at(model, pt, n)
     for c in model.curves_of_period(k):
-        total += c.self_intersection * _curve_index_at(model, c, n)
+        weight = (c.self_intersection if c.curve_type == TYPE_II
+                  else c.euler_characteristic)
+        if weight is None:
+            raise MissingIndexData(
+                f"type I curve {c.label} needs an Euler characteristic")
+        total += weight * _curve_index_at(model, c, n)
     return total
 
 
@@ -510,26 +519,10 @@ def saito_residual(model: SurfaceModel, n: int, declared_point_sum) -> Surd:
     formula; zero certifies internal consistency of the model data.
 
     declared_point_sum covers the isolated periodic points of period n;
-    on-curve point indices and both curve terms come from the model."""
+    the curve terms are xi_k at level n for each prime period k | n."""
     L = lefschetz_number(model.action, n)
-    point_sum = Surd.rational(declared_point_sum)
-    curve_sum = Surd.rational(0)
-    for k in model.prime_periods():
-        if n % k:
-            continue
-        for pt in model.points_on_period(k):
-            point_sum = point_sum + _point_index_at(model, pt, n)
-        for c in model.curves_of_period(k):
-            nu = _curve_index_at(model, c, n)
-            if c.curve_type == TYPE_I:
-                if c.euler_characteristic is None:
-                    raise MissingIndexData(
-                        f"type I curve {c.label} needs an Euler characteristic"
-                    )
-                curve_sum = curve_sum + c.euler_characteristic * nu
-            else:
-                curve_sum = curve_sum + c.self_intersection * nu
-    return L - point_sum - curve_sum
+    return L - declared_point_sum - sum(
+        xi_k(model, k, evaluate_at=n) for k in model.prime_periods() if n % k == 0)
 
 
 @dataclass

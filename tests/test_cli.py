@@ -185,13 +185,16 @@ def _degree(**parts):
     _cubic(lambda d: d.update(intersections=[["E0"]])),
     _cubic(lambda d: d["action"].update(traces={"1": {"0": 1, "1,1": 4}})),
     _edited("remark43", lambda d: d["points"][0].update(on_curves="C")),
+    # the recurrence is expanded up to max_n at load time
+    _cubic(lambda d: d["action"].update(max_n=10**9)),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
         "degree_d_5.7", "degree_a_0.1", "degree_a_true",
         "matrix_entry_2.5", "ragged_matrix", "empty_matrix", "base_point_of_one",
         "one_image", "empty_recurrence", "intersection_with_unknown_curve",
-        "intersection_of_one", "trace_key_of_one_index", "on_curves_string"])
+        "intersection_of_one", "trace_key_of_one_index", "on_curves_string",
+        "max_n_above_the_iterate_bound"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -242,6 +245,15 @@ def test_unknown_keys_are_scenario_errors(tmp_path, capsys, doc, key):
     error = json.loads(err)["error"]
     assert error["kind"] == "ScenarioError"
     assert error["message"].endswith(f"has unknown keys: {key}")
+
+
+def test_index_on_a_scenario_without_germs(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"maps": {}}))
+    code, out, err = run_cli(capsys, "index", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"kind": "ScenarioError",
+                                        "message": "scenario has no germs"}
 
 
 def test_comments_and_the_unread_precision_load(tmp_path, capsys):

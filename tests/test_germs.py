@@ -216,11 +216,19 @@ def test_branches_parabola():
 
 
 def test_branches_singular_factor_raises():
+    # branches lists the cusp without a graph coordinate; classifying it,
+    # alone or inside local_index, is refused
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=Y**2 - X**3, h1=ONE, h2=X)
-    with pytest.raises(UnsupportedSingularBranch):
-        branches(dec)
+    cusp = Y**2 - X**3
+    dec = GermDecomposition(g=cusp, h1=ONE, h2=X)
+    (b,) = branches(dec)
+    assert b.param_form is None and b.nu_p == 1
+    with pytest.raises(UnsupportedSingularBranch, match="singular at the origin"):
+        classify_branch(dec, b)
+    germ = MapGerm.from_polynomials(X + cusp, Y + X * cusp)
+    with pytest.raises(UnsupportedSingularBranch, match="singular at the origin"):
+        local_index(germ)
 
 
 # -- classification -----------------------------------------------------------

@@ -128,6 +128,22 @@ def test_dynamical_degree_quadratic_matrix():
     assert dynamical_degree(action_h1([[2, 1], [1, 1]])) == GOLDEN
 
 
+def test_count_computes_the_dynamical_degree_once(monkeypatch):
+    # spectral_radius takes one resultant; the action keeps its result
+    from germindex import surface
+
+    calls = []
+    resultant = surface.resultant_z1
+    monkeypatch.setattr(surface, "resultant_z1",
+                        lambda *a: calls.append(a) or resultant(*a))
+    model = SurfaceModel(points=[], curves=[],
+                         action=action_h1([[2, 1], [1, 1]], growth_constant=5))
+    for n in range(1, 7):
+        assert count_isolated_periodic(model, n).growth is not None
+    assert len(calls) == 1
+    assert dynamical_degree(model.action) == GOLDEN and len(calls) == 1
+
+
 def test_dynamical_degree_identity():
     assert dynamical_degree(action_h1([[1, 0], [0, 1]])) == Surd.rational(1)
 
@@ -242,6 +258,21 @@ def test_xi_stability_under_evaluation_level(cubic_model):
         assert xi_k(cubic_model, 1, evaluate_at=n) == base
 
 
+def test_xi_weights_a_type_one_curve_by_its_euler_characteristic():
+    # remark43's type I line C has tau_C = 1 and chi_C = 2
+    from germindex.scenario import load_fixture
+
+    model = load_fixture("remark43").require_model()
+    assert [xi_k(model, 1, evaluate_at=n) for n in (1, 2, 3)] == [4, 6, 4]
+
+
+def test_xi_needs_the_euler_characteristic_of_a_type_one_curve():
+    model = SurfaceModel(points=[], curves=[FixedCurveRecord("C", 1, "I", 1, 1)],
+                         action=action_h1([[1]]))
+    with pytest.raises(MissingIndexData, match="Euler characteristic"):
+        xi_k(model, 1)
+
+
 def test_count_cubic_first_six(cubic_model):
     expected = [16, 320, 5776, 103680, 1860496, 33385280]
     for n, want in enumerate(expected, start=1):
@@ -275,17 +306,30 @@ def test_type_one_curve_reevaluated_through_witness():
     assert _curve_index_at(model, curve, 1) == 1
 
 
-def test_type_one_curve_index_ignores_singular_factors_of_g():
-    # g of the witness also carries the cusp z1^2 - z2^3, which has no
-    # smooth parametrization; nu_p of the line z1 = 0 needs none
+def _cusp_witness_model():
+    # g of the witness is z1 (z1^2 - z2^3): the line z1 = 0 and a cusp
     from germindex import MapGerm
-    from germindex.surface import CurveWitness, _curve_index_at
+    from germindex.surface import CurveWitness
 
     X, Y = Poly2.variable(1), Poly2.variable(2)
     germ = MapGerm.from_polynomials(X + X * (X**2 - Y**3), Y)
     curve = FixedCurveRecord("C", 1, "I", 1, 0, 2,
                              germ_witnesses=[CurveWitness("o", germ, X)])
-    model = SurfaceModel(points=[], curves=[curve], action=action_h1([[1]]))
+    return SurfaceModel(points=[], curves=[curve], action=action_h1([[1]]))
+
+
+def test_validate_classifies_only_the_witness_branch():
+    # the cusp has no graph coordinate, but validate never classifies it
+    assert _cusp_witness_model().validate() == []
+
+
+def test_type_one_curve_index_ignores_singular_factors_of_g():
+    # the cusp of g has no smooth parametrization; nu_p of the line z1 = 0
+    # needs none
+    from germindex.surface import _curve_index_at
+
+    model = _cusp_witness_model()
+    curve = model.curve("C")
     assert _curve_index_at(model, curve, 2) == 1
     assert _curve_index_at(model, curve, 3) == 1
 
@@ -314,6 +358,22 @@ def test_saito_residual_zero_on_cubic(cubic_model):
 def test_saito_residual_detects_corruption():
     model = build_cubic_model(corrupt_u1=True)
     assert saito_residual(model, 1, 16) == Surd.rational(-1)
+
+
+def test_saito_residual_values_on_the_fixtures():
+    from germindex.scenario import load_fixture
+
+    for name, want in (("remark43", [1, 5, 25]), ("cubic-d4", [16, 320, 5776])):
+        model = load_fixture(name).require_model()
+        assert [saito_residual(model, n, 0) for n in (1, 2, 3)] == want, name
+
+
+def test_saito_residual_is_lefschetz_minus_the_points_and_xi(cubic_model):
+    for n in range(1, 5):
+        xi = sum(xi_k(cubic_model, k, evaluate_at=n)
+                 for k in cubic_model.prime_periods() if n % k == 0)
+        assert saito_residual(cubic_model, n, 7) == (
+            lefschetz_number(cubic_model.action, n) - 7 - xi)
 
 
 def test_saito_residual_empty_model():
