@@ -180,7 +180,7 @@ def cmd_count(args) -> tuple[int, str]:
         "lefschetz": r.lefschetz,
         "xi": r.xi_breakdown,
         "isolated_periodic": r.count_isolated,
-        "algebraically_stable": r.algebraically_stable,
+        "algebraically_stable": model.action.algebraically_stable,
         "growth_ok": None if r.growth is None else r.growth.within_bound,
     } for r in reports]
     if args.format == "json":

@@ -125,7 +125,6 @@ class BranchRecord:
 
     defining_polynomial: Poly2
     nu_p: int
-    param_form: str | None = "over_z1"  # or "over_z2"; None when singular
     branch_type: str | None = None
     mu_p: int | None = None
 
@@ -318,27 +317,15 @@ def delta(dec: GermDecomposition) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _smooth_form(p: Poly2) -> str | None:
-    """The coordinate the branch of p is a graph over: "over_z1" when
-    dp/dz2 (0,0) != 0, else "over_z2"; None for a factor singular at 0."""
-    c10, c01 = p.linear_part()
-    if c01 != 0:
-        return "over_z1"
-    if c10 != 0:
-        return "over_z2"
-    return None
-
-
 def branches(dec: GermDecomposition) -> list[BranchRecord]:
     """Enumerate the height-1 primes through the origin dividing (g).
 
     Each irreducible factor of g vanishing at the origin contributes one
     branch with nu_p its exact multiplicity in g.  No branch needs a
-    parametrization: its record notes only the coordinate it is a graph
-    over, None for a singular factor, which classify_branch refuses.
+    parametrization, so a singular factor is listed too; classify_branch
+    refuses it.
     """
-    out = [BranchRecord(factor, mult, param_form=_smooth_form(factor))
-           for factor, mult in dec.factors]
+    out = [BranchRecord(factor, mult) for factor, mult in dec.factors]
     out.sort(key=lambda b: b.key())
     return out
 
@@ -354,18 +341,19 @@ def classify_branch(dec: GermDecomposition, branch: BranchRecord) -> BranchRecor
     e is a unit multiple of tau_p there, so mu_p = I(p, e).  Type II: in
     coordinates adapted to the branch (w = defining direction, parameter
     along the curve) the order is that of the dw-coefficient of the form,
-    -h1 on (t, phi)-branches and +h2 on (psi, t)-branches, so mu_p =
-    I(p, h1) or I(p, h2).  The type verdict (with h1, h2 coprime) says p
-    does not divide q, so the search ends with the exact mu_p; a
-    decomposition whose cofactors share p raises NotCoprime.  A singular
+    -h1 on a graph (t, phi(t)), where dp/dz2 (0,0) != 0, and +h2 on a graph
+    (psi(t), t), so mu_p = I(p, h1) or I(p, h2).  The type verdict (with h1,
+    h2 coprime) says p does not divide q, so the search ends with the exact
+    mu_p; a decomposition whose cofactors share p raises NotCoprime.  A singular
     branch has no such coordinates and raises UnsupportedSingularBranch.
     """
     p = branch.defining_polynomial
-    if branch.param_form is None:
+    c10, c01 = p.linear_part()
+    if c10 == c01 == 0:
         raise UnsupportedSingularBranch(f"factor {p!r} is singular at the origin")
     e = dec.h1 * p.derivative(1) + dec.h2 * p.derivative(2)
     is_two = p.divides(e)
-    q = e if not is_two else dec.h1 if branch.param_form == "over_z1" else dec.h2
+    q = e if not is_two else dec.h1 if c01 != 0 else dec.h2
     mu = _intersection_number(p, q)
     if mu is None:
         raise NotCoprime(f"the cofactors share the branch factor {p!r}")

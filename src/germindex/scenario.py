@@ -16,7 +16,7 @@ from .errors import ScenarioError
 from .forms import FormGerm
 from .germs import MapGerm
 from .parsing import parse_expression
-from .polys import MAX_ITERATE_N, PolynomialMap
+from .polys import PolynomialMap
 from .surd import Surd
 from .surface import (
     CohomologyAction,
@@ -28,6 +28,7 @@ from .surface import (
     K3Mode,
     SurfaceModel,
     TorusMode,
+    TraceRecurrence,
 )
 
 FIXTURE_NAMES = ("remark42", "remark43", "cubic-d4")
@@ -102,7 +103,7 @@ _MODE_KEYS = {
     "h1trivial": {"matrix"},
     "k3": {"matrix", "hodge_scalar"},
     "torus": {"delta", "epsilon"},
-    "explicit_traces": {"traces", "h11_trace_recurrence", "max_n", "dynamical_degree"},
+    "explicit_traces": {"traces", "h11_trace_recurrence", "dynamical_degree"},
 }
 _RECURRENCE_KEYS = {"coefficients", "initial", "offset"}
 _SURD_KEYS = {"a", "b", "c", "e", "d"}
@@ -167,34 +168,25 @@ def _build_action(data) -> CohomologyAction:
             mode=TorusMode(_surd(data["delta"], "delta"),
                            _surd(data["epsilon"], "epsilon")),
             **kwargs)
-    traces = {}
+    if ("traces" in data) == ("h11_trace_recurrence" in data):
+        raise ScenarioError(
+            "explicit_traces needs one of 'traces' and 'h11_trace_recurrence'")
+    declared = (_surd(data["dynamical_degree"], "dynamical_degree")
+                if "dynamical_degree" in data else None)
     if "traces" in data:
-        for n_str, table in data["traces"].items():
-            traces[int(n_str)] = {
-                tuple(int(x) for x in key.split(",")): _typed(v, int, "a trace")
-                for key, v in table.items()
-            }
-    elif "h11_trace_recurrence" in data:
+        mode = ExplicitTraces({
+            int(n_str): {tuple(int(x) for x in key.split(",")): _typed(v, int, "a trace")
+                         for key, v in table.items()}
+            for n_str, table in data["traces"].items()}, declared_degree=declared)
+    else:
         rec = _known(data["h11_trace_recurrence"], _RECURRENCE_KEYS,
                      "h11_trace_recurrence")
-        coeffs = [_typed(c, int, "a recurrence coefficient")
-                  for c in rec["coefficients"]]
-        seq = [_typed(v, int, "an initial trace") for v in rec["initial"]]
-        offset = _field(rec, "offset", int, 0)
-        max_n = _field(data, "max_n", int, 12)
-        if max_n > MAX_ITERATE_N:
-            raise ScenarioError(f"max_n {max_n} exceeds the bound {MAX_ITERATE_N}")
-        while len(seq) <= max_n:
-            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
-        traces = {n: {(0, 0): 1, (1, 1): seq[n] + offset, (2, 2): 1}
-                  for n in range(1, max_n + 1)}
-    else:
-        raise ScenarioError("explicit_traces needs 'traces' or a recurrence")
-    declared = None
-    if "dynamical_degree" in data:
-        declared = _surd(data["dynamical_degree"], "dynamical_degree")
-    return CohomologyAction(
-        mode=ExplicitTraces(traces, declared_degree=declared), **kwargs)
+        mode = TraceRecurrence(
+            traces=[_typed(v, int, "an initial trace") for v in rec["initial"]],
+            coefficients=[_typed(c, int, "a recurrence coefficient")
+                          for c in rec["coefficients"]],
+            offset=_field(rec, "offset", int, 0), declared_degree=declared)
+    return CohomologyAction(mode=mode, **kwargs)
 
 
 def load_scenario(doc: dict) -> Scenario:

@@ -194,6 +194,27 @@ class ExplicitTraces:
         return self.declared_degree
 
 
+@dataclass(kw_only=True)
+class TraceRecurrence(ExplicitTraces):
+    """H^{1,1} traces t_n + offset from the recurrence t_n = sum_i c_i
+    t_{n-1-i}, so L(f^n) = t_n + offset + 2.  traces holds t_0, t_1, ...
+    as far as computed, and lefschetz(n) extends it to t_n."""
+
+    traces: list[int]
+    coefficients: list[int]
+    offset: int = 0
+
+    def __post_init__(self):
+        if len(self.traces) < len(self.coefficients):
+            raise ValueError("a recurrence needs an initial trace per coefficient")
+
+    def lefschetz(self, n: int) -> Surd:
+        t = self.traces
+        while len(t) <= n:
+            t.append(sum(c * t[-1 - i] for i, c in enumerate(self.coefficients)))
+        return Surd.rational(t[n] + self.offset + 2)
+
+
 @dataclass
 class CohomologyAction:
     mode: H1Trivial | K3Mode | TorusMode | ExplicitTraces
@@ -468,7 +489,6 @@ class CountReport:
     lefschetz: Surd
     xi_breakdown: dict[int, int]
     count_isolated: Surd
-    algebraically_stable: bool
     growth: GrowthVerdict | None = None
 
     def count_as_int(self) -> int:
@@ -509,9 +529,7 @@ def count_isolated_periodic(model: SurfaceModel, n: int) -> CountReport:
     if has_envelope and isinstance(lam, Surd) and lam > 1:
         growth = growth_bounds(model.action, n, count)
     return CountReport(n=n, lefschetz=L, xi_breakdown=breakdown,
-                       count_isolated=count,
-                       algebraically_stable=model.action.algebraically_stable,
-                       growth=growth)
+                       count_isolated=count, growth=growth)
 
 
 def saito_residual(model: SurfaceModel, n: int, declared_point_sum) -> Surd:

@@ -9,10 +9,10 @@ from germindex.surd import Surd
 from germindex.surface import (
     CohomologyAction,
     CurveWitness,
-    ExplicitTraces,
     FixedCurveRecord,
     FixedPointRecord,
     SurfaceModel,
+    TraceRecurrence,
 )
 
 # no property test has a per-example deadline: examples are timed on shared
@@ -44,22 +44,22 @@ def corner_germ(label=None) -> MapGerm:
     return MapGerm.from_polynomials(X + X**3 * Y, Y + X**2 * Y**2, label)
 
 
-def lefschetz_trace_table(max_n: int) -> dict:
+def lefschetz_trace_table(last: int) -> dict:
     """Trace data generated by the integer recurrence a_{n+1} = 18 a_n - a_{n-1},
     a_0 = 2, a_1 = 18; the H^{1,1} trace is a_n + 4 on a rational surface."""
     a = [2, 18]
-    while len(a) <= max_n:
+    while len(a) <= last:
         a.append(18 * a[-1] - a[-2])
-    return {n: {(0, 0): 1, (1, 1): a[n] + 4, (2, 2): 1} for n in range(1, max_n + 1)}
+    return {n: {(0, 0): 1, (1, 1): a[n] + 4, (2, 2): 1} for n in range(1, last + 1)}
 
 
-def build_cubic_model(max_n: int = 8, corrupt_u1: bool = False) -> SurfaceModel:
+def build_cubic_model(corrupt_u1: bool = False) -> SurfaceModel:
     """The resolved-cubic fixture: four type II fixed curves E0..E3 of
     self-intersection -2, crossing points u_i with chart germs, and three
     declared-only points v_i of index 2."""
     action = CohomologyAction(
-        mode=ExplicitTraces(
-            traces=lefschetz_trace_table(max_n),
+        mode=TraceRecurrence(
+            traces=[2, 18], coefficients=[18, -1], offset=4,
             declared_degree=Surd.sqrt_term(5, a=9, b=4),
         ),
         picard_number=7,

@@ -65,6 +65,35 @@ def test_lefschetz_cubic(capsys):
     assert rows == [{"lefschetz": 24, "n": 1}, {"lefschetz": 328, "n": 2}]
 
 
+def test_cubic_lefschetz_and_count_run_to_any_n(capsys):
+    # closed form L(f^n) = a_n + 6, a_0 = 2, a_1 = 18, a_{k+1} = 18 a_k - a_{k-1}
+    a = [2, 18]
+    while len(a) <= 40:
+        a.append(18 * a[-1] - a[-2])
+    expected = [(n, a[n] + 6) for n in range(1, 41)]
+    for sub in ("lefschetz", "count"):
+        code, out, _ = run_cli(capsys, sub, "--fixture", "cubic-d4",
+                               "--n-range", "1..40", "--format", "json")
+        assert code == 0, sub
+        rows = json.loads(out)
+        assert [(r["n"], r["lefschetz"]) for r in rows] == expected
+    assert all(r["growth_ok"] is True for r in rows)
+
+
+def test_a_trace_table_beside_the_recurrence_is_refused(tmp_path, capsys):
+    # neither may win silently: the table would make L(f) = 1001, not 24
+    doc = _cubic(lambda d: d["action"].update(
+        traces={"1": {"0,0": 1, "1,1": 999, "2,2": 1}}))
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "lefschetz", str(path), "--n-range", "1..1")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ScenarioError"
+    assert "'traces'" in error["message"]
+    assert "'h11_trace_recurrence'" in error["message"]
+
+
 def test_validate_cubic_clean(capsys):
     code, out, _ = run_cli(capsys, "validate", "--fixture", "cubic-d4",
                            "--format", "json")
@@ -157,6 +186,14 @@ def _cubic(edit):
     return _edited("cubic-d4", edit)
 
 
+def _traces_instead(table):
+    """cubic-d4 with a trace table in place of its recurrence."""
+    def edit(d):
+        del d["action"]["h11_trace_recurrence"]
+        d["action"]["traces"] = table
+    return _cubic(edit)
+
+
 def _degree(**parts):
     return _cubic(lambda d: d["action"]["dynamical_degree"].update(parts))
 
@@ -181,20 +218,19 @@ def _degree(**parts):
     _cubic(lambda d: d["germs"]["u1"].update(base_point=[0])),
     _cubic(lambda d: d["germs"].update(u1={"images": ["z1"]})),
     _cubic(lambda d: d["action"]["h11_trace_recurrence"].update(initial=[])),
+    _cubic(lambda d: d["action"]["h11_trace_recurrence"].update(initial=[2])),
     _cubic(lambda d: d.update(intersections=[["E0", "nope"]])),
     _cubic(lambda d: d.update(intersections=[["E0"]])),
-    _cubic(lambda d: d["action"].update(traces={"1": {"0": 1, "1,1": 4}})),
+    _traces_instead({"1": {"0": 1, "1,1": 4}}),
     _edited("remark43", lambda d: d["points"][0].update(on_curves="C")),
-    # the recurrence is expanded up to max_n at load time
-    _cubic(lambda d: d["action"].update(max_n=10**9)),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
         "degree_d_5.7", "degree_a_0.1", "degree_a_true",
         "matrix_entry_2.5", "ragged_matrix", "empty_matrix", "base_point_of_one",
-        "one_image", "empty_recurrence", "intersection_with_unknown_curve",
-        "intersection_of_one", "trace_key_of_one_index", "on_curves_string",
-        "max_n_above_the_iterate_bound"])
+        "one_image", "empty_recurrence", "short_recurrence",
+        "intersection_with_unknown_curve", "intersection_of_one",
+        "trace_key_of_one_index", "on_curves_string"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -230,11 +266,13 @@ def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc)
     (_edited("cubic-d4", lambda d: d["points"][0].update(
         isolation={"kind": "conditionally_isolated", "secondary_period": 2})),
      "isolation"),
+    # the recurrence is extended to whatever n is asked for
+    (_edited("cubic-d4", lambda d: d["action"].update(max_n=12)), "max_n"),
 ], ids=["form_z1_valuaton", "document_point", "meta_algebraically_stabel",
         "germ_basepoint", "action_picard", "h1trivial_action_delta",
         "curve_prime_periode", "witness_equation", "point_declared",
         "recurrence_ofset", "surd_f", "isolation_period",
-        "meta_algebraically_stable", "point_isolation"])
+        "meta_algebraically_stable", "point_isolation", "explicit_traces_max_n"])
 def test_unknown_keys_are_scenario_errors(tmp_path, capsys, doc, key):
     # a misspelled field would otherwise silently take its default: the
     # first case loads omega as the holomorphic form

@@ -12,6 +12,7 @@ import pytest
 from germindex import (
     TYPE_I,
     TYPE_II,
+    BranchRecord,
     IdentityGerm,
     MapGerm,
     NonIsolated,
@@ -199,7 +200,9 @@ def test_branches_cubic_corner():
     bz1 = by_key["1*z1"]
     bz2 = by_key["1*z2"]
     assert bz1.nu_p == 2 and bz2.nu_p == 1
-    assert (bz1.param_form, bz2.param_form) == ("over_z2", "over_z1")
+    # z1 = 0 is a graph over z2, z2 = 0 one over z1
+    assert (bz1.defining_polynomial.linear_part(),
+            bz2.defining_polynomial.linear_part()) == ((1, 0), (0, 1))
 
 
 def test_branches_unit_g_empty():
@@ -212,7 +215,7 @@ def test_branches_parabola():
 
     dec = GermDecomposition(g=Y - X**2, h1=ONE, h2=X)
     (b,) = branches(dec)
-    assert b.nu_p == 1 and b.param_form == "over_z1"
+    assert b.nu_p == 1 and b.defining_polynomial.linear_part()[1] != 0
 
 
 def test_branches_singular_factor_raises():
@@ -223,7 +226,7 @@ def test_branches_singular_factor_raises():
     cusp = Y**2 - X**3
     dec = GermDecomposition(g=cusp, h1=ONE, h2=X)
     (b,) = branches(dec)
-    assert b.param_form is None and b.nu_p == 1
+    assert b.defining_polynomial.linear_part() == (0, 0) and b.nu_p == 1
     with pytest.raises(UnsupportedSingularBranch, match="singular at the origin"):
         classify_branch(dec, b)
     germ = MapGerm.from_polynomials(X + cusp, Y + X * cusp)
@@ -260,6 +263,17 @@ def test_classify_refuses_cofactors_sharing_the_branch():
         classify_branch(dec, b)
 
 
+def test_a_branch_record_built_by_hand_classifies_as_the_engine_does():
+    # p = z1 + z2^2 is a graph over z2: mu_p is the order of h2 = 1 + z1
+    # along it, 0, not that of h1 = -2 z2 (1 + z1) + 3p, 1
+    p = X + Y**2
+    dec = decompose(germ(X + p * (-2 * Y * (ONE + X) + 3 * p), Y + p * (ONE + X)))
+    (engine,) = (classify_branch(dec, b) for b in branches(dec))
+    by_hand = classify_branch(dec, BranchRecord(p, 1))
+    assert (by_hand.branch_type, by_hand.mu_p) == (engine.branch_type, engine.mu_p)
+    assert (engine.branch_type, engine.mu_p) == (TYPE_II, 0)
+
+
 def test_classify_shear_branch_type_two_mu_zero():
     # sigma = (z1 + z2, z2): g = z2, h1 = 1, h2 = 0; branch z2 = 0
     dec = decompose(germ(X + Y, Y))
@@ -284,18 +298,18 @@ def test_mu_p_matches_the_resultant_oracle():
         for b in branches(dec):
             done = classify_branch(dec, b)
             p = b.defining_polynomial
+            over_z1 = p.linear_part()[1] != 0  # a graph over z1
             if done.branch_type == TYPE_I:
                 e = dec.h1 * p.derivative(1) + dec.h2 * p.derivative(2)
                 assert done.mu_p == local_multiplicity(p, e), (f, p)
-                types.add((TYPE_I, b.param_form))
+                types.add((TYPE_I, over_z1))
                 continue
-            q, other = (dec.h1, dec.h2) if b.param_form == "over_z1" else (dec.h2, dec.h1)
+            q, other = (dec.h1, dec.h2) if over_z1 else (dec.h2, dec.h1)
             assert done.mu_p == local_multiplicity(p, q), (f, p)
             if not p.divides(other):  # else other vanishes on the branch
                 assert local_multiplicity(p, other) >= done.mu_p
-            types.add((TYPE_II, b.param_form))
-    assert types == {(TYPE_I, "over_z1"), (TYPE_I, "over_z2"),
-                     (TYPE_II, "over_z1"), (TYPE_II, "over_z2")}
+            types.add((TYPE_II, over_z1))
+    assert types == {(TYPE_I, True), (TYPE_I, False), (TYPE_II, True), (TYPE_II, False)}
 
 
 # -- local index --------------------------------------------------------------

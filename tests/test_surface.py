@@ -25,6 +25,7 @@ from germindex.surface import (
     RationalInterval,
     SurfaceModel,
     TorusMode,
+    TraceRecurrence,
     count_isolated_periodic,
     dynamical_degree,
     growth_bounds,
@@ -65,6 +66,21 @@ def test_lefschetz_explicit_traces_cubic():
     model = build_cubic_model()
     assert lefschetz_number(model.action, 1) == Surd.rational(24)
     assert lefschetz_number(model.action, 2) == Surd.rational(328)
+    table = CohomologyAction(mode=ExplicitTraces(lefschetz_trace_table(8)),
+                             picard_number=7, algebraically_stable=True)
+    for n in range(1, 9):
+        assert lefschetz_number(table, n) == lefschetz_number(model.action, n)
+
+
+def test_a_trace_recurrence_extends_on_demand():
+    # t_0 = 2, t_1 = 18, t_{n+1} = 18 t_n - t_{n-1}: L(f^n) = t_n + 4 + 2
+    rec = TraceRecurrence(traces=[2, 18], coefficients=[18, -1], offset=4)
+    act = CohomologyAction(mode=rec, picard_number=7, algebraically_stable=True)
+    assert lefschetz_number(act, 40) == Surd.rational(lefschetz_trace_table(40)[40][1, 1] + 2)
+    assert len(rec.traces) == 41
+    assert lefschetz_number(act, 3) == Surd.rational(5778 + 6) and len(rec.traces) == 41
+    with pytest.raises(ValueError, match="an initial trace per coefficient"):
+        TraceRecurrence(traces=[2], coefficients=[18, -1])
 
 
 def test_lefschetz_requires_as():
