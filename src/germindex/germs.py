@@ -105,7 +105,8 @@ class GermDecomposition:
     origin-vanishing irreducible factors of the image-difference gcd.
     factors lists those factors of g with their multiplicities; decompose
     passes on the ones it has already computed, otherwise g is factored
-    once on construction.
+    once on construction.  _delta keeps I(h1, h2) once it is known: decompose
+    stores the value that certified an iterate's g, and delta its own.
     """
 
     g: Poly2
@@ -113,6 +114,8 @@ class GermDecomposition:
     h2: Poly2
     factors: list[tuple[Poly2, int]] | None = field(default=None, repr=False,
                                                     compare=False)
+    _delta: int | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.factors is None:
@@ -187,8 +190,11 @@ def _split(germ: MapGerm) -> GermDecomposition:
             # out, so g is the curve factor (a unit h_i is the case I = 0)
             try:
                 h1, h2 = d1.exact_div(g), d2.exact_div(g)
-                if _intersection_number(h1, h2) is not None:
-                    return GermDecomposition(g, h1, h2, factors)
+                d = _intersection_number(h1, h2)
+                if d is not None:
+                    dec = GermDecomposition(g, h1, h2, factors)
+                    dec._delta = d
+                    return dec
             except NotDivisible:
                 pass
     factors = _origin_factors(gcd2(d1, d2))
@@ -304,12 +310,15 @@ def delta(dec: GermDecomposition) -> int:
 
     A pair with a common factor through the origin raises NotCoprime: by
     one gcd when the codimension has not stabilized by D = GUARD_DEGREE,
-    else when it has not by the Bezout bound.
+    else when it has not by the Bezout bound.  The value is kept on dec,
+    so it is searched for at most once.
     """
-    d = _intersection_number(dec.h1, dec.h2)
-    if d is None:
-        raise NotCoprime("cofactors share a factor through the origin")
-    return d
+    if dec._delta is None:
+        d = _intersection_number(dec.h1, dec.h2)
+        if d is None:
+            raise NotCoprime("cofactors share a factor through the origin")
+        dec._delta = d
+    return dec._delta
 
 
 # ---------------------------------------------------------------------------

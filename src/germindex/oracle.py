@@ -10,22 +10,26 @@ at points lying on fixed curves, and the determinant form of the torus
 Lefschetz number.  A point is moved to the origin by conjugating the
 global map itself (`polys.PolynomialMap.localized`).
 
-A fixed-point multiplicity is first taken from the jets of the fixed
-system below degree 4 (its terms of total degree at most 3), read from
-the localized map's capped chain of jets (`PolynomialMap.fixed_jets`),
-which never composes the exact f^n.  Finite determinacy certifies the
-answer when it is below 4; otherwise the exact system is composed and
-eliminated.  One order is tried, not a doubling sequence: these jets are
-cheap and certify the small multiplicities that most isolated points
-have, while jets of higher order lose the structure that lets the exact
-system's resultant finish fast, and cost as much as the exact
-elimination or far more.
+A fixed-point multiplicity is first taken from jets of the fixed system,
+read from the localized map's capped chains of jets
+(`PolynomialMap.fixed_jets`), which never compose the exact f^n.  The
+linear parts come first: two independent linear forms generate the
+maximal ideal, so a nonzero 2x2 determinant, det(Df^n - I), certifies a
+transversal point, of multiplicity 1, with no elimination.  Otherwise the
+jets below degree 4 (the terms of total degree at most 3) are
+eliminated, and finite determinacy certifies their answer when it is
+below 4; failing that the exact system is composed and eliminated.  No
+order above 4 is tried: the jets below degree 4 are cheap and certify
+the small multiplicities that most remaining points have, while jets of
+higher order lose the structure that lets the exact system's resultant
+finish fast, and cost as much as the exact elimination or far more.
 
 A scenario's germ at a point is built on that localized map, so for
 scenario germs the oracle reads the chains of the map the engine
-iterates.  Its independence lies in elimination: the z2-order of its own
-resultant, on the jets or on the exact pair, against the engine's
-Nakayama codimension.  `test_localizing_commutes_with_iterating` and
+iterates.  Its independence lies in elimination: the determinant of its
+linear jets, or the z2-order of its own resultant on the jets or on the
+exact pair, against the engine's Nakayama codimension.
+`test_localizing_commutes_with_iterating` and
 `test_fixed_jets_are_the_exact_fixed_system_truncated` keep composition
 cross-checked.  The engine imports nothing from here.
 """
@@ -53,6 +57,8 @@ for _k in range(1, 25):
 # be the terms of P, Q of total degree below N, with multiplicity mu' < N.
 # Then m^N lies in J = (P_N, Q_N), so J = (P, Q) + m^N; hence m^mu' lies in
 # (P, Q) + m * m^mu', and by Nakayama in (P, Q).  So (P, Q) = J and mu = mu'.
+# At N = 2 the jets are linear forms, and mu' = 1 exactly when their
+# determinant is nonzero.
 _JET_ORDER = 4
 
 
@@ -111,10 +117,12 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """Multiplicity of `point` as a solution of f^n(z) = z.
 
     The fixed system of the map localized at the point is eliminated at
-    the origin.  When f fixes the point, its jets below degree _JET_ORDER
-    come first, from the capped chain (`fixed_jets`), and f^n itself is
-    composed only when they certify nothing (a multiplicity of at least
-    _JET_ORDER, or jets that are not isolated or defeat every shear).  A
+    the origin.  When f fixes the point, its jets come first, from the
+    capped chains (`fixed_jets`): the linear parts, whose nonzero
+    determinant certifies the multiplicity 1 with no elimination, then the
+    jets below degree _JET_ORDER; f^n itself is composed only when these
+    certify nothing (a multiplicity of at least _JET_ORDER, or jets that
+    are not isolated or defeat every shear).  A
     point that f moves (periodic of a period dividing n, or not fixed by
     f^n at all, which reports 0) takes the exact system at once.  The
     point must be isolated: a fixed-curve component through it raises
@@ -122,6 +130,9 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """
     local = pmap.localized(point)
     if local.p1.vanishes_at_origin() and local.p2.vanishes_at_origin():
+        (a, b), (c, d) = (p.linear_part() for p in local.fixed_jets(n, 2))
+        if a * d != b * c:
+            return 1
         N = _JET_ORDER
         try:
             mu = local_multiplicity(*local.fixed_jets(n, N))

@@ -507,6 +507,21 @@ def test_an_iterate_fills_its_base_decomposition(monkeypatch):
     assert decompose(f) is f._dec
 
 
+def test_an_iterate_searches_for_its_delta_once(monkeypatch):
+    # the finite I(h1, h2) that certifies the base's type II curves for
+    # f^2 is delta itself: decompose and local_index search for it once,
+    # beside one search for each branch's mu_p
+    import germindex.germs as germs
+
+    f2 = iterate(cubic_corner_map(), 2)
+    calls = count_calls(monkeypatch, germs, "_intersection_number")
+    dec = decompose(f2)
+    rep = local_index(f2)
+    assert [b.branch_type for b in rep.branches] == [TYPE_II, TYPE_II]
+    assert calls.count((dec.h1, dec.h2)) == 1 and rep.delta == 1
+    assert len(calls) == 1 + len(rep.branches)
+
+
 # -- one chain of iterates per germ, reused parametrizations -----------------
 
 

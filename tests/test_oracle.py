@@ -1,5 +1,6 @@
 """Elimination oracle: independent multiplicities, counts, torus numbers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -89,6 +90,9 @@ def henon_maps(draw):
 
 
 @given(henon_maps(), st.integers(1, 3))
+@example(_henon((1, 2), X**2), 1)            # transversal: the linear jets
+# det(Df^2 - I) = 0, and the jets below degree 4 give the multiplicity 3
+@example(_henon((-2, -1), X**2 * 2 + X * Y * 2 + Y**2), 2)
 @example(_henon(ORDER_3, X**2), 3)           # multiplicity 4: the exact system
 @example(_henon(ORDER_2, X**2), 2)           # multiplicity 4
 @example(_henon((2, -1), X**2 - X * Y), 2)  # the diagonal is fixed
@@ -115,12 +119,63 @@ def test_jets_without_a_certificate_fall_back_to_the_exact_system(monkeypatch):
 
 
 def test_fixed_multiplicity_eliminates_only_the_jets(monkeypatch):
-    # remark42's f^6 - id has degree 64; at (-4, -4) its jets below degree 4
-    # certify the multiplicity 1
+    # remark42's f^6 - id has degree 64; at the origin Df^6 - I is singular,
+    # and its jets below degree 4 certify the multiplicity 3
     resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
-    assert fixed_multiplicity(remark42(), (-4, -4), 6) == 1
+    assert fixed_multiplicity(remark42(), (0, 0), 6) == 3
     assert len(resultants) == 1
     assert max(p.total_degree() for p in resultants[0]) <= 3
+
+
+def test_a_transversal_point_is_certified_without_elimination(monkeypatch):
+    # at (-4, -4) det(Df^6 - I) != 0: the linear jets give the multiplicity
+    # 1, with no shear, gcd or resultant and no chain of higher order
+    calls = (count_calls(monkeypatch, germindex.oracle, "resultant_z1"),
+             count_calls(monkeypatch, germindex.oracle, "gcd2"),
+             count_calls(monkeypatch, Poly2, "shear_z2"))
+    m = remark42()
+    assert fixed_multiplicity(m, (-4, -4), 6) == 1
+    assert calls == ([], [], [])
+    assert list(m.localized((-4, -4))._jets) == [2]
+
+
+def test_only_points_with_dependent_linear_jets_are_eliminated(monkeypatch):
+    # Henon-like maps (a z1 + b z2 + q, z1) at the origin and at their second
+    # fixed point (t, t), q(t, t) = (1 - a - b) t: an isolated point with
+    # independent linear jets costs no resultant, one with dependent jets
+    # one resultant on its jets below degree 4, and one more on the exact
+    # system when those certify nothing (a multiplicity of 4 or more)
+    rng = random.Random(5)
+    resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
+    dependent = fallbacks = eliminations = 0
+    for _ in range(12):
+        a, b = rng.randint(-2, 2), rng.choice((-2, -1, 1, 2))
+        q = Poly2.from_terms({e: rng.randint(-2, 2) for e in ((2, 0), (1, 1), (0, 2))})
+        c = q.evaluate(1, 1)
+        points = [(0, 0)]
+        if c and a + b != 1:
+            points.append((Fraction(1 - a - b) / c,) * 2)
+        for point, n in itertools.product(points, (1, 2, 3)):
+            pmap = _henon((a, b), q)
+            local = pmap.localized(point)
+            (p, r), (s, t) = (P.linear_part() for P in local.fixed_jets(n, 2))
+            before = len(resultants)
+            try:
+                mu = fixed_multiplicity(pmap, point, n)
+            except NonIsolated:
+                assert p * t == r * s
+                with pytest.raises(NonIsolated):
+                    local_multiplicity(*local.fixed_system(n))
+                continue
+            eliminations += len(resultants) - before
+            if p * t == r * s:
+                dependent += 1
+                fallbacks += mu >= 4
+            else:
+                assert len(resultants) == before and mu == 1, (a, b, q, point, n)
+            assert local_multiplicity(*local.fixed_system(n)) == mu, (a, b, q, point, n)
+    assert dependent > fallbacks > 0
+    assert eliminations == dependent + fallbacks
 
 
 def test_line_test_certificate_decides_without_a_ring_gcd(monkeypatch):
@@ -302,7 +357,8 @@ def test_scenario_germs_and_the_oracle_share_one_chain(monkeypatch):
 
 def test_deep_iterates_of_remark42_from_the_jet_chain():
     # f^20 has degree 2^20, far above the bound on composed iterates; the
-    # jets below degree 4 certify every answer
+    # jets certify every answer: the linear ones where Df^n - I is
+    # invertible, those below degree 4 at the origin at even n
     m = remark42()
     ns = (20, 40, 41, 100)
     assert [fixed_multiplicity(m, (0, 0), n) for n in ns] == [3, 3, 1, 3]
