@@ -132,12 +132,10 @@ def cmd_index(args) -> tuple[int, str]:
 
 def cmd_classify(args) -> tuple[int, str]:
     scn = _load(args)
-    labels = [args.germ] if args.germ else sorted(scn.germs)
+    picked = [_pick_germ(scn, args.germ)] if args.germ else sorted(scn.germs.items())
     rows = []
-    for label in labels:
-        if label not in scn.germs:
-            raise ScenarioError(f"unknown germ {label!r}")
-        dec = decompose(scn.germs[label])
+    for label, germ in picked:
+        dec = decompose(germ)
         rows += [{"germ": label, **jsonable(classify_branch(dec, b))}
                  for b in branches(dec)]
     curve_rows = []
@@ -181,7 +179,7 @@ def cmd_count(args) -> tuple[int, str]:
         "xi": r.xi_breakdown,
         "isolated_periodic": r.count_isolated,
         "algebraically_stable": model.action.algebraically_stable,
-        "growth_ok": None if r.growth is None else r.growth.within_bound,
+        "growth_ok": r.growth,
     } for r in reports]
     if args.format == "json":
         return 0, emit_json(rows)
@@ -222,23 +220,19 @@ def cmd_verify(args) -> tuple[int, str]:
             f"n = {MAX_ITERATE_N}")
     scn = _load(args)
     checks = []
-    for label in sorted(scn.germs):
-        origin = scn.germ_origins.get(label)
-        if origin is None or origin.map_label is None:
-            continue
-        pmap = scn.maps[origin.map_label]
-        point = origin.base_point
-        germ = scn.germs[label]
+    # each germ holds its map moved to the germ's point (a map germ's is the
+    # scenario map localized there), so the oracle reads it at the origin
+    for label, germ in sorted(scn.germs.items()):
         for n in range(1, n_max + 1):
             report = local_index(iterate(germ, n))
             if report.branches:
                 check = "index_positivity"
-                oracle = fixed_index_positive(pmap, point, n)
+                oracle = fixed_index_positive(germ.map, (0, 0), n)
                 agree = oracle == (report.nu_A > 0)
             else:
                 check = "multiplicity"
                 try:
-                    oracle = fixed_multiplicity(pmap, point, n)
+                    oracle = fixed_multiplicity(germ.map, (0, 0), n)
                     agree = oracle == report.nu_A
                 except NonIsolated:
                     oracle, agree = "non-isolated", False

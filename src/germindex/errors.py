@@ -18,12 +18,10 @@ class NotDivisible(GermIndexError):
 class PrecisionExhausted(GermIndexError):
     """An exact verdict is out of reach: polys.square_part cannot certify
     that a large discriminant factor is squarefree without factoring it,
-    surface.growth_bounds meets a dynamical degree that is known only to an
-    interval, not as an exact surd, PolynomialMap.iterate would compose
-    an iterate above the degree bound polys.MAX_ITERATE_DEGREE or for an n
-    above polys.MAX_ITERATE_N (a CLI range or --n-max ending above it is
-    refused up front), or a report holds an integer with more digits than
-    Python writes as text."""
+    PolynomialMap.iterate would compose an iterate above the degree bound
+    polys.MAX_ITERATE_DEGREE or for an n above polys.MAX_ITERATE_N (a CLI
+    range or --n-max ending above it is refused up front), or a report
+    holds an integer with more digits than Python writes as text."""
 
 
 class IdentityGerm(GermIndexError):

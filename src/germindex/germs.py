@@ -64,20 +64,18 @@ class MapGerm:
     it at most once.
     """
 
-    __slots__ = ("map", "source_point_label", "base", "_dec")
+    __slots__ = ("map", "base", "_dec")
 
-    def __init__(self, pmap: PolynomialMap, source_point_label: str | None = None):
+    def __init__(self, pmap: PolynomialMap):
         self.map = pmap
-        self.source_point_label = source_point_label
         self.base: MapGerm | None = None
         self._dec: GermDecomposition | None = None
 
     @classmethod
-    def from_polynomials(cls, p1: Poly2, p2: Poly2,
-                         label: str | None = None) -> "MapGerm":
+    def from_polynomials(cls, p1: Poly2, p2: Poly2) -> "MapGerm":
         if p1.constant_term() != 0 or p2.constant_term() != 0:
             raise ValueError("germ must fix the origin")
-        return cls(PolynomialMap(p1, p2), source_point_label=label)
+        return cls(PolynomialMap(p1, p2))
 
     @property
     def poly1(self) -> Poly2:
@@ -93,8 +91,7 @@ class MapGerm:
         return self.poly1 == other.poly1 and self.poly2 == other.poly2
 
     def __repr__(self):
-        tag = f" at {self.source_point_label}" if self.source_point_label else ""
-        return f"MapGerm({self.poly1!r}, {self.poly2!r}){tag}"
+        return f"MapGerm({self.poly1!r}, {self.poly2!r})"
 
 
 @dataclass
@@ -103,23 +100,17 @@ class GermDecomposition:
 
     g, h1 and h2 are exact polynomials; g is the product of the
     origin-vanishing irreducible factors of the image-difference gcd.
-    factors lists those factors of g with their multiplicities; decompose
-    passes on the ones it has already computed, otherwise g is factored
-    once on construction.  _delta keeps I(h1, h2) once it is known: decompose
-    stores the value that certified an iterate's g, and delta its own.
+    factors lists those factors of g with their multiplicities.  _delta
+    keeps I(h1, h2) once it is known: decompose stores the value that
+    certified an iterate's g, and delta its own.
     """
 
     g: Poly2
     h1: Poly2
     h2: Poly2
-    factors: list[tuple[Poly2, int]] | None = field(default=None, repr=False,
-                                                    compare=False)
+    factors: list[tuple[Poly2, int]] = field(repr=False, compare=False)
     _delta: int | None = field(default=None, init=False, repr=False,
                                compare=False)
-
-    def __post_init__(self):
-        if self.factors is None:
-            self.factors = _origin_factors(self.g)
 
 
 @dataclass
@@ -404,6 +395,6 @@ def iterate(germ: MapGerm, n: int) -> MapGerm:
     germ as its base, for decompose."""
     if n == 1:
         return germ
-    out = MapGerm(germ.map.iterate(n), source_point_label=germ.source_point_label)
+    out = MapGerm(germ.map.iterate(n))
     out.base = germ
     return out

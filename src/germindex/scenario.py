@@ -36,17 +36,17 @@ FIXTURE_NAMES = ("remark42", "remark43", "cubic-d4")
 
 @dataclass
 class GermOrigin:
-    """Where a germ came from: a global map localized at a fixed point."""
+    """Where a map germ came from: a global map localized at a fixed point."""
 
-    map_label: str | None
-    base_point: tuple[Fraction, Fraction] | None
+    map_label: str
+    base_point: tuple[Fraction, Fraction]
 
 
 @dataclass
 class Scenario:
     maps: dict[str, PolynomialMap]
     germs: dict[str, MapGerm]
-    germ_origins: dict[str, GermOrigin]
+    germ_origins: dict[str, GermOrigin]   # the map germs only
     forms: dict[str, FormGerm]
     model: SurfaceModel | None
     intersections: list[tuple[str, str]] = field(default_factory=list)
@@ -135,14 +135,14 @@ def _int_matrix(rows) -> list[list[int]]:
     return [[_typed(x, int, "a matrix entry") for x in row] for row in rows]
 
 
-def localized_germ(pmap: PolynomialMap, point, label: str | None = None) -> MapGerm:
+def localized_germ(pmap: PolynomialMap, point) -> MapGerm:
     """Chart germ of a global map at a fixed rational point, built on the
     map conjugated to the point, whose chain the oracle reads too."""
     a, b = _rat(point[0]), _rat(point[1])
     local = pmap.localized((a, b))
     if not (local.p1.vanishes_at_origin() and local.p2.vanishes_at_origin()):
         raise ScenarioError(f"point ({a}, {b}) is not fixed by the map")
-    return MapGerm(local, source_point_label=label)
+    return MapGerm(local)
 
 
 def _build_action(data) -> CohomologyAction:
@@ -221,14 +221,13 @@ def _build_scenario(doc: dict) -> Scenario:
                 raise ScenarioError(f"germ {label!r} references unknown map "
                                     f"{map_label!r}")
             point = spec.get("base_point", [0, 0])
-            germs[label] = localized_germ(maps[map_label], point, label)
+            germs[label] = localized_germ(maps[map_label], point)
             origins[label] = GermOrigin(map_label,
                                         (_rat(point[0]), _rat(point[1])))
         elif "images" in spec:
             p1 = parse_expression(spec["images"][0])
             p2 = parse_expression(spec["images"][1])
-            germs[label] = MapGerm.from_polynomials(p1, p2, label)
-            origins[label] = GermOrigin(None, None)
+            germs[label] = MapGerm.from_polynomials(p1, p2)
         else:
             raise ScenarioError(f"germ {label!r} needs 'map' or 'images'")
 

@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    MissingIndexData,
-    NotAlgebraicallyStable,
-    PrecisionExhausted,
-    TypeICurvePresent,
-)
+from .errors import MissingIndexData, NotAlgebraicallyStable, TypeICurvePresent
 from .germs import (
     TYPE_I,
     TYPE_II,
@@ -292,9 +287,14 @@ def spectral_radius(M) -> Surd | RationalInterval:
     products lambda_i*lambda_j of its roots.  Every real one is at most
     rho^2, and rho^2 is one of them (lambda^2 for a real dominant root,
     lambda*conj(lambda) for a complex one), so rho is the largest real
-    root of q(t^2), found by one real-root isolation.  The output is a Surd when the irreducible factor of q(t^2)
-    that holds rho has degree at most two, and otherwise an isolating
-    interval on that factor.
+    root of q(t^2), found by one real-root isolation.  The output is a
+    Surd when the irreducible factor of q(t^2) that holds rho has degree
+    at most two, and otherwise an isolating interval on that factor.
+
+    That factor is rho's minimal polynomial.  Every root of p(x) and of
+    p(-x) is a root of q(t^2), so when rho or -rho is an eigenvalue it is
+    a factor of p(x) or p(-x), of degree at most d, and q(t^2), of degree
+    2d^2, is factored only for a rho reached by complex eigenvalues alone.
     """
     p = charpoly(M)
     d = p.total_degree()
@@ -306,8 +306,10 @@ def spectral_radius(M) -> Surd | RationalInterval:
     if lo == hi:
         return Surd.rational(lo)
     # rho is the only root of q(t^2) in (lo, hi), and a simple root of its
-    # irreducible factor, which is the one factor that changes sign there
-    f = next(f for f, _ in factor_list2(q_t2)[1]
+    # irreducible factor, which is the one factor of p(x), p(-x) or, failing
+    # those, q(t^2) that changes sign there
+    p_minus = Poly2({(k, 0): (-1) ** k * c for (k, _), c in p.coeff.items()})
+    f = next(f for h in (p, p_minus, q_t2) for f, _ in factor_list2(h)[1]
              if f.evaluate(lo, 0) * f.evaluate(hi, 0) < 0)
     c0, c1, c2 = (f[(k, 0)] for k in range(3))
     if f.total_degree() == 1:
@@ -478,18 +480,12 @@ def xi_k(model: SurfaceModel, k: int, evaluate_at: int | None = None) -> int:
 
 
 @dataclass
-class GrowthVerdict:
-    within_bound: bool
-    branch: str           # "torus" or "constant"
-
-
-@dataclass
 class CountReport:
     n: int
     lefschetz: Surd
     xi_breakdown: dict[int, int]
     count_isolated: Surd
-    growth: GrowthVerdict | None = None
+    growth: bool | None = None
 
     def count_as_int(self) -> int:
         if not self.count_isolated.is_rational():
@@ -504,32 +500,21 @@ def count_isolated_periodic(model: SurfaceModel, n: int) -> CountReport:
     """#Per_n^i = L(f^n) - sum of xi_k over prime periods k dividing n.
 
     Refuses models with a type I periodic curve (the identity behind the
-    count needs every periodic curve to be type II) and models without the
-    AS assertion.  growth is None unless the dynamical degree is an exact
-    lambda > 1 and the action has a growth envelope (a torus, or a declared
-    growth_constant)."""
+    count needs every periodic curve to be type II), and, through
+    lefschetz_number, models without the AS assertion.  growth is the
+    verdict of growth_bounds."""
     for c in model.curves:
         if c.curve_type == TYPE_I:
             raise TypeICurvePresent(
                 f"curve {c.label} is of type I; the counting identity does not apply"
             )
-    if not model.action.algebraically_stable:
-        raise NotAlgebraicallyStable("counting needs the AS assertion")
     L = lefschetz_number(model.action, n)
     breakdown = {k: xi_k(model, k) for k in sorted(model.prime_periods())
                  if n % k == 0}
     count = L - sum(breakdown.values())
-    growth = None
-    try:
-        lam = dynamical_degree(model.action)
-    except MissingIndexData:
-        lam = None
-    has_envelope = (isinstance(model.action.mode, TorusMode)
-                    or model.action.growth_constant is not None)
-    if has_envelope and isinstance(lam, Surd) and lam > 1:
-        growth = growth_bounds(model.action, n, count)
     return CountReport(n=n, lefschetz=L, xi_breakdown=breakdown,
-                       count_isolated=count, growth=growth)
+                       count_isolated=count,
+                       growth=growth_bounds(model.action, n, count))
 
 
 def saito_residual(model: SurfaceModel, n: int, declared_point_sum) -> Surd:
@@ -648,27 +633,27 @@ def validate_periodic_inventory(model: SurfaceModel,
     return out
 
 
-def growth_bounds(action: CohomologyAction, n: int, count) -> GrowthVerdict:
-    """Check |count - lambda^n| against the mode's growth envelope.
+def growth_bounds(action: CohomologyAction, n: int, count) -> bool | None:
+    """Whether |count - lambda^n| lies within the action's growth envelope.
 
-    Torus/Abelian branch: strict bound 4*lambda^(n/2) + B with B = 11.
-    Other modes: the constant bound B declared on the action."""
-    lam = dynamical_degree(action)
-    if not isinstance(lam, Surd):
-        raise PrecisionExhausted(
-            "growth bounds need an exact dynamical degree"
-        )
-    if not lam > 1:
-        raise ValueError("growth bounds require dynamical degree above one")
+    Torus/Abelian: strict bound 4*lambda^(n/2) + B with B = 11.
+    Other modes: the constant bound B declared as growth_constant.
+    None when there is no verdict: the action has no envelope (it is not a
+    torus and declares no growth_constant), or its dynamical degree lambda
+    is missing, known only to an interval, or not above one."""
+    torus = isinstance(action.mode, TorusMode)
+    if not torus and action.growth_constant is None:
+        return None
+    try:
+        lam = dynamical_degree(action)
+    except MissingIndexData:
+        return None
+    if not (isinstance(lam, Surd) and lam > 1):
+        return None
     count = count if isinstance(count, Surd) else Surd.rational(count)
     gap = abs(count - lam**n)
-    if isinstance(action.mode, TorusMode):
+    if torus:
         B = Surd.rational(11)
         # gap - B < 4 lambda^(n/2)  <=>  (gap - B)^2 < 16 lambda^n
-        ok = gap <= B or (gap - B) ** 2 < Surd.rational(16) * lam**n
-        return GrowthVerdict(ok, "torus")
-    B = action.growth_constant
-    if B is None:
-        raise ValueError("non-torus growth check needs a declared constant")
-    ok = gap <= Surd.rational(B)
-    return GrowthVerdict(ok, "constant")
+        return gap <= B or (gap - B) ** 2 < Surd.rational(16) * lam**n
+    return gap <= Surd.rational(action.growth_constant)

@@ -38,10 +38,10 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def corner_germ(label=None) -> MapGerm:
+def corner_germ() -> MapGerm:
     """Chart germ at a crossing of the two exceptional curves:
     (z1 + z1^3 z2, z2 + z1^2 z2^2)."""
-    return MapGerm.from_polynomials(X + X**3 * Y, Y + X**2 * Y**2, label)
+    return MapGerm.from_polynomials(X + X**3 * Y, Y + X**2 * Y**2)
 
 
 def lefschetz_trace_table(last: int) -> dict:
@@ -69,13 +69,13 @@ def build_cubic_model(corrupt_u1: bool = False) -> SurfaceModel:
     )
     curves = [
         FixedCurveRecord("E0", 1, "II", 2, -2, 2,
-                         germ_witnesses=[CurveWitness("u1", corner_germ("u1"), X)]),
+                         germ_witnesses=[CurveWitness("u1", corner_germ(), X)]),
         FixedCurveRecord("E1", 1, "II", 1, -2, 2,
-                         germ_witnesses=[CurveWitness("u1", corner_germ("u1"), Y)]),
+                         germ_witnesses=[CurveWitness("u1", corner_germ(), Y)]),
         FixedCurveRecord("E2", 1, "II", 1, -2, 2,
-                         germ_witnesses=[CurveWitness("u2", corner_germ("u2"), Y)]),
+                         germ_witnesses=[CurveWitness("u2", corner_germ(), Y)]),
         FixedCurveRecord("E3", 1, "II", 1, -2, 2,
-                         germ_witnesses=[CurveWitness("u3", corner_germ("u3"), Y)]),
+                         germ_witnesses=[CurveWitness("u3", corner_germ(), Y)]),
     ]
     points = []
     for i in (1, 2, 3):
@@ -85,7 +85,7 @@ def build_cubic_model(corrupt_u1: bool = False) -> SurfaceModel:
                 on_curves=["E0", "E1"]))
         else:
             points.append(FixedPointRecord(
-                f"u{i}", 1, germ=corner_germ(f"u{i}"),
+                f"u{i}", 1, germ=corner_germ(),
                 on_curves=["E0", f"E{i}"]))
     for i in (1, 2, 3):
         points.append(FixedPointRecord(

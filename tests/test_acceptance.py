@@ -236,7 +236,7 @@ def test_criterion_09_delta_cross_validation():
     rng = random.Random(20260812)
     for _ in range(100):
         h1, h2 = coprime_cofactor_pair(rng)
-        dec = GermDecomposition(g=ONE, h1=h1, h2=h2)
+        dec = GermDecomposition(g=ONE, h1=h1, h2=h2, factors=[])
         assert delta(dec) == local_multiplicity(h1, h2), (h1, h2)
     _report("9: delta agrees with the elimination route on 100 pairs "
             "... PASS")
@@ -274,7 +274,7 @@ def test_criterion_10_torus_lefschetz_and_growth():
                 assert L == torus_lefschetz_oracle(
                     delta_val, eps * delta_val.inverse(), n), (delta_val, eps, n)
                 if lam > 1:
-                    assert growth_bounds(act, n, L).within_bound, (delta_val, eps, n)
+                    assert growth_bounds(act, n, L) is True, (delta_val, eps, n)
             samples += 1
     assert samples >= 20
     _report(f"10: torus Lefschetz equals oracle on {samples} samples, "

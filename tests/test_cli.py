@@ -309,9 +309,16 @@ def test_comments_and_the_unread_precision_load(tmp_path, capsys):
 
 @pytest.mark.parametrize("action", [{}, {"mode": "k3", "hodge_scalar": -1}],
                          ids=["h1trivial", "k3"])
-def test_count_without_a_growth_envelope_reports_null(tmp_path, capsys, action):
+def test_count_without_a_growth_envelope_reports_null(tmp_path, capsys,
+                                                     monkeypatch, action):
     # lambda = 3 > 1, but only a torus or a declared growth_constant gives
-    # an envelope to check the count against
+    # an envelope to check the count against, so lambda is not computed
+    from germindex import surface
+
+    def no_radius(matrix):
+        raise AssertionError("count computed a dynamical degree")
+
+    monkeypatch.setattr(surface, "spectral_radius", no_radius)
     doc = fixture_document("remark43")
     del doc["curves"], doc["points"]
     doc["action"].update(action)
@@ -408,6 +415,34 @@ def test_a_value_too_long_to_print_exits_1(tmp_path, capsys, fmt):
                              "--n-range", "1000..1000", "--format", fmt)
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["kind"] == "PrecisionExhausted"
+
+
+def test_verify_checks_germs_given_by_images(tmp_path, capsys):
+    # an isolated Henon-like point and the crossing of two fixed curves
+    doc = {"germs": {"henon": {"images": ["-2*z1 - z1^2 - z2", "z1"]},
+                     "corner": {"images": ["z1 + z1^3*z2", "z2 + z1^2*z2^2"]}}}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path), "--n-max", "2",
+                           "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert [(c["germ"], c["n"], c["check"], c["agree"]) for c in data["checks"]] == [
+        ("corner", 1, "index_positivity", True),
+        ("corner", 2, "index_positivity", True),
+        ("henon", 1, "multiplicity", True),
+        ("henon", 2, "multiplicity", True),
+    ]
+    assert data["all_agree"] is True
+
+
+def test_classify_an_unknown_germ_names_the_available_ones(capsys):
+    code, out, err = run_cli(capsys, "classify", "--fixture", "remark43",
+                             "--germ", "nope")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "ScenarioError",
+        "message": "unknown germ 'nope'; available: minus_two, origin"}
 
 
 def test_verify_remark42_agrees_at_n_7(capsys):

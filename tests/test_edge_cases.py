@@ -29,7 +29,7 @@ ONE = Poly2.constant(1)
 
 def test_delta_resultant_other_zero_on_initial_line():
     # common zeros (0,0) and (1,0) share the z2 = 0 line until sheared away
-    dec = GermDecomposition(g=ONE, h1=Y, h2=X * (X - 1))
+    dec = GermDecomposition(g=ONE, h1=Y, h2=X * (X - 1), factors=[])
     assert delta(dec) == 1
     assert local_multiplicity(dec.h1, dec.h2) == 1
 
@@ -40,7 +40,7 @@ def test_delta_resultant_shears_collide_with_conjugate_zeros():
     # rejected by the line-isolation certificate
     h1 = X * (Y + 1)
     h2 = Y + X**2
-    dec = GermDecomposition(g=ONE, h1=h1, h2=h2)
+    dec = GermDecomposition(g=ONE, h1=h1, h2=h2, factors=[])
     assert delta(dec) == 1
     assert local_multiplicity(dec.h1, dec.h2) == 1
 
@@ -54,7 +54,7 @@ def test_delta_tangential_intersections():
         (X**2, Y**2, 4),
     ]
     for h1, h2, want in cases:
-        dec = GermDecomposition(g=ONE, h1=h1, h2=h2)
+        dec = GermDecomposition(g=ONE, h1=h1, h2=h2, factors=[])
         assert delta(dec) == want, (h1, h2)
         assert local_multiplicity(dec.h1, dec.h2) == want, (h1, h2)
 

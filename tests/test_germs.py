@@ -111,7 +111,7 @@ def test_delta_maximal_ideal():
     # direct construction instead:
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=X, h2=Y)
+    dec = GermDecomposition(g=ONE, h1=X, h2=Y, factors=[])
     assert delta(dec) == 1
     assert local_multiplicity(dec.h1, dec.h2) == 1
 
@@ -125,7 +125,7 @@ def test_delta_remark42():
 def test_delta_z1sq_z2():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=X**2, h2=Y)
+    dec = GermDecomposition(g=ONE, h1=X**2, h2=Y, factors=[])
     assert delta(dec) == 2
     assert local_multiplicity(dec.h1, dec.h2) == 2
 
@@ -133,7 +133,7 @@ def test_delta_z1sq_z2():
 def test_delta_substitution_case():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=X**2 + Y, h2=X)
+    dec = GermDecomposition(g=ONE, h1=X**2 + Y, h2=X, factors=[])
     assert delta(dec) == 1
     assert local_multiplicity(dec.h1, dec.h2) == 1
 
@@ -141,7 +141,7 @@ def test_delta_substitution_case():
 def test_delta_not_coprime():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=X * Y, h2=X * (ONE + Y))
+    dec = GermDecomposition(g=ONE, h1=X * Y, h2=X * (ONE + Y), factors=[])
     with pytest.raises(NotCoprime):
         delta(dec)
     with pytest.raises(NonIsolated):
@@ -176,7 +176,7 @@ def test_delta_resultant_divides_out_a_common_unit():
     # it out first
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=ONE, h1=Y * (Y + 1), h2=X * (Y + 1))
+    dec = GermDecomposition(g=ONE, h1=Y * (Y + 1), h2=X * (Y + 1), factors=[])
     assert delta(dec) == 1
     assert local_multiplicity(dec.h1, dec.h2) == 1
 
@@ -184,7 +184,7 @@ def test_delta_resultant_divides_out_a_common_unit():
 def test_delta_unit_ideal_is_zero():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=X, h1=Poly2.zero(), h2=ONE + Y)
+    dec = GermDecomposition(g=X, h1=Poly2.zero(), h2=ONE + Y, factors=[(X, 1)])
     assert delta(dec) == 0
     assert local_multiplicity(dec.h1, dec.h2) == 0
 
@@ -213,7 +213,7 @@ def test_branches_unit_g_empty():
 def test_branches_parabola():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=Y - X**2, h1=ONE, h2=X)
+    dec = GermDecomposition(g=Y - X**2, h1=ONE, h2=X, factors=[(Y - X**2, 1)])
     (b,) = branches(dec)
     assert b.nu_p == 1 and b.defining_polynomial.linear_part()[1] != 0
 
@@ -224,7 +224,7 @@ def test_branches_singular_factor_raises():
     from germindex.germs import GermDecomposition
 
     cusp = Y**2 - X**3
-    dec = GermDecomposition(g=cusp, h1=ONE, h2=X)
+    dec = GermDecomposition(g=cusp, h1=ONE, h2=X, factors=[(cusp, 1)])
     (b,) = branches(dec)
     assert b.defining_polynomial.linear_part() == (0, 0) and b.nu_p == 1
     with pytest.raises(UnsupportedSingularBranch, match="singular at the origin"):
@@ -257,7 +257,7 @@ def test_classify_refuses_cofactors_sharing_the_branch():
     # h1 and h2 share the branch z1 = 0: no finite order along it
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=X, h1=X, h2=X * Y)
+    dec = GermDecomposition(g=X, h1=X, h2=X * Y, factors=[(X, 1)])
     (b,) = branches(dec)
     with pytest.raises(NotCoprime):
         classify_branch(dec, b)
@@ -415,8 +415,6 @@ def test_polynomial_germs_compare_exactly():
     with pytest.raises(IdentityGerm):
         local_index(identity)
     assert f == germ(X + Y**20, Y)
-    labelled = MapGerm.from_polynomials(X + Y**20, Y, "pt")
-    assert repr(labelled) == "MapGerm(1*z1 + 1*z2^20, 1*z2) at pt"
 
 
 # -- iterates decomposed by their base's curve factor ---------------------------

@@ -202,7 +202,7 @@ def test_local_multiplicity_matches_delta(system):
     """The elimination oracle and truncated linear algebra agree on every
     pair, and find a common component through the origin together."""
     P, Q = system
-    dec = GermDecomposition(g=Poly2.constant(1), h1=P, h2=Q)
+    dec = GermDecomposition(g=Poly2.constant(1), h1=P, h2=Q, factors=[])
     try:
         want = delta(dec)
     except NotCoprime:

@@ -237,6 +237,23 @@ def test_spectral_radius_of_tied_real_roots():
     assert lo <= math.sqrt(2) + math.sqrt(3) <= hi and hi - lo < 1e-9
 
 
+def test_a_real_dominant_root_is_found_among_the_factors_of_p(monkeypatch):
+    # companion matrix of x^12 - 2x^11 - 1, whose dominant root is real:
+    # rho's minimal polynomial is a factor of p, so q(t^2), of degree
+    # 2 * 12^2, is never factored
+    from germindex import surface
+
+    degrees = []
+    factor = surface.factor_list2
+    monkeypatch.setattr(surface, "factor_list2",
+                        lambda p: degrees.append(p.total_degree()) or factor(p))
+    M = [[int(i == j + 1) for j in range(11)] + [0] for i in range(12)]
+    M[0][11], M[11][11] = 1, 2
+    lo, hi = _radius_enclosure(spectral_radius(M))
+    assert lo - 1e-9 <= _numeric_radius(M) <= hi + 1e-9
+    assert degrees and max(degrees) <= 12
+
+
 def test_spectral_radius_matches_numeric_roots():
     rng = random.Random(7)
     for _ in range(25):
@@ -295,8 +312,7 @@ def test_count_cubic_first_six(cubic_model):
         rep = count_isolated_periodic(cubic_model, n)
         assert rep.count_as_int() == want
         assert rep.xi_breakdown == {1: 8}
-        if rep.growth is not None:
-            assert rep.growth.within_bound
+        assert rep.growth is True
 
 
 def test_count_identity_enforced(cubic_model):
@@ -509,8 +525,7 @@ def test_validator_divisibility_case():
 def test_growth_bound_constant_branch(cubic_model):
     for n in range(1, 7):
         rep = count_isolated_periodic(cubic_model, n)
-        verdict = growth_bounds(cubic_model.action, n, rep.count_isolated)
-        assert verdict.within_bound and verdict.branch == "constant"
+        assert growth_bounds(cubic_model.action, n, rep.count_isolated) is True
 
 
 def test_growth_bound_torus_branch():
@@ -518,13 +533,15 @@ def test_growth_bound_torus_branch():
                            picard_number=4, algebraically_stable=True)
     for n in range(1, 7):
         L = lefschetz_number(act, n)
-        verdict = growth_bounds(act, n, L)
-        assert verdict.within_bound and verdict.branch == "torus"
+        assert growth_bounds(act, n, L) is True
 
 
-def test_growth_bound_requires_lambda_above_one():
-    with pytest.raises(ValueError):
-        growth_bounds(action_h1([[1]], growth_constant=5), 3, 2)
+def test_growth_bounds_gives_no_verdict_without_an_envelope_or_exact_lambda():
+    assert growth_bounds(action_h1([[1]], growth_constant=5), 3, 2) is None
+    assert growth_bounds(action_h1([[2, 1], [1, 1]]), 3, 2) is None
+    interval = action_h1(PLASTIC, growth_constant=5)
+    assert isinstance(dynamical_degree(interval), RationalInterval)
+    assert growth_bounds(interval, 3, 2) is None
 
 
 # -- witness validation -----------------------------------------------------------
