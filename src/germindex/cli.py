@@ -93,28 +93,33 @@ def _pick_germ(scn: Scenario, label: str | None):
                         if scn.germs else "scenario has no germs")
 
 
+def _iterate_n(value: int, what: str) -> int:
+    """An iterate count given on the command line, refused outside
+    1..MAX_ITERATE_N before anything is loaded or computed."""
+    if value < 1:
+        raise ScenarioError(f"{what} {value} must be 1 or more")
+    if value > MAX_ITERATE_N:
+        raise PrecisionExhausted(
+            f"{what} {value} is out of reach: iterates are composed up to "
+            f"n = {MAX_ITERATE_N}")
+    return value
+
+
 def _parse_range(text: str) -> range:
     try:
         a, b = text.split("..")
         lo, hi = int(a), int(b)
     except ValueError as exc:
         raise ScenarioError(f"bad range {text!r}, expected a..b") from exc
-    if lo < 1:
-        raise ScenarioError(f"range {text!r} must start at 1 or later")
+    lo = _iterate_n(lo, f"range {text!r} start")
     if hi > MAX_ITERATE_N:
         raise PrecisionExhausted(
             f"range {text!r} is out of reach: n runs up to {MAX_ITERATE_N}")
     return range(lo, hi + 1)  # hi < lo yields an empty range
 
 
-def _at_least_one(value: int, flag: str) -> int:
-    if value < 1:
-        raise ScenarioError(f"{flag} {value} must be 1 or more")
-    return value
-
-
 def cmd_index(args) -> tuple[int, str]:
-    n = _at_least_one(args.n, "--n")
+    n = _iterate_n(args.n, "--n")
     scn = _load(args)
     label, germ = _pick_germ(scn, args.germ)
     report = local_index(iterate(germ, n))
@@ -213,11 +218,7 @@ def cmd_validate(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    n_max = _at_least_one(args.n_max, "--n-max")
-    if n_max > MAX_ITERATE_N:
-        raise PrecisionExhausted(
-            f"--n-max {n_max} is out of reach: iterates are composed up to "
-            f"n = {MAX_ITERATE_N}")
+    n_max = _iterate_n(args.n_max, "--n-max")
     scn = _load(args)
     checks = []
     # each germ holds its map moved to the germ's point (a map germ's is the
@@ -264,14 +265,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, text = _COMMANDS[args.command](args)
-    except (ParseError, ScenarioError) as exc:
-        print(json.dumps({"error": {"kind": type(exc).__name__,
-                                    "message": str(exc)}}), file=sys.stderr)
-        return 2
     except GermIndexError as exc:
         print(json.dumps({"error": {"kind": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, ScenarioError)) else 1
     print(text)
     return code
 

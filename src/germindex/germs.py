@@ -73,9 +73,10 @@ class MapGerm:
 
     @classmethod
     def from_polynomials(cls, p1: Poly2, p2: Poly2) -> "MapGerm":
-        if p1.constant_term() != 0 or p2.constant_term() != 0:
+        pmap = PolynomialMap(p1, p2)
+        if not pmap.fixes_origin():
             raise ValueError("germ must fix the origin")
-        return cls(PolynomialMap(p1, p2))
+        return cls(pmap)
 
     @property
     def poly1(self) -> Poly2:

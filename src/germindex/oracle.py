@@ -129,7 +129,7 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     NonIsolated, from the exact system alone.
     """
     local = pmap.localized(point)
-    if local.p1.vanishes_at_origin() and local.p2.vanishes_at_origin():
+    if local.fixes_origin():
         (a, b), (c, d) = (p.linear_part() for p in local.fixed_jets(n, 2))
         if a * d != b * c:
             return 1

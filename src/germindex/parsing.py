@@ -69,13 +69,13 @@ def _tokenize(text: str):
     return tokens
 
 
+_VARIABLES = {"z1": Poly2.variable(1), "z2": Poly2.variable(2)}
+
+
 class _Parser:
-    def __init__(self, text: str, variables: dict):
-        self.text = text
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.variables = variables
-        self.one = next(iter(variables.values())) ** 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -153,13 +153,13 @@ class _Parser:
                 if den[2] == 0:
                     raise ParseError("zero denominator", den[1])
                 value = Fraction(tok[2], den[2])
-            return self.one * value
+            return Poly2.constant(value)
         if tok[0] == "name":
-            var = self.variables.get(tok[2])
+            var = _VARIABLES.get(tok[2])
             if var is None:
                 raise ParseError(
                     f"unknown variable {tok[2]!r} (expected one of "
-                    f"{sorted(self.variables)})", tok[1])
+                    f"{sorted(_VARIABLES)})", tok[1])
             return var
         if tok[0] == "(":
             value = self.expr()
@@ -175,8 +175,7 @@ def _bound_degree(degree: int, position: int):
 
 def parse_expression(text: str) -> Poly2:
     """Parse a bivariate polynomial in z1, z2."""
-    variables = {"z1": Poly2.variable(1), "z2": Poly2.variable(2)}
-    return _Parser(text, variables).parse()
+    return _Parser(text).parse()
 
 
 def poly_to_text(p: Poly2) -> str:

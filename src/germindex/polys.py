@@ -528,6 +528,10 @@ class PolynomialMap:
             self._localized[(a, b)] = local
         return local
 
+    def fixes_origin(self) -> bool:
+        """Do both images vanish at the origin?"""
+        return self.p1.vanishes_at_origin() and self.p2.vanishes_at_origin()
+
     def iterate(self, n: int) -> "PolynomialMap":
         """f^n for n >= 1, f^k = f o f^(k-1), from the chain.
 
@@ -566,7 +570,7 @@ class PolynomialMap:
         no degree bound applies; an n above MAX_ITERATE_N raises
         PrecisionExhausted, and a map that moves the origin ValueError."""
         _check_iterate_n(n)
-        if not (self.p1.vanishes_at_origin() and self.p2.vanishes_at_origin()):
+        if not self.fixes_origin():
             raise ValueError("jets of iterates need a map that fixes the origin")
         chain = self._jets.get(N)
         if chain is None:

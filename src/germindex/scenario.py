@@ -16,7 +16,7 @@ from .errors import ScenarioError
 from .forms import FormGerm
 from .germs import MapGerm
 from .parsing import parse_expression
-from .polys import PolynomialMap
+from .polys import PolynomialMap, rat
 from .surd import Surd
 from .surface import (
     CohomologyAction,
@@ -57,13 +57,6 @@ class Scenario:
         return self.model
 
 
-def _rat(value) -> Fraction:
-    """A rational literal: an integer or a string such as "-1/2"."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ScenarioError(f"expected a rational literal, got {value!r}")
-    return Fraction(value)
-
-
 _KINDS = {int: "an integer", bool: "true or false", list: "a list"}
 
 
@@ -74,6 +67,21 @@ def _typed(value, kind, what: str):
     if type(value) is not kind:
         raise ScenarioError(f"{what} must be {_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _pair(value, what: str) -> list:
+    """value itself, which must be a JSON list of exactly two entries."""
+    if len(_typed(value, list, what)) != 2:
+        raise ScenarioError(f"{what} must have two entries, got {value!r}")
+    return value
+
+
+def _lookup(table: dict, label, who: str, kind: str):
+    """table[label], which `who` refers to; a label that names nothing is
+    refused."""
+    if label not in table:
+        raise ScenarioError(f"{who} references unknown {kind} {label!r}")
+    return table[label]
 
 
 _REQUIRED = object()
@@ -135,16 +143,6 @@ def _int_matrix(rows) -> list[list[int]]:
     return [[_typed(x, int, "a matrix entry") for x in row] for row in rows]
 
 
-def localized_germ(pmap: PolynomialMap, point) -> MapGerm:
-    """Chart germ of a global map at a fixed rational point, built on the
-    map conjugated to the point, whose chain the oracle reads too."""
-    a, b = _rat(point[0]), _rat(point[1])
-    local = pmap.localized((a, b))
-    if not (local.p1.vanishes_at_origin() and local.p2.vanishes_at_origin()):
-        raise ScenarioError(f"point ({a}, {b}) is not fixed by the map")
-    return MapGerm(local)
-
-
 def _build_action(data) -> CohomologyAction:
     mode_name = data.get("mode")
     if mode_name not in _MODE_KEYS:
@@ -157,36 +155,36 @@ def _build_action(data) -> CohomologyAction:
         growth_constant=_field(data, "growth_constant", int, None),
     )
     if mode_name == "h1trivial":
-        return CohomologyAction(mode=H1Trivial(_int_matrix(data["matrix"])), **kwargs)
-    if mode_name == "k3":
-        return CohomologyAction(
-            mode=K3Mode(_int_matrix(data["matrix"]),
-                        _surd(data["hodge_scalar"], "hodge_scalar")),
-            **kwargs)
-    if mode_name == "torus":
-        return CohomologyAction(
-            mode=TorusMode(_surd(data["delta"], "delta"),
-                           _surd(data["epsilon"], "epsilon")),
-            **kwargs)
+        mode = H1Trivial(_int_matrix(data["matrix"]))
+    elif mode_name == "k3":
+        mode = K3Mode(_int_matrix(data["matrix"]),
+                      _surd(data["hodge_scalar"], "hodge_scalar"))
+    elif mode_name == "torus":
+        mode = TorusMode(_surd(data["delta"], "delta"), _surd(data["epsilon"], "epsilon"))
+    else:
+        mode = _explicit_traces(data)
+    return CohomologyAction(mode=mode, **kwargs)
+
+
+def _explicit_traces(data) -> ExplicitTraces | TraceRecurrence:
+    """The mode of an explicit_traces action: a trace table, or the
+    recurrence that generates one."""
     if ("traces" in data) == ("h11_trace_recurrence" in data):
         raise ScenarioError(
             "explicit_traces needs one of 'traces' and 'h11_trace_recurrence'")
     declared = (_surd(data["dynamical_degree"], "dynamical_degree")
                 if "dynamical_degree" in data else None)
     if "traces" in data:
-        mode = ExplicitTraces({
+        return ExplicitTraces({
             int(n_str): {tuple(int(x) for x in key.split(",")): _typed(v, int, "a trace")
                          for key, v in table.items()}
             for n_str, table in data["traces"].items()}, declared_degree=declared)
-    else:
-        rec = _known(data["h11_trace_recurrence"], _RECURRENCE_KEYS,
-                     "h11_trace_recurrence")
-        mode = TraceRecurrence(
-            traces=[_typed(v, int, "an initial trace") for v in rec["initial"]],
-            coefficients=[_typed(c, int, "a recurrence coefficient")
-                          for c in rec["coefficients"]],
-            offset=_field(rec, "offset", int, 0), declared_degree=declared)
-    return CohomologyAction(mode=mode, **kwargs)
+    rec = _known(data["h11_trace_recurrence"], _RECURRENCE_KEYS, "h11_trace_recurrence")
+    return TraceRecurrence(
+        traces=[_typed(v, int, "an initial trace") for v in rec["initial"]],
+        coefficients=[_typed(c, int, "a recurrence coefficient")
+                      for c in rec["coefficients"]],
+        offset=_field(rec, "offset", int, 0), declared_degree=declared)
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -206,28 +204,26 @@ def _build_scenario(doc: dict) -> Scenario:
 
     maps = {}
     for label, exprs in (doc.get("maps") or {}).items():
-        if len(exprs) != 2:
-            raise ScenarioError(f"map {label!r} needs two coordinate expressions")
-        maps[label] = PolynomialMap(parse_expression(exprs[0]),
-                                    parse_expression(exprs[1]))
+        maps[label] = PolynomialMap(*map(parse_expression, _pair(exprs, f"map {label!r}")))
 
     germs: dict[str, MapGerm] = {}
     origins: dict[str, GermOrigin] = {}
     for label, spec in (doc.get("germs") or {}).items():
         _known(spec, _GERM_KEYS, f"germ {label!r}")
         if "map" in spec:
-            map_label = spec["map"]
-            if map_label not in maps:
-                raise ScenarioError(f"germ {label!r} references unknown map "
-                                    f"{map_label!r}")
+            pmap = _lookup(maps, spec["map"], f"germ {label!r}", "map")
             point = spec.get("base_point", [0, 0])
-            germs[label] = localized_germ(maps[map_label], point)
-            origins[label] = GermOrigin(map_label,
-                                        (_rat(point[0]), _rat(point[1])))
+            a, b = map(rat, _pair(point, f"base_point of germ {label!r}"))
+            # the chart germ is built on the map conjugated to the point,
+            # whose chain the oracle reads too
+            local = pmap.localized((a, b))
+            if not local.fixes_origin():
+                raise ScenarioError(f"point ({a}, {b}) is not fixed by the map")
+            germs[label] = MapGerm(local)
+            origins[label] = GermOrigin(spec["map"], (a, b))
         elif "images" in spec:
-            p1 = parse_expression(spec["images"][0])
-            p2 = parse_expression(spec["images"][1])
-            germs[label] = MapGerm.from_polynomials(p1, p2)
+            images = _pair(spec["images"], f"images of germ {label!r}")
+            germs[label] = MapGerm.from_polynomials(*map(parse_expression, images))
         else:
             raise ScenarioError(f"germ {label!r} needs 'map' or 'images'")
 
@@ -246,14 +242,10 @@ def _build_scenario(doc: dict) -> Scenario:
             witnesses = []
             for w in c.get("witnesses", []):
                 _known(w, _WITNESS_KEYS, f"a witness of curve {c['label']!r}")
-                germ_label = w["germ"]
-                if germ_label not in germs:
-                    raise ScenarioError(
-                        f"curve {c['label']!r} witness references unknown germ "
-                        f"{germ_label!r}")
                 witnesses.append(CurveWitness(
-                    point_label=w.get("point", germ_label),
-                    germ=germs[germ_label],
+                    point_label=w.get("point", w["germ"]),
+                    germ=_lookup(germs, w["germ"], f"curve {c['label']!r} witness",
+                                 "germ"),
                     curve_local_equation=parse_expression(w["curve_equation"]),
                 ))
             curves.append(FixedCurveRecord(
@@ -268,12 +260,8 @@ def _build_scenario(doc: dict) -> Scenario:
         points = []
         for p in doc.get("points", []):
             _known(p, _POINT_KEYS, "a point")
-            germ = None
-            if "germ" in p:
-                if p["germ"] not in germs:
-                    raise ScenarioError(f"point {p['label']!r} references "
-                                        f"unknown germ {p['germ']!r}")
-                germ = germs[p["germ"]]
+            germ = (_lookup(germs, p["germ"], f"point {p['label']!r}", "germ")
+                    if "germ" in p else None)
             declared = None
             if "declared_index" in p:
                 declared = {int(k): _typed(v, int, "a declared index")
@@ -287,7 +275,8 @@ def _build_scenario(doc: dict) -> Scenario:
             ))
         model = SurfaceModel(points=points, curves=curves, action=action)
 
-    intersections = [(a, b) for a, b in doc.get("intersections", [])]
+    intersections = [tuple(_pair(pair, "an intersection"))
+                     for pair in doc.get("intersections", [])]
     labels = {c.label for c in model.curves} if model is not None else set()
     if not labels.issuperset(x for pair in intersections for x in pair):
         raise ScenarioError("an intersection names a curve the model lacks")

@@ -220,6 +220,12 @@ class CohomologyAction:
     _degree: Surd | RationalInterval | None = field(
         default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.picard_number < 1:
+            raise ValueError("picard_number must be 1 or more")
+        if self.growth_constant is not None and self.growth_constant < 0:
+            raise ValueError("growth_constant must not be negative")
+
 
 def lefschetz_number(action: CohomologyAction, n: int) -> Surd:
     """L(f^n), exactly, using the mode-appropriate trace data.
@@ -605,32 +611,34 @@ def validate_periodic_inventory(model: SurfaceModel,
                     f"{other.label} (period {other.prime_period}) meets type II "
                     f"{big.label} (period {big.prime_period}) without dividing it",
                 ))
+    # the bound needs lambda only when the count can exceed it
+    periods = {c.prime_period for c in model.curves if c.curve_type == TYPE_II}
+    bound = model.action.picard_number
+    if not model.action.kodaira_nonnegative:
+        bound += 1
+    if len(periods) > bound and _degree_above_one(model.action):
+        out.append(InventoryViolation(
+            "too_many_type_II_periods", tuple(sorted(
+                c.label for c in model.curves if c.curve_type == TYPE_II)),
+            f"{len(periods)} distinct type II prime periods exceed the "
+            f"bound {bound}",
+        ))
+    return out
+
+
+def _degree_above_one(action: CohomologyAction) -> bool:
+    """Is the dynamical degree known to exceed one?"""
     try:
-        lam = dynamical_degree(model.action)
+        lam = dynamical_degree(action)
     except (MissingIndexData, NotAlgebraicallyStable):
-        lam = None
-    lam_above_one = False
-    if isinstance(lam, Surd):
-        lam_above_one = lam > 1
-    elif isinstance(lam, RationalInterval):
+        return False
+    if isinstance(lam, RationalInterval):
         # lam.poly is irreducible of degree >= 3, so it does not vanish at
         # 1, and its one root in (lo, hi) exceeds 1 iff it lies in (1, hi)
         f = lam.poly
-        lam_above_one = lam.lo >= 1 or (
+        return lam.lo >= 1 or (
             lam.hi > 1 and f.evaluate(1, 0) * f.evaluate(lam.hi, 0) < 0)
-    if lam_above_one:
-        periods = {c.prime_period for c in model.curves if c.curve_type == TYPE_II}
-        bound = model.action.picard_number
-        if not model.action.kodaira_nonnegative:
-            bound += 1
-        if len(periods) > bound:
-            out.append(InventoryViolation(
-                "too_many_type_II_periods", tuple(sorted(
-                    c.label for c in model.curves if c.curve_type == TYPE_II)),
-                f"{len(periods)} distinct type II prime periods exceed the "
-                f"bound {bound}",
-            ))
-    return out
+    return isinstance(lam, Surd) and lam > 1
 
 
 def growth_bounds(action: CohomologyAction, n: int, count) -> bool | None:

@@ -223,6 +223,12 @@ def _degree(**parts):
     _cubic(lambda d: d.update(intersections=[["E0"]])),
     _traces_instead({"1": {"0": 1, "1,1": 4}}),
     _edited("remark43", lambda d: d["points"][0].update(on_curves="C")),
+    _cubic(lambda d: d["germs"].update(
+        u1={"images": ["z1 + z2^2", "z2 + z1^2", "z1"]})),
+    _cubic(lambda d: d["germs"]["u1"].update(base_point=[0, 0, 7])),
+    _cubic(lambda d: d["action"].update(picard_number=0)),
+    _cubic(lambda d: d["action"].update(picard_number=-3)),
+    _cubic(lambda d: d["action"].update(growth_constant=-1)),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
@@ -230,7 +236,9 @@ def _degree(**parts):
         "matrix_entry_2.5", "ragged_matrix", "empty_matrix", "base_point_of_one",
         "one_image", "empty_recurrence", "short_recurrence",
         "intersection_with_unknown_curve", "intersection_of_one",
-        "trace_key_of_one_index", "on_curves_string"])
+        "trace_key_of_one_index", "on_curves_string", "three_images",
+        "base_point_of_three", "picard_number_0", "picard_number_negative",
+        "growth_constant_negative"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -330,6 +338,23 @@ def test_count_without_a_growth_envelope_reports_null(tmp_path, capsys,
     assert [r["growth_ok"] for r in json.loads(out)] == [None, None]
 
 
+def test_validate_without_type_two_curves_skips_the_dynamical_degree(capsys,
+                                                                    monkeypatch):
+    # remark43 has no type II curve, so no period count can exceed the
+    # bound and lambda = 3 is never needed
+    from germindex import surface
+
+    def no_radius(matrix):
+        raise AssertionError("validate computed a dynamical degree")
+
+    monkeypatch.setattr(surface, "spectral_radius", no_radius)
+    code, out, _ = run_cli(capsys, "validate", "--fixture", "remark43",
+                           "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["violations"] == [] and data["witness_issues"] == []
+
+
 def test_the_unedited_cubic_document_counts(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(fixture_document("cubic-d4")))
@@ -392,6 +417,15 @@ def test_n_above_the_iterate_bound_exits_1(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["kind"] == "PrecisionExhausted"
+
+
+def test_n_above_the_iterate_bound_is_refused_before_loading(capsys):
+    code, out, err = run_cli(capsys, "index", "--fixture", "remark42",
+                             "--n", "1001")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "PrecisionExhausted"
+    assert "--n 1001" in error["message"]
 
 
 @pytest.mark.parametrize("command", ["lefschetz", "count"])
