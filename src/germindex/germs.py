@@ -165,11 +165,10 @@ def _split(germ: MapGerm) -> GermDecomposition:
     d1, d2 = germ.map.fixed_system()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("the identity germ admits no (g, h1, h2) data")
-    (a, b), (c, d) = d1.linear_part(), d2.linear_part()
     # at a simple fixed point, det(Df(0) - I) != 0, no curve through the
     # origin divides both differences: it would make both rows of their
     # Jacobian multiples of its gradient at 0
-    if a * d != b * c:
+    if germ.map.simple_at_origin(1):
         return GermDecomposition(Poly2.constant(1), d1, d2, [])
     base = germ.base
     if base is not None:

@@ -11,14 +11,16 @@ Lefschetz number.  A point is moved to the origin by conjugating the
 global map itself (`polys.PolynomialMap.localized`).
 
 A fixed-point multiplicity is first taken from jets of the fixed system,
-read from the localized map's capped chains of jets
-(`PolynomialMap.fixed_jets`), which never compose the exact f^n.  The
-linear parts come first: two independent linear forms generate the
-maximal ideal, so a nonzero 2x2 determinant, det(Df^n - I), certifies a
-transversal point, of multiplicity 1, with no elimination.  Otherwise the
-jets below degree 4 (the terms of total degree at most 3) are
-eliminated, and finite determinacy certifies their answer when it is
-below 4; failing that the exact system is composed and eliminated.  No
+without composing the exact f^n.  The linear parts come first: two
+independent linear forms generate the maximal ideal, so a nonzero 2x2
+determinant, det(Df^n - I), certifies a transversal point, of
+multiplicity 1, with no elimination.  Since f fixes the point, the chain
+rule gives Df^n = (Df)^n there, so `PolynomialMap.simple_at_origin`
+decides this on integers and composes nothing.  Otherwise the jets below
+degree 4 (the terms of total degree at most 3), read from the localized
+map's capped chain (`PolynomialMap.fixed_jets`), are eliminated, and
+finite determinacy certifies their answer when it is below 4; failing
+that the exact system is composed and eliminated.  No
 order above 4 is tried: the jets below degree 4 are cheap and certify
 the small multiplicities that most remaining points have, while jets of
 higher order lose the structure that lets the exact system's resultant
@@ -26,9 +28,10 @@ finish fast, and cost as much as the exact elimination or far more.
 
 A scenario's germ at a point is built on that localized map, so for
 scenario germs the oracle reads the chains of the map the engine
-iterates.  Its independence lies in elimination: the determinant of its
-linear jets, or the z2-order of its own resultant on the jets or on the
-exact pair, against the engine's Nakayama codimension.
+iterates.  Its independence lies in elimination: the determinant of
+(Df)^n - I, or the z2-order of its own resultant on the jets or on the
+exact pair, against the engine's Nakayama codimension (the engine reads
+its determinant on the composed f^n, not on (Df)^n).
 `test_localizing_commutes_with_iterating` and
 `test_fixed_jets_are_the_exact_fixed_system_truncated` keep composition
 cross-checked.  The engine imports nothing from here.
@@ -117,10 +120,11 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """Multiplicity of `point` as a solution of f^n(z) = z.
 
     The fixed system of the map localized at the point is eliminated at
-    the origin.  When f fixes the point, its jets come first, from the
-    capped chains (`fixed_jets`): the linear parts, whose nonzero
-    determinant certifies the multiplicity 1 with no elimination, then the
-    jets below degree _JET_ORDER; f^n itself is composed only when these
+    the origin.  When f fixes the point, its jets come first: the linear
+    parts, whose nonzero determinant det((Df)^n - I) certifies the
+    multiplicity 1 with no elimination and no composition
+    (`simple_at_origin`), then the jets below degree _JET_ORDER, from the
+    capped chain (`fixed_jets`); f^n itself is composed only when these
     certify nothing (a multiplicity of at least _JET_ORDER, or jets that
     are not isolated or defeat every shear).  A
     point that f moves (periodic of a period dividing n, or not fixed by
@@ -130,8 +134,7 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """
     local = pmap.localized(point)
     if local.fixes_origin():
-        (a, b), (c, d) = (p.linear_part() for p in local.fixed_jets(n, 2))
-        if a * d != b * c:
+        if local.simple_at_origin(n):
             return 1
         N = _JET_ORDER
         try:

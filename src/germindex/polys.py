@@ -12,10 +12,12 @@ it iterates, shears and translations (`_compose_ring`), which with a
 degree cap N keeps only the terms below degree N.  PolynomialMap owns
 iteration: the germ engine and the oracle read its one chain of exact
 iterates, up to the degree bound MAX_ITERATE_DEGREE and up to
-n = MAX_ITERATE_N, and a map that fixes the origin keeps beside it one
+n = MAX_ITERATE_N.  A map that fixes the origin keeps beside it one
 capped chain of jets per order N, whose jets of f^n cost one small
 composition per step whatever deg f^n is (`fixed_jets`, the oracle's
-route).
+order-4 rung), and answers whether the origin is a simple fixed point of
+f^n from Df(0)^n on integers, composing nothing (`simple_at_origin`, the
+one test of det(Df^n(0) - I) != 0, read by the engine and the oracle).
 
 This module is the one boundary to the computer-algebra system.  Besides
 that arithmetic, the heavy steps (bivariate gcd, irreducible
@@ -580,6 +582,28 @@ class PolynomialMap:
         j1, j2 = chain[n - 1]
         return (_minus_monomial(j1, (1, 0)).truncated(N),
                 _minus_monomial(j2, (0, 1)).truncated(N))
+
+    def simple_at_origin(self, n: int) -> bool:
+        """Is the origin a simple fixed point of f^n, det(Df^n(0) - I) != 0,
+        for a map that fixes the origin?
+
+        By the chain rule Df^n(0) = A^n, A = Df(0), so nothing is composed.
+        With A = M / den, den the lcm of the images' denominators and M an
+        integer matrix, the test is det(M^n - den^n I) != 0, on plain
+        integers.  n is bounded as for iterate, and a map that moves the
+        origin raises ValueError."""
+        _check_iterate_n(n)
+        if not self.fixes_origin():
+            raise ValueError("Df^n(0) needs a map that fixes the origin")
+        den = lcm(self.p1._den, self.p2._den)
+        (a, b), (c, d) = ((im._num.get((1, 0), 0) * (den // im._den),
+                           im._num.get((0, 1), 0) * (den // im._den))
+                          for im in (self.p1, self.p2))
+        p, q, r, s = a, b, c, d
+        for _ in range(n - 1):
+            p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        e = den**n
+        return (p - e) * (s - e) != q * r
 
     def __repr__(self):
         return f"PolynomialMap({self.p1!r}, {self.p2!r})"

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import germindex.oracle
-from germindex import NonIsolated, Poly2, iterate, local_index
+from germindex import NonIsolated, Poly2, PrecisionExhausted, iterate, local_index
 from germindex.oracle import (
     PolynomialMap,
     affine_fixed_count,
@@ -18,6 +18,7 @@ from germindex.oracle import (
     local_multiplicity,
     torus_lefschetz_oracle,
 )
+from germindex.polys import MAX_ITERATE_N
 from germindex.scenario import load_fixture
 from germindex.surd import Surd
 
@@ -128,15 +129,15 @@ def test_fixed_multiplicity_eliminates_only_the_jets(monkeypatch):
 
 
 def test_a_transversal_point_is_certified_without_elimination(monkeypatch):
-    # at (-4, -4) det(Df^6 - I) != 0: the linear jets give the multiplicity
-    # 1, with no shear, gcd or resultant and no chain of higher order
+    # at (-4, -4) det(Df^6 - I) != 0: (Df)^6 gives the multiplicity 1, with
+    # no shear, gcd or resultant and no chain of jets of any order
     calls = (count_calls(monkeypatch, germindex.oracle, "resultant_z1"),
              count_calls(monkeypatch, germindex.oracle, "gcd2"),
              count_calls(monkeypatch, Poly2, "shear_z2"))
     m = remark42()
     assert fixed_multiplicity(m, (-4, -4), 6) == 1
     assert calls == ([], [], [])
-    assert list(m.localized((-4, -4))._jets) == [2]
+    assert m.localized((-4, -4))._jets == {}
 
 
 def test_only_points_with_dependent_linear_jets_are_eliminated(monkeypatch):
@@ -357,13 +358,21 @@ def test_scenario_germs_and_the_oracle_share_one_chain(monkeypatch):
 
 def test_deep_iterates_of_remark42_from_the_jet_chain():
     # f^20 has degree 2^20, far above the bound on composed iterates; the
-    # jets certify every answer: the linear ones where Df^n - I is
-    # invertible, those below degree 4 at the origin at even n
+    # jets certify every answer: (Df)^n where Df^n - I is invertible, those
+    # below degree 4 at the origin at even n
     m = remark42()
     ns = (20, 40, 41, 100)
     assert [fixed_multiplicity(m, (0, 0), n) for n in ns] == [3, 3, 1, 3]
     assert [fixed_multiplicity(m, (-4, -4), n) for n in ns] == [1, 1, 1, 1]
     assert m._iterates == [] and m.localized((-4, -4))._iterates == []
+    assert m.localized((-4, -4))._jets == {}
+
+
+def test_the_linear_rung_keeps_the_bound_on_n():
+    # (-4, -4) is transversal at every n, yet past MAX_ITERATE_N the oracle
+    # refuses, as the CLI does, before it reads (Df)^n
+    with pytest.raises(PrecisionExhausted, match=f"f\\^{MAX_ITERATE_N + 1} "):
+        fixed_multiplicity(remark42(), (-4, -4), MAX_ITERATE_N + 1)
 
 
 def test_a_point_the_map_moves_takes_the_exact_route():

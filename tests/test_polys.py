@@ -408,6 +408,59 @@ def test_fixed_jets_are_the_exact_fixed_system_truncated(f, n, N):
     assert f.fixed_jets(1, N) == tuple(p.truncated(N) for p in f.fixed_system(1))
 
 
+def _independent(P: Poly2, Q: Poly2) -> bool:
+    """Are the linear parts of P and Q linearly independent?"""
+    (a, b), (c, d) = P.linear_part(), Q.linear_part()
+    return a * d != b * c
+
+
+@st.composite
+def henon_maps_at_their_second_point(draw):
+    """(a z1 + b z2 + q, z1), q a quadratic form, localized at its fixed
+    point (t, t), t = (1 - a - b) / q(1, 1) (the origin when q(1, 1) = 0):
+    the linear part of the localized map has rational entries."""
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    q = Poly2.from_terms({e: draw(st.integers(-3, 3)) for e in ((2, 0), (1, 1), (0, 2))})
+    c = q.evaluate(1, 1)
+    t = Fraction(1 - a - b) / c if c else Fraction(0)
+    return PolynomialMap(X * a + Y * b + q, X).localized((t, t))
+
+
+@given(st.one_of(maps_fixing_the_origin(), henon_maps_at_their_second_point()),
+       st.integers(1, 8))
+@example(PolynomialMap(X * 2 - Y + X**2, X), 5)          # Df has the eigenvalue 1
+@example(PolynomialMap(-X - Y + X**2, X), 3)             # (Df)^3 = I
+@example(PolynomialMap(X + Y * 3 + X**2 * 2 + Y**2, X).localized(
+    (Fraction(-1), Fraction(-1))), 2)                     # Df = [[-3, 1], [1, 0]]
+@example(PolynomialMap(-Y + X**2 * 2 + Y**2, X).localized(
+    (Fraction(2, 3), Fraction(2, 3))), 8)                 # Df = [[8/3, 1/3], [1, 0]]
+@settings(max_examples=80)
+def test_simple_at_origin_reads_the_linear_parts_of_the_fixed_system(f, n):
+    # the capped chain composes the jets of f^n; (Df)^n is read on integers
+    assert f.simple_at_origin(n) == _independent(*f.fixed_jets(n, 2))
+    if n <= 3:
+        assert f.simple_at_origin(n) == _independent(*f.fixed_system(n))
+
+
+def test_simple_at_origin_of_a_rotation_of_order_four():
+    # Df = [[0, -1], [1, 0]] has (Df)^4 = I, so the origin is a simple fixed
+    # point of f^n exactly when 4 does not divide n
+    f = PolynomialMap(-Y + X**2, X)
+    assert [f.simple_at_origin(n) for n in (1, 2, 3, 4, 8)] == [True] * 3 + [False] * 2
+    assert f._iterates == [] and f._jets == {}
+
+
+def test_simple_at_origin_refuses_as_the_chains_do():
+    f = PolynomialMap(-Y + X**2, X)
+    with pytest.raises(ValueError, match="n >= 1"):
+        f.simple_at_origin(0)
+    with pytest.raises(PrecisionExhausted, match=f"f\\^{polys.MAX_ITERATE_N + 1} "):
+        f.simple_at_origin(polys.MAX_ITERATE_N + 1)
+    assert f.simple_at_origin(polys.MAX_ITERATE_N) is False  # 4 divides 1000
+    with pytest.raises(ValueError, match="fixes the origin"):
+        PolynomialMap(X + 1, Y).simple_at_origin(1)
+
+
 def test_fixed_jets_refuse_a_map_that_moves_the_origin():
     with pytest.raises(ValueError, match="fixes the origin"):
         PolynomialMap(X + 1, Y).fixed_jets(2, 4)
