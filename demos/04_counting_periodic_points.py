@@ -18,7 +18,6 @@ from germindex.surd import Surd
 from germindex.surface import (
     count_isolated_periodic,
     dynamical_degree,
-    partition_isolated_points,
     saito_residual,
     validate_periodic_inventory,
     xi_k,
@@ -48,14 +47,9 @@ for n in range(1, 7):
     check = lam**n + lam**-n - Surd.rational(2)
     growth = "ok" if rep.growth else "-"
     print(f"  n = {n}: L = {rep.lefschetz!r:>10}  #Per^i = "
-          f"{rep.count_as_int():>10}  (= lambda^n + lambda^-n - 2: "
+          f"{rep.count_isolated:>10}  (= lambda^n + lambda^-n - 2: "
           f"{rep.count_isolated == check})  growth bound {growth}")
 
 print()
 print(f"residual of the fixed point formula at n = 1: "
       f"{saito_residual(model, 1, 16)!r} (16 = declared isolated-point sum)")
-part = partition_isolated_points(model, horizon=6)
-print(f"isolation partition of the recorded points: "
-      f"{len(part.non_isolated)} on fixed curves, "
-      f"{len(part.conditionally)} conditionally isolated")
-print("all isolated periodic points of this map are absolutely isolated.")

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from germindex import iterate, local_index
 from germindex.oracle import (
-    affine_fixed_count,
     fixed_index_positive,
     fixed_multiplicity,
     torus_lefschetz_oracle,
@@ -27,8 +26,6 @@ for n in (1, 2, 3):
     eng = local_index(iterate(germ, n)).nu_A
     orc = fixed_multiplicity(pmap, (0, 0), n)
     print(f"  n = {n}: engine {eng}, oracle {orc}, agree: {eng == orc}")
-print(f"  total affine fixed points of f: {affine_fixed_count(pmap, 1)} "
-      f"(origin and (-4,-4), each simple)")
 
 print()
 print("== positivity pattern on a fixed line ==")

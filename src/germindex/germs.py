@@ -365,13 +365,6 @@ def classify_branch(dec: GermDecomposition, branch: BranchRecord) -> BranchRecor
 # ---------------------------------------------------------------------------
 
 
-def _index_report(dec: GermDecomposition) -> IndexReport:
-    d = delta(dec)
-    brs = [classify_branch(dec, b) for b in branches(dec)]
-    nu = d + sum(b.nu_p * b.mu_p for b in brs)
-    return IndexReport(delta=d, branches=brs, nu_A=nu)
-
-
 def local_index(germ: MapGerm) -> IndexReport:
     """Full local report: delta, classified branches and nu_A.
 
@@ -381,7 +374,11 @@ def local_index(germ: MapGerm) -> IndexReport:
     certified by the stabilization (Nakayama) of one truncated
     codimension, which the Bezout bound of the pair ends.
     """
-    return _index_report(decompose(germ))
+    dec = decompose(germ)
+    d = delta(dec)
+    brs = [classify_branch(dec, b) for b in branches(dec)]
+    return IndexReport(delta=d, branches=brs,
+                       nu_A=d + sum(b.nu_p * b.mu_p for b in brs))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,10 @@ Everything here works on exact global polynomial data: fixed-point
 multiplicities as the z2-order of one resultant, after deterministic
 shears that keep the leading coefficient of the first equation a unit at
 the point and leave the point alone on its z2-level (a gcd only when a
-common zero elsewhere on that level blocks a shear), total affine
-fixed-point counts from resultant degrees, a positivity test for indices
-at points lying on fixed curves, and the determinant form of the torus
-Lefschetz number.  A point is moved to the origin by conjugating the
-global map itself (`polys.PolynomialMap.localized`).
+common zero elsewhere on that level blocks a shear), a positivity test
+for indices at points lying on fixed curves, and the determinant form of
+the torus Lefschetz number.  A point is moved to the origin by
+conjugating the global map itself (`polys.PolynomialMap.localized`).
 
 A fixed-point multiplicity is first taken from jets of the fixed system,
 without composing the exact f^n.  The linear parts come first: two
@@ -144,39 +143,6 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
         if mu < N:
             return mu
     return local_multiplicity(*local.fixed_system(n))
-
-
-def affine_fixed_count(pmap: PolynomialMap, n: int = 1) -> int:
-    """Total number of affine solutions of f^n(z) = z with multiplicity.
-
-    With the sheared first equation z1-regular in total degree (its
-    z1^d coefficient, d its total degree, is nonzero), no solution escapes
-    to infinity on any z2-level, every level of the resultant carries
-    exactly the sum of the local multiplicities on it, and the resultant
-    degree is the global count.  Every factor of that equation then has a
-    constant z1-leading coefficient, so a common curve has positive
-    z1-degree and makes the resultant zero (NonIsolated).
-    """
-    P, Q = pmap.fixed_system(n)
-    if P.is_zero() and Q.is_zero():
-        raise NonIsolated("every point is fixed")
-    if P.is_zero() or Q.is_zero():
-        other = Q if P.is_zero() else P
-        if other.is_constant():
-            return 0
-        raise NonIsolated("solution set contains a curve")
-    if P.is_constant() or Q.is_constant():
-        return 0
-    dP = P.total_degree()
-    for c in _SHEARS:
-        Pc = _shear(P, c)
-        if Pc[(dP, 0)] == 0:
-            continue
-        res = resultant_z1(Pc, _shear(Q, c))
-        if res.is_zero():
-            raise NonIsolated("system has a common component")
-        return res.total_degree()
-    raise ShearExhausted("no shear made the system z1-regular")
 
 
 def fixed_index_positive(pmap: PolynomialMap, point, n: int = 1) -> bool:

@@ -10,7 +10,6 @@ from fractions import Fraction
 from .errors import PrecisionExhausted
 from .germs import BranchRecord
 from .parsing import poly_to_text
-from .polys import Poly2
 from .surd import Surd
 
 
@@ -22,9 +21,7 @@ def exact_value(value):
             value = value.a
         else:
             return value.to_json()
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else str(value)
-    return value
+    return value.numerator if value.denominator == 1 else str(value)
 
 
 def jsonable(obj):
@@ -33,12 +30,6 @@ def jsonable(obj):
         return obj
     if isinstance(obj, (Fraction, Surd)):
         return exact_value(obj)
-    if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            return str(obj)
-        return obj
-    if isinstance(obj, Poly2):
-        return poly_to_text(obj)
     if isinstance(obj, BranchRecord):
         return {
             "factor": poly_to_text(obj.defining_polynomial),
@@ -52,7 +43,7 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    return repr(obj)
+    raise TypeError(f"no report value is a {type(obj).__name__}")
 
 
 @contextmanager

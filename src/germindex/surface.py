@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MissingIndexData, NotAlgebraicallyStable, TypeICurvePresent
+from .errors import (
+    MissingIndexData,
+    NotAlgebraicallyStable,
+    ScenarioError,
+    TypeICurvePresent,
+)
 from .germs import (
     TYPE_I,
     TYPE_II,
@@ -272,17 +277,13 @@ class RationalInterval:
 
 
 def _sqrt_exact(q: Fraction) -> Surd:
-    """sqrt of a nonnegative rational as an exact Surd (rational multiple
-    of sqrt(squarefree d))."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Surd.rational(0)
+    """sqrt(q) as an exact Surd, a rational multiple of sqrt(squarefree d).
+
+    q is the discriminant of an irreducible quadratic with a real root
+    (spectral_radius), so it is positive and not a square: the result is
+    never rational, and no other radicand reaches here."""
     square, free = square_part(q.numerator * q.denominator)
-    coef = Fraction(square, q.denominator)
-    if free == 1:
-        return Surd.rational(coef)
-    return Surd.sqrt_term(free, a=0, b=coef)
+    return Surd.sqrt_term(free, a=0, b=Fraction(square, q.denominator))
 
 
 def spectral_radius(M) -> Surd | RationalInterval:
@@ -490,16 +491,8 @@ class CountReport:
     n: int
     lefschetz: Surd
     xi_breakdown: dict[int, int]
-    count_isolated: Surd
+    count_isolated: int
     growth: bool | None = None
-
-    def count_as_int(self) -> int:
-        if not self.count_isolated.is_rational():
-            raise ValueError("count is irrational")
-        q = self.count_isolated.a
-        if q.denominator != 1:
-            raise ValueError("count is not an integer")
-        return q.numerator
 
 
 def count_isolated_periodic(model: SurfaceModel, n: int) -> CountReport:
@@ -507,8 +500,10 @@ def count_isolated_periodic(model: SurfaceModel, n: int) -> CountReport:
 
     Refuses models with a type I periodic curve (the identity behind the
     count needs every periodic curve to be type II), and, through
-    lefschetz_number, models without the AS assertion.  growth is the
-    verdict of growth_bounds."""
+    lefschetz_number, models without the AS assertion.  The difference is
+    a sum of local indices, each a positive multiplicity, so a model whose
+    difference is not a nonnegative integer contradicts itself
+    (ScenarioError).  growth is the verdict of growth_bounds."""
     for c in model.curves:
         if c.curve_type == TYPE_I:
             raise TypeICurvePresent(
@@ -517,7 +512,12 @@ def count_isolated_periodic(model: SurfaceModel, n: int) -> CountReport:
     L = lefschetz_number(model.action, n)
     breakdown = {k: xi_k(model, k) for k in sorted(model.prime_periods())
                  if n % k == 0}
-    count = L - sum(breakdown.values())
+    diff = L - sum(breakdown.values())
+    if not (diff.is_rational() and diff.a.denominator == 1 and diff.a >= 0):
+        raise ScenarioError(
+            f"n = {n}: L(f^n) - sum of xi_k = {diff!r} is not a number of "
+            f"points; the model is internally inconsistent")
+    count = diff.a.numerator
     return CountReport(n=n, lefschetz=L, xi_breakdown=breakdown,
                        count_isolated=count,
                        growth=growth_bounds(model.action, n, count))
@@ -532,39 +532,6 @@ def saito_residual(model: SurfaceModel, n: int, declared_point_sum) -> Surd:
     L = lefschetz_number(model.action, n)
     return L - declared_point_sum - sum(
         xi_k(model, k, evaluate_at=n) for k in model.prime_periods() if n % k == 0)
-
-
-@dataclass
-class IsolationPartition:
-    absolutely: list[str]
-    conditionally: list[tuple[str, int]]   # (label, secondary period)
-    non_isolated: list[str]
-
-
-def partition_isolated_points(model: SurfaceModel, horizon: int) -> IsolationPartition:
-    """Classify the model's points by isolation within the horizon.
-
-    A point on a curve whose prime period equals the point's own period is
-    not isolated at all.  A point is conditionally isolated with secondary
-    period m when some curve through it has prime period m <= horizon, a
-    strict multiple of the point's period; otherwise it is absolutely
-    isolated as far as the horizon can see."""
-    absolutely, conditionally, non_isolated = [], [], []
-    for pt in model.points:
-        periods = sorted(model.curve(c).prime_period for c in pt.on_curves)
-        if any(m == pt.prime_period for m in periods):
-            non_isolated.append(pt.label)
-            continue
-        secondary = next(
-            (m for m in periods
-             if m <= horizon and m > pt.prime_period and m % pt.prime_period == 0),
-            None,
-        )
-        if secondary is not None:
-            conditionally.append((pt.label, secondary))
-        else:
-            absolutely.append(pt.label)
-    return IsolationPartition(absolutely, conditionally, non_isolated)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_criterion_04_isolated_periodic_point_counts():
     model = scn.require_model()
     for n, want in enumerate(frozen, start=1):
         rep = count_isolated_periodic(model, n)
-        assert rep.count_as_int() == want, n
+        assert rep.count_isolated == want, n
         # cross-check against exact surd arithmetic
         lam = Surd.sqrt_term(5, a=9, b=4)
         assert rep.count_isolated == lam**n + lam**-n - Surd.rational(2)

@@ -198,6 +198,12 @@ def _degree(**parts):
     return _cubic(lambda d: d["action"]["dynamical_degree"].update(parts))
 
 
+def _torus(delta):
+    """A torus action alone, with epsilon = 1."""
+    return {"action": {"mode": "torus", "delta": delta, "epsilon": 1,
+                       "picard_number": 4, "algebraically_stable": True}}
+
+
 @pytest.mark.parametrize("doc", [
     _cubic(lambda d: d["curves"][0].update(type="III")),
     _cubic(lambda d: d["curves"][0].pop("label") and None),
@@ -229,6 +235,11 @@ def _degree(**parts):
     _cubic(lambda d: d["action"].update(picard_number=0)),
     _cubic(lambda d: d["action"].update(picard_number=-3)),
     _cubic(lambda d: d["action"].update(growth_constant=-1)),
+    # count's L(f^n) - sum xi_k, a sum of positive indices, is 1/4,
+    # 12 - 8*sqrt(2) and -2 (xi_1 = 26 > L(f) = 24) at n = 1
+    _torus(2),
+    _torus({"a": 1, "b": 1, "d": 2}),
+    _cubic(lambda d: d["points"][3].update(declared_index={"1": 20})),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
@@ -238,7 +249,8 @@ def _degree(**parts):
         "intersection_with_unknown_curve", "intersection_of_one",
         "trace_key_of_one_index", "on_curves_string", "three_images",
         "base_point_of_three", "picard_number_0", "picard_number_negative",
-        "growth_constant_negative"])
+        "growth_constant_negative", "count_one_quarter", "count_12_minus_8sqrt2",
+        "count_negative"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -359,6 +371,45 @@ def test_the_unedited_cubic_document_counts(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(fixture_document("cubic-d4")))
     assert run_cli(capsys, "count", str(path), "--n-range", "1..2")[0] == 0
+
+
+def test_torus_lefschetz_prints_an_irrational_value(tmp_path, capsys):
+    # L(f) need not be an integer on torus data, and is printed as it is
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_torus({"a": 1, "b": 1, "d": 2})))
+    code, out, _ = run_cli(capsys, "lefschetz", str(path), "--n-range", "1..1",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"n": 1, "lefschetz": {"a": "12", "b": "-8", "d": 2}}]
+
+
+def test_a_value_no_report_holds_is_refused():
+    from germindex.reports import jsonable
+
+    with pytest.raises(TypeError):
+        jsonable(object())
+
+
+def _inconsistent_witnesses(d):
+    d["curves"][0]["witnesses"][0]["curve_equation"] = "z1 + z2"
+    d["curves"][1]["type"] = "I"
+    d["points"][3].update(germ="u1", declared_index={"1": 5})
+
+
+def test_validate_reports_witnesses_that_disagree(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_cubic(_inconsistent_witnesses)))
+    issues = [
+        "curve E0: witness at u1 has no branch with equation 1*z2 + 1*z1",
+        "curve E1: witness at u1 gives type II, record says I",
+        "point v1: germ gives nu = 4, declared 5",
+    ]
+    code, out, _ = run_cli(capsys, "validate", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["witness_issues"] == issues
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == [f"witness: {issue}" for issue in issues]
 
 
 def test_empty_count_range(capsys):
@@ -499,12 +550,11 @@ def test_declared_isolation_parses(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
     from germindex.scenario import load_scenario_file
-    from germindex.surface import partition_isolated_points
 
-    scn = load_scenario_file(str(path))
-    model = scn.require_model()
-    part = partition_isolated_points(model, horizon=4)
-    assert part.conditionally == [("p", 2)]
+    model = load_scenario_file(str(path)).require_model()
+    # p is on the period-2 curve only
+    assert [pt.label for pt in model.points_on_period(2)] == ["p"]
+    assert model.points_on_period(1) == []
 
 
 def test_precision_is_not_an_option(capsys):

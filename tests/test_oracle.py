@@ -1,4 +1,4 @@
-"""Elimination oracle: independent multiplicities, counts, torus numbers."""
+"""Elimination oracle: independent multiplicities, index signs, torus numbers."""
 
 import itertools
 import random
@@ -9,10 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import germindex.oracle
-from germindex import NonIsolated, Poly2, PrecisionExhausted, iterate, local_index
+from germindex import (
+    MapGerm,
+    NonIsolated,
+    Poly2,
+    PrecisionExhausted,
+    UnsupportedSingularBranch,
+    iterate,
+    local_index,
+)
 from germindex.oracle import (
     PolynomialMap,
-    affine_fixed_count,
     fixed_index_positive,
     fixed_multiplicity,
     local_multiplicity,
@@ -213,7 +220,6 @@ def test_oracle_eliminations_pack_below_the_switch(monkeypatch, pmap, n, want):
 def test_remark42_multiplicities_on_both_sides_of_the_switch(monkeypatch):
     m = remark42()
     assert [fixed_multiplicity(m, (0, 0), n) for n in range(1, 7)] == [1, 3] * 3
-    assert [affine_fixed_count(m, n) for n in range(1, 6)] == [2**n for n in range(1, 6)]
     # the second fixed point at n = 6 needs a slot width of 6844 bits, above
     # the switch, where the bivariate route is the faster one
     packed, ring = resultant_routes(monkeypatch)
@@ -225,8 +231,6 @@ def test_fixed_multiplicity_divides_out_a_common_unit(monkeypatch):
     # at n = 2 the fixed-point system shares 3 + z1 + z2, a curve of
     # period-2 points that misses the origin and meets every shear line
     # through it
-    from germindex.germs import MapGerm, iterate, local_index
-
     p1, p2 = X * 3 + Y + X * Y + X**2, X
     assert local_index(iterate(MapGerm.from_polynomials(p1, p2), 2)).nu_A == 1
     gcds = count_calls(monkeypatch, germindex.oracle, "gcd2")
@@ -275,25 +279,6 @@ def test_local_multiplicity_of_a_zero_equation_is_not_isolated():
             local_multiplicity(P, Q)
 
 
-def test_affine_fixed_count_remark42(monkeypatch):
-    gcds = count_calls(monkeypatch, germindex.oracle, "gcd2")
-    assert affine_fixed_count(remark42(), 1) == 2
-    assert len(gcds) == 0
-
-
-def test_affine_fixed_count_product_structure():
-    assert affine_fixed_count(PolynomialMap(X + X**2, Y + Y**2), 1) == 4
-
-
-def test_affine_fixed_count_no_solutions():
-    assert affine_fixed_count(PolynomialMap(X + ONE, Y), 1) == 0
-
-
-def test_affine_fixed_count_curve_raises():
-    with pytest.raises(NonIsolated):
-        affine_fixed_count(remark43(), 1)
-
-
 def test_positivity_pattern_remark43():
     """Points (0, c) have positive index for f^n exactly when (c+1)^n = 1;
     check the rational candidates c = 0 and c = -2 for n <= 4."""
@@ -321,6 +306,34 @@ def test_positivity_at_an_isolated_point_eliminates_nothing(monkeypatch):
     assert fixed_index_positive(remark42(), (-4, -4), 3)
     assert not fixed_index_positive(remark42(), (1, 1), 3)
     assert resultants == []
+
+
+# each pair fixes the line z1 = 0, so the loop over curve factors decides
+CURVE_FACTOR_PAIRS = [
+    # z1 is a type I branch tangent to h(0) = (0, 1)
+    ((X + X * Y, Y + X), True),
+    # z1 is a type II branch, which contributes nothing where h(0) != 0
+    ((X + X**2, Y + X), False),
+    # the factor 1 + z2 misses the origin and is skipped before z1
+    ((X + X * (ONE + Y) * Y, Y + X * (ONE + Y)), True),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("pair, want", CURVE_FACTOR_PAIRS)
+def test_positivity_on_a_fixed_curve_matches_the_engine(pair, want, n):
+    engine = local_index(iterate(MapGerm.from_polynomials(*pair), n)).nu_A > 0
+    assert fixed_index_positive(PolynomialMap(*pair), (0, 0), n) == engine == want
+
+
+def test_positivity_refuses_a_singular_curve_factor():
+    # the fixed curve z2^2 = z1^3 has a cusp at the origin; the engine
+    # refuses it too
+    pair = (X + Y**2 - X**3, Y)
+    with pytest.raises(UnsupportedSingularBranch):
+        fixed_index_positive(PolynomialMap(*pair), (0, 0), 1)
+    with pytest.raises(UnsupportedSingularBranch):
+        local_index(MapGerm.from_polynomials(*pair))
 
 
 def test_positivity_refuses_a_map_that_fixes_everything():

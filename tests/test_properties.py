@@ -344,7 +344,7 @@ def test_dold_congruences_cubic_lefschetz_and_counts():
         value = lefschetz_number(model.action, n)
         assert value.is_rational() and value.a.denominator == 1
         lefschetz.append(value.a.numerator)
-        counts.append(count_isolated_periodic(model, n).count_as_int())
+        counts.append(count_isolated_periodic(model, n).count_isolated)
     assert _dold_residues(lefschetz) == [0] * 8, lefschetz
     assert _dold_residues(counts) == [0] * 8, counts
     # a sequence that breaks the congruences at n = 2 is caught

@@ -19,7 +19,6 @@ from germindex.surface import (
     CohomologyAction,
     ExplicitTraces,
     FixedCurveRecord,
-    FixedPointRecord,
     H1Trivial,
     K3Mode,
     RationalInterval,
@@ -30,7 +29,6 @@ from germindex.surface import (
     dynamical_degree,
     growth_bounds,
     lefschetz_number,
-    partition_isolated_points,
     saito_residual,
     spectral_radius,
     validate_periodic_inventory,
@@ -310,7 +308,7 @@ def test_count_cubic_first_six(cubic_model):
     expected = [16, 320, 5776, 103680, 1860496, 33385280]
     for n, want in enumerate(expected, start=1):
         rep = count_isolated_periodic(cubic_model, n)
-        assert rep.count_as_int() == want
+        assert rep.count_isolated == want
         assert rep.xi_breakdown == {1: 8}
         assert rep.growth is True
 
@@ -321,7 +319,7 @@ def test_count_identity_enforced(cubic_model):
 
 
 def test_count_strictly_increasing(cubic_model):
-    counts = [count_isolated_periodic(cubic_model, n).count_as_int()
+    counts = [count_isolated_periodic(cubic_model, n).count_isolated
               for n in range(1, 7)]
     assert all(a < b for a, b in zip(counts, counts[1:]))
 
@@ -412,28 +410,6 @@ def test_saito_residual_empty_model():
     act = action_h1([[0]])  # L = 2
     model = SurfaceModel(points=[], curves=[], action=act)
     assert saito_residual(model, 1, 0) == Surd.rational(2)
-
-
-# -- isolation partition ----------------------------------------------------------
-
-
-def test_partition_cubic_points_lie_on_curves(cubic_model):
-    part = partition_isolated_points(cubic_model, horizon=6)
-    assert part.conditionally == []
-    assert part.absolutely == []
-    assert sorted(part.non_isolated) == ["u1", "u2", "u3", "v1", "v2", "v3"]
-
-
-def test_partition_conditional_point():
-    act = action_h1([[1]])
-    model = SurfaceModel(
-        points=[FixedPointRecord("p", 1, on_curves=["C"]),
-                FixedPointRecord("q", 1)],
-        curves=[FixedCurveRecord("C", 2, "II", 1, -1)],
-        action=act)
-    part = partition_isolated_points(model, horizon=6)
-    assert part.conditionally == [("p", 2)]
-    assert part.absolutely == ["q"]
 
 
 # -- inventory validators ------------------------------------------------------------
