@@ -188,8 +188,6 @@ def cmd_count(args) -> tuple[int, str]:
     } for r in reports]
     if args.format == "json":
         return 0, emit_json(rows)
-    if not rows:
-        return 0, "(empty)"
     return 0, render_table(
         rows, ["n", "lefschetz", "xi", "isolated_periodic",
                "algebraically_stable", "growth_ok"])

@@ -153,16 +153,12 @@ def fixed_index_positive(pmap: PolynomialMap, point, n: int = 1) -> bool:
     (G*h1, G*h2) with G the global curve factor, the index is positive iff
     h1 and h2 both vanish at the origin or some type I curve branch through
     it is tangent to (h2, -h1) there, i.e. h1 * dp/dz1 + h2 * dp/dz2
-    vanishes at the origin.  With G a nonzero constant the pair is coprime,
-    its multiplicity is finite, and it is positive exactly when P and Q
-    both vanish at the origin: no elimination is needed.
+    vanishes at the origin.
     """
     P, Q = pmap.localized(point).fixed_system(n)
     G = gcd2(P, Q)
     if G.is_zero():
         raise NonIsolated("a common component passes through the point")
-    if G.is_constant():
-        return P.vanishes_at_origin() and Q.vanishes_at_origin()
     h1 = P.exact_div(G)
     h2 = Q.exact_div(G)
     if h1.vanishes_at_origin() and h2.vanishes_at_origin():

@@ -1,4 +1,6 @@
-"""Recursive-descent parser for polynomial expressions.
+"""Recursive-descent parser for polynomial expressions: the one reader of
+the polynomial text that Poly2.__repr__ writes (polys writes, parsing
+reads).
 
 Grammar (whitespace-insensitive):
 
@@ -177,28 +179,3 @@ def parse_expression(text: str) -> Poly2:
     """Parse a bivariate polynomial in z1, z2."""
     return _Parser(text).parse()
 
-
-def poly_to_text(p: Poly2) -> str:
-    """Deterministic textual form that re-parses to the same polynomial."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for (i, j), c in sorted(p.coeff.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), kv[0])):
-        factors = []
-        if c.denominator == 1:
-            coef = str(abs(c.numerator))
-        else:
-            coef = f"{abs(c.numerator)}/{c.denominator}"
-        if coef != "1" or (i == 0 and j == 0):
-            factors.append(coef)
-        if i:
-            factors.append("z1" if i == 1 else f"z1^{i}")
-        if j:
-            factors.append("z2" if j == 1 else f"z2^{j}")
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, "*".join(factors)))
-    first_sign, first = parts[0]
-    text = (("-" if first_sign == "-" else "") + first)
-    for sign, chunk in parts[1:]:
-        text += f" {sign} {chunk}"
-    return text

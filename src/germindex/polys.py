@@ -5,14 +5,16 @@ elimination oracle and the spectral data of the surface layer (a
 resultant or characteristic polynomial is a Poly2 in one variable): an
 element of sympy's sparse ring Z[z1, z2] over one positive integer
 denominator, in lowest terms.  Its arithmetic (sums, products, powers and
-derivatives) is the ring's.  Two kernels run on plain integers of their
-own, with monomials z1^i z2^j packed into one int key i*S + j: exact
-division, one lex-ordered pass (`_exquo_zz`), and composition, and with
-it iterates, shears and translations (`_compose_ring`), which with a
-degree cap N keeps only the terms below degree N.  PolynomialMap owns
-iteration: the germ engine and the oracle read its one chain of exact
-iterates, up to the degree bound MAX_ITERATE_DEGREE and up to
-n = MAX_ITERATE_N.  A map that fixes the origin keeps beside it one
+derivatives) is the ring's.  Its repr is the one writer of polynomial
+text, in the scenario syntax that parsing.parse_expression reads back
+(polys writes, parsing reads); reports and error messages print it.  Two
+kernels run on plain integers of their own, with monomials z1^i z2^j
+packed into one int key i*S + j: exact division, one lex-ordered pass
+(`_exquo_zz`), and composition, and with it iterates, shears and
+translations (`_compose_ring`), which with a degree cap N keeps only the
+terms below degree N.  PolynomialMap owns iteration: the germ engine and
+the oracle read its one chain of exact iterates, up to the degree bound
+MAX_ITERATE_DEGREE and up to n = MAX_ITERATE_N.  A map that fixes the origin keeps beside it one
 capped chain of jets per order N, whose jets of f^n cost one small
 composition per step whatever deg f^n is (`fixed_jets`, the oracle's
 order-4 rung), and answers whether the origin is a simple fixed point of
@@ -311,16 +313,23 @@ class Poly2:
         return -p if p.leading_coefficient() < 0 else p
 
     def __repr__(self):
+        """The scenario syntax, which parsing.parse_expression reads back:
+        terms by falling total degree, then by rising power of z1, each with
+        its sign, and a unit coefficient left out of a nonconstant term."""
         if not self._num:
             return "0"
-        parts = []
-        for (i, j), c in sorted(self.coeff.items(), key=lambda t: (t[0][0] + t[0][1], t[0])):
-            mono = "".join(
-                f"*{v}^{e}" if e > 1 else (f"*{v}" if e == 1 else "")
-                for v, e in (("z1", i), ("z2", j))
-            )
-            parts.append(f"{c}{mono}")
-        return " + ".join(parts)
+        text = ""
+        for (i, j), c in sorted(self.coeff.items(),
+                                key=lambda t: (-sum(t[0]), t[0])):
+            factors = [] if abs(c) == 1 and (i or j) else [str(abs(c))]
+            factors += [v if e == 1 else f"{v}^{e}"
+                        for v, e in (("z1", i), ("z2", j)) if e]
+            if text:
+                text += " - " if c < 0 else " + "
+            elif c < 0:
+                text = "-"
+            text += "*".join(factors)
+        return text
 
 
 # -- the computer-algebra boundary (sympy, ring level) ------------------------

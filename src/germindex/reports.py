@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted
 from .germs import BranchRecord
-from .parsing import poly_to_text
 from .surd import Surd
 
 
@@ -32,7 +31,7 @@ def jsonable(obj):
         return exact_value(obj)
     if isinstance(obj, BranchRecord):
         return {
-            "factor": poly_to_text(obj.defining_polynomial),
+            "factor": repr(obj.defining_polynomial),
             "nu_p": obj.nu_p,
             "type": obj.branch_type,
             "mu_p": obj.mu_p,

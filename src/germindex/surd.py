@@ -235,16 +235,16 @@ class Surd:
     # -- display -----------------------------------------------------------
 
     def __repr__(self):
-        parts = []
-        if self.a or not (self.b or self.c or self.e):
-            parts.append(str(self.a))
-        if self.b:
-            parts.append(f"{self.b}*sqrt({self.d})")
-        if self.c:
-            parts.append(f"{self.c}*i")
-        if self.e:
-            parts.append(f"{self.e}*i*sqrt({self.d})")
-        return " + ".join(parts)
+        """a + b*sqrt(d) + c*i + e*i*sqrt(d) without its zero components,
+        each later one written with its own sign: 12 - 8*sqrt(2)."""
+        text = ""
+        for value, unit in ((self.a, ""), (self.b, f"*sqrt({self.d})"),
+                            (self.c, "*i"), (self.e, f"*i*sqrt({self.d})")):
+            if value and text:
+                text += f" {'-' if value < 0 else '+'} {abs(value)}{unit}"
+            elif value:
+                text = f"{value}{unit}"
+        return text or "0"
 
     def to_json(self):
         """Stable serializable form."""

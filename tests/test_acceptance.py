@@ -107,8 +107,8 @@ def test_criterion_03_resolved_cubic_local_data():
         rep = local_index(scn.germs[label])
         assert rep.delta == 1
         by_factor = {repr(b.defining_polynomial): b for b in rep.branches}
-        assert by_factor["1*z1"].nu_p == 2
-        assert by_factor["1*z2"].nu_p == 1
+        assert by_factor["z1"].nu_p == 2
+        assert by_factor["z2"].nu_p == 1
         assert all(b.mu_p == 1 for b in rep.branches)
         assert all(b.branch_type == TYPE_II for b in rep.branches)
         assert rep.nu_A == 4

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from germindex.cli import main
+from germindex.parsing import parse_expression
 from germindex.scenario import fixture_document, load_fixture
 
 
@@ -260,6 +261,30 @@ def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc)
     assert json.loads(err)["error"]["kind"] == "ScenarioError"
 
 
+def test_count_refusal_writes_each_surd_component_with_its_sign(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_torus({"a": 1, "b": 1, "d": 2})))
+    code, _, err = run_cli(capsys, "count", str(path), "--n-range", "1..2")
+    assert code == 2
+    assert "L(f^n) - sum of xi_k = 12 - 8*sqrt(2) is not" in \
+        json.loads(err)["error"]["message"]
+
+
+def test_singular_curve_factor_is_named_in_readable_text(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"germs": {"cusp": {"images": [
+        "z1 + (z2^2 - z1^3)*z2", "z2 + (z2^2 - z1^3)*z1"]}}}))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "UnsupportedSingularBranch"
+    named = error["message"].removeprefix("factor ").removesuffix(
+        " is singular at the origin")
+    assert parse_expression(named).normalized() == \
+        parse_expression("z2^2 - z1^3").normalized()
+
+
 @pytest.mark.parametrize("doc, key", [
     (_edited("remark43", lambda d: d["forms"].update(omega={"z1_valuaton": -1})),
      "z1_valuaton"),
@@ -400,7 +425,7 @@ def test_validate_reports_witnesses_that_disagree(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(_cubic(_inconsistent_witnesses)))
     issues = [
-        "curve E0: witness at u1 has no branch with equation 1*z2 + 1*z1",
+        "curve E0: witness at u1 has no branch with equation z2 + z1",
         "curve E1: witness at u1 gives type II, record says I",
         "point v1: germ gives nu = 4, declared 5",
     ]
@@ -417,6 +442,10 @@ def test_empty_count_range(capsys):
                            "--n-range", "3..2", "--format", "json")
     assert code == 0
     assert json.loads(out) == []
+    code, out, _ = run_cli(capsys, "count", "--fixture", "cubic-d4",
+                           "--n-range", "3..2")
+    assert code == 0
+    assert out == "(empty)\n"
 
 
 def test_json_output_deterministic(capsys):

@@ -197,8 +197,8 @@ def test_branches_cubic_corner():
     brs = branches(dec)
     assert len(brs) == 2
     by_key = {repr(b.defining_polynomial): b for b in brs}
-    bz1 = by_key["1*z1"]
-    bz2 = by_key["1*z2"]
+    bz1 = by_key["z1"]
+    bz2 = by_key["z2"]
     assert bz1.nu_p == 2 and bz2.nu_p == 1
     # z1 = 0 is a graph over z2, z2 = 0 one over z1
     assert (bz1.defining_polynomial.linear_part(),
@@ -547,8 +547,8 @@ def test_iterates_of_a_polynomial_germ_build_no_series():
     # smooth branches with mu_p = 1: the cubic corner's z1 = 0 (a graph over
     # z2) and z2 = 0 (over z1) are type II, remark43's z1 = 0 is type I
     cases = [
-        (cubic_corner_map(), [("1*z2", 1, TYPE_II, 1), ("1*z1", 2, TYPE_II, 1)]),
-        (remark43_map(), [("1*z1", 1, TYPE_I, 1)]),
+        (cubic_corner_map(), [("z2", 1, TYPE_II, 1), ("z1", 2, TYPE_II, 1)]),
+        (remark43_map(), [("z1", 1, TYPE_I, 1)]),
     ]
     for f, expected in cases:
         for n in (1, 2, 3):

@@ -25,6 +25,7 @@ from germindex.oracle import (
     local_multiplicity,
     torus_lefschetz_oracle,
 )
+from germindex.parsing import parse_expression
 from germindex.polys import MAX_ITERATE_N
 from germindex.scenario import load_fixture
 from germindex.surd import Surd
@@ -328,12 +329,15 @@ def test_positivity_on_a_fixed_curve_matches_the_engine(pair, want, n):
 
 def test_positivity_refuses_a_singular_curve_factor():
     # the fixed curve z2^2 = z1^3 has a cusp at the origin; the engine
-    # refuses it too
+    # refuses it too; both name the factor in text the parser reads back
     pair = (X + Y**2 - X**3, Y)
-    with pytest.raises(UnsupportedSingularBranch):
+    with pytest.raises(UnsupportedSingularBranch,
+                       match=r"^curve factor z1\^3 - z2\^2, centred at \(0, 0\),"):
         fixed_index_positive(PolynomialMap(*pair), (0, 0), 1)
-    with pytest.raises(UnsupportedSingularBranch):
+    with pytest.raises(UnsupportedSingularBranch,
+                       match=r"^factor z1\^3 - z2\^2 is singular"):
         local_index(MapGerm.from_polynomials(*pair))
+    assert parse_expression("z1^3 - z2^2") == X**3 - Y**2
 
 
 def test_positivity_refuses_a_map_that_fixes_everything():

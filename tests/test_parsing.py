@@ -1,12 +1,14 @@
-"""Expression grammar and round-trip printing."""
+"""Expression grammar, and Poly2.__repr__ read back by the parser."""
 
 import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germindex import ParseError, Poly2
-from germindex.parsing import MAX_NESTING, parse_expression, poly_to_text
+from germindex.parsing import MAX_NESTING, parse_expression
 
 X = Poly2.variable(1)
 Y = Poly2.variable(2)
@@ -116,17 +118,35 @@ def test_nesting_is_bounded_before_the_recursion_limit():
     assert parse_expression("- + -z1^2") == X**2
 
 
-def test_roundtrip_is_fixed_point():
-    samples = [
-        "-2*z1 - z1^2 - z2",
-        "z1 + z1*(z1^2 + z2)",
-        "1/2 - 7*z1^3*z2^2 + z2",
-        "0",
-        "3",
-    ]
-    for text in samples:
-        once = parse_expression(text)
-        printed = poly_to_text(once)
-        again = parse_expression(printed)
-        assert once == again
-        assert poly_to_text(again) == printed
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
+    lambda c: c != 0)
+
+# the zero polynomial, constants, and polynomials with fractional
+# coefficients of either sign, so the leading term is often negative
+written_polys = st.one_of(
+    st.just(Poly2.zero()),
+    coefficients.map(Poly2.constant),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    coefficients, min_size=1, max_size=6).map(Poly2),
+)
+
+
+@given(written_polys)
+@example(parse_expression("-2*z1 - z1^2 - z2"))
+@example(parse_expression("z1 + z1*(z1^2 + z2)"))
+@example(parse_expression("1/2 - 7*z1^3*z2^2 + z2"))
+@example(parse_expression("0"))
+@example(parse_expression("3"))
+@settings(max_examples=200)
+def test_roundtrip_is_fixed_point(p):
+    printed = repr(p)
+    again = parse_expression(printed)
+    assert again == p
+    assert repr(again) == printed
+
+
+def test_repr_writes_the_scenario_syntax():
+    assert repr(parse_expression("z1 + z2")) == "z2 + z1"
+    assert repr(parse_expression("z2^2 - z1^3")) == "-z1^3 + z2^2"
+    assert repr(parse_expression("-z1*z2 + 1/2 - 3/4*z2")) == "-z1*z2 - 3/4*z2 + 1/2"
+    assert repr(parse_expression("-1")) == "-1"
