@@ -72,8 +72,6 @@ class AdaptedExpansion:
 
     k: int | float
     l: int | float
-    f1: Poly2
-    f2: Poly2
 
 
 @dataclass
@@ -83,7 +81,7 @@ class CurveTypeVerdict:
 
 
 def adapted_expansion(germ: MapGerm) -> AdaptedExpansion:
-    """Read off (k, l, f1, f2) for a germ fixing the curve z1 = 0.
+    """Read off (k, l) for a germ fixing the curve z1 = 0.
 
     k (resp. l) is the exact z1-order of image1 - z1 (resp. image2 - z2);
     a vanishing difference gives the exponent infinity.  Raises
@@ -93,17 +91,15 @@ def adapted_expansion(germ: MapGerm) -> AdaptedExpansion:
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("identity germ has no adapted expansion")
 
-    def split(d: Poly2):
+    def order(d: Poly2):
         if d.is_zero():
-            return INFINITY, d
+            return INFINITY
         k = d.z1_order()
         if k == 0:
             raise NotACurveFixingGerm("difference is not divisible by z1")
-        return k, d.exact_div(_Z1**k)
+        return k
 
-    k, f1 = split(d1)
-    l, f2 = split(d2)
-    return AdaptedExpansion(k=k, l=l, f1=f1, f2=f2)
+    return AdaptedExpansion(k=order(d1), l=order(d2))
 
 
 def curve_type_via_minkl(exp: AdaptedExpansion) -> CurveTypeVerdict:

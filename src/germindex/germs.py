@@ -20,6 +20,7 @@ truncated-codimension search that stops when the codimension stabilizes
 origin, or past the Bezout bound deg a * deg b: mu_p = I(p, q) is the
 order of q along the branch, for the cofactor or combination q that
 classify_branch picks.  No truncation parameter enters either number.
+At a transversal point, det(Df(0) - I) != 0, delta = 1 needs no search.
 
 Every germ is polynomial, and two polynomials whose gcd is trivial have a
 finite common zero set, so the local gcd is the polynomial gcd with the
@@ -102,16 +103,15 @@ class GermDecomposition:
     g, h1 and h2 are exact polynomials; g is the product of the
     origin-vanishing irreducible factors of the image-difference gcd.
     factors lists those factors of g with their multiplicities.  _delta
-    keeps I(h1, h2) once it is known: decompose stores the value that
-    certified an iterate's g, and delta its own.
+    is I(h1, h2) when the route that built it proved that (see _split),
+    else None until delta searches for it.
     """
 
     g: Poly2
     h1: Poly2
     h2: Poly2
     factors: list[tuple[Poly2, int]] = field(repr=False, compare=False)
-    _delta: int | None = field(default=None, init=False, repr=False,
-                               compare=False)
+    _delta: int | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -158,18 +158,18 @@ def decompose(germ: MapGerm) -> GermDecomposition:
 
 
 def _split(germ: MapGerm) -> GermDecomposition:
-    """The decomposition of germ, computed from its differences.  An
-    iterate reads its base's curve data from base._dec, filled here rather
-    than through decompose, so the base's is not a decomposition call of
-    its own."""
+    """The decomposition of germ, with the delta its route proved: 1 at a
+    transversal point, the I(h1, h2) that certified an iterate's g, none
+    on the gcd route.  An iterate reads its base's curve data from
+    base._dec, filled here rather than through decompose, so the base's
+    is not a decomposition call of its own."""
     d1, d2 = germ.map.fixed_system()
     if d1.is_zero() and d2.is_zero():
         raise IdentityGerm("the identity germ admits no (g, h1, h2) data")
-    # at a simple fixed point, det(Df(0) - I) != 0, no curve through the
-    # origin divides both differences: it would make both rows of their
-    # Jacobian multiples of its gradient at 0
+    # transversal, det(Df(0) - I) != 0: d1, d2 have independent linear parts,
+    # so (d1, d2) is the maximal ideal, no curve divides both, I(d1, d2) = 1
     if germ.map.simple_at_origin(1):
-        return GermDecomposition(Poly2.constant(1), d1, d2, [])
+        return GermDecomposition(Poly2.constant(1), d1, d2, [], 1)
     base = germ.base
     if base is not None:
         if base._dec is None:
@@ -183,9 +183,7 @@ def _split(germ: MapGerm) -> GermDecomposition:
                 h1, h2 = d1.exact_div(g), d2.exact_div(g)
                 d = _intersection_number(h1, h2)
                 if d is not None:
-                    dec = GermDecomposition(g, h1, h2, factors)
-                    dec._delta = d
-                    return dec
+                    return GermDecomposition(g, h1, h2, factors, d)
             except NotDivisible:
                 pass
     factors = _origin_factors(gcd2(d1, d2))
@@ -299,10 +297,11 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
 def delta(dec: GermDecomposition) -> int:
     """dim_Q of Q[[z1,z2]] / (h1, h2), the intersection number I(h1, h2).
 
+    The value decompose proved is returned as is; else (the gcd route, a
+    decomposition built by hand) it is searched for once and kept on dec.
     A pair with a common factor through the origin raises NotCoprime: by
     one gcd when the codimension has not stabilized by D = GUARD_DEGREE,
-    else when it has not by the Bezout bound.  The value is kept on dec,
-    so it is searched for at most once.
+    else when it has not by the Bezout bound.
     """
     if dec._delta is None:
         d = _intersection_number(dec.h1, dec.h2)

@@ -82,6 +82,11 @@ class FixedPointRecord:
     def __post_init__(self):
         if self.prime_period < 1:
             raise ValueError("prime period must be positive")
+        for n, nu in (self.declared_index_per_n or {}).items():
+            if n < 1 or n % self.prime_period or nu < 0:
+                raise ValueError(
+                    f"point {self.label}: declared index {nu} at n = {n}; n must "
+                    f"be a positive multiple of {self.prime_period}, nu >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,11 @@ def _torus(delta):
     _torus(2),
     _torus({"a": 1, "b": 1, "d": 2}),
     _cubic(lambda d: d["points"][3].update(declared_index={"1": 20})),
+    # v1 is a point of prime period 1 on E1 with no germ
+    _cubic(lambda d: d["points"][3].update(declared_index={"1": -7})),
+    _cubic(lambda d: d["points"][3].update(declared_index={"0": 5, "1": 2})),
+    _cubic(lambda d: d["points"][3].update(prime_period=2,
+                                           declared_index={"1": 2, "2": 2})),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
@@ -251,7 +256,8 @@ def _torus(delta):
         "trace_key_of_one_index", "on_curves_string", "three_images",
         "base_point_of_three", "picard_number_0", "picard_number_negative",
         "growth_constant_negative", "count_one_quarter", "count_12_minus_8sqrt2",
-        "count_negative"])
+        "count_negative", "declared_index_negative", "declared_index_at_0",
+        "declared_index_off_the_period"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -373,6 +379,20 @@ def test_count_without_a_growth_envelope_reports_null(tmp_path, capsys,
                            "--format", "json")
     assert code == 0
     assert [r["growth_ok"] for r in json.loads(out)] == [None, None]
+
+
+def test_count_without_a_dynamical_degree_reports_null(tmp_path, capsys):
+    # a trace recurrence does not determine lambda, so with cubic-d4's
+    # declared degree taken out the growth envelope has no verdict
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_cubic(lambda d: d["action"].pop("dynamical_degree")
+                                      and None)))
+    code, out, _ = run_cli(capsys, "count", str(path), "--n-range", "1..2",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["isolated_periodic"] for r in rows] == [16, 320]
+    assert [r["growth_ok"] for r in rows] == [None, None]
 
 
 def test_validate_without_type_two_curves_skips_the_dynamical_degree(capsys,

@@ -37,8 +37,6 @@ def remark42_map():
 def test_adapted_expansion_remark43():
     exp = adapted_expansion(remark43_map())
     assert exp.k == 1 and exp.l == 2
-    assert exp.f1 == X**2 + Y
-    assert exp.f2 == ONE
 
 
 def test_adapted_expansion_monomial_orders():
@@ -57,11 +55,11 @@ def test_adapted_expansion_rejects_noncurve_germ():
 
 
 def test_curve_type_rule():
-    v = curve_type_via_minkl(AdaptedExpansion(3, 1, None, None))
+    v = curve_type_via_minkl(AdaptedExpansion(3, 1))
     assert v.nu_C == 1 and v.is_type_II
-    v = curve_type_via_minkl(AdaptedExpansion(1, 2, None, None))
+    v = curve_type_via_minkl(AdaptedExpansion(1, 2))
     assert v.nu_C == 1 and not v.is_type_II
-    v = curve_type_via_minkl(AdaptedExpansion(INFINITY, 2, None, None))
+    v = curve_type_via_minkl(AdaptedExpansion(INFINITY, 2))
     assert v.nu_C == 2 and v.is_type_II
 
 

@@ -355,7 +355,7 @@ def test_local_index_decomposes_once_and_runs_once(monkeypatch):
 def test_simple_fixed_points_skip_the_cas(monkeypatch):
     import germindex.germs as germs
 
-    calls = {"gcd2": 0, "factor_list2": 0, "exact_div": 0}
+    calls = {"gcd2": 0, "factor_list2": 0, "exact_div": 0, "search": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -366,18 +366,21 @@ def test_simple_fixed_points_skip_the_cas(monkeypatch):
     monkeypatch.setattr(germs, "gcd2", counting("gcd2", germs.gcd2))
     monkeypatch.setattr(germs, "factor_list2", counting("factor_list2", germs.factor_list2))
     monkeypatch.setattr(Poly2, "exact_div", counting("exact_div", Poly2.exact_div))
-    # det(Df(0) - I) = 3/2, and no eigenvalue of Df(0) is a root of unity
+    monkeypatch.setattr(germs, "_intersection_number",
+                        counting("search", germs._intersection_number))
+    # det(Df(0) - I) = 3/2, and no eigenvalue of Df(0) is a root of unity:
+    # the determinant proves delta = 1, and no codimension is searched
     henon = germ(X * Fraction(3, 2) - Y * 2 + X**2 - X * Y * 3, X)
     for n in (1, 2, 3):
         rep = local_index(iterate(henon, n))
         assert (rep.nu_A, rep.branches) == (1, [])
-    assert calls == {"gcd2": 0, "factor_list2": 0, "exact_div": 0}
+    assert calls == {"gcd2": 0, "factor_list2": 0, "exact_div": 0, "search": 0}
     # Df(0) of remark42 has the double eigenvalue -1, so f^2 takes the gcd
     # route; the gcd is a unit at the origin, so it is neither factored nor
-    # divided, and delta stabilizes without a gcd of its own
+    # divided, and delta is searched for once, without a gcd of its own
     rep = local_index(iterate(remark42_map(), 2))
     assert (rep.nu_A, rep.branches) == (3, [])
-    assert calls == {"gcd2": 1, "factor_list2": 0, "exact_div": 0}
+    assert calls == {"gcd2": 1, "factor_list2": 0, "exact_div": 0, "search": 1}
 
 
 def test_coprime_differences_need_no_ring_gcd(monkeypatch):

@@ -111,3 +111,27 @@ def test_the_engine_does_not_import_the_oracle():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+
+def imported_names(source: str) -> set[str]:
+    """Every component of the module paths a source imports, and every
+    name it imports from a module."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            out.update((node.module or "").split("."))
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_the_oracle_does_not_import_the_engine():
+    # the package's __init__ loads germs, so sys.modules cannot show this:
+    # the oracle's source names no germs module in any import
+    for line in ("from . import germs", "from .germs import delta",
+                 "import germindex.germs as g"):
+        assert "germs" in imported_names(line)
+    source = (ROOT / "src" / "germindex" / "oracle.py").read_text(encoding="utf-8")
+    assert "germs" not in imported_names(source)

@@ -14,6 +14,7 @@ from germindex import (
     NonIsolated,
     Poly2,
     PrecisionExhausted,
+    ShearExhausted,
     UnsupportedSingularBranch,
     iterate,
     local_index,
@@ -272,6 +273,17 @@ def test_local_multiplicity_takes_no_shear_at_a_unit_leading_coefficient(
     assert local_multiplicity(P, Q) == want
     # the pair is eliminated as given: shear_z2 is called only for c != 0
     assert shears == []
+
+
+def test_local_multiplicity_refuses_when_every_shear_fails(monkeypatch):
+    # a coprime pair with a second common zero, (1, 0), on the line z2 = 0:
+    # the unsheared pair is not eliminated, and with no shear left to try
+    # the oracle refuses rather than count that zero
+    P, Q = X**2 - X + Y, X**2 - X + Y * 2
+    assert local_multiplicity(P, Q) == 1
+    monkeypatch.setattr(germindex.oracle, "_SHEARS", [0])
+    with pytest.raises(ShearExhausted):
+        local_multiplicity(P, Q)
 
 
 def test_local_multiplicity_of_a_zero_equation_is_not_isolated():

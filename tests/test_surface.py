@@ -441,6 +441,24 @@ def test_validator_too_many_periods():
     assert [v.kind for v in out] == ["too_many_type_II_periods"]
 
 
+@pytest.mark.parametrize("action", [
+    # cubic-d4's trace recurrence with no declared degree
+    CohomologyAction(mode=TraceRecurrence(traces=[2, 18], coefficients=[18, -1],
+                                          offset=4),
+                     picard_number=1, algebraically_stable=True),
+    # a radius above one, but without AS it is not the dynamical degree
+    action_h1([[2, 1], [1, 1]], picard_number=1, algebraically_stable=False),
+], ids=["degree_missing", "not_algebraically_stable"])
+def test_validator_period_bound_needs_a_degree_known_above_one(action):
+    # four distinct type II periods exceed the bound 1 + 1, which holds only
+    # when the dynamical degree is known to exceed one
+    model = SurfaceModel(
+        points=[],
+        curves=[FixedCurveRecord(f"C{k}", k, "II", 1, -2) for k in (1, 2, 3, 5)],
+        action=action)
+    assert validate_periodic_inventory(model, []) == []
+
+
 PLASTIC = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # companion of x^3 - x - 1
 
 
