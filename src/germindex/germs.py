@@ -25,12 +25,14 @@ At a transversal point, det(Df(0) - I) != 0, delta = 1 needs no search.
 Every germ is polynomial, and two polynomials whose gcd is trivial have a
 finite common zero set, so the local gcd is the polynomial gcd with the
 factors not vanishing at the origin stripped off.  Iterates are read from
-the chain of the germ's `PolynomialMap`.  An iterate remembers the germ it
-iterates, and is first decomposed by that base's curve factor g
-(type II stability says g is the curve factor of every iterate): when g
-divides both differences and the quotients have a finite intersection
-number, no further factor through the origin divides both, so g is
-certified with no factorization.
+the chain of the germ's `PolynomialMap`, and a germ keeps the iterate
+germs built on it.  f^n keeps as its base f^d, d the largest proper
+divisor of n (f itself for a prime n), and is first decomposed by that
+base's curve factor g: f^n fixes the curves f^d fixes, and type II
+stability says g is the curve factor of every iterate.  When g divides
+both differences and the quotients have a finite intersection number, no
+further factor through the origin divides both, so g is certified with
+no factorization, and a curve of period d is found by one gcd, at f^d.
 
 Nothing here is taken from the elimination oracle (`oracle`), which
 cross-checks these numbers by resultants on its own.
@@ -60,17 +62,21 @@ class MapGerm:
     gcd extraction, iteration, the intersection numbers and the pullback
     of forms stay exact.  Its iterates come from the map's chain, which the
     oracle reads too when it is handed the same map (a scenario germ's).
-    An iterate keeps the germ it iterates as `base`; `decompose` stores
-    the germ's decomposition in `_dec`, so that each germ object computes
-    it at most once.
+    The germ keeps the iterate germs built on it in `_iterates` (n -> f^n),
+    as the map keeps its chain; f^n keeps f^d, d the largest proper
+    divisor of n, as `base` (f^p for a prime p refers back to the germ: a
+    cycle, freed by the garbage collector).  `decompose` stores the germ's
+    decomposition in `_dec`, so that each germ object computes it at most
+    once.
     """
 
-    __slots__ = ("map", "base", "_dec")
+    __slots__ = ("map", "base", "_dec", "_iterates")
 
     def __init__(self, pmap: PolynomialMap):
         self.map = pmap
         self.base: MapGerm | None = None
         self._dec: GermDecomposition | None = None
+        self._iterates: dict[int, MapGerm] = {}
 
     @classmethod
     def from_polynomials(cls, p1: Poly2, p2: Poly2) -> "MapGerm":
@@ -387,10 +393,22 @@ def local_index(germ: MapGerm) -> IndexReport:
 
 def iterate(germ: MapGerm, n: int) -> MapGerm:
     """n-fold self-composition, built on `germ.map.iterate(n)`: one
-    composition per n beyond the map's chain.  For n >= 2 the result keeps
-    germ as its base, for decompose."""
+    composition per n beyond the map's chain, and one germ per n, kept on
+    germ.  For n >= 2 the result keeps as its base the iterate f^d, d the
+    largest proper divisor of n (germ itself for a prime n), for
+    decompose.  The map's chain refuses n < 1 before composing."""
+    return _iterate(germ, n)
+
+
+def _iterate(germ: MapGerm, n: int) -> MapGerm:
+    """iterate's body, which recurses on the base under its own name, so
+    that one call of iterate is one traced span with none nested in it."""
     if n == 1:
         return germ
-    out = MapGerm(germ.map.iterate(n))
-    out.base = germ
+    out = germ._iterates.get(n)
+    if out is None:
+        out = MapGerm(germ.map.iterate(n))
+        p = next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
+        out.base = _iterate(germ, n // p)
+        germ._iterates[n] = out
     return out

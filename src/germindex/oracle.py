@@ -16,10 +16,13 @@ determinant, det(Df^n - I), certifies a transversal point, of
 multiplicity 1, with no elimination.  Since f fixes the point, the chain
 rule gives Df^n = (Df)^n there, so `PolynomialMap.simple_at_origin`
 decides this on integers and composes nothing.  Otherwise the jets below
-degree 4 (the terms of total degree at most 3), read from the localized
-map's capped chain (`PolynomialMap.fixed_jets`), are eliminated, and
-finite determinacy certifies their answer when it is below 4; failing
-that the exact system is composed and eliminated.  No
+degree 4 (the terms of total degree at most 3) are read from the
+localized map's capped chain (`PolynomialMap.fixed_jets`).  Their tangent
+cone comes next: nonzero jets of orders a, b have the lowest forms of the
+exact pair, and when those forms are proved coprime (no shared tangent
+line) the multiplicity is a*b with no elimination.  Otherwise the jets
+are eliminated, and finite determinacy certifies their answer when it is
+below 4; failing that the exact system is composed and eliminated.  No
 order above 4 is tried: the jets below degree 4 are cheap and certify
 the small multiplicities that most remaining points have, while jets of
 higher order lose the structure that lets the exact system's resultant
@@ -45,6 +48,7 @@ from .polys import (
     factor_list2,
     gcd2,
     origin_alone_on_z2_zero,
+    proved_coprime,
     resultant_z1,
 )
 from .surd import Surd
@@ -60,7 +64,10 @@ for _k in range(1, 25):
 # Then m^N lies in J = (P_N, Q_N), so J = (P, Q) + m^N; hence m^mu' lies in
 # (P, Q) + m * m^mu', and by Nakayama in (P, Q).  So (P, Q) = J and mu = mu'.
 # At N = 2 the jets are linear forms, and mu' = 1 exactly when their
-# determinant is nonzero.
+# determinant is nonzero.  That is the tangent-cone criterion at orders
+# (1, 1): I(P, Q) = ord P * ord Q exactly when the lowest forms of P and Q
+# share no tangent line (Fulton, ch. 3, section 3, property (5)), and a
+# nonzero jet below N has the lowest form of the exact polynomial.
 _JET_ORDER = 4
 
 
@@ -115,6 +122,16 @@ def local_multiplicity(P: Poly2, Q: Poly2) -> int:
     raise ShearExhausted("no shear isolated the point for elimination")
 
 
+def _tangent_cone(P: Poly2, Q: Poly2) -> int | None:
+    """I(P, Q) = ord P * ord Q at the origin when the lowest forms of P and
+    Q are proved coprime (no shared tangent line); None when P or Q is
+    zero or the certificate gives no verdict (a shared tangent, or a
+    coprime pair that proved_coprime cannot certify)."""
+    if P.is_zero() or Q.is_zero() or not proved_coprime(P.lowest_form(), Q.lowest_form()):
+        return None
+    return P.order() * Q.order()
+
+
 def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     """Multiplicity of `point` as a solution of f^n(z) = z.
 
@@ -122,10 +139,13 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     the origin.  When f fixes the point, its jets come first: the linear
     parts, whose nonzero determinant det((Df)^n - I) certifies the
     multiplicity 1 with no elimination and no composition
-    (`simple_at_origin`), then the jets below degree _JET_ORDER, from the
-    capped chain (`fixed_jets`); f^n itself is composed only when these
-    certify nothing (a multiplicity of at least _JET_ORDER, or jets that
-    are not isolated or defeat every shear).  A
+    (`simple_at_origin`); then the tangent cone of the jets below degree
+    _JET_ORDER, from the capped chain (`fixed_jets`), whose lowest forms,
+    of orders a and b, give a*b with no elimination when they are proved
+    coprime (`proved_coprime`); then the elimination of those jets.  f^n
+    itself is composed only when these certify nothing (a shared tangent
+    with a multiplicity of at least _JET_ORDER, or jets that are not
+    isolated or defeat every shear).  A
     point that f moves (periodic of a period dividing n, or not fixed by
     f^n at all, which reports 0) takes the exact system at once.  The
     point must be isolated: a fixed-curve component through it raises
@@ -136,8 +156,12 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
         if local.simple_at_origin(n):
             return 1
         N = _JET_ORDER
+        P, Q = local.fixed_jets(n, N)
+        mu = _tangent_cone(P, Q)
+        if mu is not None:
+            return mu
         try:
-            mu = local_multiplicity(*local.fixed_jets(n, N))
+            mu = local_multiplicity(P, Q)
         except (NonIsolated, ShearExhausted):
             mu = N
         if mu < N:

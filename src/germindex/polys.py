@@ -36,10 +36,12 @@ are sorted by the bivariate factorizer's own key, so both routes give the
 same list in the same order.  A resultant in z1 is, up to a measured
 size, one univariate resultant over ZZ on Kronecker-packed integers
 (`_resultant_zz`).  Both gcd questions first try a certificate mod the
-prime 2**61 - 1 (`_coprime_mod_p`, `_unit_gcd_mod_p`, Euclid on plain
+prime 2**61 - 1 (`proved_coprime`, `_unit_gcd_mod_p`, Euclid on plain
 ints): a gcd 1 mod a prime that divides neither leading coefficient
 proves a pair coprime, and sympy's gcd runs only when the certificate
-gives no verdict.  Every call on bivariate data runs over ZZ
+gives no verdict; the oracle's tangent-cone rung reads the certificate
+alone (`proved_coprime`), on two lowest forms (`Poly2.lowest_form`).
+Every call on bivariate data runs over ZZ
 on the integer numerator; the one denominator is divided out only where a
 coefficient is read as a Fraction.  Callers outside this module read the
 numerator's terms through `Poly2.numerator_terms` (the fraction-free
@@ -194,6 +196,13 @@ class Poly2:
         """The jet below degree N: the terms of total degree below N."""
         return Poly2._new(_RING2.dtype({e: c for e, c in self._num.items()
                                         if e[0] + e[1] < N}), self._den)
+
+    def lowest_form(self) -> "Poly2":
+        """The terms of least total degree, a form of degree order();
+        raises on the zero polynomial."""
+        d = self.order()
+        return Poly2._new(_RING2.dtype({e: c for e, c in self._num.items()
+                                        if e[0] + e[1] == d}), self._den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -642,11 +651,11 @@ def _minus_monomial(p: Poly2, e: tuple) -> Poly2:
 def gcd2(a: Poly2, b: Poly2) -> Poly2:
     """Polynomial gcd over Q, normalized (zero when both inputs are zero).
 
-    A pair that _coprime_mod_p certifies has gcd 1 with no further work.
+    A pair that proved_coprime certifies has gcd 1 with no further work.
     Otherwise the gcd of the integer numerators of a and b is a scalar
     multiple of the gcd over Q, and normalized() picks the same multiple
     of both."""
-    if a._num and b._num and _coprime_mod_p(a, b):
+    if a._num and b._num and proved_coprime(a, b):
         return Poly2.constant(1)
     return Poly2._new(a._num.gcd(b._num)).normalized()
 
@@ -707,7 +716,7 @@ def _specialize(P, keep: int, c: int) -> list:
     return [v % _PRIME for v in out]
 
 
-def _coprime_mod_p(a: Poly2, b: Poly2) -> bool:
+def proved_coprime(a: Poly2, b: Poly2) -> bool:
     """A certificate that nonzero a and b share no nonconstant factor.
 
     For each variable in turn the other is set to the first c of

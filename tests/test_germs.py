@@ -546,6 +546,38 @@ def test_each_new_iterate_costs_one_composition(monkeypatch):
     assert len(composes) == 1
 
 
+def test_a_germ_keeps_its_iterates_on_divisor_bases():
+    # f^n is built once per germ and keeps f^d, d the largest proper
+    # divisor of n, as its base: f itself for a prime n
+    f = germ(X + Y * 2 + Y**2, Y * 3)
+    with pytest.raises(ValueError):
+        iterate(f, 0)
+    assert f.map._iterates == []
+    for n in (2, 3, 4, 6, 9):
+        assert iterate(f, n) is iterate(f, n)
+    assert iterate(f, 2).base is f and iterate(f, 3).base is f
+    assert iterate(f, 4).base is iterate(f, 2)
+    assert iterate(f, 6).base is iterate(f, 3)
+    assert iterate(f, 9).base is iterate(f, 3)
+
+
+def test_an_iterate_takes_a_curve_of_period_two_from_its_base(monkeypatch):
+    # map5 = (-2 z1^2 - 2 z2^2 + z2, z1) fixes no curve, but f^2 fixes
+    # z1^2 + z2^2, singular at the origin; f^4 divides by f^2's curve factor
+    # with no gcd or factorization, and refuses the branch all the same
+    import germindex.germs as germs
+
+    f = germ(X**2 * -2 - Y**2 * 2 + Y, X)
+    with pytest.raises(UnsupportedSingularBranch):
+        local_index(iterate(f, 2))
+    calls = (count_calls(monkeypatch, germs, "gcd2"),
+             count_calls(monkeypatch, germs, "factor_list2"))
+    with pytest.raises(UnsupportedSingularBranch):
+        local_index(iterate(f, 4))
+    assert calls == ([], [])
+    assert decompose(iterate(f, 4)).factors == decompose(iterate(f, 2)).factors
+
+
 def test_iterates_of_a_polynomial_germ_build_no_series():
     # smooth branches with mu_p = 1: the cubic corner's z1 = 0 (a graph over
     # z2) and z2 = 0 (over z1) are type II, remark43's z1 = 0 is type I

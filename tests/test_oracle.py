@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import germindex.oracle
@@ -27,7 +27,7 @@ from germindex.oracle import (
     torus_lefschetz_oracle,
 )
 from germindex.parsing import parse_expression
-from germindex.polys import MAX_ITERATE_N
+from germindex.polys import MAX_ITERATE_N, gcd2
 from germindex.scenario import load_fixture
 from germindex.surd import Surd
 
@@ -72,8 +72,9 @@ def test_fixed_multiplicity_remark42_is_one_elimination(monkeypatch):
 
 # Henon-like maps (a z1 + b z2 + q, z1), q quadratic.  Linear parts of
 # finite order make f^n tangent to the identity at n = 2 (order 2) and
-# n = 3 (order 3), where the multiplicity is 4 or more and the jets below
-# degree 4 certify nothing; with a + b = 1 and q a multiple of
+# n = 3 (order 3), where the multiplicity is 4 or more and the elimination
+# of the jets below degree 4 certifies nothing (their tangent cone may);
+# with a + b = 1 and q a multiple of
 # z1 (z1 - z2) the whole diagonal is fixed.
 ORDER_2, ORDER_3 = (0, 1), (-1, -1)
 quadratics = st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]),
@@ -103,7 +104,7 @@ def henon_maps(draw):
 @example(_henon((1, 2), X**2), 1)            # transversal: the linear jets
 # det(Df^2 - I) = 0, and the jets below degree 4 give the multiplicity 3
 @example(_henon((-2, -1), X**2 * 2 + X * Y * 2 + Y**2), 2)
-@example(_henon(ORDER_3, X**2), 3)           # multiplicity 4: the exact system
+@example(_henon(ORDER_3, X**2), 3)           # multiplicity 4: the tangent cone
 @example(_henon(ORDER_2, X**2), 2)           # multiplicity 4
 @example(_henon((2, -1), X**2 - X * Y), 2)  # the diagonal is fixed
 @settings(max_examples=60)
@@ -152,12 +153,17 @@ def test_a_transversal_point_is_certified_without_elimination(monkeypatch):
 def test_only_points_with_dependent_linear_jets_are_eliminated(monkeypatch):
     # Henon-like maps (a z1 + b z2 + q, z1) at the origin and at their second
     # fixed point (t, t), q(t, t) = (1 - a - b) t: an isolated point with
-    # independent linear jets costs no resultant, one with dependent jets
-    # one resultant on its jets below degree 4, and one more on the exact
-    # system when those certify nothing (a multiplicity of 4 or more)
+    # independent linear jets costs no resultant; one with dependent jets
+    # whose jets below degree 4 have coprime lowest forms (a transverse
+    # tangent cone, decided here by gcd2) costs none either; any other one
+    # resultant on its jets below degree 4, and one more on the exact
+    # system when those certify nothing (a multiplicity of 4 or more).
+    # The Henon-like points drawn here reach no fallback (each multiplicity
+    # of 4 or more among them has a transverse cone), so (2 z1, z2 + z1 +
+    # z2^4), whose jets share the line z1 = 0, stands for it.
     rng = random.Random(5)
     resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
-    dependent = fallbacks = eliminations = 0
+    cases = []
     for _ in range(12):
         a, b = rng.randint(-2, 2), rng.choice((-2, -1, 1, 2))
         q = Poly2.from_terms({e: rng.randint(-2, 2) for e in ((2, 0), (1, 1), (0, 2))})
@@ -165,8 +171,12 @@ def test_only_points_with_dependent_linear_jets_are_eliminated(monkeypatch):
         points = [(0, 0)]
         if c and a + b != 1:
             points.append((Fraction(1 - a - b) / c,) * 2)
+        cases.append(((X * a + Y * b + q, X), points))
+    cases.append(((X * 2, Y + X + Y**4), [(0, 0)]))
+    dependent = cones = fallbacks = eliminations = 0
+    for images, points in cases:
         for point, n in itertools.product(points, (1, 2, 3)):
-            pmap = _henon((a, b), q)
+            pmap = PolynomialMap(*images)
             local = pmap.localized(point)
             (p, r), (s, t) = (P.linear_part() for P in local.fixed_jets(n, 2))
             before = len(resultants)
@@ -180,12 +190,20 @@ def test_only_points_with_dependent_linear_jets_are_eliminated(monkeypatch):
             eliminations += len(resultants) - before
             if p * t == r * s:
                 dependent += 1
-                fallbacks += mu >= 4
+                J1, J2 = local.fixed_jets(n, 4)
+                if not (J1.is_zero() or J2.is_zero()) and gcd2(
+                        J1.lowest_form(), J2.lowest_form()).is_constant():
+                    cones += 1
+                    assert len(resultants) == before, (pmap, point, n)
+                    assert mu == J1.order() * J2.order(), (pmap, point, n)
+                else:
+                    fallbacks += mu >= 4
             else:
-                assert len(resultants) == before and mu == 1, (a, b, q, point, n)
-            assert local_multiplicity(*local.fixed_system(n)) == mu, (a, b, q, point, n)
+                assert len(resultants) == before and mu == 1, (pmap, point, n)
+            assert local_multiplicity(*local.fixed_system(n)) == mu, (pmap, point, n)
     assert dependent > fallbacks > 0
-    assert eliminations == dependent + fallbacks
+    assert cones > 0
+    assert eliminations == dependent - cones + fallbacks
 
 
 def test_line_test_certificate_decides_without_a_ring_gcd(monkeypatch):
@@ -197,6 +215,92 @@ def test_line_test_certificate_decides_without_a_ring_gcd(monkeypatch):
     gcds = count_calls(monkeypatch, PolyElement, "gcd")
     assert fixed_multiplicity(remark42(), (0, 0), 6) == 3
     assert gcds == []
+
+
+# -- the tangent-cone rung ------------------------------------------------------
+
+# f - id = (z1^2 - z2^2 + ..., z1 z2 + ...): lowest forms with no common
+# line, so every f^n - id has the multiplicity 2 * 2 = 4 at the origin
+# (f^n - id = n (f - id) + higher terms, f being tangent to the identity)
+TANGENT_TO_ID = (
+    "z1 + z1^2 - z2^2 + 3*z1^5*z2^2 - 2*z1^7*z2^5 + z1^3*z2^9 + z2^12",
+    "z2 + z1*z2 - z2^7 + 2*z1^9*z2^2 - z1^4*z2^8 + z1^12",
+)
+# Henon-like maps of the isolated_deep benchmark whose iterates have a
+# transverse tangent cone where det(Df^n - I) = 0
+MAP22 = (X**2 * 2 + X * Y - Y**2 - Y, X)
+MAP39 = (X * Y - X**2 * 2 + Y, X)
+
+
+def test_a_multiplicity_of_four_is_certified_by_the_tangent_cone(monkeypatch):
+    # 4 is not below the jet order 4, so the jets' elimination certifies
+    # nothing here, and the exact f^n (degree 144 at n = 2) is never composed
+    m = PolynomialMap(*map(parse_expression, TANGENT_TO_ID))
+    resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
+    for n in (2, 3, 10):
+        assert fixed_multiplicity(m, (0, 0), n) == 4
+    assert m._iterates == [] and resultants == []
+    assert local_index(MapGerm(m)).nu_A == 4
+
+
+@pytest.mark.parametrize("images, n, want", [(MAP22, 4, 9), (MAP39, 2, 4), (MAP39, 4, 4)])
+def test_the_tangent_cone_certifies_benchmark_points(monkeypatch, images, n, want):
+    resultants = count_calls(monkeypatch, germindex.oracle, "resultant_z1")
+    m = PolynomialMap(*images)
+    assert fixed_multiplicity(m, (0, 0), n) == want
+    assert m._iterates == [] and resultants == []
+    assert local_multiplicity(*m.fixed_system(n)) == want
+    assert local_index(iterate(MapGerm(PolynomialMap(*images)), n)).nu_A == want
+
+
+def _binary_form(draw, d):
+    """A nonzero form of degree d in z1, z2 (a nonzero constant at d = 0)."""
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1))
+    if not any(coeffs):
+        coeffs[0] = 1
+    return Poly2.from_terms({(i, d - i): c for i, c in enumerate(coeffs)})
+
+
+def _above(draw, order):
+    """Random terms of total degree order + 1 up to 6."""
+    return Poly2.from_terms(draw(st.dictionaries(
+        st.sampled_from([(i, d - i) for d in range(order + 1, 7) for i in range(d + 1)]),
+        st.integers(-3, 3), max_size=6)))
+
+
+@st.composite
+def cone_pairs(draw):
+    """(P, Q, shared): P, Q through the origin with lowest forms of orders
+    1 to 3, not both 1, which share a linear factor when shared is True."""
+    a, b = draw(st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3)
+                                 if a * b > 1]))
+    shared = draw(st.booleans())
+    if shared:
+        line = _binary_form(draw, 1)
+        F, G = line * _binary_form(draw, a - 1), line * _binary_form(draw, b - 1)
+    else:
+        F, G = _binary_form(draw, a), _binary_form(draw, b)
+    return F + _above(draw, a), G + _above(draw, b), shared
+
+
+@given(cone_pairs())
+@example((*PolynomialMap(*MAP22).fixed_system(4), False))
+@example((*PolynomialMap(*MAP39).fixed_system(2), False))
+@example((*PolynomialMap(*MAP39).fixed_system(4), False))
+@settings(max_examples=150)
+def test_the_tangent_cone_agrees_with_both_eliminations(pair):
+    """Whenever the rung certifies, its a*b is the resultant's multiplicity
+    and the engine's truncated codimension; a shared line gets no verdict."""
+    import germindex.germs
+
+    P, Q, shared = pair
+    mu = germindex.oracle._tangent_cone(P, Q)
+    event(f"certified: {mu is not None}")
+    if shared:
+        assert mu is None
+    elif mu is not None:
+        assert mu == P.order() * Q.order()
+        assert mu == local_multiplicity(P, Q) == germindex.germs._intersection_number(P, Q)
 
 
 def resultant_routes(monkeypatch):

@@ -598,14 +598,14 @@ def common_factors(draw):
 @given(small_polys(), small_polys(), common_factors())
 @settings(max_examples=80)
 def test_certificate_never_certifies_a_common_factor(a, b, f):
-    assert not polys._coprime_mod_p(a * f, b * f)
+    assert not polys.proved_coprime(a * f, b * f)
     assert not gcd2(a * f, b * f).is_constant()
 
 
 @given(small_polys(max_degree=3, max_terms=5), small_polys(max_degree=3, max_terms=5))
 @settings(max_examples=60)
 def test_certified_pairs_are_coprime(a, b):
-    certified = polys._coprime_mod_p(a, b)
+    certified = polys.proved_coprime(a, b)
     event(f"certified: {certified}")
     if certified:
         assert sp.gcd(to_expr(a), to_expr(b)).is_number
@@ -651,12 +651,12 @@ def test_certificate_skips_points_where_a_leading_coefficient_vanishes():
     # the z1-leading coefficient of a vanishes at the first evaluation
     # point, so the second one decides
     a = X * (Y - polys._EVAL_POINTS[0]) + 1
-    assert polys._coprime_mod_p(a, X + Y)
-    assert polys._coprime_mod_p(X, Y)
-    assert polys._coprime_mod_p(Poly2.constant(3), X * Y)
+    assert polys.proved_coprime(a, X + Y)
+    assert polys.proved_coprime(X, Y)
+    assert polys.proved_coprime(Poly2.constant(3), X * Y)
     # every point is skipped: no verdict, and gcd2 asks the ring
     b = X * _vanishing_lead(Y) + 1
-    assert not polys._coprime_mod_p(b, X + Y)
+    assert not polys.proved_coprime(b, X + Y)
     assert gcd2(b, X + Y) == Poly2.constant(1)
 
 
