@@ -298,6 +298,10 @@ def load_scenario_file(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"scenario JSON is nested too deeply: {exc}") from exc
     return load_scenario(doc)
 
 

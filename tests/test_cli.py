@@ -1,6 +1,11 @@
 """CLI surface: fixtures, subcommands, formats, exit codes, determinism."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -630,3 +635,82 @@ def test_second_fixed_point_localization():
     from germindex import local_index
 
     assert local_index(germ).nu_A == 1
+
+
+# the command as a process: `python -m germindex.cli` goes through run(),
+# the entry of the console script too
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "germindex.cli", *argv],
+                          cwd=ROOT, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def test_the_process_prints_the_golden_index():
+    done = run_process("index", "--fixture", "remark42", "--germ", "origin",
+                       "--n", "2", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "remark42.index_n2.json.txt").read_text(
+        encoding="utf-8")
+
+
+def test_the_process_exits_1_on_a_domain_error():
+    done = run_process("index", "--fixture", "remark42", "--n", "1001")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert json.loads(done.stderr)["error"]["kind"] == "PrecisionExhausted"
+
+
+def test_the_process_exits_with_the_golden_code_on_a_scenario_error():
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    done = run_process("count", "--fixture", "remark42", "--n-range", "1..3",
+                       "--format", "json")
+    assert done.returncode == codes["remark42.count.json"] == 2
+    assert json.loads(done.stderr)["error"]["kind"] == "ScenarioError"
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{",                        # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,      # nested past the recursion limit
+], ids=["not-utf8", "nested-too-deeply"])
+def test_unreadable_scenario_bytes_are_scenario_errors(tmp_path, content):
+    path = tmp_path / "scn.json"
+    path.write_bytes(content)
+    done = run_process("index", str(path))
+    assert done.returncode == 2
+    assert json.loads(done.stderr)["error"]["kind"] == "ScenarioError"
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_process("index", "--fixture", "remark42", "--format", "json",
+                           stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["index", "--fixture", "remark42", "--n", "1"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_the_console_script_enters_through_run():
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["scripts"]["germindex"] == "germindex.cli:run"
