@@ -1,10 +1,14 @@
 """Command-line surface.
 
-Subcommands: index, classify, lefschetz, count, validate, verify.  Every
-subcommand accepts a positional scenario path or --fixture NAME, plus
---format json|table.  Exit codes: 0 success, 1 domain
-error, 2 parse/usage/IO error.  Domain errors print a machine-readable
-error object on stderr.
+Subcommands, each declared once, in `build_parser`: index, classify,
+lefschetz, count, validate, verify.  Every subcommand accepts a positional
+scenario path or --fixture NAME, plus --format json|table.  Exit codes:
+0 success, 1 domain error, 2 parse/usage/IO error.  Domain errors print a
+machine-readable error object on stderr.
+
+Each `cmd_*` returns (exit code, JSON payload, table blocks), a block being
+(rows, columns) for `render_table` or ready-made text; `main` alone renders
+them, inside the error handling of the computation.
 
 `run()` is the process entry, of `python -m germindex.cli` and of the
 `germindex` console script; `main()` is the same command without
@@ -39,11 +43,14 @@ from .surface import (
 )
 
 
-def _common(sub: argparse.ArgumentParser):
+def _subcommand(subs, name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    sub = subs.add_parser(name, help=help_text)
+    sub.set_defaults(handler=handler)
     sub.add_argument("scenario", nargs="?", help="path to a scenario JSON document")
     sub.add_argument("--fixture", choices=FIXTURE_NAMES,
                      help="use a bundled fixture instead of a scenario path")
     sub.add_argument("--format", choices=("json", "table"), default="table")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,29 +61,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("index", help="local index report for a germ")
-    _common(p)
+    p = _subcommand(subs, "index", cmd_index, "local index report for a germ")
     p.add_argument("--germ", help="germ label (defaults to the only germ)")
     p.add_argument("--n", type=int, default=1, help="iterate to analyze")
 
-    p = subs.add_parser("classify", help="branch classification table")
-    _common(p)
+    p = _subcommand(subs, "classify", cmd_classify, "branch classification table")
     p.add_argument("--germ", help="restrict to one germ label")
 
-    p = subs.add_parser("lefschetz", help="Lefschetz numbers over a range")
-    _common(p)
+    p = _subcommand(subs, "lefschetz", cmd_lefschetz, "Lefschetz numbers over a range")
     p.add_argument("--n-range", required=True, help="inclusive range a..b")
 
-    p = subs.add_parser("count", help="isolated periodic point counts")
-    _common(p)
+    p = _subcommand(subs, "count", cmd_count, "isolated periodic point counts")
     p.add_argument("--n-range", required=True, help="inclusive range a..b")
 
-    p = subs.add_parser("validate", help="inventory and witness validation")
-    _common(p)
+    _subcommand(subs, "validate", cmd_validate, "inventory and witness validation")
 
-    p = subs.add_parser("verify", help="cross-run the elimination oracle "
-                                       "against the germ engine")
-    _common(p)
+    p = _subcommand(subs, "verify", cmd_verify, "cross-run the elimination "
+                    "oracle against the germ engine")
     p.add_argument("--n-max", type=int, default=2)
     return parser
 
@@ -130,24 +131,19 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)  # hi < lo yields an empty range
 
 
-def cmd_index(args) -> tuple[int, str]:
+def cmd_index(args) -> tuple[int, object, list]:
     n = _iterate_n(args.n, "--n")
     scn = _load(args)
     label, germ = _pick_germ(scn, args.germ)
     report = local_index(iterate(germ, n))
     payload = {"germ": label, "n": n, **jsonable(report)}
-    if args.format == "json":
-        return 0, emit_json(payload)
-    rows = [dict(germ=label, n=n, delta=report.delta, nu_A=report.nu_A)]
-    text = render_table(rows, ["germ", "n", "delta", "nu_A"])
-    if report.branches:
-        text += "\n\n" + render_table(
-            [jsonable(b) for b in report.branches],
-            ["factor", "nu_p", "type", "mu_p"])
-    return 0, text
+    blocks = [([payload], ["germ", "n", "delta", "nu_A"])]
+    if payload["branches"]:
+        blocks.append((payload["branches"], ["factor", "nu_p", "type", "mu_p"]))
+    return 0, payload, blocks
 
 
-def cmd_classify(args) -> tuple[int, str]:
+def cmd_classify(args) -> tuple[int, object, list]:
     scn = _load(args)
     picked = [_pick_germ(scn, args.germ)] if args.germ else sorted(scn.germs.items())
     rows = []
@@ -165,27 +161,22 @@ def cmd_classify(args) -> tuple[int, str]:
                 "nu_C": c.nu_C,
                 "tau": c.self_intersection,
             })
-    if args.format == "json":
-        return 0, emit_json({"branches": rows, "curves": curve_rows})
-    text = render_table(rows, ["germ", "factor", "nu_p", "type", "mu_p"])
+    blocks = [(rows, ["germ", "factor", "nu_p", "type", "mu_p"])]
     if curve_rows:
-        text += "\n\n" + render_table(
-            curve_rows, ["curve", "prime_period", "type", "nu_C", "tau"])
-    return 0, text
+        blocks.append((curve_rows, ["curve", "prime_period", "type", "nu_C", "tau"]))
+    return 0, {"branches": rows, "curves": curve_rows}, blocks
 
 
-def cmd_lefschetz(args) -> tuple[int, str]:
+def cmd_lefschetz(args) -> tuple[int, object, list]:
     n_range = _parse_range(args.n_range)
     scn = _load(args)
     model = scn.require_model()
     rows = [{"n": n, "lefschetz": lefschetz_number(model.action, n)}
             for n in n_range]
-    if args.format == "json":
-        return 0, emit_json(rows)
-    return 0, render_table(rows, ["n", "lefschetz"])
+    return 0, rows, [(rows, ["n", "lefschetz"])]
 
 
-def cmd_count(args) -> tuple[int, str]:
+def cmd_count(args) -> tuple[int, object, list]:
     n_range = _parse_range(args.n_range)
     scn = _load(args)
     model = scn.require_model()
@@ -198,25 +189,15 @@ def cmd_count(args) -> tuple[int, str]:
         "algebraically_stable": model.action.algebraically_stable,
         "growth_ok": r.growth,
     } for r in reports]
-    if args.format == "json":
-        return 0, emit_json(rows)
-    return 0, render_table(
-        rows, ["n", "lefschetz", "xi", "isolated_periodic",
-               "algebraically_stable", "growth_ok"])
+    return 0, rows, [(rows, ["n", "lefschetz", "xi", "isolated_periodic",
+                             "algebraically_stable", "growth_ok"])]
 
 
-def cmd_validate(args) -> tuple[int, str]:
+def cmd_validate(args) -> tuple[int, object, list]:
     scn = _load(args)
     model = scn.require_model()
     witness_issues = model.validate()
     violations = validate_periodic_inventory(model, scn.intersections)
-    payload = {
-        "witness_issues": witness_issues,
-        "violations": jsonable(violations),
-        "algebraically_stable": model.action.algebraically_stable,
-    }
-    if args.format == "json":
-        return 0, emit_json(payload)
     lines = [f"algebraic stability asserted: {model.action.algebraically_stable}"]
     if not witness_issues and not violations:
         lines.append("no violations")
@@ -224,10 +205,14 @@ def cmd_validate(args) -> tuple[int, str]:
         lines.append(f"witness: {issue}")
     for v in violations:
         lines.append(f"{v.kind}: {v.message}")
-    return 0, "\n".join(lines)
+    return 0, {
+        "witness_issues": witness_issues,
+        "violations": violations,
+        "algebraically_stable": model.action.algebraically_stable,
+    }, ["\n".join(lines)]
 
 
-def cmd_verify(args) -> tuple[int, str]:
+def cmd_verify(args) -> tuple[int, object, list]:
     n_max = _iterate_n(args.n_max, "--n-max")
     scn = _load(args)
     checks = []
@@ -251,20 +236,8 @@ def cmd_verify(args) -> tuple[int, str]:
                            "engine": report.nu_A, "oracle": oracle,
                            "agree": agree})
     ok = all(c["agree"] for c in checks)
-    if args.format == "json":
-        return (0 if ok else 1), emit_json({"checks": checks, "all_agree": ok})
-    text = render_table(checks, ["germ", "n", "check", "engine", "oracle", "agree"])
-    return (0 if ok else 1), text
-
-
-_COMMANDS = {
-    "index": cmd_index,
-    "classify": cmd_classify,
-    "lefschetz": cmd_lefschetz,
-    "count": cmd_count,
-    "validate": cmd_validate,
-    "verify": cmd_verify,
-}
+    return ((0 if ok else 1), {"checks": checks, "all_agree": ok},
+            [(checks, ["germ", "n", "check", "engine", "oracle", "agree"])])
 
 
 def main(argv=None) -> int:
@@ -274,7 +247,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code, text = _COMMANDS[args.command](args)
+        code, payload, blocks = args.handler(args)
+        if args.format == "json":
+            text = emit_json(payload)
+        else:
+            text = "\n\n".join(
+                block if isinstance(block, str) else render_table(*block)
+                for block in blocks)
     except GermIndexError as exc:
         print(json.dumps({"error": {"kind": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)

@@ -637,6 +637,70 @@ def test_second_fixed_point_localization():
     assert local_index(germ).nu_A == 1
 
 
+def test_validate_prints_an_inventory_violation(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_cubic(
+        lambda d: d["curves"][1].update(prime_period=2))))
+    message = "intersecting type II curves E0, E1 have periods 1 != 2"
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert out == ("algebraic stability asserted: True\n"
+                   f"type_II_period_mismatch: {message}\n")
+    code, out, _ = run_cli(capsys, "validate", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["violations"] == [
+        {"kind": "type_II_period_mismatch", "curves": ["E0", "E1"],
+         "message": message}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("lefschetz", "--fixture", "cubic-d4", "--n-range", "1-3"),
+     "bad range '1-3', expected a..b"),
+    (("count", "SCENARIO", "--fixture", "cubic-d4", "--n-range", "1..2"),
+     "give either a scenario path or --fixture, not both"),
+    (("count", "SCENARIO", "--n-range", "1..2"), "unknown action mode 'bogus'"),
+], ids=["range_without_dots", "path_and_fixture", "unknown_action_mode"])
+def test_usage_refusals_name_their_cause(tmp_path, capsys, argv, message):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_cubic(lambda d: d["action"].update(mode="bogus"))))
+    argv = [str(path) if a == "SCENARIO" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"kind": "ScenarioError", "message": message}
+
+
+def test_index_reports_the_only_germ_without_germ(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"germs": {"g": {"images": ["z1 + z2^2",
+                                                           "z2 + z1^2"]}}}))
+    code, out, _ = run_cli(capsys, "index", str(path), "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["germ"], data["n"], data["delta"], data["nu_A"]) == ("g", 1, 4, 4)
+
+
+def test_verify_reports_an_oracle_that_finds_no_isolated_point(monkeypatch, capsys):
+    from germindex.errors import NonIsolated
+
+    def non_isolated(*_):
+        raise NonIsolated("a fixed curve through the point")
+
+    monkeypatch.setattr("germindex.cli.fixed_multiplicity", non_isolated)
+    code, out, _ = run_cli(capsys, "verify", "--fixture", "remark42",
+                           "--n-max", "1")
+    assert code == 1
+    assert [line.split() for line in out.splitlines()[2:]] == [
+        [germ, "1", "multiplicity", "1", "non-isolated", "False"]
+        for germ in ("origin", "second_fixed_point")]
+    code, out, _ = run_cli(capsys, "verify", "--fixture", "remark42",
+                           "--n-max", "1", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert [(c["oracle"], c["agree"]) for c in data["checks"]] == \
+        [("non-isolated", False)] * 2
+    assert data["all_agree"] is False
+
+
 # the command as a process: `python -m germindex.cli` goes through run(),
 # the entry of the console script too
 
