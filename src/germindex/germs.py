@@ -130,8 +130,9 @@ class BranchRecord:
     mu_p: int | None = None
 
     def key(self):
-        """Canonical identity of the branch (normalized defining factor)."""
-        return tuple(sorted(self.defining_polynomial.normalized().coeff.items()))
+        """Canonical identity of the branch: the ((i, j), integer
+        coefficient) terms of the normalized defining factor, sorted."""
+        return tuple(sorted(self.defining_polynomial.normalized().numerator_terms()))
 
 
 @dataclass
@@ -233,7 +234,8 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
 
     The rows m*a and m*b enter in order of their lowest degree, each reduced
     once into an echelon form keyed by its lowest term; terms at or above a
-    degree cap are dropped, and the cap doubles, rebuilding the form, when
+    degree cap never enter a row (a generator's terms are read by rising
+    degree, up to the cap), and the cap doubles, rebuilding the form, when
     D passes it.  A row never drops below its lowest degree, so after the
     rows of lowest degree D - 1 the pivots below D are final and c(D) is
     D(D+1)/2 minus their number.
@@ -244,9 +246,9 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
     a pivot with lowest coefficient p as row*(p/g) - pivot*(c/g), g =
     gcd(c, p).
     """
-    if a.constant_term() != 0 or b.constant_term() != 0:
+    if not (a.vanishes_at_origin() and b.vanishes_at_origin()):
         return 0
-    gens = [(h.order(), [(i, i + j, c) for (i, j), c in h.numerator_terms()])
+    gens = [(h.order(), sorted((i + j, i, c) for (i, j), c in h.numerator_terms()))
             for h in (a, b) if not h.is_zero()]
     pivots: dict = {}  # lowest term (graded index) -> primitive row
     cap = 4
@@ -258,10 +260,11 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
             e = d - order  # the multiplier's degree
             for p in range(e + 1):  # m = z1^p z2^(e-p)
                 row = {}
-                for i, n, c in terms:
+                for n, i, c in terms:
                     n += e
-                    if n < cap:
-                        row[n * (n + 1) // 2 + i + p] = c
+                    if n >= cap:
+                        break
+                    row[n * (n + 1) // 2 + i + p] = c
                 while row:
                     lead = min(row)
                     piv = pivots.get(lead)

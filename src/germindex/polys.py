@@ -9,12 +9,13 @@ derivatives) is the ring's.  Its repr is the one writer of polynomial
 text, in the scenario syntax that parsing.parse_expression reads back
 (polys writes, parsing reads); reports and error messages print it.  Two
 kernels run on plain integers of their own, with monomials z1^i z2^j
-packed into one int key i*S + j: exact division, one lex-ordered pass
-(`_exquo_zz`), and composition, and with it iterates, shears and
-translations (`_compose_ring`), which with a degree cap N keeps only the
-terms below degree N.  PolynomialMap owns iteration: the germ engine and
-the oracle read its one chain of exact iterates, up to the degree bound
-MAX_ITERATE_DEGREE and up to n = MAX_ITERATE_N.  A map that fixes the origin keeps beside it one
+packed into one int key i*S + j: exact division, one lex-ordered pass or,
+by a one-term divisor, one exponent shift (`_exquo_zz`), and composition,
+and with it iterates, shears and translations (`_compose_ring`), which
+with a degree cap N keeps only the terms below degree N.  PolynomialMap
+owns iteration: the germ engine and the oracle read its one chain of exact
+iterates, up to the degree bound MAX_ITERATE_DEGREE and up to
+n = MAX_ITERATE_N.  A map that fixes the origin keeps beside it one
 capped chain of jets per order N, whose jets of f^n cost one small
 composition per step whatever deg f^n is (`fixed_jets`, the oracle's
 order-4 rung), and answers whether the origin is a simple fixed point of
@@ -243,6 +244,12 @@ class Poly2:
         if isinstance(other, (int, Fraction)):
             c = rat(other)
             return Poly2._new(self._num.mul_ground(c.numerator), self._den * c.denominator)
+        # a constant factor (a linear factor's derivative) is a scalar
+        if other._num.is_ground:
+            return Poly2._new(self._num.mul_ground(other._num.get((0, 0), 0)),
+                              self._den * other._den)
+        if self._num.is_ground:
+            return other * self
         return Poly2._new(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
@@ -302,7 +309,9 @@ class Poly2:
         of self over ZZ exactly when b divides self over Q (Gauss)."""
         if b.is_zero():
             raise NotDivisible("division by the zero polynomial")
-        content, B = b._num.primitive()
+        B, content = b._num, gcd(*b._num.values())
+        if content != 1:
+            B = B.quo_ground(content)
         q = _RING2.dtype(_exquo_zz(self._num, B))
         return Poly2._new(q.mul_ground(b._den), self._den * content)
 
@@ -315,10 +324,14 @@ class Poly2:
 
     def normalized(self) -> "Poly2":
         """Canonical scalar multiple: integer, content 1, graded-lex
-        leading coefficient positive.  Used to compare branch factors."""
+        leading coefficient positive.  Used to compare branch factors.  An
+        integer polynomial of content 1 (a factor of factor_list2) is
+        normalized up to its sign: it is returned itself, or negated."""
         if self.is_zero():
             return self
-        p = Poly2._new(self._num.primitive()[1])
+        p = self
+        if self._den != 1 or gcd(*self._num.values()) != 1:
+            p = Poly2._new(self._num.primitive()[1])
         return -p if p.leading_coefficient() < 0 else p
 
     def __repr__(self):
@@ -475,16 +488,27 @@ def _exquo_zz(r, b) -> dict:
     """{monomial: coefficient} of r / b for ring elements over ZZ, with b
     primitive and nonzero, in one pass in lex order (z1 before z2).
 
-    A max-heap holds the monomials of the remainder r - q*b, and each step
-    cancels its largest term with the leading term of b.  If r = q*b, that
-    term's monomial is a multiple of b's leading monomial, its coefficient a
-    multiple of b's leading coefficient (the quotient of a primitive b is
-    integral, by Gauss's lemma), and the quotient term has z2-degree at most
-    deg_z2 r - deg_z2 b; the first step that breaks one of these raises
-    NotDivisible.  A monomial (i, j) is packed as i*S + j with S > deg_z2 r,
+    A one-term b = c z1^k z2^l is one exponent shift: each term of r must
+    have exponents at least (k, l) and a coefficient divisible by c.
+    Otherwise a max-heap holds the monomials of the remainder r - q*b, and
+    each step cancels its largest term with the leading term of b.  If
+    r = q*b, that term's monomial is a multiple of b's leading monomial, its
+    coefficient a multiple of b's leading coefficient (the quotient of a
+    primitive b is integral, by Gauss's lemma), and the quotient term has
+    z2-degree at most deg_z2 r - deg_z2 b; the first step that breaks one
+    of these raises NotDivisible.  A monomial (i, j) is packed as i*S + j with S > deg_z2 r,
     which keeps lex order and turns a product of monomials into a sum."""
     if not r:
         return {}
+    if len(b) == 1:
+        ((k, l), c), = b.items()
+        q = {}
+        for (i, j), v in r.items():
+            d, m = divmod(v, c)
+            if m or i < k or j < l:
+                raise NotDivisible("polynomial does not divide exactly")
+            q[i - k, j - l] = d
+        return q
     S = max(j for _, j in r) + 1
     (li, lj), lc = max(b.items())
     top = lj + S - 1 - max(j for _, j in b)  # largest j of a leading monomial

@@ -210,6 +210,9 @@ def _build_scenario(doc: dict) -> Scenario:
     origins: dict[str, GermOrigin] = {}
     for label, spec in (doc.get("germs") or {}).items():
         _known(spec, _GERM_KEYS, f"germ {label!r}")
+        if "images" in spec and ("map" in spec or "base_point" in spec):
+            raise ScenarioError(
+                f"germ {label!r} has 'images' beside 'map' or 'base_point'")
         if "map" in spec:
             pmap = _lookup(maps, spec["map"], f"germ {label!r}", "map")
             point = spec.get("base_point", [0, 0])

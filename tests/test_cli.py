@@ -251,6 +251,11 @@ def _torus(delta):
     _cubic(lambda d: d["points"][3].update(declared_index={"0": 5, "1": 2})),
     _cubic(lambda d: d["points"][3].update(prime_period=2,
                                            declared_index={"1": 2, "2": 2})),
+    # a germ is built from 'map' (with its base_point) or from 'images'
+    _cubic(lambda d: d["germs"]["u1"].update(
+        images=["z1 + z1^3*z2", "z2 + z1^2*z2^2"])),
+    _cubic(lambda d: d["germs"].update(u1={
+        "images": ["z1 + z1^3*z2", "z2 + z1^2*z2^2"], "base_point": [0, 0]})),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
@@ -262,7 +267,8 @@ def _torus(delta):
         "base_point_of_three", "picard_number_0", "picard_number_negative",
         "growth_constant_negative", "count_one_quarter", "count_12_minus_8sqrt2",
         "count_negative", "declared_index_negative", "declared_index_at_0",
-        "declared_index_off_the_period"])
+        "declared_index_off_the_period", "germ_map_and_images",
+        "base_point_without_map"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))

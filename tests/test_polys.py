@@ -821,6 +821,8 @@ def test_exact_div_inverts_multiplication(a, b, c):
     (X * Y - 1, Y**2 * 2 - Y + 1),  # lex-leading term of b free of z1
     (X**3 - Y, -Y**3),  # a negative monomial divisor
     (X * Fraction(1, 2) + Y, Y * 6 - X * 4),  # b with content 2
+    (X, X * Y),  # one-term divisors: the exponents shift
+    (Y * 3 + X * 2, X * 2),
 ])
 def test_exact_div_pinned(a, b):
     assert (a * b).exact_div(b) == a
@@ -833,6 +835,9 @@ def test_exact_div_pinned(a, b):
     (X, X - Y),  # a quotient term of z2-degree 0 > deg_z2 a - deg_z2 b
     (X * 2 + 1, X * 3 + 1),  # 3 does not divide 2: a coefficient remainder
     (X * Y * 2 + X + Y, X * 2 + 1),  # after Y * b, 2 does not divide the X left
+    (X + Y, X),  # one-term divisors: a term of a lacks the divisor's power
+    (X**2, X * Y),
+    (X + 1, X * 3),
 ])
 def test_exact_div_refuses_pinned(a, b):
     with time_limit(5):
@@ -850,6 +855,58 @@ def test_exact_div_does_not_use_the_ring_division(monkeypatch):
     monkeypatch.setattr(PolyElement, "div", refuse)
     assert ((X + Y) * (X - Y * 2)).exact_div(X - Y * 2) == X + Y
     assert not (X * Y + 1).divides(X + Y)
+
+
+@st.composite
+def monomials(draw):
+    """c * z1^i z2^j for a rational c of either sign."""
+    e = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    return Poly2({e: draw(coefficients)})
+
+
+@given(small_polys(max_degree=3, max_terms=5), monomials(), any_polys)
+@settings(max_examples=80)
+def test_exact_div_by_a_monomial(a, m, c):
+    assert (a * m).exact_div(m) == a
+    # over Q a term is a multiple of m when its exponents cover m's
+    (i, j), = m.coeff
+    assert m.divides(c) == all(k >= i and l >= j for k, l in c.coeff)
+
+
+def test_exact_div_by_a_monomial_shifts_exponents(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-term divisor reached the heap")
+
+    monkeypatch.setattr(polys, "heapify", refuse)
+    assert (X**2 * Y).exact_div(X * Y) == X
+    assert (X * Y * 6 + X**2 * 4).exact_div(X * 2) == Y * 3 + X * 2
+    assert not X.divides(X + Y)
+    assert not (X * Y).divides(X**2)
+
+
+@pytest.mark.parametrize("p", [
+    (X + Y * 2) ** 2 * X * Y**3 * -3,  # a binary form
+    (X - Y**2) * (X * 2 + Y + X * Y) ** 2 * Fraction(-1, 2),
+])
+def test_factor_list2_factors_are_their_own_normalized_form(p):
+    factors = factor_list2(p)[1]
+    assert factors and all(f.normalized() is f for f, _ in factors)
+
+
+def test_product_by_a_constant_is_a_scalar_product(monkeypatch):
+    from sympy.polys.rings import PolyElement
+
+    c = Fraction(-3, 2)
+    want = X * c
+    assert Poly2.constant(c) * X == want
+
+    def refuse(*args):
+        raise AssertionError("a constant factor reached the ring product")
+
+    monkeypatch.setattr(PolyElement, "__mul__", refuse)
+    assert X * Poly2.constant(c) == want
+    assert Poly2.constant(c) * X == want
+    assert (X * Poly2.zero()).is_zero() and (Poly2.zero() * X).is_zero()
 
 
 @given(small_polys(), small_polys(), small_polys(), coefficients)
