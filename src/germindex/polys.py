@@ -3,16 +3,18 @@
 Poly2 is the one exact polynomial type, for germ decomposition, the
 elimination oracle and the spectral data of the surface layer (a
 resultant or characteristic polynomial is a Poly2 in one variable): an
-element of sympy's sparse ring Z[z1, z2] over one positive integer
-denominator, in lowest terms.  Its arithmetic (sums, products, powers and
-derivatives) is the ring's.  Its repr is the one writer of polynomial
-text, in the scenario syntax that parsing.parse_expression reads back
-(polys writes, parsing reads); reports and error messages print it.  Two
-kernels run on plain integers of their own, with monomials z1^i z2^j
-packed into one int key i*S + j: exact division, one lex-ordered pass or,
-by a one-term divisor, one exponent shift (`_exquo_zz`), and composition,
-and with it iterates, shears and translations (`_compose_ring`), which
-with a degree cap N keeps only the terms below degree N.  PolynomialMap
+integer numerator, a plain dict {(i, j): int} of the nonzero coefficients
+of z1^i z2^j, over one positive integer denominator, in lowest terms.
+Its arithmetic (sums, products, powers, derivatives, exact quotients and
+normalization) runs on that dict with no CAS object built.  Its repr is
+the one writer of polynomial text, in the scenario syntax that
+parsing.parse_expression reads back (polys writes, parsing reads);
+reports and error messages print it.  The products, exact division and
+composition pack monomials z1^i z2^j into one int key i*S + j: exact
+division is one lex-ordered pass or, by a one-term divisor, one exponent
+shift (`_exquo_zz`), and composition, and with it iterates, shears and
+translations (`_compose_ring`), with a degree cap N keeps only the terms
+below degree N.  PolynomialMap
 owns iteration: the germ engine and the oracle read its one chain of exact
 iterates, up to the degree bound MAX_ITERATE_DEGREE and up to
 n = MAX_ITERATE_N.  A map that fixes the origin keeps beside it one
@@ -27,26 +29,31 @@ that arithmetic, the heavy steps (bivariate gcd, irreducible
 factorization over Q, resultants, the z2 = 0 level test of the
 elimination oracle (a univariate gcd), real-root isolation,
 characteristic polynomials, traces of matrix powers and the square part
-of an integer) are delegated to sympy at the ring level: a ring element,
-coefficient dict, dense list or matrix goes straight into sympy's sparse
-ring, dense routines or domain matrix and back, without building symbolic
-expression trees.  A binary form (a curve factor made of lines through
-the origin, such as z1^2 z2) is factored as the polynomial p(t, 1) in one
-variable (`_binary_form_factors`), whose factors, made homogeneous again,
-are sorted by the bivariate factorizer's own key, so both routes give the
-same list in the same order.  A resultant in z1 is, up to a measured
-size, one univariate resultant over ZZ on Kronecker-packed integers
-(`_resultant_zz`).  Both gcd questions first try a certificate mod the
-prime 2**61 - 1 (`proved_coprime`, `_unit_gcd_mod_p`, Euclid on plain
-ints): a gcd 1 mod a prime that divides neither leading coefficient
-proves a pair coprime, and sympy's gcd runs only when the certificate
-gives no verdict; the oracle's tangent-cone rung reads the certificate
-alone (`proved_coprime`), on two lowest forms (`Poly2.lowest_form`).
-Every call on bivariate data runs over ZZ
-on the integer numerator; the one denominator is divided out only where a
-coefficient is read as a Fraction.  Callers outside this module read the
-numerator's terms through `Poly2.numerator_terms` (the fraction-free
-intersection number does).
+of an integer) are delegated to sympy at the ring level: a coefficient
+dict, dense list or matrix goes straight into sympy's sparse ring, dense
+routines or domain matrix and back, without building symbolic expression
+trees.  An element of the bivariate ring Z[z1, z2] is built by one
+converter (`_ring2`), only at the calls where sympy does the mathematics
+(the gcd after the certificate below, the bivariate factorization, the
+wide-slot resultant and the z2 = 0 gcd), and each coefficient that comes
+back is read with int() (`_from_ring`).  A binary form (a curve factor
+made of lines through the origin, such as z1^2 z2) is factored as the
+polynomial p(t, 1) in one variable (`_binary_form_factors`), whose
+factors, made homogeneous again, are sorted by the bivariate
+factorizer's own key, so both routes give the same list in the same
+order.  A resultant in z1 is, up to a measured size, one univariate
+resultant over ZZ on Kronecker-packed integers (`_resultant_zz`).  Both
+gcd questions first try a certificate mod the prime 2**61 - 1
+(`proved_coprime`, `_unit_gcd_mod_p`, Euclid on plain ints): a gcd 1 mod
+a prime that divides neither leading coefficient proves a pair coprime,
+and sympy's gcd runs only when the certificate gives no verdict; the
+oracle's tangent-cone rung reads the certificate alone
+(`proved_coprime`), on two lowest forms (`Poly2.lowest_form`).  Every
+call on bivariate data runs over ZZ on the integer numerator; the one
+denominator is divided out only where a coefficient is read as a
+Fraction.  Callers outside this module read the numerator's terms
+through `Poly2.numerator_terms` (the fraction-free intersection number
+does).
 """
 
 from __future__ import annotations
@@ -93,26 +100,29 @@ def rat(x) -> Fraction:
 
 class Poly2:
     """Exact polynomial in z1, z2 with rational coefficients: _num / _den,
-    with _num in Z[z1, z2] (never mutated once wrapped) and _den > 0 coprime
-    to the content of _num, so each polynomial has one representation."""
+    with _num a plain dict {(i, j): int} of the nonzero integer coefficients
+    (never mutated once wrapped) and _den > 0 coprime to the content of
+    _num, so each polynomial has one representation."""
 
     __slots__ = ("_num", "_den", "_coeff")
 
     def __init__(self, coeff):
+        coeff = {e: rat(c) for e, c in coeff.items()}
         # reduced fractions over their lcm are already in lowest terms
         den = lcm(*(c.denominator for c in coeff.values()))
-        self._num = _RING2.dtype({e: c.numerator * (den // c.denominator)
-                                  for e, c in coeff.items() if c != 0})
+        self._num = {e: c.numerator * (den // c.denominator)
+                     for e, c in coeff.items() if c}
         self._den = den
         self._coeff = None
 
     @classmethod
-    def _new(cls, num, den: int = 1) -> "Poly2":
-        """num / den for a ring element num and an integer den > 0."""
+    def _new(cls, num: dict, den: int = 1) -> "Poly2":
+        """num / den for a dict num of nonzero integer coefficients, which
+        the result keeps, and an integer den > 0."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
-                num, den = num.quo_ground(g), den // g
+                num, den = {e: c // g for e, c in num.items()}, den // g
         p = object.__new__(cls)
         p._num, p._den, p._coeff = num, den, None
         return p
@@ -125,7 +135,7 @@ class Poly2:
 
     @classmethod
     def constant(cls, value) -> "Poly2":
-        return cls({(0, 0): rat(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def variable(cls, index: int) -> "Poly2":
@@ -135,7 +145,7 @@ class Poly2:
 
     @classmethod
     def from_terms(cls, terms) -> "Poly2":
-        return cls({tuple(e): rat(c) for e, c in terms.items()})
+        return cls({tuple(e): c for e, c in terms.items()})
 
     # -- queries ----------------------------------------------------------
 
@@ -161,7 +171,7 @@ class Poly2:
         return not self._num
 
     def is_constant(self) -> bool:
-        return self._num.is_ground
+        return _is_ground(self._num)
 
     def constant_term(self) -> Fraction:
         return self[(0, 0)]
@@ -195,15 +205,15 @@ class Poly2:
 
     def truncated(self, N: int) -> "Poly2":
         """The jet below degree N: the terms of total degree below N."""
-        return Poly2._new(_RING2.dtype({e: c for e, c in self._num.items()
-                                        if e[0] + e[1] < N}), self._den)
+        return Poly2._new({e: c for e, c in self._num.items() if e[0] + e[1] < N},
+                          self._den)
 
     def lowest_form(self) -> "Poly2":
         """The terms of least total degree, a form of degree order();
         raises on the zero polynomial."""
         d = self.order()
-        return Poly2._new(_RING2.dtype({e: c for e, c in self._num.items()
-                                        if e[0] + e[1] == d}), self._den)
+        return Poly2._new({e: c for e, c in self._num.items() if e[0] + e[1] == d},
+                          self._den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -214,53 +224,57 @@ class Poly2:
 
     def __hash__(self):
         # a constant equals its value, so it hashes as that value
-        if self._num.is_ground:
+        if _is_ground(self._num):
             return hash(self.constant_term())
         return hash((self._den, frozenset(self._num.items())))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.constant(other)
+        other = _operand(other)
         a, b = self._den, other._den
         if a == b:
-            return Poly2._new(self._num + other._num, a)
+            return Poly2._new(_sum(self._num, other._num), a)
         m = lcm(a, b)
-        return Poly2._new(self._num.mul_ground(m // a) + other._num.mul_ground(m // b), m)
+        return Poly2._new(_sum(_scaled(self._num, m // a), _scaled(other._num, m // b)), m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2._new(-self._num, self._den)
+        return Poly2._new({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Poly2":
-        return self + (-other)
+        return self + (-_operand(other))
 
     def __rsub__(self, other) -> "Poly2":
         return (-self) + other
 
     def __mul__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return Poly2._new(self._num.mul_ground(c.numerator), self._den * c.denominator)
+        other = _operand(other)
         # a constant factor (a linear factor's derivative) is a scalar
-        if other._num.is_ground:
-            return Poly2._new(self._num.mul_ground(other._num.get((0, 0), 0)),
+        if _is_ground(other._num):
+            return Poly2._new(_scaled(self._num, other._num.get((0, 0), 0)),
                               self._den * other._den)
-        if self._num.is_ground:
+        if _is_ground(self._num):
             return other * self
-        return Poly2._new(self._num * other._num, self._den * other._den)
+        a, b = self._num, other._num
+        S = 1 + _z2_degree(a) + _z2_degree(b)
+        return Poly2._new(_unpacked(_mul_packed(_packed(a, S), _packed(b, S)), S),
+                          self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly2":
+        if not isinstance(k, int):
+            raise TypeError(f"exponent must be an integer, got {k}")
         if k < 0:
             raise ValueError("negative power of a polynomial")
         if k == 0:
             return Poly2.constant(1)
         # content(p**k) = content(p)**k, so lowest terms carry over
-        return Poly2._new(self._num**k, self._den**k)
+        S = 1 + k * _z2_degree(self._num)
+        powers = [{0: 1}, _packed(self._num, S)]
+        return Poly2._new(_unpacked(_power(powers, k, _uncut), S), self._den**k)
 
     # -- substitution -----------------------------------------------------
 
@@ -285,7 +299,13 @@ class Poly2:
         return out[0] if partner is None else tuple(out)
 
     def derivative(self, index: int) -> "Poly2":
-        return Poly2._new(self._num.diff(_RING2.gens[index - 1]), self._den)
+        if index == 1:
+            num = {(i - 1, j): c * i for (i, j), c in self._num.items() if i}
+        elif index == 2:
+            num = {(i, j - 1): c * j for (i, j), c in self._num.items() if j}
+        else:
+            raise ValueError("variable index must be 1 or 2")
+        return Poly2._new(num, self._den)
 
     def shear_z2(self, c) -> "Poly2":
         """Substitute z2 -> z2 + c*z1 (moves points between z2-levels)."""
@@ -306,18 +326,19 @@ class Poly2:
     def exact_div(self, b: "Poly2") -> "Poly2":
         """Exact quotient self / b; raises NotDivisible if it does not divide.
         With b = content * B / den for a primitive B, B divides the numerator
-        of self over ZZ exactly when b divides self over Q (Gauss)."""
+        of self over ZZ exactly when b divides self over Q (Gauss).  An int
+        or Fraction b is a constant."""
+        b = _operand(b)
         if b.is_zero():
             raise NotDivisible("division by the zero polynomial")
         B, content = b._num, gcd(*b._num.values())
         if content != 1:
-            B = B.quo_ground(content)
-        q = _RING2.dtype(_exquo_zz(self._num, B))
-        return Poly2._new(q.mul_ground(b._den), self._den * content)
+            B = {e: c // content for e, c in B.items()}
+        return Poly2._new(_scaled(_exquo_zz(self._num, B), b._den), self._den * content)
 
     def divides(self, other: "Poly2") -> bool:
         try:
-            other.exact_div(self)
+            _operand(other).exact_div(self)
             return True
         except NotDivisible:
             return False
@@ -330,8 +351,9 @@ class Poly2:
         if self.is_zero():
             return self
         p = self
-        if self._den != 1 or gcd(*self._num.values()) != 1:
-            p = Poly2._new(self._num.primitive()[1])
+        content = gcd(*self._num.values())
+        if self._den != 1 or content != 1:
+            p = Poly2._new({e: c // content for e, c in self._num.items()})
         return -p if p.leading_coefficient() < 0 else p
 
     def __repr__(self):
@@ -354,7 +376,73 @@ class Poly2:
         return text
 
 
+# -- integer numerators: dicts {(i, j): int} of the nonzero coefficients ------
+
+
+def _operand(x) -> Poly2:
+    """An arithmetic operand as a Poly2: an int or Fraction is a constant;
+    anything else that is not a Poly2 (a float, a string, a boolean) raises
+    TypeError, as rat does."""
+    if isinstance(x, Poly2):
+        return x
+    if type(x) is int or isinstance(x, Fraction):
+        return Poly2._new({(0, 0): x.numerator} if x else {}, x.denominator)
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _is_ground(num: dict) -> bool:
+    return not num or (len(num) == 1 and (0, 0) in num)
+
+
+def _sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        c += out.get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _scaled(num: dict, s: int) -> dict:
+    """s * num for an integer s."""
+    if s == 1:
+        return num
+    return {e: c * s for e, c in num.items()} if s else {}
+
+
+def _z2_degree(num: dict) -> int:
+    return max((j for _, j in num), default=0)
+
+
+def _packed(num: dict, S: int) -> dict:
+    """num on packed monomial keys i*S + j (see _compose_ring), for S above
+    every z2-degree that num or a product built from it reaches."""
+    return {i * S + j: c for (i, j), c in num.items()}
+
+
+def _unpacked(d: dict, S: int) -> dict:
+    """The nonzero terms of d, a dict on packed keys, back on (i, j) keys."""
+    return {divmod(k, S): c for k, c in d.items() if c}
+
+
+def _uncut(d: dict) -> dict:
+    return d
+
+
 # -- the computer-algebra boundary (sympy, ring level) ------------------------
+
+
+def _ring2(num: dict):
+    """num as an element of sympy's ring Z[z1, z2]: the one way into the
+    bivariate routines of the CAS, built only for a call that needs them."""
+    return _RING2(num)
+
+
+def _from_ring(r) -> dict:
+    """The terms of a ring element over ZZ, each coefficient read with int()."""
+    return {e: int(c) for e, c in r.items()}
 
 
 def _fraction(c) -> Fraction:
@@ -366,15 +454,14 @@ def _qq(c):
 
 
 def _to_zz2(p: Poly2, dx: int, dy: int):
-    """(P, D): the ring element P = D * p(z1/dx, z2/dy) over ZZ and D > 0.
+    """(P, D): the integer numerator dict P = D * p(z1/dx, z2/dy) and D > 0.
     D = den * dx**I * dy**J, with I, J the degrees of p in z1 and z2, so the
     numerator coefficient c of z1^i z2^j becomes c * dx**(I-i) * dy**(J-j)."""
     if dx == dy == 1:
         return p._num, p._den
     I = max((i for i, _ in p._num), default=0)
     J = max((j for _, j in p._num), default=0)
-    P = _RING2.dtype({(i, j): c * dx**(I - i) * dy**(J - j)
-                      for (i, j), c in p._num.items()})
+    P = {(i, j): c * dx**(I - i) * dy**(J - j) for (i, j), c in p._num.items()}
     return P, p._den * dx**I * dy**J
 
 
@@ -390,7 +477,7 @@ def _compose(polys: list, im1: Poly2, im2: Poly2, cap: int | None = None) -> lis
 
 def _mul_packed(a: dict, b: dict) -> dict:
     """Product of two polynomials on packed monomial keys (see
-    _compose_ring), term by term as PolyElement.__mul__ does."""
+    _compose_ring), term by term, the zero terms dropped."""
     out = {}
     get = out.get
     for k1, v1 in a.items():
@@ -401,8 +488,8 @@ def _mul_packed(a: dict, b: dict) -> dict:
 
 
 def _square_packed(a: dict) -> dict:
-    """a * a on packed monomial keys, each cross product taken once, as
-    PolyElement.square does."""
+    """a * a on packed monomial keys, each cross product taken once and
+    doubled, the zero terms dropped."""
     items = list(a.items())
     out = {}
     get = out.get
@@ -428,22 +515,21 @@ def _power(powers: list, k: int, cut) -> dict:
 
 
 def _compose_ring(outers: list, x, y, cap: int | None = None) -> list:
-    """Each outer ring element with z1 -> x, z2 -> y, all over ZZ; with a
-    cap N, only the terms of total degree below N of each result.
+    """Each outer with z1 -> x, z2 -> y, all integer numerator dicts; with
+    a cap N, only the terms of total degree below N of each result.
 
     The powers of x and y are built once, and so is each product
     x**i * y**j, which is then added, scaled by its coefficient, straight
-    into every outer that has the monomial; PolyElement.compose would
-    recompute g**k for every monomial.  A product is dropped once used, so
-    the peak memory stays that of the powers and the results.
+    into every outer that has the monomial, instead of recomputing g**k for
+    every monomial.  A product is dropped once used, so the peak memory
+    stays that of the powers and the results.
 
     The work runs on plain int coefficients keyed by packed monomials
     z1^a z2^b -> a*S + b, as in _exquo_zz: a product of monomials is a sum
     of keys, with no exponent tuple built.  S is one more than the largest
     z2-degree any power, product or result can reach (i*deg_z2 x +
     j*deg_z2 y over the outers' monomials z1^i z2^j), so no key carries
-    into the next z1-degree.  Each coefficient stays a separate integer,
-    so the coefficient products are exactly the ring's.
+    into the next z1-degree.  Each coefficient stays a separate integer.
 
     The cap needs x and y without constant terms.  Then x**i * y**j lies
     in m**(i + j), m the maximal ideal at the origin, so an outer monomial
@@ -452,8 +538,7 @@ def _compose_ring(outers: list, x, y, cap: int | None = None) -> list:
     degree N or more.  With no cap nothing is cut, and no term is tested.
     """
     if cap is None:
-        def cut(d):
-            return d
+        cut = _uncut
     else:
         outers = [{e: c for e, c in outer.items() if e[0] + e[1] < cap}
                   for outer in outers]
@@ -480,12 +565,11 @@ def _compose_ring(outers: list, x, y, cap: int | None = None) -> list:
             get = acc.get
             for m, v in term.items():
                 acc[m] = get(m, 0) + c * v
-    return [_RING2.dtype({divmod(k, S): c for k, c in acc.items() if c})
-            for acc in out]
+    return [_unpacked(acc, S) for acc in out]
 
 
 def _exquo_zz(r, b) -> dict:
-    """{monomial: coefficient} of r / b for ring elements over ZZ, with b
+    """{monomial: coefficient} of r / b for integer numerator dicts, with b
     primitive and nonzero, in one pass in lex order (z1 before z2).
 
     A one-term b = c z1^k z2^l is one exponent shift: each term of r must
@@ -663,7 +747,7 @@ def _minus_monomial(p: Poly2, e: tuple) -> Poly2:
     """p - z^e: a copy of p's numerator with its e coefficient lowered by
     the denominator.  gcd(den, c - den) = gcd(den, c), so lowest terms
     carry over."""
-    num = p._num.copy()
+    num = dict(p._num)
     c = num.get(e, 0) - p._den
     if c:
         num[e] = c
@@ -681,7 +765,7 @@ def gcd2(a: Poly2, b: Poly2) -> Poly2:
     of both."""
     if a._num and b._num and proved_coprime(a, b):
         return Poly2.constant(1)
-    return Poly2._new(a._num.gcd(b._num)).normalized()
+    return Poly2._new(_from_ring(_ring2(a._num).gcd(_ring2(b._num)))).normalized()
 
 
 # The prime of the coprimality certificate (2**61 - 1, a Mersenne prime) and
@@ -779,7 +863,8 @@ def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
         # over ZZ the factors are primitive (Gauss), so normalized() only
         # fixes their sign; the constant is rebuilt from p below, not from
         # the content
-        out = [(Poly2._new(f).normalized(), int(m)) for f, m in p._num.factor_list()[1]]
+        out = [(Poly2._new(_from_ring(f)).normalized(), int(m))
+               for f, m in _ring2(p._num).factor_list()[1]]
     # graded-lex is a monomial order, so leading coefficients multiply
     lead = Fraction(1)
     for f, m in out:
@@ -788,7 +873,8 @@ def factor_list2(p: Poly2) -> tuple[Fraction, list[tuple[Poly2, int]]]:
 
 
 def _binary_form_factors(P, d: int) -> list[tuple[Poly2, int]]:
-    """[(factor, multiplicity)] of a binary form P over ZZ of degree d, the
+    """[(factor, multiplicity)] of a binary form P, an integer numerator
+    dict of degree d, the
     factors normalized and in the order of sympy's bivariate factor_list.
 
     P = sum c_i z1^i z2^(d-i) is z2^d u(z1/z2) for u(t) = P(t, 1), so each
@@ -809,7 +895,7 @@ def _binary_form_factors(P, d: int) -> list[tuple[Poly2, int]]:
     for g, m in dup_factor_list(u, ZZ)[1]:
         k = len(g) - 1  # g[s] is the coefficient of z1^(k-s) z2^s
         dense = [[c] + [0] * s if c else [] for s, c in enumerate(g)]
-        form = _RING2.dtype({(k - s, s): c for s, c in enumerate(g) if c})
+        form = {(k - s, s): int(c) for s, c in enumerate(g) if c}
         keyed.append(((k + 1, m, dense), Poly2._new(form)))
     if d > deg_u:
         keyed.append(((1, d - deg_u, [[1, 0]]), Poly2.variable(2)))
@@ -836,13 +922,12 @@ def resultant_z1(f: Poly2, g: Poly2) -> Poly2:
     Res(F, G) / (a**deg_z1 g * b**deg_z1 f)."""
     m, n = _z1_degree(f), _z1_degree(g)
     res = _resultant_zz(f._num, g._num, m, n)
-    return Poly2._new(_RING2.dtype({(0, k): c for k, c in res.items()}),
-                      f._den**n * g._den**m)
+    return Poly2._new({(0, k): c for k, c in res.items()}, f._den**n * g._den**m)
 
 
 def _resultant_zz(F, G, m: int, n: int) -> dict:
-    """{k: coefficient of z2^k} of Res_z1(F, G) for F, G over ZZ of
-    z1-degrees m and n.
+    """{k: coefficient of z2^k} of Res_z1(F, G) for integer numerator dicts
+    F, G of z1-degrees m and n.
 
     Kronecker substitution z2 = 2**b turns the elimination into one
     univariate resultant over ZZ, whose value Res(F, G)(2**b) is read back
@@ -866,7 +951,7 @@ def _resultant_zz(F, G, m: int, n: int) -> dict:
     top = max(abs(c) for P in (F, G) for c in P.values())
     b = max((bound + 1).bit_length(), top.bit_length()) + 2
     if b > _PACKED_BITS:
-        return {k: c for (k,), c in F.resultant(G).items()}
+        return {k: int(c) for (k,), c in _ring2(F).resultant(_ring2(G)).items()}
     return _balanced_digits(
         dup_resultant(_pack(rows_F, b), _pack(rows_G, b), ZZ), b)
 
@@ -907,22 +992,21 @@ def _balanced_digits(r: int, b: int) -> dict:
 def origin_alone_on_z2_zero(p: Poly2, q: Poly2) -> bool | None:
     """Is the origin the only common zero of p and q on the line z2 = 0?
 
-    Read over ZZ from the numerators of p(z1, 0) and q(z1, 0), built in
-    the bivariate ring.  None when the line is unusable for elimination:
+    Read over ZZ from the numerators of p(z1, 0) and q(z1, 0).  None when the line is unusable for elimination:
     either restriction is zero, or the z1-leading coefficient of p
     vanishes at z2 = 0 (p(z1, 0) has lower degree than p in z1).
     Otherwise True when the gcd of the restrictions is a monomial, and
     False when they share a nonzero root.  With their
     powers of z1 divided out, a gcd 1 mod _PRIME proves True; the gcd over
     ZZ is taken only when that certificate gives no verdict."""
-    u1 = _RING2.dtype({e: c for e, c in p._num.items() if e[1] == 0})
-    u2 = _RING2.dtype({e: c for e, c in q._num.items() if e[1] == 0})
-    if not u1 or not u2 or u1.degree() < _z1_degree(p):
+    u1 = {e: c for e, c in p._num.items() if e[1] == 0}
+    u2 = {e: c for e, c in q._num.items() if e[1] == 0}
+    if not u1 or not u2 or max(u1)[0] < _z1_degree(p):
         return None
     f, g = _without_z1_power(u1), _without_z1_power(u2)
     if f[0] and g[0] and _unit_gcd_mod_p(f, g):
         return True
-    return len(u1.gcd(u2)) == 1
+    return len(_ring2(u1).gcd(_ring2(u2))) == 1
 
 
 def _without_z1_power(u) -> list:

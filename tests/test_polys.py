@@ -9,7 +9,7 @@ import ast
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from pathlib import Path
 from unittest.mock import patch
 
@@ -26,7 +26,7 @@ from sympy.polys.rings import ring
 import germindex
 from conftest import count_calls
 from germindex import (MapGerm, NotDivisible, Poly2, PrecisionExhausted, factor_list2, gcd2,
-                       iterate, resultant_z1)
+                       iterate, local_index, resultant_z1)
 from germindex import polys
 from germindex.polys import (PolynomialMap, charpoly, origin_alone_on_z2_zero,
                              real_root_intervals, trace_of_power)
@@ -261,12 +261,15 @@ def test_resultant_z1_pinned(f, g, res):
 
 def ring_resultant_z1(f: Poly2, g: Poly2) -> Poly2:
     """The reference: sympy's bivariate subresultant resultant of the
-    numerators, over the denominators f._den**deg_z1 g * g._den**deg_z1 f."""
-    m = max((i for i, _ in f._num), default=0)
-    n = max((i for i, _ in g._num), default=0)
-    den = f._den**n * g._den**m
-    return Poly2({(0, k): Fraction(c, den)
-                  for (k,), c in f._num.resultant(g._num).items()})
+    integer numerators F = a*f and G = b*g, in a ring built here, over the
+    denominators a**deg_z1 g * b**deg_z1 f."""
+    R = ring("z1,z2", ZZ)[0]
+    m = max((i for i, _ in f.coeff), default=0)
+    n = max((i for i, _ in g.coeff), default=0)
+    a, b = (lcm(*(c.denominator for c in p.coeff.values())) for p in (f, g))
+    F, G = (R(dict(p.numerator_terms())) for p in (f, g))
+    return Poly2({(0, k): Fraction(int(c), a**n * b**m)
+                  for (k,), c in F.resultant(G).items()})
 
 
 def slot_bits(f: Poly2, g: Poly2) -> tuple[int, int]:
@@ -275,12 +278,12 @@ def slot_bits(f: Poly2, g: Poly2) -> tuple[int, int]:
     leading-coefficient term bitlen(max |coefficient|) + 2."""
     def rows(p):
         out = {}
-        for (i, _), c in p._num.items():
+        for (i, _), c in p.numerator_terms():
             out[i] = out.get(i, 0) + abs(c)
         return sum(s * s for s in out.values()), max(out, default=0)
 
     (S_F, m), (S_G, n) = rows(f), rows(g)
-    top = max((abs(c) for p in (f, g) for c in p._num.values()), default=0)
+    top = max((abs(c) for p in (f, g) for _, c in p.numerator_terms()), default=0)
     return (isqrt(S_F**n * S_G**m) + 1).bit_length() + 2, top.bit_length() + 2
 
 
@@ -480,7 +483,7 @@ def test_fixed_jets_refuse_n_above_the_bound():
 
 def test_only_polys_imports_sympy():
     # polys is the one boundary to the computer-algebra system, and the only
-    # module that knows Poly2 is a ring element over one denominator
+    # module that knows Poly2 is an integer numerator over one denominator
     importers, readers = set(), set()
     for path in sorted(Path(germindex.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -909,6 +912,85 @@ def test_product_by_a_constant_is_a_scalar_product(monkeypatch):
     assert (X * Poly2.zero()).is_zero() and (Poly2.zero() * X).is_zero()
 
 
+@pytest.mark.parametrize("operation, want", [
+    pytest.param(lambda: X * 1.5, TypeError, id="mul_float"),
+    pytest.param(lambda: 1.5 * X, TypeError, id="rmul_float"),
+    pytest.param(lambda: X + 1.5, TypeError, id="add_float"),
+    pytest.param(lambda: X - 1.5, TypeError, id="sub_float"),
+    pytest.param(lambda: X * "a", TypeError, id="mul_str"),
+    pytest.param(lambda: X * True, TypeError, id="mul_bool"),
+    pytest.param(lambda: X.exact_div(1.5), TypeError, id="exact_div_float"),
+    pytest.param(lambda: X.divides(1.5), TypeError, id="divides_float"),
+    pytest.param(lambda: Poly2({(0, 0): 1.5}), TypeError, id="construct_float"),
+    pytest.param(lambda: Poly2({(0, 0): True}), TypeError, id="construct_bool"),
+    # an int or Fraction operand is a constant
+    pytest.param(lambda: X.exact_div(2), X * Fraction(1, 2), id="exact_div_int"),
+    pytest.param(lambda: X.exact_div(Fraction(1, 3)), X * 3, id="exact_div_fraction"),
+    pytest.param(lambda: Poly2.constant(3).divides(6), True, id="divides_int"),
+    pytest.param(lambda: X.divides(2), False, id="divides_int_refused"),
+])
+def test_operands_are_read_as_exact_constants(operation, want):
+    if want is TypeError:
+        with pytest.raises(TypeError):
+            operation()
+    else:
+        assert operation() == want
+
+
+@pytest.mark.parametrize("k, error", [
+    (-1, ValueError),
+    (Fraction(2), TypeError),
+    (2.0, TypeError),
+])
+def test_power_refuses_a_non_natural_exponent(k, error):
+    with pytest.raises(error):
+        X**k
+
+
+class RingReached(Exception):
+    pass
+
+
+def test_arithmetic_builds_no_ring_element(monkeypatch):
+    # Poly2 arithmetic runs on plain integer dicts; a sympy ring element is
+    # built only where sympy does the mathematics (gcd, factorization)
+    from sympy.polys.rings import PolyElement
+
+    def refuse(self, *args, **kwargs):
+        raise RingReached
+
+    monkeypatch.setattr(PolyElement, "__init__", refuse)
+    p = Poly2({(2, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (1, 1): 3})
+    q = Poly2.from_terms({(1, 0): 2, (0, 0): "1/4"}) - Poly2.variable(2) * 2
+    assert p + q - q == p and -(p - p) == Poly2.zero()
+    assert (X + Y) ** 2 == X**2 + X * Y * 2 + Y**2
+    for k in range(7):
+        assert (p * q) ** k == p**k * q**k
+    assert (X**3 * Y).derivative(1) == X**2 * Y * 3
+    assert (X**3 * Y).derivative(2) == X**3
+    # the shift route (a one-term divisor) and the heap route
+    assert (X**2 * Y * 6).exact_div(X * Y * 2) == X * 3
+    assert ((X + Y) * (X - Y * 2)).exact_div(X - Y * 2) == X + Y
+    assert not (X - Y * 2).divides(X + Y)
+    assert (p * Fraction(-6, 5)).normalized() == p * 6
+    assert p.truncated(2) == Y * Fraction(-2, 3)
+    assert p.lowest_form() == Y * Fraction(-2, 3)
+    assert p.compose(X, Y) == p and p.compose(Y, X, partner=q)[1] == q.compose(Y, X)
+    f = PolynomialMap(X * Fraction(3, 2) - Y * 2 + X**2 - X * Y * 3, X)
+    assert f.iterate(3).p2 == f.iterate(2).p1
+    assert f.fixed_jets(3, 4)[1] == (f.iterate(2).p1 - Y).truncated(4)
+    assert f.simple_at_origin(3)
+    assert polys.proved_coprime(X + Y**2, X - Y)
+    # a transversal Henon-like germ: index 1 at every iterate
+    germ = MapGerm.from_polynomials(f.p1, f.p2)
+    assert local_index(iterate(germ, 3)).nu_A == 1
+    # the CAS calls still build their ring elements
+    with pytest.raises(RingReached):
+        gcd2((X + Y) * (X - Y**2), (X + Y) * (X + 1))
+    with pytest.raises(RingReached):
+        factor_list2((X + Y) * (X - Y**2))
+
+
 @given(small_polys(), small_polys(), small_polys(), coefficients)
 @settings(max_examples=60)
 def test_divides_matches_remainder_of_expression_division(a, b, c, scale):
@@ -931,7 +1013,7 @@ def normalized_reference(expr):
     return from_expr((prim if prim.LC(order="grlex") > 0 else -prim).as_expr())
 
 
-@given(any_polys, any_polys, st.integers(0, 3), coefficients, coefficients)
+@given(any_polys, any_polys, st.integers(0, 6), coefficients, coefficients)
 @settings(max_examples=60)
 def test_arithmetic_matches_expression_arithmetic(p, q, k, a, b):
     P, Q = to_expr(p), to_expr(q)
