@@ -1,6 +1,12 @@
 """Scenario documents: a JSON description of maps, germs, curves, points,
 the cohomology action and forms, from which the CLI builds its objects.
 
+Each object of a document goes through one reader, so a field is named
+once, where it is read: `_object` checks the object and copies it without
+the free-text comments "description" and "note", `_take` removes one field
+and types it, and `_done` refuses any key left over, so a misspelled field
+cannot silently take its default.
+
 The three bundled fixtures (remark42, remark43, cubic-d4) live in the
 package's fixtures/ directory as committed documents.
 """
@@ -84,107 +90,97 @@ def _lookup(table: dict, label, who: str, kind: str):
     return table[label]
 
 
+def _object(spec, what: str) -> dict:
+    """A copy of spec, which must be a JSON object, without its comments."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{what} must be an object, not {type(spec).__name__}")
+    return {k: v for k, v in spec.items() if k not in ("description", "note")}
+
+
 _REQUIRED = object()
 
 
-def _field(spec: dict, key: str, kind, default=_REQUIRED):
-    """spec[key] read by `_typed`; an absent key gives the default, or a
-    KeyError when the field has none."""
+def _take(spec: dict, key: str, kind=None, default=_REQUIRED):
+    """spec[key], removed from spec and, given a kind, read by `_typed`; an
+    absent key gives the default, or a KeyError when the field has none."""
     if key not in spec and default is not _REQUIRED:
         return default
-    return _typed(spec[key], kind, key)
+    value = spec.pop(key)
+    return value if kind is None else _typed(value, kind, key)
 
 
-# The keys each object of a document may carry: those the loader reads, and
-# the free-text comments "description" and "note" anywhere.  Any other key
-# is refused, so a misspelled field cannot silently take its default.
-_COMMENTS = {"description", "note"}
-_DOCUMENT_KEYS = {"meta", "maps", "germs", "forms", "action", "curves", "points",
-                  "intersections"}
-# meta.precision is the truncation degree of older documents, loaded unread
-_META_KEYS = {"precision"}
-_GERM_KEYS = {"map", "base_point", "images"}
-_FORM_KEYS = {"z1_valuation", "unit"}
-_ACTION_KEYS = {"mode", "picard_number", "algebraically_stable",
-                "kodaira_nonnegative", "growth_constant"}
-_MODE_KEYS = {
-    "h1trivial": {"matrix"},
-    "k3": {"matrix", "hodge_scalar"},
-    "torus": {"delta", "epsilon"},
-    "explicit_traces": {"traces", "h11_trace_recurrence", "dynamical_degree"},
-}
-_RECURRENCE_KEYS = {"coefficients", "initial", "offset"}
-_SURD_KEYS = {"a", "b", "c", "e", "d"}
-_CURVE_KEYS = {"label", "prime_period", "type", "nu_C", "self_intersection",
-               "euler_characteristic", "witnesses"}
-_WITNESS_KEYS = {"germ", "point", "curve_equation"}
-_POINT_KEYS = {"label", "prime_period", "germ", "declared_index", "on_curves"}
+def _done(spec: dict, what: str) -> None:
+    """Refuse the keys of spec that no read has taken."""
+    if spec:
+        raise ScenarioError(f"{what} has unknown keys: {', '.join(sorted(spec))}")
 
 
-def _known(spec, keys: set, what: str) -> dict:
-    """spec itself, which must be a JSON object with no key outside `keys`
-    and the comments."""
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"{what} must be an object, not {type(spec).__name__}")
-    unknown = sorted(set(spec) - keys - _COMMENTS)
-    if unknown:
-        raise ScenarioError(f"{what} has unknown keys: {', '.join(unknown)}")
-    return spec
-
-
-def _surd(value, what: str) -> Surd:
-    """A Surd literal: a rational literal or an object of its components."""
-    if isinstance(value, dict):
-        _known(value, _SURD_KEYS, what)
-    return Surd.from_json(value)
+def _surd(spec: dict, key: str) -> Surd:
+    """The Surd literal spec[key]: a rational literal (an integer or a
+    string such as "-1/2", read by `rat`), or an object of the components
+    a, b, c, e of a + b*sqrt(d) + i*(c + e*sqrt(d)) and the integer d."""
+    value = _take(spec, key)
+    if not isinstance(value, dict):
+        return Surd(a=value)
+    parts = _object(value, key)
+    surd = Surd(a=_take(parts, "a", default=0), b=_take(parts, "b", default=0),
+                c=_take(parts, "c", default=0), e=_take(parts, "e", default=0),
+                d=_take(parts, "d", default=None))
+    _done(parts, key)
+    return surd
 
 
 def _int_matrix(rows) -> list[list[int]]:
     return [[_typed(x, int, "a matrix entry") for x in row] for row in rows]
 
 
-def _build_action(data) -> CohomologyAction:
-    mode_name = data.get("mode")
-    if mode_name not in _MODE_KEYS:
-        raise ScenarioError(f"unknown action mode {mode_name!r}")
-    _known(data, _ACTION_KEYS | _MODE_KEYS[mode_name], f"{mode_name} action")
-    kwargs = dict(
-        picard_number=_field(data, "picard_number", int, 1),
-        algebraically_stable=_field(data, "algebraically_stable", bool, False),
-        kodaira_nonnegative=_field(data, "kodaira_nonnegative", bool, False),
-        growth_constant=_field(data, "growth_constant", int, None),
-    )
-    if mode_name == "h1trivial":
-        mode = H1Trivial(_int_matrix(data["matrix"]))
-    elif mode_name == "k3":
-        mode = K3Mode(_int_matrix(data["matrix"]),
-                      _surd(data["hodge_scalar"], "hodge_scalar"))
+def _build_action(spec) -> CohomologyAction:
+    """The action: its mode first, then that mode's fields, then the
+    fields every mode shares."""
+    spec = _object(spec, "the action")
+    mode_name = _take(spec, "mode", default=None)
+    if mode_name in ("h1trivial", "k3"):
+        matrix = _int_matrix(_take(spec, "matrix"))
+        mode = (H1Trivial(matrix) if mode_name == "h1trivial"
+                else K3Mode(matrix, _surd(spec, "hodge_scalar")))
     elif mode_name == "torus":
-        mode = TorusMode(_surd(data["delta"], "delta"), _surd(data["epsilon"], "epsilon"))
+        mode = TorusMode(_surd(spec, "delta"), _surd(spec, "epsilon"))
+    elif mode_name == "explicit_traces":
+        mode = _explicit_traces(spec)
     else:
-        mode = _explicit_traces(data)
-    return CohomologyAction(mode=mode, **kwargs)
+        raise ScenarioError(f"unknown action mode {mode_name!r}")
+    action = CohomologyAction(
+        mode=mode,
+        picard_number=_take(spec, "picard_number", int, 1),
+        algebraically_stable=_take(spec, "algebraically_stable", bool, False),
+        kodaira_nonnegative=_take(spec, "kodaira_nonnegative", bool, False),
+        growth_constant=_take(spec, "growth_constant", int, None),
+    )
+    _done(spec, f"{mode_name} action")
+    return action
 
 
-def _explicit_traces(data) -> ExplicitTraces | TraceRecurrence:
+def _explicit_traces(spec: dict) -> ExplicitTraces | TraceRecurrence:
     """The mode of an explicit_traces action: a trace table, or the
     recurrence that generates one."""
-    if ("traces" in data) == ("h11_trace_recurrence" in data):
+    if ("traces" in spec) == ("h11_trace_recurrence" in spec):
         raise ScenarioError(
             "explicit_traces needs one of 'traces' and 'h11_trace_recurrence'")
-    declared = (_surd(data["dynamical_degree"], "dynamical_degree")
-                if "dynamical_degree" in data else None)
-    if "traces" in data:
+    declared = (_surd(spec, "dynamical_degree")
+                if "dynamical_degree" in spec else None)
+    if "traces" in spec:
         return ExplicitTraces({
             int(n_str): {tuple(int(x) for x in key.split(",")): _typed(v, int, "a trace")
                          for key, v in table.items()}
-            for n_str, table in data["traces"].items()}, declared_degree=declared)
-    rec = _known(data["h11_trace_recurrence"], _RECURRENCE_KEYS, "h11_trace_recurrence")
-    return TraceRecurrence(
-        traces=[_typed(v, int, "an initial trace") for v in rec["initial"]],
+            for n_str, table in _take(spec, "traces").items()}, declared_degree=declared)
+    rec = _object(_take(spec, "h11_trace_recurrence"), "h11_trace_recurrence")
+    mode = TraceRecurrence(
+        traces=[_typed(v, int, "an initial trace") for v in _take(rec, "initial")],
         coefficients=[_typed(c, int, "a recurrence coefficient")
-                      for c in rec["coefficients"]],
-        offset=_field(rec, "offset", int, 0), declared_degree=declared)
+                      for c in _take(rec, "coefficients")],
+        offset=_take(rec, "offset", int, 0), declared_degree=declared)
+    _done(rec, "h11_trace_recurrence")
+    return mode
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -198,99 +194,101 @@ def load_scenario(doc: dict) -> Scenario:
             f"malformed scenario document: {type(exc).__name__}: {exc}") from exc
 
 
-def _build_scenario(doc: dict) -> Scenario:
-    _known(doc, _DOCUMENT_KEYS, "the document")
-    _known(doc.get("meta", {}), _META_KEYS, "meta")
+def _build_scenario(doc) -> Scenario:
+    doc = _object(doc, "the document")
+    meta = _object(_take(doc, "meta", default={}), "meta")
+    # the truncation degree of older documents, loaded unread
+    _take(meta, "precision", default=None)
+    _done(meta, "meta")
 
     maps = {}
-    for label, exprs in (doc.get("maps") or {}).items():
+    for label, exprs in (_take(doc, "maps", default=None) or {}).items():
         maps[label] = PolynomialMap(*map(parse_expression, _pair(exprs, f"map {label!r}")))
 
     germs: dict[str, MapGerm] = {}
     origins: dict[str, GermOrigin] = {}
-    for label, spec in (doc.get("germs") or {}).items():
-        _known(spec, _GERM_KEYS, f"germ {label!r}")
+    for label, spec in (_take(doc, "germs", default=None) or {}).items():
+        what = f"germ {label!r}"
+        spec = _object(spec, what)
         if "images" in spec and ("map" in spec or "base_point" in spec):
-            raise ScenarioError(
-                f"germ {label!r} has 'images' beside 'map' or 'base_point'")
+            raise ScenarioError(f"{what} has 'images' beside 'map' or 'base_point'")
         if "map" in spec:
-            pmap = _lookup(maps, spec["map"], f"germ {label!r}", "map")
-            point = spec.get("base_point", [0, 0])
-            a, b = map(rat, _pair(point, f"base_point of germ {label!r}"))
+            map_label = _take(spec, "map")
+            pmap = _lookup(maps, map_label, what, "map")
+            point = _take(spec, "base_point", default=[0, 0])
+            a, b = map(rat, _pair(point, f"base_point of {what}"))
             # the chart germ is built on the map conjugated to the point,
             # whose chain the oracle reads too
             local = pmap.localized((a, b))
             if not local.fixes_origin():
                 raise ScenarioError(f"point ({a}, {b}) is not fixed by the map")
             germs[label] = MapGerm(local)
-            origins[label] = GermOrigin(spec["map"], (a, b))
+            origins[label] = GermOrigin(map_label, (a, b))
         elif "images" in spec:
-            images = _pair(spec["images"], f"images of germ {label!r}")
+            images = _pair(_take(spec, "images"), f"images of {what}")
             germs[label] = MapGerm.from_polynomials(*map(parse_expression, images))
         else:
-            raise ScenarioError(f"germ {label!r} needs 'map' or 'images'")
+            raise ScenarioError(f"{what} needs 'map' or 'images'")
+        _done(spec, what)
 
     forms = {}
-    for label, spec in (doc.get("forms") or {}).items():
-        _known(spec, _FORM_KEYS, f"form {label!r}")
-        forms[label] = FormGerm(_field(spec, "z1_valuation", int, 0),
-                                parse_expression(spec.get("unit", "1")))
+    for label, spec in (_take(doc, "forms", default=None) or {}).items():
+        spec = _object(spec, f"form {label!r}")
+        forms[label] = FormGerm(_take(spec, "z1_valuation", int, 0),
+                                parse_expression(_take(spec, "unit", default="1")))
+        _done(spec, f"form {label!r}")
 
     model = None
-    if doc.get("action"):
-        action = _build_action(doc["action"])
+    action = _take(doc, "action", default=None)
+    curve_specs = _take(doc, "curves", default=[])
+    point_specs = _take(doc, "points", default=[])
+    if action:
+        action = _build_action(action)
         curves = []
-        for c in doc.get("curves", []):
-            _known(c, _CURVE_KEYS, "a curve")
+        for c in curve_specs:
+            c = _object(c, "a curve")
+            label = _take(c, "label")
             witnesses = []
-            for w in c.get("witnesses", []):
-                _known(w, _WITNESS_KEYS, f"a witness of curve {c['label']!r}")
+            for w in _take(c, "witnesses", default=[]):
+                w = _object(w, f"a witness of curve {label!r}")
+                germ_label = _take(w, "germ")
                 witnesses.append(CurveWitness(
-                    point_label=w.get("point", w["germ"]),
-                    germ=_lookup(germs, w["germ"], f"curve {c['label']!r} witness",
-                                 "germ"),
-                    curve_local_equation=parse_expression(w["curve_equation"]),
-                ))
+                    point_label=_take(w, "point", default=germ_label),
+                    germ=_lookup(germs, germ_label, f"curve {label!r} witness", "germ"),
+                    curve_local_equation=parse_expression(_take(w, "curve_equation"))))
+                _done(w, f"a witness of curve {label!r}")
             curves.append(FixedCurveRecord(
-                label=c["label"],
-                prime_period=_field(c, "prime_period", int, 1),
-                curve_type=c["type"],
-                nu_C=_field(c, "nu_C", int),
-                self_intersection=_field(c, "self_intersection", int),
-                euler_characteristic=_field(c, "euler_characteristic", int, None),
-                germ_witnesses=witnesses,
-            ))
+                label=label, prime_period=_take(c, "prime_period", int, 1),
+                curve_type=_take(c, "type"), nu_C=_take(c, "nu_C", int),
+                self_intersection=_take(c, "self_intersection", int),
+                euler_characteristic=_take(c, "euler_characteristic", int, None),
+                germ_witnesses=witnesses))
+            _done(c, "a curve")
         points = []
-        for p in doc.get("points", []):
-            _known(p, _POINT_KEYS, "a point")
-            germ = (_lookup(germs, p["germ"], f"point {p['label']!r}", "germ")
+        for p in point_specs:
+            p = _object(p, "a point")
+            label = _take(p, "label")
+            germ = (_lookup(germs, _take(p, "germ"), f"point {label!r}", "germ")
                     if "germ" in p else None)
             declared = None
             if "declared_index" in p:
                 declared = {int(k): _typed(v, int, "a declared index")
-                            for k, v in p["declared_index"].items()}
+                            for k, v in _take(p, "declared_index").items()}
             points.append(FixedPointRecord(
-                label=p["label"],
-                prime_period=_field(p, "prime_period", int, 1),
-                germ=germ,
-                declared_index_per_n=declared,
-                on_curves=_field(p, "on_curves", list, []),
-            ))
+                label=label, prime_period=_take(p, "prime_period", int, 1),
+                germ=germ, declared_index_per_n=declared,
+                on_curves=_take(p, "on_curves", list, [])))
+            _done(p, "a point")
         model = SurfaceModel(points=points, curves=curves, action=action)
 
     intersections = [tuple(_pair(pair, "an intersection"))
-                     for pair in doc.get("intersections", [])]
+                     for pair in _take(doc, "intersections", default=[])]
     labels = {c.label for c in model.curves} if model is not None else set()
     if not labels.issuperset(x for pair in intersections for x in pair):
         raise ScenarioError("an intersection names a curve the model lacks")
-    return Scenario(
-        maps=maps,
-        germs=germs,
-        germ_origins=origins,
-        forms=forms,
-        model=model,
-        intersections=intersections,
-    )
+    _done(doc, "the document")
+    return Scenario(maps=maps, germs=germs, germ_origins=origins, forms=forms,
+                    model=model, intersections=intersections)
 
 
 def load_scenario_file(path) -> Scenario:

@@ -258,13 +258,3 @@ class Surd:
         if self.d is not None:
             out["d"] = self.d
         return out
-
-    @classmethod
-    def from_json(cls, data) -> "Surd":
-        """Inverse of to_json: each component an integer or a rational
-        string such as "-1/2" (read by `rat`, which refuses a float), and d
-        an integer."""
-        if isinstance(data, (int, str)):
-            return cls(a=data)
-        return cls(a=data.get("a", 0), b=data.get("b", 0), c=data.get("c", 0),
-                   e=data.get("e", 0), d=data.get("d"))

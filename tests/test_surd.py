@@ -75,7 +75,7 @@ def test_json_roundtrip():
     vals = [golden_like(), Surd(a=Fraction(3, 5), c=Fraction(4, 5)),
             Surd.rational(7), Surd(a=0, b=1, c=2, e=Fraction(1, 2), d=3)]
     for v in vals:
-        assert Surd.from_json(v.to_json()) == v
+        assert Surd(**v.to_json()) == v
 
 
 def test_non_squarefree_discriminant_rejected():
