@@ -216,9 +216,9 @@ class Poly2:
                           self._den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.constant(other)
-        if not isinstance(other, Poly2):
+        try:
+            other = _operand(other)
+        except TypeError:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 

@@ -63,12 +63,13 @@ class Scenario:
         return self.model
 
 
-_KINDS = {int: "an integer", bool: "true or false", list: "a list"}
+_KINDS = {int: "an integer", bool: "true or false", list: "a list", str: "a string",
+          dict: "an object"}
 
 
 def _typed(value, kind, what: str):
-    """value itself, which must be a JSON value of `kind` (int, bool or
-    list): a float is not an integer, and a boolean is not an integer
+    """value itself, which must be a JSON value of `kind` (int, bool, list,
+    str or dict): a float is not an integer, and a boolean is not an integer
     either."""
     if type(value) is not kind:
         raise ScenarioError(f"{what} must be {_KINDS[kind]}, got {value!r}")
@@ -186,10 +187,12 @@ def _explicit_traces(spec: dict) -> ExplicitTraces | TraceRecurrence:
 def load_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, resolving all labels.
     A document of the wrong shape (a key missing, a value of the wrong type
-    or out of range, a label that names nothing) raises ScenarioError."""
+    or out of range, a zero denominator, a label that names nothing) raises
+    ScenarioError."""
     try:
         return _build_scenario(doc)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as exc:
         raise ScenarioError(
             f"malformed scenario document: {type(exc).__name__}: {exc}") from exc
 
@@ -202,18 +205,18 @@ def _build_scenario(doc) -> Scenario:
     _done(meta, "meta")
 
     maps = {}
-    for label, exprs in (_take(doc, "maps", default=None) or {}).items():
+    for label, exprs in _take(doc, "maps", dict, {}).items():
         maps[label] = PolynomialMap(*map(parse_expression, _pair(exprs, f"map {label!r}")))
 
     germs: dict[str, MapGerm] = {}
     origins: dict[str, GermOrigin] = {}
-    for label, spec in (_take(doc, "germs", default=None) or {}).items():
+    for label, spec in _take(doc, "germs", dict, {}).items():
         what = f"germ {label!r}"
         spec = _object(spec, what)
         if "images" in spec and ("map" in spec or "base_point" in spec):
             raise ScenarioError(f"{what} has 'images' beside 'map' or 'base_point'")
         if "map" in spec:
-            map_label = _take(spec, "map")
+            map_label = _take(spec, "map", str)
             pmap = _lookup(maps, map_label, what, "map")
             point = _take(spec, "base_point", default=[0, 0])
             a, b = map(rat, _pair(point, f"base_point of {what}"))
@@ -232,43 +235,22 @@ def _build_scenario(doc) -> Scenario:
         _done(spec, what)
 
     forms = {}
-    for label, spec in (_take(doc, "forms", default=None) or {}).items():
+    for label, spec in _take(doc, "forms", dict, {}).items():
         spec = _object(spec, f"form {label!r}")
         forms[label] = FormGerm(_take(spec, "z1_valuation", int, 0),
-                                parse_expression(_take(spec, "unit", default="1")))
+                                parse_expression(_take(spec, "unit", str, "1")))
         _done(spec, f"form {label!r}")
 
+    # a present action is read whatever the subcommand, and the curves and
+    # points, read only into a model, need one
     model = None
-    action = _take(doc, "action", default=None)
-    curve_specs = _take(doc, "curves", default=[])
-    point_specs = _take(doc, "points", default=[])
-    if action:
-        action = _build_action(action)
-        curves = []
-        for c in curve_specs:
-            c = _object(c, "a curve")
-            label = _take(c, "label")
-            witnesses = []
-            for w in _take(c, "witnesses", default=[]):
-                w = _object(w, f"a witness of curve {label!r}")
-                germ_label = _take(w, "germ")
-                witnesses.append(CurveWitness(
-                    point_label=_take(w, "point", default=germ_label),
-                    germ=_lookup(germs, germ_label, f"curve {label!r} witness", "germ"),
-                    curve_local_equation=parse_expression(_take(w, "curve_equation"))))
-                _done(w, f"a witness of curve {label!r}")
-            curves.append(FixedCurveRecord(
-                label=label, prime_period=_take(c, "prime_period", int, 1),
-                curve_type=_take(c, "type"), nu_C=_take(c, "nu_C", int),
-                self_intersection=_take(c, "self_intersection", int),
-                euler_characteristic=_take(c, "euler_characteristic", int, None),
-                germ_witnesses=witnesses))
-            _done(c, "a curve")
+    if "action" in doc:
+        action = _build_action(_take(doc, "action"))
         points = []
-        for p in point_specs:
+        for p in _take(doc, "points", list, []):
             p = _object(p, "a point")
-            label = _take(p, "label")
-            germ = (_lookup(germs, _take(p, "germ"), f"point {label!r}", "germ")
+            label = _take(p, "label", str)
+            germ = (_lookup(germs, _take(p, "germ", str), f"point {label!r}", "germ")
                     if "germ" in p else None)
             declared = None
             if "declared_index" in p:
@@ -279,7 +261,35 @@ def _build_scenario(doc) -> Scenario:
                 germ=germ, declared_index_per_n=declared,
                 on_curves=_take(p, "on_curves", list, [])))
             _done(p, "a point")
+        on_curves = {pt.label: pt.on_curves for pt in points}
+        curves = []
+        for c in _take(doc, "curves", list, []):
+            c = _object(c, "a curve")
+            label = _take(c, "label", str)
+            witnesses = []
+            for w in _take(c, "witnesses", list, []):
+                what = f"a witness of curve {label!r}"
+                w = _object(w, what)
+                germ_label = _take(w, "germ", str)
+                # the witness sits at a point of the curve, by default the
+                # point named like its germ
+                point_label = _take(w, "point", str, germ_label)
+                if label not in _lookup(on_curves, point_label, what, "point"):
+                    raise ScenarioError(f"{what} is at {point_label!r}, not on the curve")
+                witnesses.append(CurveWitness(
+                    point_label=point_label, germ=_lookup(germs, germ_label, what, "germ"),
+                    curve_local_equation=parse_expression(_take(w, "curve_equation", str))))
+                _done(w, what)
+            curves.append(FixedCurveRecord(
+                label=label, prime_period=_take(c, "prime_period", int, 1),
+                curve_type=_take(c, "type", str), nu_C=_take(c, "nu_C", int),
+                self_intersection=_take(c, "self_intersection", int),
+                euler_characteristic=_take(c, "euler_characteristic", int, None),
+                germ_witnesses=witnesses))
+            _done(c, "a curve")
         model = SurfaceModel(points=points, curves=curves, action=action)
+    elif "curves" in doc or "points" in doc:
+        raise ScenarioError("curves and points need an action")
 
     intersections = [tuple(_pair(pair, "an intersection"))
                      for pair in _take(doc, "intersections", default=[])]

@@ -360,6 +360,8 @@ class SurfaceModel:
         labels = {c.label for c in self.curves}
         if len(labels) != len(self.curves):
             raise ValueError("duplicate curve labels")
+        if len({pt.label for pt in self.points}) != len(self.points):
+            raise ValueError("duplicate point labels")
         for pt in self.points:
             for c in pt.on_curves:
                 if c not in labels:

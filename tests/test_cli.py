@@ -1,6 +1,9 @@
 """CLI surface: fixtures, subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import copy
 import gc
+import io
 import json
 import os
 import subprocess
@@ -8,10 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germindex.cli import main
 from germindex.parsing import parse_expression
-from germindex.scenario import fixture_document, load_fixture
+from germindex.scenario import FIXTURE_NAMES, fixture_document, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -256,6 +261,25 @@ def _torus(delta):
         images=["z1 + z1^3*z2", "z2 + z1^2*z2^2"])),
     _cubic(lambda d: d["germs"].update(u1={
         "images": ["z1 + z1^3*z2", "z2 + z1^2*z2^2"], "base_point": [0, 0]})),
+    # a zero denominator in a rational literal
+    _cubic(lambda d: d["germs"]["u1"].update(base_point=[0, "1/0"])),
+    _degree(b="1/0"),
+    # a witness names a point on its curve
+    _cubic(lambda d: d["curves"][0]["witnesses"][0].update(point="no_such_point")),
+    _cubic(lambda d: d["curves"][0]["witnesses"][0].update(point="v1")),
+    # labels are strings, and point labels are unique: a second u1 would
+    # make the count at n = 1 12, not 16
+    _cubic(lambda d: d["points"][0].update(label={"a": 1})),
+    _cubic(lambda d: d["points"].append(dict(d["points"][0]))),
+    _cubic(lambda d: d["curves"].append(dict(d["curves"][1]))),
+    _cubic(lambda d: d["curves"][0].update(prime_period=0)),
+    _cubic(lambda d: d["points"][0].update(prime_period=0)),
+    _cubic(lambda d: d["curves"][0].update(nu_C=0)),
+    {"action": dict(_torus(2)["action"], epsilon=2)},
+    _torus("1/2"),
+    _edited("remark43", lambda d: d["action"].update(mode="k3", hodge_scalar=2)),
+    # a table of maps, germs or forms is an object, not a falsy stand-in
+    _cubic(lambda d: d.update(forms=0)),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
@@ -268,13 +292,36 @@ def _torus(delta):
         "growth_constant_negative", "count_one_quarter", "count_12_minus_8sqrt2",
         "count_negative", "declared_index_negative", "declared_index_at_0",
         "declared_index_off_the_period", "germ_map_and_images",
-        "base_point_without_map"])
+        "base_point_without_map", "base_point_zero_denominator",
+        "surd_zero_denominator", "witness_at_no_point", "witness_off_its_curve",
+        "point_label_object", "duplicate_point_labels", "duplicate_curve_labels",
+        "curve_prime_period_0", "point_prime_period_0", "nu_C_0",
+        "torus_epsilon_2", "torus_delta_one_half", "k3_hodge_scalar_2",
+        "forms_0"])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "count", str(path), "--n-range", "1..2")
     assert code == 2
     assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ScenarioError"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("action") and d.update(curves="junk"),
+    lambda d: d.pop("action") and None,
+    lambda d: d.update(action=None),
+    lambda d: d.update(action={}),
+], ids=["curves_junk_without_action", "curves_without_action", "action_null",
+        "action_empty"])
+def test_a_present_action_is_read_and_curves_need_one(tmp_path, capsys, edit):
+    # classify reads no model, so without these refusals a malformed action
+    # or unread curves and points would pass it; count refuses any document
+    # without a model
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_edited("remark43", edit)))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 2 and out == ""
     assert json.loads(err)["error"]["kind"] == "ScenarioError"
 
 
@@ -345,6 +392,56 @@ def test_unknown_keys_are_scenario_errors(tmp_path, capsys, doc, key):
     error = json.loads(err)["error"]
     assert error["kind"] == "ScenarioError"
     assert error["message"].endswith(f"has unknown keys: {key}")
+
+
+def _places(node, path=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from _places(value, path + (key,))
+
+
+_PLACES = [(name, path) for name in FIXTURE_NAMES
+           for path in _places(fixture_document(name))]
+_DELETE = object()
+_POOL = [0, -1, 2.5, True, None, "1/0", "z1", [], {}, {"a": 1}]
+_SUBCOMMANDS = [("classify",), ("index",), ("lefschetz", "--n-range", "1..2"),
+                ("count", "--n-range", "1..2"), ("validate",), ("verify", "--n-max", "1")]
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "scn.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(place=st.sampled_from(_PLACES), value=st.sampled_from([_DELETE, *_POOL]),
+       argv=st.sampled_from(_SUBCOMMANDS))
+# a zero denominator in a rational literal is a scenario error too
+@example(place=("remark42", ("germs", "origin", "base_point", 1)), value="1/0",
+         argv=("classify",))
+def test_a_mutated_fixture_ends_in_a_result_or_an_error_object(document_path, place,
+                                                               value, argv):
+    # one mutation of a bundled document: a key deleted, a list entry
+    # popped, or a value replaced from a fixed pool
+    name, path = place
+    doc = fixture_document(name)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    document_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(document_path), *argv[1:]])
+    assert code in (0, 1, 2)
+    if code:
+        [line] = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error"}
 
 
 def test_index_on_a_scenario_without_germs(tmp_path, capsys):

@@ -39,6 +39,20 @@ def test_parse_error_position():
     assert err.value.position == 5
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("z1 $ z2", "unexpected character", 3),
+    ("(z1 + z2", "expected ')'", 8),
+    ("z1^z2", "exponent must be a nonnegative integer", 3),
+    ("1/z1", "'/' is only allowed between integer literals", 2),
+    ("1/0", "zero denominator", 2),
+], ids=["character", "unclosed", "exponent", "division", "zero_denominator"])
+def test_each_refusal_names_its_cause_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert message in str(err.value)
+    assert err.value.position == position
+
+
 def test_unknown_variable():
     with pytest.raises(ParseError):
         parse_expression("z1 + w")

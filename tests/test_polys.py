@@ -928,6 +928,10 @@ def test_product_by_a_constant_is_a_scalar_product(monkeypatch):
     pytest.param(lambda: X.exact_div(Fraction(1, 3)), X * 3, id="exact_div_fraction"),
     pytest.param(lambda: Poly2.constant(3).divides(6), True, id="divides_int"),
     pytest.param(lambda: X.divides(2), False, id="divides_int_refused"),
+    # a boolean or float is no constant, so it compares unequal
+    pytest.param(lambda: X == True, False, id="eq_bool"),
+    pytest.param(lambda: Poly2.constant(1) == True, False, id="constant_eq_bool"),
+    pytest.param(lambda: X == 1.5, False, id="eq_float"),
 ])
 def test_operands_are_read_as_exact_constants(operation, want):
     if want is TypeError:
