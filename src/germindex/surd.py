@@ -9,13 +9,14 @@ a field Q(sqrt(d))[i].  An element is stored as
 with d a squarefree integer > 1.  Elements with b = e = 0 are field-agnostic
 and combine with anything; otherwise both operands must carry the same d
 (FieldMismatch).  Comparisons are defined for real elements only and are
-decided exactly by sign analysis of a + b*sqrt(d).
+decided exactly by sign analysis of a + b*sqrt(d): `<` is that test, and
+total_ordering derives `<=`, `>` and `>=` from it and `==`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .errors import FieldMismatch
 from .polys import rat, square_part
@@ -38,6 +39,7 @@ def _normalize_d(d):
     return d
 
 
+@total_ordering
 class Surd:
     __slots__ = ("a", "b", "c", "e", "d")
 
@@ -62,10 +64,6 @@ class Surd:
     def sqrt_term(cls, d: int, a=0, b=1) -> "Surd":
         """a + b*sqrt(d)."""
         return cls(a=a, b=b, d=d)
-
-    @classmethod
-    def imaginary(cls, c=1) -> "Surd":
-        return cls(c=c)
 
     # -- structure ------------------------------------------------------
 
@@ -219,15 +217,6 @@ class Surd:
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
 
     def __abs__(self) -> "Surd":
         return self if self.sign() >= 0 else -self

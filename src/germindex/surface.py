@@ -259,26 +259,11 @@ def lefschetz_number(action: CohomologyAction, n: int) -> Surd:
 @dataclass
 class RationalInterval:
     """An isolating interval (lo, hi) for a simple real root of `poly`, a
-    polynomial in z1 alone, refinable by bisection to any width."""
+    polynomial in z1 alone: the only root of `poly` in (lo, hi)."""
 
     lo: Fraction
     hi: Fraction
     poly: Poly2
-
-    def refine(self, steps: int = 1) -> "RationalInterval":
-        lo, hi = self.lo, self.hi
-        flo = self.poly.evaluate(lo, 0)
-        for _ in range(steps):
-            mid = (lo + hi) / 2
-            fmid = self.poly.evaluate(mid, 0)
-            if fmid == 0:
-                lo = hi = mid
-                break
-            if (flo < 0) != (fmid < 0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        return RationalInterval(lo, hi, self.poly)
 
 
 def _sqrt_exact(q: Fraction) -> Surd:

@@ -254,7 +254,7 @@ TORUS_DELTAS = [
 TORUS_EPSILONS = [
     Surd.rational(1),
     Surd.rational(-1),
-    Surd.imaginary(1),
+    Surd(c=1),
     Surd(a=Fraction(3, 5), c=Fraction(4, 5)),
 ]
 

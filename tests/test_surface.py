@@ -89,7 +89,7 @@ def test_lefschetz_requires_as():
 
 def test_lefschetz_k3_mode():
     act = CohomologyAction(
-        mode=K3Mode([[2, 1], [1, 1]], Surd.imaginary(1)),
+        mode=K3Mode([[2, 1], [1, 1]], Surd(c=1)),
         picard_number=2, algebraically_stable=True)
     # tr(M^2) = 7; i^2 + (-i)^2 = -2
     assert lefschetz_number(act, 2) == Surd.rational(7)
@@ -100,7 +100,7 @@ def test_a_matrix_that_is_not_square_is_refused(matrix):
     with pytest.raises(ValueError, match="square"):
         H1Trivial(matrix)
     with pytest.raises(ValueError, match="square"):
-        K3Mode(matrix, Surd.imaginary(1))
+        K3Mode(matrix, Surd(c=1))
 
 
 def test_torus_lefschetz_matches_closed_form():
@@ -109,7 +109,7 @@ def test_torus_lefschetz_matches_closed_form():
     - e^n (1 + (conj(d)/d)^n)}."""
     one = Surd.rational(1)
     for delta in [GOLDEN, Surd.sqrt_term(2, a=1, b=1), Surd(a=1, c=1)]:
-        for eps in [Surd.rational(1), Surd.rational(-1), Surd.imaginary(1)]:
+        for eps in [Surd.rational(1), Surd.rational(-1), Surd(c=1)]:
             act = CohomologyAction(mode=TorusMode(delta, eps),
                                    picard_number=4, algebraically_stable=True)
             for n in range(1, 6):
@@ -122,7 +122,7 @@ def test_torus_lefschetz_matches_closed_form():
 
 
 def test_torus_lefschetz_matches_determinant_oracle():
-    eps_values = [Surd.rational(1), Surd.rational(-1), Surd.imaginary(1),
+    eps_values = [Surd.rational(1), Surd.rational(-1), Surd(c=1),
                   Surd(a=Fraction(3, 5), c=Fraction(4, 5))]
     delta_values = [GOLDEN, Surd.sqrt_term(2, a=1, b=1), Surd.sqrt_term(3, a=2, b=1)]
     for delta in delta_values:
@@ -182,16 +182,14 @@ def test_spectral_radius_cubic_factor_interval():
     M = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
     lam = spectral_radius(M)
     assert isinstance(lam, RationalInterval)
-    lam = lam.refine(30)
-    assert Fraction(13, 10) < lam.lo <= lam.hi < Fraction(133, 100)
+    assert _between(lam, Fraction(13, 10), Fraction(133, 100))
 
 
 def test_spectral_radius_of_a_negative_dominant_root():
     # companion matrix of x^3 + 3x^2 - 1: roots about -2.879, -0.653, 0.532
     lam = spectral_radius([[0, 0, 1], [1, 0, 0], [0, 1, -3]])
     assert isinstance(lam, RationalInterval)
-    lam = lam.refine(30)
-    assert Fraction(28793, 10000) < lam.lo <= lam.hi < Fraction(28794, 10000)
+    assert _between(lam, Fraction(28793, 10000), Fraction(28794, 10000))
 
 
 def test_spectral_radius_equal_and_complex_moduli():
@@ -206,13 +204,19 @@ def test_spectral_radius_equal_and_complex_moduli():
         spectral_radius([])
 
 
-def _radius_enclosure(lam) -> tuple[float, float]:
+def _between(lam, lo: Fraction, hi: Fraction) -> bool:
+    """Does lam, a real Surd or an isolating interval, lie in (lo, hi)?  The
+    interval's poly has one root in (lam.lo, lam.hi), so a sign change of
+    poly on the overlap of the two intervals puts that root in (lo, hi)."""
     if isinstance(lam, RationalInterval):
-        lam = lam.refine(40)
-        return float(lam.lo), float(lam.hi)
-    assert lam.is_real() and lam >= 0
-    value = float(lam.a) + (float(lam.b) * math.sqrt(lam.d) if lam.d else 0.0)
-    return value, value
+        a, b = max(lam.lo, lo), min(lam.hi, hi)
+        return a < b and lam.poly.evaluate(a, 0) * lam.poly.evaluate(b, 0) < 0
+    return lo < lam < hi
+
+
+def _near(lam, value: float) -> bool:
+    """Is lam within 1e-9 of value?"""
+    return _between(lam, Fraction(value - 1e-9), Fraction(value + 1e-9))
 
 
 def _numeric_radius(M) -> float:
@@ -224,15 +228,14 @@ def _numeric_radius(M) -> float:
 def test_spectral_radius_of_a_dominant_complex_pair():
     # t^3 + 4t - 1: one real root near 0.2463 and a complex pair of
     # modulus about 2.0151
-    lo, hi = _radius_enclosure(spectral_radius([[0, 0, 1], [1, 0, -4], [0, 1, 0]]))
-    assert 2.0151047 < lo <= hi < 2.0151048
+    lam = spectral_radius([[0, 0, 1], [1, 0, -4], [0, 1, 0]])
+    assert _between(lam, Fraction("2.0151047"), Fraction("2.0151048"))
 
 
 def test_spectral_radius_of_tied_real_roots():
     # t^4 - 10t^2 + 1 has the roots +-sqrt2 +- sqrt3: two of modulus sqrt2 + sqrt3
     lam = spectral_radius([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 10], [0, 0, 1, 0]])
-    lo, hi = _radius_enclosure(lam)
-    assert lo <= math.sqrt(2) + math.sqrt(3) <= hi and hi - lo < 1e-9
+    assert _near(lam, math.sqrt(2) + math.sqrt(3))
 
 
 def test_a_real_dominant_root_is_found_among_the_factors_of_p(monkeypatch):
@@ -247,8 +250,7 @@ def test_a_real_dominant_root_is_found_among_the_factors_of_p(monkeypatch):
                         lambda p: degrees.append(p.total_degree()) or factor(p))
     M = [[int(i == j + 1) for j in range(11)] + [0] for i in range(12)]
     M[0][11], M[11][11] = 1, 2
-    lo, hi = _radius_enclosure(spectral_radius(M))
-    assert lo - 1e-9 <= _numeric_radius(M) <= hi + 1e-9
+    assert _near(spectral_radius(M), _numeric_radius(M))
     assert degrees and max(degrees) <= 12
 
 
@@ -257,9 +259,7 @@ def test_spectral_radius_matches_numeric_roots():
     for _ in range(25):
         n = rng.randint(1, 5)
         M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        lo, hi = _radius_enclosure(spectral_radius(M))
-        rho = _numeric_radius(M)
-        assert lo - 1e-9 <= rho <= hi + 1e-9, M
+        assert _near(spectral_radius(M), _numeric_radius(M)), M
 
 
 # -- xi_k and counting -----------------------------------------------------------
