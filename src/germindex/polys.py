@@ -664,20 +664,24 @@ class PolynomialMap:
         """f^n for n >= 1, f^k = f o f^(k-1), from the chain.
 
         An n above MAX_ITERATE_N raises PrecisionExhausted before anything
-        is composed.  Before each composition the degree of f^k is bounded
-        by the largest i * deg p1 + j * deg p2 of f^(k-1) over f's monomials
-        z1^i z2^j; above MAX_ITERATE_DEGREE PrecisionExhausted is raised."""
+        is composed, and so does an iterate that may pass MAX_ITERATE_DEGREE.
+        From the last iterate composed, the degrees (d1, d2) of each f^k
+        still to compose are bounded by the recurrence that takes an image's
+        degree to its largest i * d1 + j * d2 over its monomials z1^i z2^j."""
         _check_iterate_n(n)
         chain = self._iterates
-        while len(chain) < n - 1:
+        if len(chain) < n - 1:
             last = chain[-1] if chain else self
             d1, d2 = last.p1.total_degree(), last.p2.total_degree()
-            bound = max((i * d1 + j * d2 for p in (self.p1, self.p2)
-                         for i, j in p._num), default=0)
-            if bound > MAX_ITERATE_DEGREE:
-                raise PrecisionExhausted(
-                    f"f^{n} is out of reach: f^{len(chain) + 2} may reach "
-                    f"degree {bound}, above the bound {MAX_ITERATE_DEGREE}")
+            for k in range(len(chain) + 2, n + 1):
+                d1, d2 = [max((i * d1 + j * d2 for i, j in p._num), default=0)
+                          for p in (self.p1, self.p2)]
+                if max(d1, d2) > MAX_ITERATE_DEGREE:
+                    raise PrecisionExhausted(
+                        f"f^{n} is out of reach: f^{k} may reach degree "
+                        f"{max(d1, d2)}, above the bound {MAX_ITERATE_DEGREE}")
+        while len(chain) < n - 1:
+            last = chain[-1] if chain else self
             chain.append(PolynomialMap(
                 *self.p1.compose(last.p1, last.p2, partner=self.p2)))
         return chain[n - 2] if n > 1 else self

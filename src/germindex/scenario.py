@@ -22,7 +22,7 @@ from .errors import ScenarioError
 from .forms import FormGerm
 from .germs import MapGerm
 from .parsing import parse_expression
-from .polys import PolynomialMap, rat
+from .polys import Poly2, PolynomialMap, rat
 from .surd import Surd
 from .surface import (
     CohomologyAction,
@@ -81,6 +81,11 @@ def _pair(value, what: str) -> list:
     if len(_typed(value, list, what)) != 2:
         raise ScenarioError(f"{what} must have two entries, got {value!r}")
     return value
+
+
+def _expression(value, what: str) -> Poly2:
+    """The polynomial written by value, which must be a string."""
+    return parse_expression(_typed(value, str, what))
 
 
 def _lookup(table: dict, label, who: str, kind: str):
@@ -206,7 +211,8 @@ def _build_scenario(doc) -> Scenario:
 
     maps = {}
     for label, exprs in _take(doc, "maps", dict, {}).items():
-        maps[label] = PolynomialMap(*map(parse_expression, _pair(exprs, f"map {label!r}")))
+        maps[label] = PolynomialMap(*(_expression(e, f"an image of map {label!r}")
+                                      for e in _pair(exprs, f"map {label!r}")))
 
     germs: dict[str, MapGerm] = {}
     origins: dict[str, GermOrigin] = {}
@@ -229,7 +235,8 @@ def _build_scenario(doc) -> Scenario:
             origins[label] = GermOrigin(map_label, (a, b))
         elif "images" in spec:
             images = _pair(_take(spec, "images"), f"images of {what}")
-            germs[label] = MapGerm.from_polynomials(*map(parse_expression, images))
+            germs[label] = MapGerm.from_polynomials(
+                *(_expression(e, f"an image of {what}") for e in images))
         else:
             raise ScenarioError(f"{what} needs 'map' or 'images'")
         _done(spec, what)
@@ -238,7 +245,8 @@ def _build_scenario(doc) -> Scenario:
     for label, spec in _take(doc, "forms", dict, {}).items():
         spec = _object(spec, f"form {label!r}")
         forms[label] = FormGerm(_take(spec, "z1_valuation", int, 0),
-                                parse_expression(_take(spec, "unit", str, "1")))
+                                _expression(_take(spec, "unit", default="1"),
+                                            f"the unit of form {label!r}"))
         _done(spec, f"form {label!r}")
 
     # a present action is read whatever the subcommand, and the curves and
@@ -278,7 +286,8 @@ def _build_scenario(doc) -> Scenario:
                     raise ScenarioError(f"{what} is at {point_label!r}, not on the curve")
                 witnesses.append(CurveWitness(
                     point_label=point_label, germ=_lookup(germs, germ_label, what, "germ"),
-                    curve_local_equation=parse_expression(_take(w, "curve_equation", str))))
+                    curve_local_equation=_expression(_take(w, "curve_equation"),
+                                                     f"the curve_equation of {what}")))
                 _done(w, what)
             curves.append(FixedCurveRecord(
                 label=label, prime_period=_take(c, "prime_period", int, 1),

@@ -180,8 +180,15 @@ class ExplicitTraces:
     declared_degree: Surd | None = None
 
     def __post_init__(self):
+        self._check_degree()
         if any(len(ij) != 2 for table in self.traces.values() for ij in table):
             raise ValueError("a trace key must name two indices i,j")
+
+    def _check_degree(self):
+        lam = self.declared_degree
+        if lam is not None and not (lam.is_real() and lam >= 1):
+            raise ValueError(
+                f"a dynamical degree is real and at least 1, not {lam!r}")
 
     def lefschetz(self, n: int) -> Surd:
         if n not in self.traces:
@@ -210,6 +217,7 @@ class TraceRecurrence(ExplicitTraces):
     offset: int = 0
 
     def __post_init__(self):
+        self._check_degree()
         if len(self.traces) < len(self.coefficients):
             raise ValueError("a recurrence needs an initial trace per coefficient")
 

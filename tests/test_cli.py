@@ -215,6 +215,19 @@ def _torus(delta):
                        "picard_number": 4, "algebraically_stable": True}}
 
 
+def _declared_degree(value):
+    return _cubic(lambda d: d["action"].update(dynamical_degree=value))
+
+
+# an expression that is not a string, with the map or germ its refusal names
+NOT_STRINGS = [
+    (_edited("remark42", lambda d: d["maps"].update(f=[{"a": 1}, "z2"])), "map 'f'"),
+    (_edited("remark42", lambda d: d["maps"].update(f=[["z1"], "z2"])), "map 'f'"),
+    (_cubic(lambda d: d["germs"].update(u1={"images": [["z1"], "z2"]})), "germ 'u1'"),
+]
+NOT_STRING_IDS = ["map_image_object", "map_image_list", "germ_image_list"]
+
+
 @pytest.mark.parametrize("doc", [
     _cubic(lambda d: d["curves"][0].update(type="III")),
     _cubic(lambda d: d["curves"][0].pop("label") and None),
@@ -280,6 +293,13 @@ def _torus(delta):
     _edited("remark43", lambda d: d["action"].update(mode="k3", hodge_scalar=2)),
     # a table of maps, germs or forms is an object, not a falsy stand-in
     _cubic(lambda d: d.update(forms=0)),
+    # a declared dynamical degree is real and at least 1
+    _declared_degree({"c": 1}),
+    _declared_degree(0),
+    _declared_degree(-1),
+    _declared_degree("1/2"),
+    _declared_degree({"a": "1/2"}),
+    *(doc for doc, _ in NOT_STRINGS),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
         "nu_C_2.5", "picard_number_7.9", "algebraically_stable_string",
@@ -297,7 +317,8 @@ def _torus(delta):
         "point_label_object", "duplicate_point_labels", "duplicate_curve_labels",
         "curve_prime_period_0", "point_prime_period_0", "nu_C_0",
         "torus_epsilon_2", "torus_delta_one_half", "k3_hodge_scalar_2",
-        "forms_0"])
+        "forms_0", "degree_i", "degree_0", "degree_negative", "degree_one_half",
+        "degree_surd_one_half", *NOT_STRING_IDS])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -305,6 +326,17 @@ def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "ScenarioError"
+
+
+@pytest.mark.parametrize("doc, where", NOT_STRINGS, ids=NOT_STRING_IDS)
+def test_an_expression_that_is_not_a_string_names_its_map_or_germ(tmp_path, capsys,
+                                                                  doc, where):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert where in message and "must be a string" in message, message
 
 
 @pytest.mark.parametrize("edit", [

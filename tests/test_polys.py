@@ -378,6 +378,16 @@ def test_iterate_refuses_degrees_above_the_bound():
     assert (g.p1, g.p2) == (X + Y**17 * 40, Y)
 
 
+def test_iterate_refuses_before_composing_anything():
+    # remark42's f^k has degrees (2^k, 2^(k-1)): f^8 reaches the bound 256,
+    # and f^9 may reach 512, so iterate(9) composes none of f^2 .. f^8
+    pmap = PolynomialMap(X * -2 - X**2 - Y, X)
+    with pytest.raises(PrecisionExhausted, match="f\\^9 is out of reach: f\\^9 .* 512"):
+        pmap.iterate(9)
+    assert pmap._iterates == []
+    assert [pmap.iterate(k).p1.total_degree() for k in (2, 3)] == [4, 8]
+
+
 def test_iterate_refuses_n_above_the_bound():
     # (z1 + z2^2, z2) never grows in degree, so only the bound on n stops a
     # deep iterate, and it does so before composing anything

@@ -309,11 +309,40 @@ def _mobius(n: int) -> int:
     return -result if n > 1 else result
 
 
-def _dold_residues(seq) -> list[int]:
-    """sum over d | n of mobius(n/d) * a_d, mod n, for a_1, a_2, ... in seq
-    (A. Dold, Fixed point indices of iterated maps, Invent. Math. 74, 1983)."""
-    return [sum(_mobius(n // d) * seq[d - 1] for d in range(1, n + 1) if n % d == 0) % n
+def _mobius_inverse(seq) -> list[int]:
+    """sum over d | n of mobius(n/d) * i_d, for n = 1, 2, ... and i_1, i_2,
+    ... in seq."""
+    return [sum(_mobius(n // d) * seq[d - 1] for d in range(1, n + 1) if n % d == 0)
             for n in range(1, len(seq) + 1)]
+
+
+def _dold_residues(seq) -> list[int]:
+    """_mobius_inverse(seq) mod n, term by term (A. Dold, Fixed point
+    indices of iterated maps, Invent. Math. 74, 1983)."""
+    return [a % n for n, a in enumerate(_mobius_inverse(seq), 1)]
+
+
+@pytest.mark.parametrize("p1, levels, indices", [
+    (-X - Y + X**2, {1, 3}, [1, 1, 4, 1, 1, 4]),
+    (-Y + X**2, {1, 4}, [1, 1, 1, 13, 1, 1]),
+    (X - Y - X * Y, {1, 6}, [1, 1, 1, 1, 1, 13]),
+    (X * -2 - Y - X**2, {1, 2}, [1, 3, 1, 3, 1, 3]),
+], ids=["order_3", "order_4", "order_6", "eigenvalue_-1"])
+def test_index_sequences_at_root_of_unity_eigenvalues(p1, levels, indices):
+    """(p1, z1) fixes the origin, where Df(0) has a root of unity of order
+    3, 4 or 6 as eigenvalue, or -1.  Engine and oracle agree on i_n, the
+    index of f^n there, for n <= 6, and a_n = sum over d | n of
+    mobius(n/d) * i_d vanishes unless n lies in `levels`: the lcm-closure
+    of 1 and those orders (Shub-Sullivan; Babenko-Bogatyi)."""
+    from germindex.oracle import PolynomialMap, fixed_multiplicity
+
+    germ = MapGerm.from_polynomials(p1, X)
+    engine = [local_index(iterate(germ, n)).nu_A for n in range(1, 7)]
+    oracle = [fixed_multiplicity(PolynomialMap(p1, X), (0, 0), n) for n in range(1, 7)]
+    assert engine == oracle == indices
+    assert _dold_residues(engine) == [0] * 6
+    assert [n for n, a in enumerate(_mobius_inverse(engine), 1)
+            if a and n not in levels] == []
 
 
 def test_dold_congruences_local_index_remark42():
