@@ -15,11 +15,11 @@ local picture:
 
 delta and the mu_p of a smooth branch p are both local intersection
 numbers I(a, b) = dim Q[[z1,z2]] / (a, b), computed by one incremental
-truncated-codimension search that stops when the codimension stabilizes
-(Nakayama), when one gcd at GUARD_DEGREE finds a common factor through the
-origin, or past the Bezout bound deg a * deg b: mu_p = I(p, q) is the
-order of q along the branch, for the cofactor or combination q that
-classify_branch picks.  No truncation parameter enters either number.
+truncated-codimension search that stops in one of two ways: the
+codimension stabilizes (Nakayama), or one gcd at GUARD_DEGREE finds a
+common factor through the origin.  mu_p = I(p, q) is the order of q along
+the branch, for the cofactor or combination q that classify_branch picks.
+No truncation parameter enters either number.
 At a transversal point, det(Df(0) - I) != 0, delta = 1 needs no search.
 
 Every germ is polynomial, and two polynomials whose gcd is trivial have a
@@ -41,6 +41,7 @@ cross-checks these numbers by resultants on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import count
 from math import gcd, isqrt
 
 from .errors import (
@@ -216,8 +217,7 @@ def _origin_factors(p: Poly2) -> list[tuple[Poly2, int]]:
 
 
 # the truncation degree at which _intersection_number, still unstabilized,
-# looks for a common factor through the origin with one gcd before it
-# searches on to the Bezout bound
+# looks for a common factor through the origin with one gcd
 GUARD_DEGREE = 16
 
 
@@ -228,9 +228,9 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
     I(a, b) and stays there (Nakayama), so two consecutive equal values
     certify it.  A common factor through the origin makes I(a, b) infinite:
     None.  When D = GUARD_DEGREE has not stabilized, one gcd of a and b
-    looks for such a factor; otherwise a locally coprime pair has I(a, b)
-    <= deg a * deg b (Bezout), so no stabilization by D = deg a * deg b + 1
-    proves one.
+    looks for such a factor; when it finds none the pair is locally
+    coprime, so I(a, b) is finite and the search goes on until c(D)
+    stabilizes.
 
     The rows m*a and m*b enter in order of their lowest degree, each reduced
     once into an echelon form keyed by its lowest term; terms at or above a
@@ -286,7 +286,9 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
                             del row[k]
 
     prev = None
-    for D in range(1, a.total_degree() * b.total_degree() + 2):
+    # two exits suffice: a pair the gcd below finds locally coprime
+    # stabilizes by D = I(a, b) + 1 <= deg a * deg b + 1 (Nakayama)
+    for D in count(1):
         if D > cap:
             cap *= 2
             pivots.clear()
@@ -300,7 +302,6 @@ def _intersection_number(a: Poly2, b: Poly2) -> int | None:
         prev = cur
         if D == GUARD_DEGREE and gcd2(a, b).vanishes_at_origin():
             return None
-    return None
 
 
 def delta(dec: GermDecomposition) -> int:
@@ -308,9 +309,8 @@ def delta(dec: GermDecomposition) -> int:
 
     The value decompose proved is returned as is; else (the gcd route, a
     decomposition built by hand) it is searched for once and kept on dec.
-    A pair with a common factor through the origin raises NotCoprime: by
-    one gcd when the codimension has not stabilized by D = GUARD_DEGREE,
-    else when it has not by the Bezout bound.
+    A pair with a common factor through the origin raises NotCoprime,
+    found by the one gcd at D = GUARD_DEGREE.
     """
     if dec._delta is None:
         d = _intersection_number(dec.h1, dec.h2)
@@ -379,8 +379,7 @@ def local_index(germ: MapGerm) -> IndexReport:
     One pass is exact: the cofactors are exact polynomials, the type
     verdict is an exact divisibility test, the branches and their nu_p are
     the factors of g, and delta and each mu_p are intersection numbers
-    certified by the stabilization (Nakayama) of one truncated
-    codimension, which the Bezout bound of the pair ends.
+    certified by the stabilization (Nakayama) of one truncated codimension.
     """
     dec = decompose(germ)
     d = delta(dec)

@@ -9,7 +9,8 @@ a field Q(sqrt(d))[i].  An element is stored as
 with d a squarefree integer > 1.  Elements with b = e = 0 are field-agnostic
 and combine with anything; otherwise both operands must carry the same d
 (FieldMismatch).  Comparisons are defined for real elements only and are
-decided exactly by sign analysis of a + b*sqrt(d): `<` is that test, and
+decided exactly by the sign of a + b*sqrt(d), which one comparison of a^2
+with b^2*d settles: `<` is that test, and
 total_ordering derives `<=`, `>` and `>=` from it and `==`.
 """
 
@@ -150,10 +151,9 @@ class Surd:
         # rationalize by (x - y sqrt d)
         n = self.norm_squared()
         x, y = n.a, n.b
+        # x + y sqrt(d) = |z|^2 > 0, so its norm x^2 - y^2 d is nonzero
         dq = Fraction(self.d) if self.d is not None else Fraction(0)
         denom = x * x - y * y * dq
-        if denom == 0:
-            raise ZeroDivisionError("inverse of zero")
         inv_norm = Surd(a=x / denom, b=-y / denom, d=self.d if y else None)
         return self.conjugate() * inv_norm
 
@@ -184,18 +184,9 @@ class Surd:
         a, b = self.a, self.b
         if b == 0:
             return (a > 0) - (a < 0)
-        dq = Fraction(self.d)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = a * a, b * b * dq
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        # a^2 != b^2 d, or d = (a/b)^2 would be a square: the larger term wins
+        s = a if a * a > b * b * self.d else b
+        return 1 if s > 0 else -1
 
     def __eq__(self, other):
         try:

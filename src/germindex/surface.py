@@ -161,10 +161,8 @@ class TorusMode:
         t21 = e * db + db_inv
         t12 = eb * d + d_inv
         t11 = d * db + eb * d * db_inv + e * db * d_inv + (d * db).inverse()
-        total = Surd.rational(2) + t11 + t20 + t02 - t10 - t01 - t21 - t12
-        if not total.is_real():
-            raise ValueError("torus Lefschetz number must be real")
-        return total
+        # real: t01, t02, t12 conjugate t10, t20, t21, and t11 is self-conjugate
+        return Surd.rational(2) + t11 + t20 + t02 - t10 - t01 - t21 - t12
 
     def dynamical_degree(self) -> Surd:
         return self.delta.norm_squared()
@@ -605,7 +603,7 @@ def _degree_above_one(action: CohomologyAction) -> bool:
         f = lam.poly
         return lam.lo >= 1 or (
             lam.hi > 1 and f.evaluate(1, 0) * f.evaluate(lam.hi, 0) < 0)
-    return isinstance(lam, Surd) and lam > 1
+    return lam > 1  # every other dynamical degree is a Surd
 
 
 def growth_bounds(action: CohomologyAction, n: int, count) -> bool | None:
