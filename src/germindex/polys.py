@@ -130,10 +130,6 @@ class Poly2:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly2":
-        return cls({})
-
-    @classmethod
     def constant(cls, value) -> "Poly2":
         return cls({(0, 0): value})
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .errors import ScenarioError
+from .errors import ParseError, ScenarioError
 from .forms import FormGerm
 from .germs import MapGerm
 from .parsing import parse_expression
@@ -84,8 +84,12 @@ def _pair(value, what: str) -> list:
 
 
 def _expression(value, what: str) -> Poly2:
-    """The polynomial written by value, which must be a string."""
-    return parse_expression(_typed(value, str, what))
+    """The polynomial written by value, which must be a string in the
+    expression grammar; a refusal names the field."""
+    try:
+        return parse_expression(_typed(value, str, what))
+    except ParseError as exc:
+        raise ScenarioError(f"{what} does not parse: {exc}") from exc
 
 
 def _lookup(table: dict, label, who: str, kind: str):

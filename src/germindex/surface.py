@@ -359,7 +359,10 @@ class SurfaceModel:
                     raise ValueError(f"point {pt.label} references unknown curve {c}")
 
     def curve(self, label: str) -> FixedCurveRecord:
-        return next(c for c in self.curves if c.label == label)
+        for c in self.curves:
+            if c.label == label:
+                return c
+        raise ScenarioError(f"no curve labelled {label!r}")
 
     def prime_periods(self) -> set[int]:
         return {c.prime_period for c in self.curves}

@@ -65,9 +65,9 @@ def type_two_germ(rng: random.Random) -> MapGerm:
                 continue
             g, h1, h2 = X, X * c, ONE * a + X * b + Y * d
         elif kind == "double_line":
-            g, h1, h2 = X**2, Poly2.zero(), ONE * _nonzero(rng)
+            g, h1, h2 = X**2, Poly2({}), ONE * _nonzero(rng)
         elif kind == "cross":
-            g, h1, h2 = X * Y, Poly2.zero(), ONE * _nonzero(rng)
+            g, h1, h2 = X * Y, Poly2({}), ONE * _nonzero(rng)
         else:  # line_swap
             c = rng.randint(0, 2)
             a, b, d = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2)

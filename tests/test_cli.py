@@ -226,6 +226,8 @@ NOT_STRINGS = [
     (_cubic(lambda d: d["germs"].update(u1={"images": [["z1"], "z2"]})), "germ 'u1'"),
 ]
 NOT_STRING_IDS = ["map_image_object", "map_image_list", "germ_image_list"]
+# an expression outside the grammar
+UNPARSED = _edited("remark42", lambda d: d["maps"].update(f=["z1 +", "z2"]))
 
 
 @pytest.mark.parametrize("doc", [
@@ -299,6 +301,7 @@ NOT_STRING_IDS = ["map_image_object", "map_image_list", "germ_image_list"]
     _declared_degree(-1),
     _declared_degree("1/2"),
     _declared_degree({"a": "1/2"}),
+    UNPARSED,
     *(doc for doc, _ in NOT_STRINGS),
 ], ids=["curve_type_III", "curve_without_label", "z1_valuation_abc", "top_level_list",
         "point_on_unknown_curve", "germ_not_fixing_the_origin", "growth_constant_2.5",
@@ -318,7 +321,7 @@ NOT_STRING_IDS = ["map_image_object", "map_image_list", "germ_image_list"]
         "curve_prime_period_0", "point_prime_period_0", "nu_C_0",
         "torus_epsilon_2", "torus_delta_one_half", "k3_hodge_scalar_2",
         "forms_0", "degree_i", "degree_0", "degree_negative", "degree_one_half",
-        "degree_surd_one_half", *NOT_STRING_IDS])
+        "degree_surd_one_half", "map_image_unparsed", *NOT_STRING_IDS])
 def test_malformed_scenario_documents_are_scenario_errors(tmp_path, capsys, doc):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
@@ -337,6 +340,18 @@ def test_an_expression_that_is_not_a_string_names_its_map_or_germ(tmp_path, caps
     assert code == 2 and out == ""
     message = json.loads(err)["error"]["message"]
     assert where in message and "must be a string" in message, message
+
+
+def test_an_expression_that_does_not_parse_names_its_map(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(UNPARSED))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ScenarioError"
+    # the field, then the parser's own text with its position
+    assert error["message"] == ("an image of map 'f' does not parse: "
+                                "unexpected 'end' (at position 4)")
 
 
 @pytest.mark.parametrize("edit", [

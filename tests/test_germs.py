@@ -148,17 +148,21 @@ def test_delta_not_coprime():
         local_multiplicity(dec.h1, dec.h2)
 
 
-def test_intersection_number_refuses_a_common_factor_at_the_bezout_bound():
-    # no guard: the codimension grows by one per degree, past 2 * 2 + 1
-    from germindex.germs import _intersection_number
+def test_intersection_number_refuses_a_common_factor_at_the_guard_degree(monkeypatch):
+    # the codimension of (z1 z2, z1 (1 + z2)) grows by one per degree, past
+    # 2 * 2 + 1, until the one gcd at D = GUARD_DEGREE finds z1
+    import germindex.germs as germs
 
-    assert _intersection_number(X * Y, X * (ONE + Y)) is None
-    assert _intersection_number(X * Y, X + Y**3) == 4
+    gcds = count_calls(monkeypatch, germs, "gcd2")
+    assert germs._intersection_number(X * Y, X * (ONE + Y)) is None
+    assert len(gcds) == 1
+    assert germs._intersection_number(X * Y, X + Y**3) == 4
+    assert len(gcds) == 1
 
 
 def test_intersection_number_finds_a_common_factor_with_one_gcd(monkeypatch):
     # the codimension of (z1 u, z1 v) grows by one per degree; at D =
-    # GUARD_DEGREE one gcd finds z1, long before the Bezout bound 6 * 6 + 1
+    # GUARD_DEGREE one gcd finds z1
     import germindex.germs as germs
 
     gcds = count_calls(monkeypatch, germs, "gcd2")
@@ -184,7 +188,7 @@ def test_delta_resultant_divides_out_a_common_unit():
 def test_delta_unit_ideal_is_zero():
     from germindex.germs import GermDecomposition
 
-    dec = GermDecomposition(g=X, h1=Poly2.zero(), h2=ONE + Y, factors=[(X, 1)])
+    dec = GermDecomposition(g=X, h1=Poly2({}), h2=ONE + Y, factors=[(X, 1)])
     assert delta(dec) == 0
     assert local_multiplicity(dec.h1, dec.h2) == 0
 
@@ -277,7 +281,7 @@ def test_a_branch_record_built_by_hand_classifies_as_the_engine_does():
 def test_classify_shear_branch_type_two_mu_zero():
     # sigma = (z1 + z2, z2): g = z2, h1 = 1, h2 = 0; branch z2 = 0
     dec = decompose(germ(X + Y, Y))
-    assert dec.g == Y and dec.h1 == ONE and dec.h2 == Poly2.zero()
+    assert dec.g == Y and dec.h1 == ONE and dec.h2 == Poly2({})
     (b,) = branches(dec)
     done = classify_branch(dec, b)
     assert done.branch_type == TYPE_II
@@ -465,7 +469,7 @@ def test_iterate_with_both_cofactors_vanishing_falls_back():
     f2 = iterate(f, 2)
     dec = decompose(f2)
     assert dec.g == X**2 == gcd_route(f2).g
-    assert (dec.h1, dec.h2) == (Poly2.zero(), ONE * 2)
+    assert (dec.h1, dec.h2) == (Poly2({}), ONE * 2)
     assert jsonable(local_index(f2)) == jsonable(local_index(
         MapGerm.from_polynomials(f2.poly1, f2.poly2)))
 

@@ -68,12 +68,29 @@ def defined_names(source: str) -> list[str]:
     return [name for name in names if not _dunder(name)]
 
 
+def foreign_names(tree: ast.AST) -> set[str]:
+    """The names a source binds by importing from outside germindex."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.asname or a.name.split(".")[0] for a in node.names
+                       if a.name.split(".")[0] != "germindex")
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and (node.module or "").split(".")[0] != "germindex"):
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
 def read_names(source: str) -> set[str]:
-    """Every name a source loads, and every attribute it accesses."""
+    """Every name a source loads, and every attribute it accesses, except
+    an attribute read off a name imported from outside germindex (sympy's
+    QQ.zero reads no Poly2.zero)."""
     tree = ast.parse(source)
+    foreign = foreign_names(tree)
     return ({n.id for n in ast.walk(tree)
              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+               and not (isinstance(n.value, ast.Name) and n.value.id in foreign)})
 
 
 def dead_names(source: str, read: set[str]) -> list[str]:
@@ -94,6 +111,11 @@ def test_dead_name_check_sees_loads_and_attributes():
     read = read_names(source) | read_names("C().m\nos.path\n")
     # g is only stored, _L only defined, C.n never accessed
     assert dead_names(source, read) == ["_L", "C.n", "g"]
+    # an attribute of a name imported from outside the package reads nothing
+    assert "zero" not in read_names("from sympy import QQ\nimport math\n"
+                                    "QQ.zero\nmath.zero\n")
+    assert "zero" in read_names("from .polys import Poly2\nPoly2.zero\n")
+    assert "zero" in read_names("from germindex import Poly2\nPoly2.zero\n")
 
 
 def test_every_package_name_is_read():

@@ -391,7 +391,7 @@ def test_local_multiplicity_refuses_when_every_shear_fails(monkeypatch):
 
 
 def test_local_multiplicity_of_a_zero_equation_is_not_isolated():
-    for P, Q in ((X * Y, Poly2.zero()), (Poly2.zero(), Y + X**2)):
+    for P, Q in ((X * Y, Poly2({})), (Poly2({}), Y + X**2)):
         with pytest.raises(NonIsolated):
             local_multiplicity(P, Q)
 

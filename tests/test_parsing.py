@@ -138,7 +138,7 @@ coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter
 # the zero polynomial, constants, and polynomials with fractional
 # coefficients of either sign, so the leading term is often negative
 written_polys = st.one_of(
-    st.just(Poly2.zero()),
+    st.just(Poly2({})),
     coefficients.map(Poly2.constant),
     st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     coefficients, min_size=1, max_size=6).map(Poly2),

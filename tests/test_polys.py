@@ -108,7 +108,7 @@ def all_fractions(p: Poly2) -> bool:
 any_polys = st.one_of(
     small_polys(max_degree=3, max_terms=5),
     coefficients.map(Poly2.constant),
-    st.just(Poly2.zero()),
+    st.just(Poly2({})),
 )
 
 
@@ -186,7 +186,7 @@ def test_compose_keeps_fraction_coefficients_of_integral_results():
     out = p.compose(X * 2, Y - X)
     assert out == X + Y**2 - X * Y * 2 + X**2
     assert all_fractions(out)
-    assert (X - Y).compose(Y, Y) == Poly2.zero()
+    assert (X - Y).compose(Y, Y) == Poly2({})
     assert Poly2.constant(Fraction(-7, 3)).compose(X, Y) == Poly2.constant(Fraction(-7, 3))
     # one canonical form, however the polynomial was built: from a dict of
     # unreduced fractions, a scalar multiple, a sum whose terms cancel and a
@@ -209,7 +209,7 @@ def test_compose_keeps_fraction_coefficients_of_integral_results():
 
 @pytest.mark.parametrize("a, b", [
     (Poly2.constant(3), 3),
-    (Poly2.zero(), 0),
+    (Poly2({}), 0),
     (Surd.rational(3), 3),
     (Surd.rational(Fraction(1, 2)), Fraction(1, 2)),
 ], ids=["poly2", "poly2_zero", "surd", "surd_fraction"])
@@ -686,11 +686,11 @@ def test_factor_list2_constant_absorbs_sign_flips():
 
 
 def test_cas_calls_on_zero_and_constants():
-    assert factor_list2(Poly2.zero()) == (Fraction(0), [])
+    assert factor_list2(Poly2({})) == (Fraction(0), [])
     assert factor_list2(Poly2.constant(Fraction(-5, 3))) == (Fraction(-5, 3), [])
-    assert gcd2(Poly2.zero(), Poly2.zero()) == Poly2.zero()
-    assert gcd2(Poly2.zero(), X * Y * -3) == X * Y
-    assert resultant_z1(Poly2.zero(), X) == Poly2.zero()
+    assert gcd2(Poly2({}), Poly2({})) == Poly2({})
+    assert gcd2(Poly2({}), X * Y * -3) == X * Y
+    assert resultant_z1(Poly2({}), X) == Poly2({})
 
 
 @given(st.lists(st.tuples(small_polys(), st.integers(1, 3)), min_size=1, max_size=3),
@@ -839,7 +839,7 @@ def test_exact_div_inverts_multiplication(a, b, c):
 ])
 def test_exact_div_pinned(a, b):
     assert (a * b).exact_div(b) == a
-    assert Poly2.zero().exact_div(b) == Poly2.zero()
+    assert Poly2({}).exact_div(b) == Poly2({})
 
 
 @pytest.mark.parametrize("a, b", [
@@ -919,7 +919,7 @@ def test_product_by_a_constant_is_a_scalar_product(monkeypatch):
     monkeypatch.setattr(PolyElement, "__mul__", refuse)
     assert X * Poly2.constant(c) == want
     assert Poly2.constant(c) * X == want
-    assert (X * Poly2.zero()).is_zero() and (Poly2.zero() * X).is_zero()
+    assert (X * Poly2({})).is_zero() and (Poly2({}) * X).is_zero()
 
 
 @pytest.mark.parametrize("operation, want", [
@@ -976,7 +976,7 @@ def test_arithmetic_builds_no_ring_element(monkeypatch):
     monkeypatch.setattr(PolyElement, "__init__", refuse)
     p = Poly2({(2, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (1, 1): 3})
     q = Poly2.from_terms({(1, 0): 2, (0, 0): "1/4"}) - Poly2.variable(2) * 2
-    assert p + q - q == p and -(p - p) == Poly2.zero()
+    assert p + q - q == p and -(p - p) == Poly2({})
     assert (X + Y) ** 2 == X**2 + X * Y * 2 + Y**2
     for k in range(7):
         assert (p * q) ** k == p**k * q**k

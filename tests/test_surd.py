@@ -4,6 +4,9 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germindex import FieldMismatch, GermIndexError, surd
 from germindex.surd import Surd
@@ -62,6 +65,35 @@ def test_sign_analysis():
     assert lam > 1
     assert lam.inverse() < 1
     assert abs(-lam) == lam
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+squarefree = st.integers(2, 300).filter(
+    lambda d: all(m == 1 for m in sympy.factorint(d).values()))
+
+
+@given(rationals, rationals, squarefree)
+@settings(max_examples=200)
+@example(Fraction(-9), Fraction(4), 5)  # 81 > 80: -9 + 4 sqrt5 = -1/(9 + 4 sqrt5)
+@example(Fraction(-3, 2), Fraction(1, 2), 5)
+@example(Fraction(0), Fraction(0), 2)
+def test_sign_agrees_with_sympy(a, b, d):
+    """One comparison of a^2 with b^2 d gives the exact sign of a + b sqrt(d)."""
+    value = sympy.Rational(a.numerator, a.denominator) \
+        + sympy.Rational(b.numerator, b.denominator) * sympy.sqrt(d)
+    assert Surd(a=a, b=b, d=d if b else None).sign() == sympy.sign(value)
+
+
+nonzero = rationals.filter(bool)
+
+
+@given(nonzero, nonzero, nonzero, nonzero, squarefree)
+@settings(max_examples=100)
+def test_inverse_of_a_full_surd(a, b, c, e, d):
+    """Every element with all four components nonzero is inverted exactly:
+    its |z|^2 has a nonzero norm, so the one zero test is the only one."""
+    z = Surd(a=a, b=b, c=c, e=e, d=d)
+    assert z * z.inverse() == 1
 
 
 def test_division_and_negative_powers():

@@ -11,6 +11,7 @@ from germindex import (
     MissingIndexData,
     NotAlgebraicallyStable,
     Poly2,
+    ScenarioError,
     TypeICurvePresent,
 )
 from germindex.oracle import torus_lefschetz_oracle
@@ -418,6 +419,17 @@ def test_saito_residual_empty_model():
 def test_validator_cubic_inventory_clean(cubic_model):
     pairs = [("E0", "E1"), ("E0", "E2"), ("E0", "E3")]
     assert validate_periodic_inventory(cubic_model, pairs) == []
+
+
+def test_validator_names_an_unknown_curve_label():
+    from germindex.scenario import load_fixture
+
+    model = load_fixture("cubic-d4").model
+    with pytest.raises(ScenarioError, match="'nope'"):
+        validate_periodic_inventory(model, [("E0", "nope")])
+    with pytest.raises(ScenarioError, match="'nope'"):
+        model.curve("nope")
+    assert model.curve("E0").label == "E0"
 
 
 def test_validator_type_two_period_mismatch():
