@@ -10,6 +10,7 @@ Grammar (whitespace-insensitive):
     power   := atom ('^' INT)?
     atom    := RATIONAL | VAR | '(' expr ')'
     RATIONAL:= INT ('/' INT)?
+    INT     := [0-9]+
 
 Variables are z1 and z2.
 Rational literals only; '/' is legal solely between integer literals.
@@ -25,6 +26,7 @@ inside Python's recursion limit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -34,39 +36,29 @@ MAX_DEGREE = 128
 MAX_HEIGHT_BITS = 4096
 MAX_NESTING = 100
 
-_TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", "/"}
+# ASCII token classes; any other character but whitespace is refused
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
     tokens = []
-    i = depth = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            depth += (ch == "(") - (ch == ")")
+    depth = 0
+    for match in _TOKEN.finditer(text):
+        kind, i, word = match.lastgroup, match.start(), match.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", i)
+        if kind == "op":
+            depth += (word == "(") - (word == ")")
             if depth > MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", i)
-            tokens.append((ch, i))
-            i += 1
+            tokens.append((word, i))
             continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", i, int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", i, text[i:j]))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        try:
+            tokens.append((kind, i, int(word) if kind == "int" else word))
+        except ValueError:  # an integer past the interpreter's digit limit
+            raise ParseError(f"integer literal of {len(word)} digits is too long",
+                             i) from None
     tokens.append(("end", len(text)))
     return tokens
 

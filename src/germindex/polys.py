@@ -58,6 +58,7 @@ does).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
@@ -86,14 +87,19 @@ MAX_ITERATE_DEGREE = 256
 MAX_ITERATE_N = 1000
 
 
+# the one rational literal of a document: a signed ASCII integer or p/q;
+# Fraction alone also reads decimals, exponents such as 1e100000000 and _
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def rat(x) -> Fraction:
     """Coerce ints / strings / Fractions to an exact rational; a boolean
-    is not a number."""
+    is not a number, and a string is an integer or p/q literal."""
     if isinstance(x, Fraction):
         return x
     if type(x) is int:
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
