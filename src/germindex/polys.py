@@ -88,7 +88,7 @@ MAX_ITERATE_N = 1000
 
 
 # the one rational literal of a document: a signed ASCII integer or p/q;
-# Fraction alone also reads decimals, exponents such as 1e100000000 and _
+# Fraction alone also reads decimals, underscores and exponents (1e100000000)
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 

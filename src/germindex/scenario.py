@@ -135,7 +135,7 @@ def _surd(spec: dict, key: str) -> Surd:
     parts = _object(value, key)
     surd = Surd(a=_take(parts, "a", default=0), b=_take(parts, "b", default=0),
                 c=_take(parts, "c", default=0), e=_take(parts, "e", default=0),
-                d=_take(parts, "d", default=None))
+                d=_take(parts, "d", int, None))
     _done(parts, key)
     return surd
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from .errors import (
     MissingIndexData,
@@ -146,23 +148,14 @@ class TorusMode:
             raise ValueError("delta must have modulus at least one")
 
     def lefschetz(self, n: int) -> Surd:
-        """Alternating sum of the eigenvalue powers of the torus action
-        with H^{1,0} eigenvalues delta and epsilon/delta."""
+        """Alternating sum of the traces on the exterior powers of H^1,
+        whose eigenvalues are delta^n and (epsilon/delta)^n on H^{1,0} and
+        their conjugates on H^{0,1}: the subsets of those four, signed by
+        their size."""
         d = self.delta**n
-        db = self.delta.conjugate()**n
-        e = self.epsilon**n
-        eb = self.epsilon.conjugate()**n
-        d_inv = d.inverse()
-        db_inv = db.inverse()
-        t10 = d + e * d_inv
-        t01 = db + eb * db_inv
-        t20 = e
-        t02 = eb
-        t21 = e * db + db_inv
-        t12 = eb * d + d_inv
-        t11 = d * db + eb * d * db_inv + e * db * d_inv + (d * db).inverse()
-        # real: t01, t02, t12 conjugate t10, t20, t21, and t11 is self-conjugate
-        return Surd.rational(2) + t11 + t20 + t02 - t10 - t01 - t21 - t12
+        roots = [d, self.epsilon**n / d]
+        roots += [r.conjugate() for r in roots]
+        return sum((-1) ** k * prod(s) for k in range(5) for s in combinations(roots, k))
 
     def dynamical_degree(self) -> Surd:
         return self.delta.norm_squared()

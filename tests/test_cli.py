@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +280,11 @@ UNPARSED = _edited("remark42", lambda d: d["maps"].update(f=["z1 +", "z2"]))
     # a zero denominator in a rational literal
     _cubic(lambda d: d["germs"]["u1"].update(base_point=[0, "1/0"])),
     _degree(b="1/0"),
+    # a surd's d is an integer even where b = e = 0 leaves it unused
+    _edited("remark43", lambda d: d["action"].update(
+        mode="k3", hodge_scalar={"c": 1, "d": "garbage"})),
+    _edited("remark43", lambda d: d["action"].update(
+        mode="k3", hodge_scalar={"c": 1, "d": 2.5})),
     # a witness names a point on its curve
     _cubic(lambda d: d["curves"][0]["witnesses"][0].update(point="no_such_point")),
     _cubic(lambda d: d["curves"][0]["witnesses"][0].update(point="v1")),
@@ -316,7 +322,8 @@ UNPARSED = _edited("remark42", lambda d: d["maps"].update(f=["z1 +", "z2"]))
         "count_negative", "declared_index_negative", "declared_index_at_0",
         "declared_index_off_the_period", "germ_map_and_images",
         "base_point_without_map", "base_point_zero_denominator",
-        "surd_zero_denominator", "witness_at_no_point", "witness_off_its_curve",
+        "surd_zero_denominator", "surd_d_string", "surd_d_2.5",
+        "witness_at_no_point", "witness_off_its_curve",
         "point_label_object", "duplicate_point_labels", "duplicate_curve_labels",
         "curve_prime_period_0", "point_prime_period_0", "nu_C_0",
         "torus_epsilon_2", "torus_delta_one_half", "k3_hodge_scalar_2",
@@ -352,6 +359,41 @@ def test_an_expression_that_does_not_parse_names_its_map(tmp_path, capsys):
     # the field, then the parser's own text with its position
     assert error["message"] == ("an image of map 'f' does not parse: "
                                 "unexpected 'end' (at position 4)")
+
+
+def test_a_non_ascii_character_in_an_expression_names_its_map(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_edited("remark42", lambda d: d["maps"].update(
+        f=["z1^²", "z2"]))))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == (
+        "an image of map 'f' does not parse: unexpected character '²' (at position 3)")
+
+
+@pytest.mark.parametrize("literal", ["1e100000000", "0.5", "1_000", "١٢"],
+                         ids=["exponent", "decimal", "underscore", "arabic_indic"])
+def test_a_rational_literal_is_an_ascii_integer_or_quotient(tmp_path, capsys, literal):
+    # Fraction alone reads each of these, and would spend minutes building
+    # 10^100000000 before the base point is found not to be fixed
+    def too_slow(signum, frame):
+        raise TimeoutError("loading took over two seconds")
+
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_edited("remark42", lambda d: d["germs"]["origin"].update(
+        base_point=[0, literal]))))
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.alarm(2)
+        code, out, err = run_cli(capsys, "classify", str(path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "ScenarioError"
+    assert f"cannot interpret {literal!r} as an exact rational" in error["message"]
 
 
 @pytest.mark.parametrize("edit", [
@@ -452,7 +494,7 @@ def _places(node, path=()):
 _PLACES = [(name, path) for name in FIXTURE_NAMES
            for path in _places(fixture_document(name))]
 _DELETE = object()
-_POOL = [0, -1, 2.5, True, None, "1/0", "z1", [], {}, {"a": 1}]
+_POOL = [0, -1, 2.5, True, None, "1/0", "1e100000000", "z1", [], {}, {"a": 1}]
 _SUBCOMMANDS = [("classify",), ("index",), ("lefschetz", "--n-range", "1..2"),
                 ("count", "--n-range", "1..2"), ("validate",), ("verify", "--n-max", "1")]
 

@@ -45,7 +45,14 @@ def test_parse_error_position():
     ("z1^z2", "exponent must be a nonnegative integer", 3),
     ("1/z1", "'/' is only allowed between integer literals", 2),
     ("1/0", "zero denominator", 2),
-], ids=["character", "unclosed", "exponent", "division", "zero_denominator"])
+    # tokens are ASCII: a Unicode digit or letter is refused where it stands
+    ("z1^²", "unexpected character", 3),
+    ("٣*z1", "unexpected character", 0),
+    ("ζ", "unexpected character", 0),
+    # past the interpreter's limit on the digits int() reads
+    ("1" * 5000, "integer literal of 5000 digits", 0),
+], ids=["character", "unclosed", "exponent", "division", "zero_denominator",
+        "superscript_two", "arabic_indic_three", "zeta", "long_literal"])
 def test_each_refusal_names_its_cause_and_position(text, message, position):
     with pytest.raises(ParseError) as err:
         parse_expression(text)
