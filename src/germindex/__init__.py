@@ -14,7 +14,6 @@ from .errors import (
     ParseError,
     PrecisionExhausted,
     ScenarioError,
-    ShearExhausted,
     TypeICurvePresent,
     UnsupportedSingularBranch,
 )

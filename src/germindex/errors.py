@@ -33,11 +33,6 @@ class NotCoprime(GermIndexError):
     quotient is infinite-dimensional."""
 
 
-class ShearExhausted(GermIndexError):
-    """No shear in the deterministic sequence put the system in general
-    position for elimination."""
-
-
 class UnsupportedSingularBranch(GermIndexError):
     """A curve factor is singular at the origin; its mu_p is not
     computed."""

@@ -41,7 +41,9 @@ cross-checked.  The engine imports nothing from here.
 
 from __future__ import annotations
 
-from .errors import NonIsolated, ShearExhausted, UnsupportedSingularBranch
+import itertools
+
+from .errors import NonIsolated, UnsupportedSingularBranch
 from .polys import (
     Poly2,
     PolynomialMap,
@@ -53,10 +55,6 @@ from .polys import (
 )
 from .surd import Surd
 
-
-_SHEARS = [0]
-for _k in range(1, 25):
-    _SHEARS += [_k, -_k]
 
 # Finite determinacy (W. Fulton, Algebraic Curves, 1969, ch. 2-3): an ideal
 # of colength mu in the local ring at the origin contains m^mu.  Let P_N, Q_N
@@ -79,29 +77,38 @@ def _shear(p: Poly2, c: int) -> Poly2:
 def local_multiplicity(P: Poly2, Q: Poly2) -> int:
     """Intersection multiplicity of the curves P = 0 and Q = 0 at the origin.
 
-    Deterministic shears z2 -> z2 + c*z1 are tried until the z1-leading
-    coefficient of P does not vanish at z2 = 0 and the origin is the only
-    common zero of P and Q on that line; the z2-order of the resultant is
-    then the local multiplicity.  With the leading coefficient a unit at
-    the origin every root z1 = alpha(z2) of P stays finite, a root with
-    alpha(0) != 0 adds nothing (Q does not vanish there), and the roots
-    through the origin add up to the local multiplicity.  A common factor
-    of positive z1-degree would put a common zero on the line, so with the
-    line test passed the resultant is zero exactly when a common component
-    passes through the origin (NonIsolated); a common factor in z2 alone
-    divides the leading coefficient and leaves the order unchanged.
-
+    The shears z2 -> z2 + c*z1, c = 0, 1, -1, 2, -2, ..., are walked until
+    P's z1-leading coefficient does not vanish at z2 = 0 and the origin is
+    the only common zero of P and Q on that line; the z2-order of the
+    resultant is then the local multiplicity.  With the leading
+    coefficient a unit at the origin every root z1 = alpha(z2) of P stays
+    finite, a root with alpha(0) != 0 adds nothing (Q does not vanish
+    there), and the roots through the origin add up to the local
+    multiplicity; with the line test passed the resultant is zero exactly
+    when a common component passes through the origin (NonIsolated).
     gcd2 is computed only when a line test first fails on a common zero
     elsewhere on the line.  A common factor through the origin raises
     NonIsolated; one that misses it is a unit of the local ring and is
     divided out, and the tests are repeated on the divided pair.
+
+    The walk ends (Bezout; W. Fulton, Algebraic Curves, ch. 3 and 5).  A
+    shear c fails only where z2 = c*z1 is a component of P or Q (at most
+    deg P + deg Q values), where P's top form vanishes at (1, c) (at most
+    deg P), or where the line holds a common zero off the origin.  Before
+    the division, a common factor that misses the origin either has
+    positive z1-degree, and with P's unit leading coefficient a
+    restriction of positive degree and no root at 0, so the first False
+    divides it out; or lies in z2 alone, which leaves the order unchanged
+    at c = 0 and has positive z1-degree at c != 0.  The divided pair is
+    coprime, so at most deg P * deg Q values fail.
     """
     if P.constant_term() != 0 or Q.constant_term() != 0:
         return 0
     if P.is_zero() or Q.is_zero():
         raise NonIsolated("a common component passes through the point")
     divided = False
-    for c in _SHEARS:
+    for i in itertools.count():
+        c = (i + 1) // 2 * (1 if i % 2 else -1)
         Pc, Qc = _shear(P, c), _shear(Q, c)
         alone = origin_alone_on_z2_zero(Pc, Qc)
         if alone is False and not divided:
@@ -119,7 +126,6 @@ def local_multiplicity(P: Poly2, Q: Poly2) -> int:
         if res.is_zero():
             raise NonIsolated("system has a common component")
         return res.order()
-    raise ShearExhausted("no shear isolated the point for elimination")
 
 
 def _tangent_cone(P: Poly2, Q: Poly2) -> int | None:
@@ -145,11 +151,10 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
     coprime (`proved_coprime`); then the elimination of those jets.  f^n
     itself is composed only when these certify nothing (a shared tangent
     with a multiplicity of at least _JET_ORDER, or jets that are not
-    isolated or defeat every shear).  A
-    point that f moves (periodic of a period dividing n, or not fixed by
-    f^n at all, which reports 0) takes the exact system at once.  The
-    point must be isolated: a fixed-curve component through it raises
-    NonIsolated, from the exact system alone.
+    isolated).  A point that f moves (periodic of a period dividing n, or
+    not fixed by f^n at all, which reports 0) takes the exact system at
+    once.  The point must be isolated: a fixed-curve component through it
+    raises NonIsolated, from the exact system alone.
     """
     local = pmap.localized(point)
     if local.fixes_origin():
@@ -162,7 +167,7 @@ def fixed_multiplicity(pmap: PolynomialMap, point, n: int = 1) -> int:
             return mu
         try:
             mu = local_multiplicity(P, Q)
-        except (NonIsolated, ShearExhausted):
+        except NonIsolated:
             mu = N
         if mu < N:
             return mu

@@ -14,7 +14,6 @@ from germindex import (
     NonIsolated,
     Poly2,
     PrecisionExhausted,
-    ShearExhausted,
     UnsupportedSingularBranch,
     iterate,
     local_index,
@@ -26,6 +25,7 @@ from germindex.oracle import (
     local_multiplicity,
     torus_lefschetz_oracle,
 )
+from germindex.germs import _intersection_number
 from germindex.parsing import parse_expression
 from germindex.polys import MAX_ITERATE_N, gcd2
 from germindex.scenario import load_fixture
@@ -379,15 +379,20 @@ def test_local_multiplicity_takes_no_shear_at_a_unit_leading_coefficient(
     assert shears == []
 
 
-def test_local_multiplicity_refuses_when_every_shear_fails(monkeypatch):
+def test_local_multiplicity_walks_the_shears_until_one_isolates_the_point():
     # a coprime pair with a second common zero, (1, 0), on the line z2 = 0:
-    # the unsheared pair is not eliminated, and with no shear left to try
-    # the oracle refuses rather than count that zero
+    # the unsheared pair is not eliminated, and a shear is
     P, Q = X**2 - X + Y, X**2 - X + Y * 2
     assert local_multiplicity(P, Q) == 1
-    monkeypatch.setattr(germindex.oracle, "_SHEARS", [0])
-    with pytest.raises(ShearExhausted):
-        local_multiplicity(P, Q)
+    # P is the 49 lines z2 = k*z1, |k| <= 24, and Q meets each of them at
+    # z1 = k - 100 != 0 as well: P's restriction to z2 = c*z1 vanishes for
+    # every |c| <= 24, so the walk eliminates at c = 25
+    P = ONE
+    for k in range(-24, 25):
+        P = P * (Y - X * k)
+    Q = Y - X**2 - X * 100
+    assert local_multiplicity(P, Q) == 49
+    assert _intersection_number(P, Q) == 49
 
 
 def test_local_multiplicity_of_a_zero_equation_is_not_isolated():
