@@ -140,6 +140,18 @@ def _surd(spec: dict, key: str) -> Surd:
     return surd
 
 
+def _integer_key(key: str, what: str) -> int:
+    """The integer an object key writes: a rational literal without a
+    denominator, read by `rat`, so " 1 " and "+1" are 1 while "١", "0_1",
+    "1.0" and a key of more digits than int() reads are refused."""
+    try:
+        if "/" not in key:
+            return int(rat(key))
+    except (TypeError, ValueError):
+        pass
+    raise ScenarioError(f"{what} is not an integer: {key!r}")
+
+
 def _int_matrix(rows) -> list[list[int]]:
     return [[_typed(x, int, "a matrix entry") for x in row] for row in rows]
 
@@ -180,9 +192,11 @@ def _explicit_traces(spec: dict) -> ExplicitTraces | TraceRecurrence:
                 if "dynamical_degree" in spec else None)
     if "traces" in spec:
         return ExplicitTraces({
-            int(n_str): {tuple(int(x) for x in key.split(",")): _typed(v, int, "a trace")
-                         for key, v in table.items()}
-            for n_str, table in _take(spec, "traces").items()}, declared_degree=declared)
+            _integer_key(n, "a level of the trace table"): {
+                tuple(_integer_key(i, f"an index of the trace table key {key!r}")
+                      for i in key.split(",")): _typed(v, int, "a trace")
+                for key, v in table.items()}
+            for n, table in _take(spec, "traces").items()}, declared_degree=declared)
     rec = _object(_take(spec, "h11_trace_recurrence"), "h11_trace_recurrence")
     mode = TraceRecurrence(
         traces=[_typed(v, int, "an initial trace") for v in _take(rec, "initial")],
@@ -266,7 +280,8 @@ def _build_scenario(doc) -> Scenario:
                     if "germ" in p else None)
             declared = None
             if "declared_index" in p:
-                declared = {int(k): _typed(v, int, "a declared index")
+                declared = {_integer_key(k, f"a declared_index key of point {label!r}"):
+                            _typed(v, int, "a declared index")
                             for k, v in _take(p, "declared_index").items()}
             points.append(FixedPointRecord(
                 label=label, prime_period=_take(p, "prime_period", int, 1),

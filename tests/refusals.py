@@ -78,6 +78,11 @@ def torus(delta):
                        "picard_number": 4, "algebraically_stable": True}}
 
 
+def _declared_key(key):
+    """cubic-d4 with v1's declared index 2 at n = 1 under another key."""
+    return cubic(lambda d: d["points"][3].update(declared_index={key: 2}))
+
+
 def _declared_degree(value):
     return cubic(lambda d: d["action"].update(dynamical_degree=value))
 
@@ -105,6 +110,7 @@ _MAP_OBJECT = _remark42(lambda d: d["maps"].update(f=[{"a": 1}, "z2"]))
 _MAP_LIST = _remark42(lambda d: d["maps"].update(f=[["z1"], "z2"]))
 _GERM_LIST = cubic(lambda d: d["germs"].update(u1={"images": [["z1"], "z2"]}))
 _UNPARSED = _remark42(lambda d: d["maps"].update(f=["z1 +", "z2"]))
+_TRACES = {"0,0": 1, "1,1": 22, "2,2": 1}
 _NO_INITIAL = "a recurrence needs an initial trace per coefficient"
 _DEGREE_BELOW_ONE = "a dynamical degree is real and at least 1, not "
 _UNPARSED_MESSAGE = _exact("an image of map 'f' does not parse: "
@@ -331,6 +337,21 @@ REFUSALS = {
         _literal("decimal", "0.5"),
         _literal("underscore", "1_000"),
         _literal("arabic_indic", "١٢"),
+    ],
+    # a key that writes n or i,j is an ASCII integer, as a rational literal
+    # is: read by int() alone, "١" and "0_1" load as 1
+    "a_numeric_key_is_an_ascii_integer": [
+        *(scenario_error(id, _declared_key(key), "^a declared_index key of point 'v1' "
+                         f"is not an integer: {re.escape(repr(key)[:40])}")
+          for id, key in (("declared_index_arabic_indic", "١"),
+                          ("declared_index_underscore", "0_1"),
+                          ("declared_index_decimal", "1.0"),
+                          ("declared_index_5000_digits", "1" * 5000))),
+        scenario_error("trace_level_arabic_indic", _traces_instead({"١": _TRACES}),
+                       _exact("a level of the trace table is not an integer: '١'")),
+        scenario_error("trace_index_arabic_indic",
+                       _traces_instead({"1": {"١,0": 1, "1,1": 22, "2,2": 1}}),
+                       _exact("an index of the trace table key '١,0' is not an integer: '١'")),
     ],
     # classify reads no model, so without these refusals a malformed action
     # or unread curves and points would pass it; count refuses any document
