@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from germindex.cli import main
 from germindex.parsing import parse_expression
 from germindex.scenario import FIXTURE_NAMES, fixture_document, load_fixture
-from refusals import LIMIT_S, REFUSALS, argv_of, check, cubic, torus
+from refusals import LIMIT_S, REFUSALS, argv_of, check, edited, torus
 
 
 def run_cli(capsys, *argv):
@@ -256,8 +256,8 @@ def test_count_without_a_dynamical_degree_reports_null(tmp_path, capsys):
     # a trace recurrence does not determine lambda, so with cubic-d4's
     # declared degree taken out the growth envelope has no verdict
     path = tmp_path / "scn.json"
-    path.write_text(json.dumps(cubic(lambda d: d["action"].pop("dynamical_degree")
-                                     and None)))
+    path.write_text(json.dumps(edited("cubic-d4", lambda d: d["action"].pop(
+        "dynamical_degree") and None)))
     code, out, _ = run_cli(capsys, "count", str(path), "--n-range", "1..2",
                            "--format", "json")
     assert code == 0
@@ -314,7 +314,7 @@ def _inconsistent_witnesses(d):
 
 def test_validate_reports_witnesses_that_disagree(tmp_path, capsys):
     path = tmp_path / "scn.json"
-    path.write_text(json.dumps(cubic(_inconsistent_witnesses)))
+    path.write_text(json.dumps(edited("cubic-d4", _inconsistent_witnesses)))
     issues = [
         "curve E0: witness at u1 has no branch with equation z2 + z1",
         "curve E1: witness at u1 gives type II, record says I",
@@ -443,8 +443,8 @@ def test_second_fixed_point_localization():
 
 def test_validate_prints_an_inventory_violation(tmp_path, capsys):
     path = tmp_path / "scn.json"
-    path.write_text(json.dumps(cubic(
-        lambda d: d["curves"][1].update(prime_period=2))))
+    path.write_text(json.dumps(edited(
+        "cubic-d4", lambda d: d["curves"][1].update(prime_period=2))))
     message = "intersecting type II curves E0, E1 have periods 1 != 2"
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == 0
