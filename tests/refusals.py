@@ -220,10 +220,11 @@ REFUSALS = {
         ("map_image_unparsed", _UNPARSED, _UNPARSED_MESSAGE),
         ("map_image_object", _MAP_OBJECT, _NOT_STRING.format("map 'f'")),
         ("map_image_list", _MAP_LIST, _NOT_STRING.format("map 'f'")),
-        ("germ_image_list", _GERM_LIST, _NOT_STRING.format("germ 'u1'"))) + _scenario_errors(
-        CLASSIFY,
-        ("remark42_base_point_zero_denominator",
-         _set(R42, "germs", "origin", base_point=[0, "1/0"]), "ZeroDivisionError")),
+        ("germ_image_list", _GERM_LIST, _NOT_STRING.format("germ 'u1'")))
+    # a zero denominator in remark42, under classify
+    + _scenario_errors(CLASSIFY, ("remark42_base_point_zero_denominator",
+                                  _set(R42, "germs", "origin", base_point=[0, "1/0"]),
+                                  "ZeroDivisionError")),
     # a misspelled field would otherwise silently take its default: the
     # first row loads omega as the holomorphic form
     "unknown_keys_are_scenario_errors": _scenario_errors(COUNT, *(
