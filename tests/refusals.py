@@ -331,6 +331,12 @@ REFUSALS = {
             "traces": {"1": {"0,0": 1, "1,1": 3, "2,2": 1}},
             "dynamical_degree": {"a": 9, "b": 2, "d": 20}}},
             "discriminant must be a squarefree integer > 1")),
+    # delta = 3 + sqrt(2) gives L(f) = 172/49 + 120/49*sqrt(2): a positive
+    # surd component is written with its sign, as count_12_minus_8sqrt2's
+    # negative one is
+    "count_refusal_writes_each_surd_component_with_its_sign": _scenario_errors(
+        COUNT, ("count_172_49_plus_120_49_sqrt2", torus({"a": 3, "b": 1, "d": 2}),
+                re.escape("L(f^n) - sum of xi_k = 172/49 + 120/49*sqrt(2) is not"))),
     "count_rejects_type_one_fixture": [
         Row("remark43", None, ("count", "--fixture", R43, "--n-range", "1..2"), 1,
             "TypeICurvePresent",
